@@ -10,8 +10,9 @@ from itertools import permutations
 from math import gcd
 
 from .errors import InvalidRank, SizeMismatch
-from .rootdata import (Root, Weight, build_root_system, pairing, rho, theta,
-                       weight_inner, weyl_act)
+from .rootdata import (Root, Weight, bounded_degree_exponents,
+                       build_root_system, pairing, rho, theta, weight_inner,
+                       weyl_act)
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -43,6 +44,8 @@ def admissible_check(k, n):
 
 
 def level_from_pq(n, p, q):
+    if q < 1:
+        return (False, "q_not_positive")
     if gcd(p, q) != 1:
         return (False, "not_coprime")
     return admissible_check(Fraction(p, q) - n, n)
@@ -50,20 +53,8 @@ def level_from_pq(n, p, q):
 
 def pr_k_integral(lvl):
     """Dominant integral lambda with <lambda, theta_vee> <= p - n, sorted."""
-    rs = build_root_system(lvl.n)
-    cap = lvl.p - lvl.n
-    out = []
-
-    def rec(i, acc, total):
-        if i == rs.rank:
-            out.append(Weight(tuple(Fraction(a) for a in acc)))
-            return
-        for a in range(cap - total + 1):
-            rec(i + 1, acc + [a], total + a)
-
-    rec(0, [], 0)
-    out.sort(key=lambda w: w.coords)
-    return out
+    return [Weight(e)
+            for e in bounded_degree_exponents(lvl.n - 1, lvl.p - lvl.n)]
 
 
 # -- affine weights and the extended affine Weyl group ----------------------------
@@ -120,17 +111,7 @@ def dominant_coweights(rs, cap):
     """Dominant integral coweights eta with (eta, theta) <= cap.  In type A
     the fundamental coweights pair as (omega_i_vee, alpha_j) = delta_ij, so
     these are just nonnegative integer coordinate vectors with sum <= cap."""
-    out = []
-
-    def rec(i, acc, total):
-        if i == rs.rank:
-            out.append(Weight(tuple(Fraction(a) for a in acc)))
-            return
-        for a in range(cap - total + 1):
-            rec(i + 1, acc + [a], total + a)
-
-    rec(0, [], 0)
-    return out
+    return [Weight(e) for e in bounded_degree_exponents(rs.rank, cap)]
 
 
 def y_is_admissible(rs, w, eta, q):
@@ -349,6 +330,8 @@ def dominance_leq(p1, p2):
 
 
 def all_partitions(n):
+    if n < 1:
+        raise InvalidRank("need n >= 1, got %r" % (n,))
     out = []
 
     def rec(remaining, maxpart, acc):

@@ -1,7 +1,8 @@
 """Command-line interface: every computation as a subcommand with JSON or
 text output, plus golden-file generation for the test corpus.
 
-Exit codes: 0 success, 1 verification failure, 2 usage/domain error.
+Exit codes: 0 success, 1 verification failure, 2 usage/domain error,
+3 internal error (a bug in the package).
 """
 
 import argparse
@@ -54,13 +55,20 @@ def parse_root(rs, s):
     return rs.root_index[key]
 
 
+def _parse_index(s, what):
+    try:
+        return int(s)
+    except ValueError:
+        raise WakimotoError("%s must be an integer, got %r" % (what, s))
+
+
 def parse_symbol(rs, s):
     """Chevalley symbol from 'e:a1', 'f:a1+a2', 'h:1'."""
     if ":" not in s:
         raise WakimotoError("symbol must look like e:a1 / f:a1+a2 / h:1")
     kind, rest = s.split(":", 1)
     if kind == "h":
-        i = int(rest)
+        i = _parse_index(rest, "Cartan index")
         if not 1 <= i <= rs.rank:
             raise WakimotoError("Cartan index out of range")
         return ("h", i - 1)
@@ -74,7 +82,7 @@ def parse_sigma(s, n):
         return set()
     out = set()
     for tok in s.split(","):
-        i = int(tok)
+        i = _parse_index(tok, "sigma index")
         if not 1 <= i <= n - 1:
             raise WakimotoError("sigma index out of range")
         out.add(i)
@@ -169,6 +177,8 @@ def cmd_gamma_mult(args):
 
 
 def cmd_ff_field(args):
+    if args.k is None:
+        raise WakimotoError("ff-field needs -k")
     rs = build_root_system(args.n)
     k = parse_fraction(args.k)
     sym = parse_symbol(rs, args.symbol)
@@ -212,6 +222,8 @@ def cmd_verify(args):
                else Weight(tuple(Fraction(2 * i + 1, 3)
                                  for i in range(rs.rank))))
         top = args.top.upper() if args.top else "V"
+        if top not in ("V", "GT"):
+            raise WakimotoError("--top must be V or GT")
         ai = parse_root(rs, args.alpha) if args.alpha else (
             rs.simple_indices[0] if top == "GT" else None)
         a = relaxed.character_relaxed_verma(rs, top, lam, ai, k, args.D,
@@ -480,6 +492,15 @@ def _merge_negative_values(argv):
     return out
 
 
+def _check_ranges(args):
+    """Bounds that the argparse int types leave open; the window radius is
+    checked by the character code itself."""
+    if getattr(args, "D", 0) < 0:
+        raise WakimotoError("-D must be >= 0")
+    if getattr(args, "kcap", 1) < 1:
+        raise WakimotoError("--kcap must be >= 1")
+
+
 def main(argv=None):
     ap = build_parser()
     if argv is None:
@@ -490,13 +511,15 @@ def main(argv=None):
     except SystemExit as e:
         return 2 if e.code not in (0, None) else 0
     try:
+        _check_ranges(args)
         return args.func(args)
     except WakimotoError as e:
         print("error: %s" % (e,), file=sys.stderr)
         return 2
-    except (ValueError, KeyError) as e:
-        print("error: %r" % (e,), file=sys.stderr)
-        return 2
+    except Exception as e:  # anything else is a bug, not a usage error
+        print("internal error: %s: %s" % (type(e).__name__, e),
+              file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

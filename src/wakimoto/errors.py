@@ -2,7 +2,7 @@
 
 
 class WakimotoError(Exception):
-    """Base class for all package errors."""
+    """Base class for usage and domain errors (CLI exit code 2)."""
 
 
 class InvalidRank(WakimotoError):
@@ -49,8 +49,8 @@ class UseBracketClosure(WakimotoError):
     pass
 
 
-class RealizationBug(WakimotoError):
-    pass
+class RealizationBug(Exception):
+    """An internal inconsistency: a bug in the package, not a usage error."""
 
 
 class SizeMismatch(WakimotoError):

@@ -21,11 +21,6 @@ mutually commuting operators, so group-internal order is immaterial.
 from bisect import bisect_left
 from fractions import Fraction
 
-try:
-    from gmpy2 import mpq as _fastq
-except ImportError:  # pragma: no cover
-    _fastq = None
-
 from . import liealg, weylpoly
 from .errors import ModuleMismatch, RealizationBug
 from .liealg import LieElement, bracket_symbols, kappa0_symbols
@@ -56,13 +51,13 @@ def _bump(m, key, delta):
 
 def _ival(x):
     """Normalize a rational coefficient for the mode engine: plain int when
-    integral, else gmpy2.mpq when available.  Both are ==/hash-compatible
-    with Fraction, so vectors built from them compare equal to Fraction
-    expectations; the arithmetic is an order of magnitude faster."""
+    integral, else Fraction.  An int is ==/hash-compatible with the equal
+    Fraction, so vectors built from them compare equal to Fraction
+    expectations, and int arithmetic is an order of magnitude faster."""
     num, den = int(x.numerator), int(x.denominator)
     if den == 1:
         return num
-    return _fastq(num, den) if _fastq is not None else Fraction(num, den)
+    return Fraction(num, den)
 
 
 class WakimotoModule:
@@ -663,16 +658,6 @@ def verify_affine_comm(n, k, dmax, tops=("V", "GT"), lam=None, alpha_idx=None,
 
 
 # -- Zhu / top-component helpers ----------------------------------------------
-
-def top_monomial_to_fock(rs, mono):
-    """Translate an energy-0 monomial into a Fock exponent tuple."""
-    exps = [0] * len(rs.positive_roots)
-    for key, e in mono:
-        if len(key) != 2:
-            raise ModuleMismatch("monomial has positive energy")
-        exps[key[1]] += e
-    return tuple(exps)
-
 
 def fock_to_top_monomial(rs, module, exps):
     d = {}

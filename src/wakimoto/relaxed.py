@@ -15,7 +15,8 @@ from . import liealg, weylpoly
 from .errors import ModuleMismatch
 from .liealg import LieElement, bracket_symbols, kappa0_symbols
 from .linalg import nullspace, rank
-from .rootdata import Weight
+from .rootdata import (bounded_degree_exponents, offset_weight,
+                       root_combinations)
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -56,27 +57,6 @@ class RelaxedModule:
         """Zero-mode action on the top component, via the Fock realization."""
         v = weylpoly.FockVector(self.rs, self.kind, self.lam, {exps: ONE})
         return weylpoly.act_F(self.pi_g_of(sym), v).terms
-
-    def basis_weight(self, elem):
-        """h-weight of a PBW basis element (a Weight)."""
-        factors, top = elem
-        rs = self.rs
-        wt = weylpoly.FockVector(rs, self.kind, self.lam).weight_of(top)
-        for n, sidx in factors:
-            wt = wt + _sym_weight(rs, self.syms[sidx])
-        return wt
-
-    def basis_energy(self, elem):
-        return sum(n for n, _ in elem[0])
-
-
-def _sym_weight(rs, sym):
-    kind, idx = sym
-    zero = Weight((0,) * rs.rank)
-    if kind == "h":
-        return zero
-    w = rs.root_to_weight(rs.positive_roots[idx])
-    return w if kind == "e" else -1 * w
 
 
 def vec_add(a, b, scale=ONE):
@@ -158,6 +138,15 @@ def relaxed_verma_act(mod, sym, m, vec):
 
 # -- characters ----------------------------------------------------------------
 
+def _root_shift(rs, sym):
+    """Weight of a Chevalley basis symbol in root coordinates."""
+    kind, idx = sym
+    if kind == "h":
+        return (0,) * rs.rank
+    co = rs.positive_roots[idx].coeffs
+    return co if kind == "e" else tuple(-c for c in co)
+
+
 def _mode_monomial_table(rs, families, dmax):
     """DP table {energy d: {root-coord weight delta: count}} of monomials in
     negative-mode families; families is a list of root-coordinate tuples (one
@@ -182,15 +171,16 @@ def _mode_monomial_table(rs, families, dmax):
 
 
 def _convolve_character(rs, lam, top_table, mode_table, radius):
-    """Combine a top-component character {Weight: count-or-('ge',n)} with the
-    mode-monomial table into {(Weight, d): count-or-('ge',n)} in the window."""
-    inside, root_coords = weylpoly.window_box(rs, lam, radius)
+    """Combine a top-component character {root-coordinate offset:
+    count-or-('ge',n)} with the mode-monomial table into
+    {(Weight, d): count-or-('ge',n)} in the window."""
+    weylpoly._check_window(radius)
     out = {}
     for d, row in mode_table.items():
         for wshift, cnt in row.items():
-            for wt, mult in top_table.items():
-                total = wt + _wt_from_coords(rs, wshift)
-                if not inside(total):
+            for offset, mult in top_table.items():
+                total = tuple(a + b for a, b in zip(offset, wshift))
+                if not weylpoly._in_window(total, radius):
                     continue
                 key = (total, d)
                 flagged = isinstance(mult, tuple)
@@ -200,15 +190,7 @@ def _convolve_character(rs, lam, top_table, mode_table, radius):
                 pbase = prev[1] if pflag else prev
                 nbase = pbase + base * cnt
                 out[key] = ("ge", nbase) if (flagged or pflag) else nbase
-    return out
-
-
-def _wt_from_coords(rs, coords):
-    acc = Weight((0,) * rs.rank)
-    for i, c in enumerate(coords):
-        if c:
-            acc = acc + Fraction(c) * rs.root_to_weight(rs.simple_roots[i])
-    return acc
+    return {(offset_weight(rs, lam, c), d): m for (c, d), m in out.items()}
 
 
 def character_relaxed_verma(rs, top, lam, alpha_idx, k, dmax, radius, kcap=40):
@@ -217,18 +199,10 @@ def character_relaxed_verma(rs, top, lam, alpha_idx, k, dmax, radius, kcap=40):
     twisting-functor formula for GT tops) times monomials in the dim g
     families of negative modes."""
     if top == "V":
-        top_table = _verma_top_character(rs, lam, radius + dmax)
+        top_table = _verma_top_character(rs, radius + dmax)
     else:
-        top_table = weylpoly.twist_character(rs, lam, alpha_idx,
-                                             radius + dmax, kcap)
-    families = []
-    for sym in liealg.basis_symbols(rs):
-        kind, idx = sym
-        if kind == "h":
-            families.append((0,) * rs.rank)
-        else:
-            co = rs.positive_roots[idx].coeffs
-            families.append(co if kind == "e" else tuple(-c for c in co))
+        top_table = weylpoly._twist_counts(rs, alpha_idx, radius + dmax, kcap)
+    families = [_root_shift(rs, sym) for sym in liealg.basis_symbols(rs)]
     mode_table = _mode_monomial_table(rs, families, dmax)
     return _convolve_character(rs, lam, top_table, mode_table, radius)
 
@@ -239,7 +213,7 @@ def character_relaxed_wakimoto(rs, top, lam, alpha_idx, k, dmax, radius,
     free-field side: Fock monomials for the top times monomials in the
     generators {d_{x,-m}: -gamma, x_m: +gamma, y_m: 0}."""
     kind = "V" if top == "V" else ("GT", alpha_idx)
-    top_table = weylpoly.fock_character(rs, lam, kind, radius + dmax, kcap)
+    top_table = weylpoly._fock_counts(rs, kind, radius + dmax, kcap)
     families = []
     for gamma in rs.positive_roots:
         families.append(tuple(-c for c in gamma.coeffs))
@@ -250,22 +224,14 @@ def character_relaxed_wakimoto(rs, top, lam, alpha_idx, k, dmax, radius,
     return _convolve_character(rs, lam, top_table, mode_table, radius)
 
 
-def _verma_top_character(rs, lam, radius):
-    """Verma character e^lam prod (1-e^{-gamma})^{-1} by direct f-monomial
-    enumeration (independent of the Fock realization)."""
+def _verma_top_character(rs, radius):
+    """Verma character e^lam prod (1-e^{-gamma})^{-1} as {root-coordinate
+    offset from lam: count}, by direct f-monomial enumeration (independent
+    of the Fock realization)."""
     table = {}
-
-    def rec(idx, cur):
-        if idx == len(rs.positive_roots):
-            wt = lam + _wt_from_coords(rs, cur)
-            table[wt] = table.get(wt, 0) + 1
-            return
-        g = rs.positive_roots[idx].coeffs
-        bmax = min((cur[t] + radius) // g[t] for t in range(rs.rank) if g[t])
-        for b in range(int(bmax) + 1):
-            rec(idx + 1, tuple(cur[t] - b * g[t] for t in range(rs.rank)))
-
-    rec(0, (0,) * rs.rank)
+    for _, offset in root_combinations(
+            [g.coeffs for g in rs.positive_roots], (0,) * rs.rank, -radius):
+        table[offset] = table.get(offset, 0) + 1
     return table
 
 
@@ -289,7 +255,7 @@ def top_component_check(n, lam, k, alpha_idx=None, max_degree=None):
         kind = "V" if top == "V" else ("GT", alpha_idx)
         mod = modes.WakimotoModule(rs, top, lam, k,
                                    alpha_idx if top == "GT" else None)
-        slices = _degree_monomials(npos, max_degree)
+        slices = list(bounded_degree_exponents(npos, max_degree))
         for sym in liealg.basis_symbols(rs):
             F = modes.pi_field(rs, sym, k)
             w = weylpoly.pi_g(LieElement.basis(rs, sym))
@@ -305,31 +271,22 @@ def top_component_check(n, lam, k, alpha_idx=None, max_degree=None):
     return failures
 
 
-def _degree_monomials(nvars, dmax):
-    out = []
-
-    def rec(idx, mono, deg):
-        if idx == nvars:
-            out.append(tuple(mono))
-            return
-        for e in range(dmax - deg + 1):
-            mono.append(e)
-            rec(idx + 1, mono, deg + e)
-            mono.pop()
-
-    rec(0, [], 0)
-    return out
-
-
 def _mode_monomials_exact(mod, d):
-    """All PBW factor tuples of energy exactly d."""
+    """(factors, weight shift) for every PBW factor tuple of energy exactly
+    d; the shift is the factors' weight in root coordinates."""
+    rs = mod.rs
+    shifts = [_root_shift(rs, sym) for sym in mod.syms]
     gens = [(n, s) for n in range(1, d + 1) for s in range(len(mod.syms))]
     gens.sort(key=_pbw_key)
     out = []
 
     def rec(idx, remaining, acc):
         if remaining == 0:
-            out.append(tuple(acc))
+            wshift = [0] * rs.rank
+            for _, sidx in acc:
+                for t, c in enumerate(shifts[sidx]):
+                    wshift[t] += c
+            out.append((tuple(acc), tuple(wshift)))
             return
         if idx == len(gens):
             return
@@ -345,68 +302,32 @@ def _mode_monomials_exact(mod, d):
 
 def enum_root_decompositions(rs, target):
     """All b >= 0 with sum b_g gamma_g = target (root coordinates)."""
-    out = []
-    npos = len(rs.positive_roots)
-
-    def rec(idx, remaining, acc):
-        if idx == npos:
-            if all(c == 0 for c in remaining):
-                out.append(tuple(acc))
-            return
-        if any(c < 0 for c in remaining):
-            return
-        g = rs.positive_roots[idx].coeffs
-        bmax = min((remaining[t] // g[t] for t in range(rs.rank) if g[t]),
-                   default=0)
-        for b in range(bmax + 1):
-            rec(idx + 1,
-                tuple(remaining[t] - b * g[t] for t in range(rs.rank)),
-                acc + [b])
-
-    rec(0, tuple(target), [])
-    return out
+    return [b for b, end in root_combinations(
+                [g.coeffs for g in rs.positive_roots], target, 0)
+            if not any(end)]
 
 
-def _cell_basis(mod, d, mu_delta, gt_cap=12):
-    """Basis of the (energy d, weight lam + mu_delta) cell; mu_delta in root
-    coordinates (tuple of rationals)."""
+def _cell_basis(mod, monomials, mu_delta, gt_cap=12):
+    """Basis of the (energy d, weight lam + mu_delta) cell, from the energy-d
+    (factors, weight shift) list; mu_delta in integer root coordinates."""
     rs = mod.rs
+    ai = mod.alpha_idx
+    if mod.top == "GT":
+        roots = [g.coeffs for g in rs.positive_roots]
+        alpha, others = roots[ai], roots[:ai] + roots[ai + 1:]
     basis = []
-    for factors in _mode_monomials_exact(mod, d):
-        wshift = [0] * rs.rank
-        for n, sidx in factors:
-            sym = mod.syms[sidx]
-            if sym[0] == "e":
-                for t, c in enumerate(rs.positive_roots[sym[1]].coeffs):
-                    wshift[t] += c
-            elif sym[0] == "f":
-                for t, c in enumerate(rs.positive_roots[sym[1]].coeffs):
-                    wshift[t] -= c
+    for factors, wshift in monomials:
+        # the top monomial carries weight sum b_g gamma = wshift - mu_delta
+        need = tuple(w - m for w, m in zip(wshift, mu_delta))
         if mod.top == "V":
-            # need sum b_g gamma = wshift - mu_delta, all entries in N0
-            need = tuple(wshift[t] - mu_delta[t] for t in range(rs.rank))
-            if any(x.denominator != 1 if isinstance(x, Fraction) else False
-                   for x in need):
-                continue
-            need = tuple(int(x) for x in need)
             for b in enum_root_decompositions(rs, need):
                 basis.append((factors, b))
-        else:
-            alpha = rs.positive_roots[mod.alpha_idx]
-            for a in range(gt_cap):
-                need = tuple(wshift[t] + (a + 1) * alpha.coeffs[t]
-                             - mu_delta[t] for t in range(rs.rank))
-                if any((isinstance(x, Fraction) and x.denominator != 1)
-                       or x < 0 for x in need):
-                    continue
-                need = tuple(int(x) for x in need)
-                for b in enum_root_decompositions(
-                        rs, need):
-                    if b[mod.alpha_idx]:
-                        continue
-                    exps = list(b)
-                    exps[mod.alpha_idx] = a
-                    basis.append((factors, tuple(exps)))
+            continue
+        for a in range(gt_cap):
+            start = tuple(x + (a + 1) * c for x, c in zip(need, alpha))
+            for b, end in root_combinations(others, start, 0):
+                if not any(end):
+                    basis.append((factors, b[:ai] + (a,) + b[ai:]))
     return basis
 
 
@@ -422,9 +343,9 @@ def find_singular_vectors(rs, lam, k, D, top="V", radius=None, alpha_idx=None):
     conds.append((("f", theta_idx), 1))
     found = []
     for d in range(1, D + 1):
-        deltas = _candidate_deltas(rs, mod, d, radius)
-        for delta in sorted(deltas):
-            basis = _cell_basis(mod, d, delta)
+        monomials = _mode_monomials_exact(mod, d)
+        for delta in sorted(_candidate_deltas(rs, mod, monomials, radius)):
+            basis = _cell_basis(mod, monomials, delta)
             if not basis:
                 continue
             rows = []
@@ -446,42 +367,23 @@ def find_singular_vectors(rs, lam, k, D, top="V", radius=None, alpha_idx=None):
     return found
 
 
-def _candidate_deltas(rs, mod, d, radius):
-    """Integer root-coordinate weight shifts reachable at energy d within the
-    search box."""
+def _candidate_deltas(rs, mod, monomials, radius):
+    """Integer root-coordinate weight shifts reachable from the energy-d
+    (factors, weight shift) list within the search box."""
+    roots = [g.coeffs for g in rs.positive_roots]
+    if mod.top == "V":
+        tops = [(0,) * rs.rank]
+    else:
+        alpha = roots[mod.alpha_idx]
+        tops = [tuple(a * c for c in alpha) for a in range(1, 2 * radius + 2)]
     out = set()
-    for factors in _mode_monomials_exact(mod, d):
-        wshift = [0] * rs.rank
-        for n, sidx in factors:
-            sym = mod.syms[sidx]
-            if sym[0] == "e":
-                for t, c in enumerate(rs.positive_roots[sym[1]].coeffs):
-                    wshift[t] += c
-            elif sym[0] == "f":
-                for t, c in enumerate(rs.positive_roots[sym[1]].coeffs):
-                    wshift[t] -= c
+    for wshift in {w for _, w in monomials}:
         # subtract top-monomial contributions down to the box edge
-        def rec(idx, cur):
-            if any(c < -radius for c in cur):
-                return
-            if idx == len(rs.positive_roots):
-                if all(abs(c) <= radius for c in cur):
-                    out.add(tuple(cur))
-                return
-            g = rs.positive_roots[idx].coeffs
-            bmax = min((cur[t] + radius) // g[t]
-                       for t in range(rs.rank) if g[t])
-            for b in range(int(bmax) + 1):
-                rec(idx + 1, tuple(cur[t] - b * g[t]
-                                   for t in range(rs.rank)))
-
-        if mod.top == "V":
-            rec(0, tuple(wshift))
-        else:
-            alpha = rs.positive_roots[mod.alpha_idx]
-            for a in range(1, 2 * radius + 2):
-                rec(0, tuple(wshift[t] + a * alpha.coeffs[t]
-                             for t in range(rs.rank)))
+        for top in tops:
+            start = tuple(w + t for w, t in zip(wshift, top))
+            for _, end in root_combinations(roots, start, -radius):
+                if all(c <= radius for c in end):
+                    out.add(end)
     return out
 
 
@@ -493,14 +395,14 @@ def coinvariants_character(rs, lam, k, alpha_idx, D, radius, top="V",
     alpha = rs.positive_roots[alpha_idx]
     table = {}
     for d in range(D + 1):
-        deltas = _candidate_deltas(rs, mod, d, radius)
-        for delta in sorted(deltas):
-            basis = _cell_basis(mod, d, delta)
+        monomials = _mode_monomials_exact(mod, d)
+        for delta in sorted(_candidate_deltas(rs, mod, monomials, radius)):
+            basis = _cell_basis(mod, monomials, delta)
             if not basis:
                 continue
             src_delta = tuple(delta[t] + alpha.coeffs[t]
                               for t in range(rs.rank))
-            src = _cell_basis(mod, d, src_delta)
+            src = _cell_basis(mod, monomials, src_delta)
             index = {b: i for i, b in enumerate(basis)}
             rows = [[ZERO] * len(src) for _ in range(len(basis))]
             for jcol, b in enumerate(src):
@@ -512,6 +414,5 @@ def coinvariants_character(rs, lam, k, alpha_idx, D, radius, top="V",
                     rows[i][jcol] = c
             co = len(basis) - (rank(rows) if src else 0)
             if co:
-                wt = lam + _wt_from_coords(rs, delta)
-                table[(wt, d)] = co
+                table[(offset_weight(rs, lam, delta), d)] = co
     return table

@@ -169,10 +169,6 @@ class RootSystem:
     def is_positive_root(self, coeffs):
         return tuple(coeffs) in self.root_index
 
-    def is_root(self, coeffs):
-        c = tuple(coeffs)
-        return c in self.root_index or tuple(-x for x in c) in self.root_index
-
 
 def build_root_system(n):
     return RootSystem(n)
@@ -257,6 +253,51 @@ def _invert(mat):
                 f = a[i][col]
                 a[i] = [x - f * y for x, y in zip(a[i], a[col])]
     return [row[n:] for row in a]
+
+
+# -- enumerators ------------------------------------------------------------
+
+def root_combinations(roots, start, floor):
+    """Yield (b, end) for every b >= 0 with
+    end = start - sum_g b[g] * roots[g] >= floor in every coordinate.
+
+    roots are nonzero coefficient tuples with nonnegative entries, so a
+    coordinate only decreases and a branch is cut as soon as it drops below
+    floor.  The b come in lexicographic order.
+    """
+    roots = [tuple(g) for g in roots]
+    last = len(roots)
+
+    def rec(idx, cur, b):
+        if idx == last:
+            yield b, cur
+            return
+        g = roots[idx]
+        bmax = min((c - floor) // x for c, x in zip(cur, g) if x)
+        for k in range(bmax + 1):
+            yield from rec(idx + 1, tuple(c - k * x for c, x in zip(cur, g)),
+                           b + (k,))
+
+    start = tuple(start)
+    if all(c >= floor for c in start):
+        yield from rec(0, start, ())
+
+
+def bounded_degree_exponents(nvars, dmax):
+    """Every exponent tuple in nvars variables of total degree <= dmax, in
+    lexicographic order."""
+    if nvars == 0:
+        if dmax >= 0:
+            yield ()
+        return
+    for e in range(dmax + 1):
+        for rest in bounded_degree_exponents(nvars - 1, dmax - e):
+            yield (e,) + rest
+
+
+def offset_weight(rs, lam, coords):
+    """The weight lam + sum_i coords[i] alpha_i (integer root coordinates)."""
+    return lam + rs.root_to_weight(Root(coords))
 
 
 # -- Weyl group --------------------------------------------------------------
@@ -346,15 +387,6 @@ def frac_str(x):
 
 def weight_to_json(lam):
     return [frac_str(c) for c in lam.coords]
-
-
-def root_system_to_json(rs):
-    return {
-        "type": "A",
-        "rank": rs.rank,
-        "simple_roots": [list(a.coeffs) for a in rs.simple_roots],
-        "positive_roots": [list(a.coeffs) for a in rs.positive_roots],
-    }
 
 
 def root_label(alpha):

@@ -9,7 +9,6 @@ to the left of all d's, and the commutation rule is [x_a, d_b] = -delta_ab
 """
 
 from fractions import Fraction
-from functools import lru_cache
 from math import comb, factorial
 
 from . import liealg
@@ -17,7 +16,8 @@ from .errors import (EmptyWindow, ModuleMismatch, NotInNilradical,
                      NotSimpleRoot)
 from .linalg import charpoly, rational_roots
 from .liealg import LieElement, bracket_symbols
-from .rootdata import Weight, rho, root_label
+from .rootdata import (bounded_degree_exponents, offset_weight, rho,
+                       root_combinations, root_label)
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -54,10 +54,6 @@ def poly_mul(p, q):
             elif e in out:
                 del out[e]
     return out
-
-
-def poly_one(nvars):
-    return {(0,) * nvars: ONE}
 
 
 def poly_var(nvars, i):
@@ -502,60 +498,45 @@ def act_F(w, v):
 
 
 # -- characters ---------------------------------------------------------------
+#
+# A character is counted as {root-coordinate offset from lambda: mult}; the
+# offsets are integer tuples, and each becomes a Weight once, on output.
 
-def window_box(rs, lam, radius):
-    """Predicate: is mu inside the box |(mu - lam) root coordinates| <= radius?
-    Returns a function Weight -> bool and a root-coordinate extractor."""
-    if radius <= 0:
+def _check_window(radius):
+    """Refuse a window that holds no weight beyond lambda itself."""
+    if radius < 1:
         raise EmptyWindow("window radius must be positive")
-    inv_cartan = _inverse_cartan(rs)
-
-    def root_coords(mu):
-        d = mu - lam
-        return tuple(
-            sum((inv_cartan[i][j] * d.coords[j] for j in range(rs.rank)), ZERO)
-            for i in range(rs.rank)
-        )
-
-    def inside(mu):
-        return all(abs(c) <= radius for c in root_coords(mu))
-
-    return inside, root_coords
 
 
-@lru_cache(maxsize=None)
-def _inverse_cartan_cached(n):
-    from .rootdata import build_root_system
-    rs = build_root_system(n)
-    from .rootdata import _invert
-    return _invert([[Fraction(x) for x in row] for row in rs.cartan_matrix])
+def _in_window(coords, radius):
+    return all(-radius <= c <= radius for c in coords)
 
 
-def _inverse_cartan(rs):
-    return _inverse_cartan_cached(rs.n)
+def _flag_unbounded(table, flagged):
+    return {c: (("ge", m) if c in flagged else m) for c, m in table.items()}
 
 
-def count_root_decompositions(rs, target, gammas):
-    """Number of ways target (integer coeff tuple) = sum b_g * gamma_g, b >= 0."""
-    gammas = list(gammas)
+def _twist_counts(rs, alpha_idx, radius, kcap):
+    """twist_character as {root-coordinate offset: mult}."""
+    alpha = rs.positive_roots[alpha_idx]
+    others = [g.coeffs for i, g in enumerate(rs.positive_roots)
+              if i != alpha_idx]
+    simple = alpha.height == 1
 
-    def rec(idx, remaining):
-        if all(c == 0 for c in remaining):
-            return 1
-        if idx == len(gammas):
-            return 0
-        if any(c < 0 for c in remaining):
-            return 0
-        g = gammas[idx].coeffs
-        # max multiple of g fitting in remaining
-        bmax = min(remaining[t] // g[t] for t in range(len(g)) if g[t])
-        total = 0
-        for b in range(bmax + 1):
-            total += rec(idx + 1, tuple(remaining[t] - b * g[t]
-                                        for t in range(len(g))))
-        return total
+    def contributions(k):
+        """Offsets k*alpha - sum b_g gamma inside the window box."""
+        base = tuple(k * c for c in alpha.coeffs)
+        return [end for _, end in root_combinations(others, base, -radius)
+                if _in_window(end, radius)]
 
-    return rec(0, tuple(target))
+    table = {}
+    kmax = kcap if not simple else (2 * radius + 2 * rs.n)
+    for k in range(1, kmax + 1):
+        for end in contributions(k):
+            table[end] = table.get(end, 0) + 1
+    # one step past the cap: any weight still being hit grows forever
+    flagged = set() if simple else set(contributions(kmax + 1))
+    return _flag_unbounded(table, flagged)
 
 
 def twist_character(rs, lam, alpha_idx, radius, kcap=60):
@@ -565,111 +546,46 @@ def twist_character(rs, lam, alpha_idx, radius, kcap=60):
     window multiplicity is not finite (possible only for non-simple alpha).
     char = e^lam (sum_{k>=1} e^{k alpha}) prod_{gamma != alpha}(1-e^{-gamma})^{-1}.
     """
-    alpha = rs.positive_roots[alpha_idx]
-    others = [g for i, g in enumerate(rs.positive_roots) if i != alpha_idx]
-    simple = alpha.height == 1
+    _check_window(radius)
+    return {offset_weight(rs, lam, c): m
+            for c, m in _twist_counts(rs, alpha_idx, radius, kcap).items()}
+
+
+def _fock_counts(rs, kind, radius, kcap):
+    """fock_character as {root-coordinate offset: mult}."""
+    roots = [g.coeffs for g in rs.positive_roots]
     table = {}
-    flagged = set()
-    aw = rs.root_to_weight(alpha)
+    if kind == "V":
+        # monomials prod d^{b_g}: offset -sum b_g gamma
+        for _, end in root_combinations(roots, (0,) * rs.rank, -radius):
+            table[end] = table.get(end, 0) + 1
+        return table
+    alpha_idx = kind[1]
+    alpha = rs.positive_roots[alpha_idx]
+    simple = alpha.height == 1
+    others = roots[:alpha_idx] + roots[alpha_idx + 1:]
+    amax = kcap if not simple else (2 * radius + 2 * rs.n)
 
-    def contributions(k):
-        """weights hit by e^{k alpha} * monomials in e^{-gamma}, with counts,
-        restricted to the window box."""
-        out = {}
-        # mu = lam + k*alpha - sum b_g gamma; root coords of mu - lam are
-        # k*alpha.coeffs - sum b_g g.coeffs, each in [-radius, radius].
-        base = tuple(k * c for c in alpha.coeffs)
+    def sweep(a):
+        """Offsets of x_alpha^a prod d^{b_g} inside the window box."""
+        base = tuple((a + 1) * c for c in alpha.coeffs)
+        return [end for _, end in root_combinations(others, base, -radius)
+                if _in_window(end, radius)]
 
-        def rec(idx, cur):
-            if idx == len(others):
-                if all(abs(c) <= radius for c in cur):
-                    wt = lam + sum(
-                        (Fraction(cur[i]) * rs.root_to_weight(rs.simple_roots[i])
-                         for i in range(rs.rank)),
-                        Weight((0,) * rs.rank),
-                    )
-                    out[wt] = out.get(wt, 0) + 1
-                return
-            g = others[idx].coeffs
-            # b bounded: subtracting b*g must keep all coords >= -radius
-            bmax = min(
-                (cur[t] + radius) // g[t] for t in range(rs.rank) if g[t]
-            )
-            for b in range(int(bmax) + 1):
-                rec(idx + 1, tuple(cur[t] - b * g[t] for t in range(rs.rank)))
-
-        rec(0, base)
-        return out
-
-    kmax = kcap if not simple else (2 * radius + 2 * rs.n)
-    for k in range(1, kmax + 1):
-        for wt, c in contributions(k).items():
-            table[wt] = table.get(wt, 0) + c
-    if not simple:
-        # one step past the cap: any weight still being hit grows forever
-        for wt in contributions(kmax + 1):
-            flagged.add(wt)
-    return {wt: (("ge", c) if wt in flagged else c) for wt, c in table.items()}
+    for a in range(amax):
+        for end in sweep(a):
+            table[end] = table.get(end, 0) + 1
+    flagged = set() if simple else set(sweep(amax))
+    return _flag_unbounded(table, flagged)
 
 
 def fock_character(rs, lam, kind, radius, kcap=60):
     """Character of the Fock realization (F_nbar or F_{nbar,alpha}) inside the
     window, by direct monomial enumeration; same flag convention as
     twist_character."""
-    table = {}
-    flagged = set()
-    if kind == "V":
-        # monomials prod d^{b_g}: weight lam - sum b_g gamma
-        def rec(idx, cur):
-            if idx == len(rs.positive_roots):
-                wt = _wt_from_root_coords(rs, lam, cur)
-                table[wt] = table.get(wt, 0) + 1
-                return
-            g = rs.positive_roots[idx].coeffs
-            bmax = min((cur[t] + radius) // g[t] for t in range(rs.rank) if g[t])
-            for b in range(int(bmax) + 1):
-                rec(idx + 1, tuple(cur[t] - b * g[t] for t in range(rs.rank)))
-
-        rec(0, (0,) * rs.rank)
-        return dict(table)
-    alpha_idx = kind[1]
-    alpha = rs.positive_roots[alpha_idx]
-    simple = alpha.height == 1
-    others = [i for i in range(len(rs.positive_roots)) if i != alpha_idx]
-    amax = kcap if not simple else (2 * radius + 2 * rs.n)
-
-    def sweep(a, record_flag):
-        base = tuple((a + 1) * c for c in alpha.coeffs)
-
-        def rec(idx, cur):
-            if idx == len(others):
-                if all(abs(c) <= radius for c in cur):
-                    wt = _wt_from_root_coords(rs, lam, cur)
-                    if record_flag:
-                        flagged.add(wt)
-                    else:
-                        table[wt] = table.get(wt, 0) + 1
-                return
-            g = rs.positive_roots[others[idx]].coeffs
-            bmax = min((cur[t] + radius) // g[t] for t in range(rs.rank) if g[t])
-            for b in range(int(bmax) + 1):
-                rec(idx + 1, tuple(cur[t] - b * g[t] for t in range(rs.rank)))
-
-        rec(0, base)
-
-    for a in range(amax):
-        sweep(a, False)
-    if not simple:
-        sweep(amax, True)
-    return {wt: (("ge", c) if wt in flagged else c) for wt, c in table.items()}
-
-
-def _wt_from_root_coords(rs, lam, coords):
-    acc = lam
-    for i, c in enumerate(coords):
-        if c:
-            acc = acc + Fraction(c) * rs.root_to_weight(rs.simple_roots[i])
-    return acc
+    _check_window(radius)
+    return {offset_weight(rs, lam, c): m
+            for c, m in _fock_counts(rs, kind, radius, kcap).items()}
 
 
 # -- Gamma_alpha multiplicities ------------------------------------------------
@@ -681,20 +597,8 @@ def gamma_alpha_multiplicity(rs, lam, alpha_idx, mu, D):
 
     kind = ("GT", alpha_idx)
     probe = FockVector(rs, kind, lam)
-    basis = []
-    npos = len(rs.positive_roots)
-
-    def rec(idx, mono, deg):
-        if idx == npos:
-            if probe.weight_of(tuple(mono)) == mu:
-                basis.append(tuple(mono))
-            return
-        for e in range(D - deg + 1):
-            mono.append(e)
-            rec(idx + 1, mono, deg + e)
-            mono.pop()
-
-    rec(0, [], 0)
+    basis = [m for m in bounded_degree_exponents(len(rs.positive_roots), D)
+             if probe.weight_of(m) == mu]
     if not basis:
         raise EmptyWeightSpace("mu is not a weight of the truncated slice")
     index = {m: i for i, m in enumerate(basis)}

@@ -3,9 +3,10 @@ import os
 
 import pytest
 
+from wakimoto import weylpoly
 from wakimoto.cli import (main, parse_fraction, parse_root, parse_sigma,
                           parse_symbol, parse_weight)
-from wakimoto.errors import WakimotoError
+from wakimoto.errors import RealizationBug, WakimotoError
 from wakimoto.rootdata import build_root_system
 
 RS3 = build_root_system(3)
@@ -41,7 +42,7 @@ def test_parse_root():
 def test_parse_symbol():
     assert parse_symbol(RS3, "e:a1") == ("e", RS3.root_index[(1, 0)])
     assert parse_symbol(RS3, "h:2") == ("h", 1)
-    for bad in ("e", "g:a1", "h:5"):
+    for bad in ("e", "g:a1", "h:5", "h:x"):
         with pytest.raises(WakimotoError):
             parse_symbol(RS3, bad)
 
@@ -49,8 +50,9 @@ def test_parse_symbol():
 def test_parse_sigma():
     assert parse_sigma("", 4) == set()
     assert parse_sigma("1,3", 4) == {1, 3}
-    with pytest.raises(WakimotoError):
-        parse_sigma("4", 4)
+    for bad in ("4", "x"):
+        with pytest.raises(WakimotoError):
+            parse_sigma(bad, 4)
 
 
 # -- exit codes --------------------------------------------------------------------
@@ -69,6 +71,45 @@ def test_usage_error_exit_code(capsys):
     assert main(["twist-char", "-n", "2", "--lam", "0", "--alpha", "b9"]) == 2
     assert main(["verify", "affine-comm", "-n", "2"]) == 2  # needs -k
     capsys.readouterr()
+
+
+TWIST = ["twist-char", "-n", "2", "--lam", "2/3", "--alpha", "a1"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["prk", "-n", "2", "-p", "1", "-q", "0"],
+    ["omega", "-n", "2", "-p", "1", "-q", "0"],
+    ["orbits", "-n", "0"],
+    ["orbits", "-n", "-1"],
+    ["ff-field", "-n", "3", "e:a1+a2"],
+    TWIST + ["--window", "0"],
+    TWIST + ["--window", "-1"],
+    TWIST + ["--kcap", "0"],
+    ["verify", "characters", "-n", "2", "-k", "1/2", "--window", "0"],
+    ["verify", "characters", "-n", "2", "-k", "1/2", "--top", "X"],
+    ["verify", "affine-comm", "-n", "2", "-k", "1/2", "-D", "-1"],
+    ["gamma-mult", "-n", "2", "--lam", "2/3", "--alpha", "a1",
+     "--mu", "8/3", "-D", "-1"],
+])
+def test_usage_errors_exit_2_with_one_line(argv, capsys):
+    assert main(list(argv)) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
+@pytest.mark.parametrize("exc", [RealizationBug("inconsistent system"),
+                                 KeyError("missing")])
+def test_internal_errors_exit_3(exc, monkeypatch, capsys):
+    def broken(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr(weylpoly, "pi_g", broken)
+    assert main(["pi-g", "-n", "2", "e:a1"]) == 3
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("internal error: %s" % type(exc).__name__)
 
 
 def test_verify_exit_codes(capsys):

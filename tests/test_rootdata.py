@@ -1,4 +1,5 @@
 from fractions import Fraction as Fr
+from itertools import product
 
 import pytest
 
@@ -182,3 +183,70 @@ def test_is_dominant_for():
     rs = build_root_system(3)
     assert rootdata.is_dominant_for(rs, {1, 2}, Weight((0, 3)))
     assert not rootdata.is_dominant_for(rs, {1}, Weight((Fr(-1, 2), 0)))
+
+
+# -- enumerators, against brute force --------------------------------------------
+
+def _brute_root_combinations(roots, start, floor):
+    # every b_g is at most max(start) - floor: each root has a coefficient 1
+    bound = max(max(start) - floor, 0)
+    out = []
+    for b in product(range(bound + 1), repeat=len(roots)):
+        end = tuple(s - sum(k * g[t] for k, g in zip(b, roots))
+                    for t, s in enumerate(start))
+        if all(c >= floor for c in end):
+            out.append((b, end))
+    return out
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_root_combinations_matches_brute_force(n):
+    rs = build_root_system(n)
+    roots = [g.coeffs for g in rs.positive_roots]
+    r = rs.rank
+    starts = [(0,) * r, (2,) * r, tuple(range(r, 0, -1)),
+              (3,) + (-1,) * (r - 1)]
+    # all roots, and a proper subset as the twisted characters use (empty
+    # for sl2, so that no root covers a coordinate below the floor)
+    for rts in (roots, roots[1:]):
+        for start in starts:
+            for floor in (0, -1, -2, 1):
+                got = list(rootdata.root_combinations(rts, start, floor))
+                assert got == _brute_root_combinations(rts, start, floor)
+        # a start already below the floor yields nothing
+        assert list(rootdata.root_combinations(rts, (0,) * r, 1)) == []
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_exact_root_decompositions_match_brute_force(n):
+    # floor 0, end 0: the decompositions target = sum b_g gamma_g
+    rs = build_root_system(n)
+    roots = [g.coeffs for g in rs.positive_roots]
+    for target in ((0,) * rs.rank, (1,) * rs.rank, (2,) * rs.rank,
+                   (2,) + (1,) * (rs.rank - 1), (-1,) + (0,) * (rs.rank - 1)):
+        got = [b for b, end in rootdata.root_combinations(roots, target, 0)
+               if not any(end)]
+        expect = [b for b, end in _brute_root_combinations(roots, target, 0)
+                  if not any(end)]
+        assert got == expect
+    # Kostant's partition function of theta in type A_r is 2^(r-1)
+    assert len([b for b, end in rootdata.root_combinations(
+        roots, (1,) * rs.rank, 0) if not any(end)]) == 2 ** (rs.rank - 1)
+
+
+def test_bounded_degree_exponents_match_brute_force():
+    for nvars in range(5):
+        for dmax in range(-1, 5):
+            expect = [e for e in product(range(dmax + 2), repeat=nvars)
+                      if sum(e) <= dmax]
+            assert list(rootdata.bounded_degree_exponents(nvars, dmax)) \
+                == expect
+
+
+def test_offset_weight():
+    rs = build_root_system(3)
+    lam = Weight((Fr(1, 3), Fr(2)))
+    assert rootdata.offset_weight(rs, lam, (0, 0)) == lam
+    assert rootdata.offset_weight(rs, lam, (1, 0)) == lam + Weight((2, -1))
+    assert rootdata.offset_weight(rs, lam, (-1, 2)) == \
+        lam + Weight((-4, 5))

@@ -254,7 +254,9 @@ def test_verma_fock_character_is_verma_character():
     lam = Weight((Fr(1, 3), Fr(2)))
     ch = fock_character(RS3, lam, "V", 3)
     from wakimoto.relaxed import _verma_top_character
-    assert ch == _verma_top_character(RS3, lam, 3)
+    from wakimoto.rootdata import offset_weight
+    assert ch == {offset_weight(RS3, lam, c): m
+                  for c, m in _verma_top_character(RS3, 3).items()}
 
 
 # -- Gamma_alpha ------------------------------------------------------------------
