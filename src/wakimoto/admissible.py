@@ -10,9 +10,8 @@ from itertools import permutations
 from math import gcd
 
 from .errors import InvalidRank, SizeMismatch
-from .rootdata import (Root, Weight, bounded_degree_exponents,
-                       build_root_system, pairing, rho, theta, weight_inner,
-                       weyl_act)
+from .rootdata import (Weight, bounded_degree_exponents, build_root_system,
+                       pairing, rho, theta, weight_inner, weyl_act)
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -177,17 +176,6 @@ def pr_k_classes(lvl):
             pool.discard(m)
         classes.append(cls)
     return classes
-
-
-def w_cycle(rs, j):
-    """The Weyl element preserving {alpha_1,...,alpha_{n-1},-theta} and
-    sending -theta to alpha_j (1 <= j <= n-1): the n-cycle i -> i+j mod n."""
-    n = rs.n
-    w = tuple((i + j) % n for i in range(n))
-    mth = _act_root(rs, w, Root(tuple(-1 for _ in range(rs.rank))))
-    if mth != rs.simple_roots[j - 1].coeffs:
-        raise InvalidRank("cyclic element failed its defining property")
-    return w
 
 
 # -- Omega sets -------------------------------------------------------------------

@@ -17,14 +17,6 @@ class InvalidWeylWord(WakimotoError):
     pass
 
 
-class InvalidForm(WakimotoError):
-    pass
-
-
-class NotNilpotent(WakimotoError):
-    pass
-
-
 class NotInNilradical(WakimotoError):
     pass
 
@@ -42,10 +34,6 @@ class EmptyWindow(WakimotoError):
 
 
 class EmptyWeightSpace(WakimotoError):
-    pass
-
-
-class UseBracketClosure(WakimotoError):
     pass
 
 

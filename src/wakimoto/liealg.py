@@ -9,7 +9,7 @@ unambiguous.
 
 from fractions import Fraction
 
-from .errors import DimensionError, NotNilpotent
+from .errors import DimensionError
 from .rootdata import root_label
 
 ZERO = Fraction(0)
@@ -147,22 +147,6 @@ def h_alpha(rs, a_idx):
     return LieElement(rs, {("h", t): Fraction(1) for t in range(i, j)})
 
 
-def ad_nilpotency_index(a):
-    """Smallest m with ad(a)^m = 0 on g; a must be supported on the f's."""
-    if a.support_kinds() - {"f"}:
-        raise NotNilpotent("element not supported on nbar")
-    rs = a.rs
-    bound = 2 * rs.n + 2
-    idx = 0
-    current = [LieElement.basis(rs, s) for s in basis_symbols(rs)]
-    while any(not x.is_zero() for x in current):
-        current = [bracket(a, x) for x in current]
-        idx += 1
-        if idx > bound:
-            raise NotNilpotent("ad-series did not terminate")
-    return idx
-
-
 def casimir_s_alpha(rs, a_idx):
     """c_alpha = e f + f e + h^2/2 of the sl2-triple of alpha.
 
@@ -177,16 +161,6 @@ def casimir_s_alpha(rs, a_idx):
         (Fraction(1), (f, e)),
         (Fraction(1, 2), (h, h)),
     ]
-
-
-def split_triangular(a):
-    """Split into (nbar part, h part, n part)."""
-    rs = a.rs
-    parts = {"f": {}, "h": {}, "e": {}}
-    for s, c in a.coeffs.items():
-        parts[s[0]][s] = c
-    return (LieElement(rs, parts["f"]), LieElement(rs, parts["h"]),
-            LieElement(rs, parts["e"]))
 
 
 def kappa0_symbols(rs, s1, s2):

@@ -23,7 +23,8 @@ def rref(rows):
         if piv is None:
             continue
         m[r], m[piv] = m[piv], m[r]
-        p = m[r][c]
+        # a Fraction pivot keeps integer input exact: int / int is a float
+        p = Fraction(m[r][c])
         m[r] = [x / p for x in m[r]]
         for i in range(len(m)):
             if i != r and m[i][c] != 0:
@@ -57,24 +58,6 @@ def nullspace(rows, ncols=None):
             v[pc] = -m[r][fc]
         basis.append(v)
     return basis
-
-
-def solve_linear(rows, rhs):
-    """Solve A x = b; returns one solution or None if inconsistent."""
-    aug = [list(r) + [b] for r, b in zip(rows, rhs)]
-    ncols = len(rows[0]) if rows else 0
-    m, pivots = rref(aug)
-    for r in m:
-        if all(x == 0 for x in r[:-1]) and r[-1] != 0:
-            return None
-    x = [ZERO] * ncols
-    row = 0
-    for pc in pivots:
-        if pc == ncols:
-            return None
-        x[pc] = m[row][-1]
-        row += 1
-    return x
 
 
 def charpoly(mat):

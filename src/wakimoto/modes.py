@@ -22,9 +22,10 @@ from bisect import bisect_left
 from fractions import Fraction
 
 from . import liealg, weylpoly
-from .errors import ModuleMismatch, RealizationBug
+from .errors import RealizationBug
 from .liealg import LieElement, bracket_symbols, kappa0_symbols
 from .rootdata import rho
+from .sparse import add_into, added, scaled
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -65,10 +66,7 @@ class WakimotoModule:
     data lambda (and alpha for GT tops), level k."""
 
     def __init__(self, rs, top, lam, k, alpha_idx=None):
-        if top not in ("V", "GT"):
-            raise ModuleMismatch("top must be 'V' or 'GT'")
-        if top == "GT" and alpha_idx is None:
-            raise ModuleMismatch("GT top needs alpha")
+        self.kind = weylpoly.top_kind(top, alpha_idx)
         self.rs = rs
         self.top = top
         self.lam = lam
@@ -103,13 +101,9 @@ class WakimotoModule:
                 k2 = m[:i] + m[i + 1:]
             else:
                 k2 = m[:i] + ((key, e - 1),) + m[i + 1:]
-            v = out.get(k2)
-            ces = c * (e * scale)
-            v = ces if v is None else v + ces
-            if v:
-                out[k2] = v
-            elif k2 in out:
-                del out[k2]
+            # lowering one exponent keeps distinct monomials distinct, and
+            # c * e * scale is nonzero, so nothing adds up or cancels
+            out[k2] = c * (e * scale)
         return out
 
     def apply_x(self, g, j, vec):
@@ -137,60 +131,13 @@ class WakimotoModule:
         if n <= -1:
             return self._mult(vec, ("Y", i, -n))
         if n == 0:
-            s = self.lam2rho[i]
-            return {m: s * c for m, c in vec.items()} if s else {}
+            return scaled(vec, self.lam2rho[i])
         out = {}
         for jj in range(self.rs.rank):
             g = self.heis_gram[i][jj]
-            if g == 0:
-                continue
-            for m, c in self._diff(vec, ("Y", jj, n), n * g).items():
-                v = out.get(m)
-                v = c if v is None else v + c
-                if v:
-                    out[m] = v
-                elif m in out:
-                    del out[m]
+            if g:
+                add_into(out, self._diff(vec, ("Y", jj, n), n * g))
         return out
-
-
-def heisenberg_act(module, i, n, vec):
-    """Public wrapper for the b_{i,n} action (i = 0-based simple index)."""
-    return module.apply_b(i, n, vec)
-
-
-def vec_add(a, b, scale=ONE):
-    out = dict(a)
-    _acc(out, b, scale)
-    return out
-
-
-def _acc(out, src, scale):
-    """In-place out += scale * src, pruning zeros."""
-    if scale == 1:
-        for m, c in src.items():
-            v = out.get(m)
-            v = c if v is None else v + c
-            if v:
-                out[m] = v
-            elif m in out:
-                del out[m]
-    else:
-        for m, c in src.items():
-            sc = scale * c
-            v = out.get(m)
-            v = sc if v is None else v + sc
-            if v:
-                out[m] = v
-            elif m in out:
-                del out[m]
-
-
-def vec_scale(a, c):
-    c = Fraction(c)
-    if c == 0:
-        return {}
-    return {m: c * x for m, x in a.items()}
 
 
 # -- field expressions --------------------------------------------------------
@@ -243,7 +190,7 @@ def mode_apply(module, F, m, vec):
     Results are memoized per (field, mode, monomial) on the module."""
     out = {}
     for mono, c in vec.items():
-        _acc(out, _mode_apply_mono(module, F, m, mono), c)
+        add_into(out, _mode_apply_mono(module, F, m, mono), c)
     return out
 
 
@@ -271,9 +218,12 @@ def _mode_apply_raw(module, F, m, vec):
         return {}
     if F.comm is not None:
         c, A, B = F.comm
-        w1 = mode_apply(module, A, 0, mode_apply(module, B, m, vec))
-        w2 = mode_apply(module, B, m, mode_apply(module, A, 0, vec))
-        return vec_scale(vec_add(w1, w2, -ONE), c)
+        out = mode_apply(module, A, 0, mode_apply(module, B, m, vec))
+        add_into(out, mode_apply(module, B, m, mode_apply(module, A, 0, vec)),
+                 -1)
+        # scaling copies into a compact dict: the cache keeps the result, and
+        # the cancellations above leave unused slots behind
+        return scaled(out, c)
     mono = next(iter(vec))
     dmods = {}
     xmods = {}
@@ -295,7 +245,7 @@ def _mode_apply_raw(module, F, m, vec):
             factors.append(("main",) + main)
         if not factors:
             if m == -1:
-                _acc(out, vec, coeff)
+                add_into(out, vec, coeff)
             continue
         # candidate negative (annihilation-side) exponents per factor, plus
         # the creation side j >= jpos
@@ -379,7 +329,7 @@ def _mode_apply_raw(module, F, m, vec):
                 if not cur:
                     break
             if cur:
-                _acc(out, cur, cmul)
+                add_into(out, cur, cmul)
     return out
 
 
@@ -454,11 +404,11 @@ def solve_c_gamma(rs, gamma_idx, k, lam=None):
             ef = _e_simple_field(rs, gamma_idx, C)
             l1 = mode_apply(mod, ef, 1, fv)
             l2 = mode_apply(mod, f_field, -1, mode_apply(mod, ef, 1, v))
-            lhs_by_C.append(vec_add(l1, l2, -ONE))
-        rhs = vec_add(mode_apply(mod, h_field, 0, v), v, k)
+            lhs_by_C.append(added(l1, l2, -ONE))
+        rhs = added(mode_apply(mod, h_field, 0, v), v, k)
         l0, l1 = lhs_by_C
-        slope = vec_add(l1, l0, -ONE)
-        resid = vec_add(rhs, l0, -ONE)
+        slope = added(l1, l0, -ONE)
+        resid = added(rhs, l0, -ONE)
         for mono in set(slope) | set(resid):
             eqs.append((slope.get(mono, ZERO), resid.get(mono, ZERO)))
     sol = None
@@ -516,17 +466,6 @@ def pi_field(rs, sym, k):
     return F
 
 
-def bracket_closure(rs, beta_idx, k):
-    """pi(e_beta) for a non-simple positive root beta, as the (normalized)
-    commutator node [pi(e_gamma)_0, pi(e_{beta-gamma})_m] with gamma the
-    lowest simple root splitting beta."""
-    from .errors import UseBracketClosure
-
-    if rs.positive_roots[beta_idx].height == 1:
-        raise UseBracketClosure("beta is simple; pi_field handles it directly")
-    return pi_field(rs, ("e", beta_idx), k)
-
-
 def pi_affine(rs, a, k):
     """Image of a LieElement as a list of (coeff, FieldExpr)."""
     out = []
@@ -538,7 +477,7 @@ def pi_affine(rs, a, k):
 def mode_apply_elem(module, fields, m, vec):
     out = {}
     for c, F in fields:
-        _acc(out, mode_apply(module, F, m, vec), c)
+        add_into(out, mode_apply(module, F, m, vec), c)
     return out
 
 
@@ -646,10 +585,10 @@ def verify_affine_comm(n, k, dmax, tops=("V", "GT"), lam=None, alpha_idx=None,
                                             mode_apply(mod, fields[s2], nn, v))
                             l2 = mode_apply(mod, fields[s2], nn,
                                             mode_apply(mod, fields[s1], m, v))
-                            lhs = vec_add(l1, l2, -ONE)
+                            lhs = added(l1, l2, -ONE)
                             rhs = mode_apply_elem(mod, br_fields, m + nn, v)
                             if m == -nn and kap:
-                                rhs = vec_add(rhs, v, m * k * kap)
+                                add_into(rhs, v, m * k * kap)
                             if lhs != rhs:
                                 failures.append(
                                     {"pair": (s1, s2), "m": m, "n": nn,

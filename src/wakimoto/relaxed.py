@@ -17,6 +17,7 @@ from .liealg import LieElement, bracket_symbols, kappa0_symbols
 from .linalg import nullspace, rank
 from .rootdata import (bounded_degree_exponents, offset_weight,
                        root_combinations)
+from .sparse import add_into, add_term
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -30,16 +31,12 @@ class RelaxedModule:
     """Relaxed Verma module context over the affine algebra at level k."""
 
     def __init__(self, rs, top, lam, k, alpha_idx=None):
-        if top not in ("V", "GT"):
-            raise ModuleMismatch("top must be 'V' or 'GT'")
-        if top == "GT" and alpha_idx is None:
-            raise ModuleMismatch("GT top needs alpha")
+        self.kind = weylpoly.top_kind(top, alpha_idx)
         self.rs = rs
         self.top = top
         self.lam = lam
         self.k = Fraction(k)
         self.alpha_idx = alpha_idx
-        self.kind = "V" if top == "V" else ("GT", alpha_idx)
         self.syms = liealg.basis_symbols(rs)
         self.sym_index = {s: i for i, s in enumerate(self.syms)}
         self._pi_cache = {}
@@ -59,17 +56,6 @@ class RelaxedModule:
         return weylpoly.act_F(self.pi_g_of(sym), v).terms
 
 
-def vec_add(a, b, scale=ONE):
-    out = dict(a)
-    for m, c in b.items():
-        v = out.get(m, ZERO) + scale * c
-        if v:
-            out[m] = v
-        elif m in out:
-            del out[m]
-    return out
-
-
 def _pbw_normalize(mod, factor_list, top, coeff, out):
     """Straighten an arbitrarily ordered factor list into PBW order,
     accumulating into out."""
@@ -84,16 +70,12 @@ def _pbw_normalize(mod, factor_list, top, coeff, out):
                 merged = fl[:i] + [(a[0] + b[0], mod.sym_index[sym2])] + fl[i + 2:]
                 _pbw_normalize(mod, merged, top, coeff * c2, out)
             return
-    key = (tuple(fl), top)
-    v = out.get(key, ZERO) + coeff
-    if v:
-        out[key] = v
-    elif key in out:
-        del out[key]
+    add_term(out, (tuple(fl), top), coeff)
 
 
 def _act_basis(mod, sym, m, factors, top):
-    """a^{(sym)}_m applied to a single PBW basis element; returns a dict."""
+    """a^{(sym)}_m applied to a single PBW basis element; returns a dict,
+    cached on the module, that callers must not change."""
     ckey = (sym, m, factors, top)
     hit = mod._act_cache.get(ckey)
     if hit is not None:
@@ -117,13 +99,11 @@ def _act_basis(mod, sym, m, factors, top):
             _pbw_normalize(mod, [b] + list(f2), t2, c, out)
         br = bracket_symbols(rs, sym, bsym)
         for sym2, c2 in br.items():
-            mode = m - b[0]
-            sub = _act_basis(mod, sym2, mode, rest, top)
-            out = vec_add(out, sub, c2)
+            add_into(out, _act_basis(mod, sym2, m - b[0], rest, top), c2)
         if m == b[0]:
             kap = kappa0_symbols(rs, sym, bsym)
             if kap:
-                out = vec_add(out, {(rest, top): ONE}, m * mod.k * kap)
+                add_term(out, (rest, top), m * mod.k * kap)
     mod._act_cache[ckey] = out
     return out
 
@@ -132,7 +112,7 @@ def relaxed_verma_act(mod, sym, m, vec):
     """Action of the mode a^{(sym)}_m on a vector {basis element: coeff}."""
     out = {}
     for (factors, top), c in vec.items():
-        out = vec_add(out, _act_basis(mod, sym, m, factors, top), c)
+        add_into(out, _act_basis(mod, sym, m, factors, top), c)
     return out
 
 
@@ -193,7 +173,7 @@ def _convolve_character(rs, lam, top_table, mode_table, radius):
     return {(offset_weight(rs, lam, c), d): m for (c, d), m in out.items()}
 
 
-def character_relaxed_verma(rs, top, lam, alpha_idx, k, dmax, radius, kcap=40):
+def character_relaxed_verma(rs, top, lam, alpha_idx, dmax, radius, kcap=40):
     """Bigraded character of the relaxed Verma module, counted on the PBW
     side: top character (f-monomial combinatorics for Verma tops, the
     twisting-functor formula for GT tops) times monomials in the dim g
@@ -207,13 +187,13 @@ def character_relaxed_verma(rs, top, lam, alpha_idx, k, dmax, radius, kcap=40):
     return _convolve_character(rs, lam, top_table, mode_table, radius)
 
 
-def character_relaxed_wakimoto(rs, top, lam, alpha_idx, k, dmax, radius,
+def character_relaxed_wakimoto(rs, top, lam, alpha_idx, dmax, radius,
                                kcap=40):
     """Bigraded character of the relaxed Wakimoto module, counted on the
     free-field side: Fock monomials for the top times monomials in the
     generators {d_{x,-m}: -gamma, x_m: +gamma, y_m: 0}."""
-    kind = "V" if top == "V" else ("GT", alpha_idx)
-    top_table = weylpoly._fock_counts(rs, kind, radius + dmax, kcap)
+    top_table = weylpoly._fock_counts(rs, weylpoly.top_kind(top, alpha_idx),
+                                      radius + dmax, kcap)
     families = []
     for gamma in rs.positive_roots:
         families.append(tuple(-c for c in gamma.coeffs))
@@ -252,7 +232,6 @@ def top_component_check(n, lam, k, alpha_idx=None, max_degree=None):
     failures = []
     npos = len(rs.positive_roots)
     for top in ("V", "GT"):
-        kind = "V" if top == "V" else ("GT", alpha_idx)
         mod = modes.WakimotoModule(rs, top, lam, k,
                                    alpha_idx if top == "GT" else None)
         slices = list(bounded_degree_exponents(npos, max_degree))
@@ -263,7 +242,7 @@ def top_component_check(n, lam, k, alpha_idx=None, max_degree=None):
                 mono = modes.fock_to_top_monomial(rs, mod, exps)
                 got = modes.mode_apply(mod, F, 0, {mono: ONE})
                 fv = weylpoly.act_F(
-                    w, weylpoly.FockVector(rs, kind, lam, {exps: ONE}))
+                    w, weylpoly.FockVector(rs, mod.kind, lam, {exps: ONE}))
                 expect = {modes.fock_to_top_monomial(rs, mod, e): c
                           for e, c in fv.terms.items()}
                 if got != expect:

@@ -14,7 +14,7 @@ through the epsilon-coordinate realization (sum-zero vectors in Q^n).
 from fractions import Fraction
 from itertools import permutations
 
-from .errors import DimensionError, InvalidForm, InvalidRank, InvalidWeylWord
+from .errors import DimensionError, InvalidRank, InvalidWeylWord
 
 ZERO = Fraction(0)
 
@@ -79,25 +79,6 @@ class Weight:
 
     def __repr__(self):
         return "Weight(%s)" % (", ".join(str(c) for c in self.coords),)
-
-
-class BilinearForm:
-    """Invariant symmetric form, stored by its Gram matrix on h (basis h_1..h_r).
-
-    gram_hstar is the induced form on h* in the fundamental-weight basis; it is
-    None when the form on h is degenerate (it never is for the labels we use,
-    but kappa_c^b is kept general).
-    """
-
-    __slots__ = ("label", "gram_h", "gram_hstar")
-
-    def __init__(self, label, gram_h, gram_hstar=None):
-        self.label = label
-        self.gram_h = gram_h
-        self.gram_hstar = gram_hstar
-
-    def h(self, i, j):
-        return self.gram_h[i][j]
 
 
 class RootSystem:
@@ -194,65 +175,6 @@ def weight_inner(rs, lam, mu):
     v = rs.weight_to_eps(lam)
     u = rs.weight_to_eps(mu)
     return sum((a * b for a, b in zip(v, u)), ZERO)
-
-
-def form(rs, label, k=None):
-    """Invariant bilinear forms on h by label.
-
-    Labels: 'kappa0', 'kappa_g' (Killing form), 'kappa_c' (critical),
-    'kappa_c_b' (-tr_{g/b} ad ad), 'k*kappa0' (requires k).
-    """
-    r = rs.rank
-    cart = [[Fraction(rs.cartan_matrix[i][j]) for j in range(r)] for i in range(r)]
-    inv = _invert(cart)
-    if label == "kappa0":
-        return BilinearForm(label, cart, inv)
-
-    def scaled(c):
-        gh = [[c * cart[i][j] for j in range(r)] for i in range(r)]
-        gs = None
-        if c != 0:
-            gs = [[inv[i][j] / c for j in range(r)] for i in range(r)]
-        return gh, gs
-
-    if label == "kappa_g":
-        gh, gs = scaled(Fraction(2 * rs.h_dual))
-        return BilinearForm(label, gh, gs)
-    if label == "kappa_c":
-        gh, gs = scaled(Fraction(-rs.h_dual))
-        return BilinearForm(label, gh, gs)
-    if label == "k*kappa0":
-        if k is None:
-            raise InvalidForm("k*kappa0 needs k")
-        gh, gs = scaled(Fraction(k))
-        return BilinearForm(label, gh, gs)
-    if label == "kappa_c_b":
-        # -tr_{g/b}(ad a ad b) for a, b in h: g/b has basis {f_gamma}, and
-        # ad(a)ad(b) f_gamma = gamma(a)gamma(b) f_gamma.
-        gh = [[ZERO] * r for _ in range(r)]
-        for gamma in rs.positive_roots:
-            gw = rs.root_to_weight(gamma)
-            for i in range(r):
-                for j in range(r):
-                    gh[i][j] -= gw.coords[i] * gw.coords[j]
-        return BilinearForm(label, gh)
-    raise InvalidForm("unknown form label %r" % (label,))
-
-
-def _invert(mat):
-    n = len(mat)
-    a = [row[:] + [Fraction(1) if i == j else ZERO for j in range(n)]
-         for i, row in enumerate(mat)]
-    for col in range(n):
-        piv = next(i for i in range(col, n) if a[i][col] != 0)
-        a[col], a[piv] = a[piv], a[col]
-        p = a[col][col]
-        a[col] = [x / p for x in a[col]]
-        for i in range(n):
-            if i != col and a[i][col] != 0:
-                f = a[i][col]
-                a[i] = [x - f * y for x, y in zip(a[i], a[col])]
-    return [row[n:] for row in a]
 
 
 # -- enumerators ------------------------------------------------------------
@@ -364,18 +286,6 @@ def dot_action(rs, w, lam):
         perm = perm_from_word(rs, list(w))
     r = rho(rs)
     return weyl_act(rs, perm, lam + r) - r
-
-
-def is_dominant_for(rs, sigma, lam):
-    """lam in Lambda^+(p_Sigma): <lam, alpha^vee> in N_0 for alpha in Sigma.
-
-    sigma is a set of 1-based simple-root indices.
-    """
-    for i in sigma:
-        c = lam.coords[i - 1]
-        if c.denominator != 1 or c < 0:
-            return False
-    return True
 
 
 # -- serialization -----------------------------------------------------------

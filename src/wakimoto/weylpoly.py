@@ -18,6 +18,7 @@ from .linalg import charpoly, rational_roots
 from .liealg import LieElement, bracket_symbols
 from .rootdata import (bounded_degree_exponents, offset_weight, rho,
                        root_combinations, root_label)
+from .sparse import add_nested, add_term, added, scaled
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -25,34 +26,11 @@ ONE = Fraction(1)
 
 # -- sparse polynomial helpers ------------------------------------------------
 
-def poly_add(p, q):
-    out = dict(p)
-    for e, c in q.items():
-        v = out.get(e, ZERO) + c
-        if v:
-            out[e] = v
-        elif e in out:
-            del out[e]
-    return out
-
-
-def poly_scale(p, c):
-    c = Fraction(c)
-    if c == 0:
-        return {}
-    return {e: c * v for e, v in p.items()}
-
-
 def poly_mul(p, q):
     out = {}
     for e1, c1 in p.items():
         for e2, c2 in q.items():
-            e = tuple(a + b for a, b in zip(e1, e2))
-            v = out.get(e, ZERO) + c1 * c2
-            if v:
-                out[e] = v
-            elif e in out:
-                del out[e]
+            add_term(out, tuple(a + b for a, b in zip(e1, e2)), c1 * c2)
     return out
 
 
@@ -99,11 +77,7 @@ class WeylElement:
     def __add__(self, other):
         out = dict(self.terms)
         for key, hp in other.terms.items():
-            merged = poly_add(out.get(key, {}), hp)
-            if merged:
-                out[key] = merged
-            elif key in out:
-                del out[key]
+            add_nested(out, key, hp)
         return WeylElement(self.rs, out)
 
     def __sub__(self, other):
@@ -111,7 +85,7 @@ class WeylElement:
 
     def __rmul__(self, c):
         c = Fraction(c)
-        return WeylElement(self.rs, {k: poly_scale(hp, c)
+        return WeylElement(self.rs, {k: scaled(hp, c)
                                      for k, hp in self.terms.items()})
 
     def __eq__(self, other):
@@ -147,12 +121,7 @@ def weyl_mul(A, B):
             for ks, coef in combos:
                 xa = tuple(a1[v] + a2[v] - ks[v] for v in range(npos))
                 db = tuple(b1[v] + b2[v] - ks[v] for v in range(npos))
-                key = (xa, db)
-                merged = poly_add(out.get(key, {}), poly_scale(hp, coef))
-                if merged:
-                    out[key] = merged
-                elif key in out:
-                    del out[key]
+                add_nested(out, (xa, db), hp, coef)
     return WeylElement(rs, out)
 
 
@@ -207,11 +176,7 @@ class PolyGValued:
     def scale_add(self, other, c):
         out = dict(self.components)
         for s, p in other.components.items():
-            merged = poly_add(out.get(s, {}), poly_scale(p, c))
-            if merged:
-                out[s] = merged
-            elif s in out:
-                del out[s]
+            add_nested(out, s, p, c)
         return PolyGValued(self.rs, out)
 
 
@@ -227,11 +192,7 @@ def ad_u(elem):
                 continue
             xp = poly_mul(poly_var(npos, g), p)
             for s2, c2 in br.items():
-                merged = poly_add(out.get(s2, {}), poly_scale(xp, c2))
-                if merged:
-                    out[s2] = merged
-                elif s2 in out:
-                    del out[s2]
+                add_nested(out, s2, xp, c2)
     return PolyGValued(rs, out)
 
 
@@ -289,25 +250,16 @@ def pi_g(a):
     w = apply_kernel(k1, nbar)
     terms = {}
     zero_h = (0,) * rs.rank
-
-    def add(xexp, dexp, hp):
-        key = (xexp, dexp)
-        merged = poly_add(terms.get(key, {}), hp)
-        if merged:
-            terms[key] = merged
-        elif key in terms:
-            del terms[key]
-
     for (kind, alpha), p in w.components.items():
         assert kind == "f"
         dexp = tuple(1 if t == alpha else 0 for t in range(npos))
         for e, c in p.items():
-            add(e, dexp, {zero_h: -c})
+            add_nested(terms, (e, dexp), {zero_h: -c})
     zero_d = (0,) * npos
     for (kind, i), p in hpart.items():
         hvar = tuple(1 if t == i else 0 for t in range(rs.rank))
         for e, c in p.items():
-            add(e, zero_d, {hvar: c})
+            add_nested(terms, (e, zero_d), {hvar: c})
     return WeylElement(rs, terms)
 
 
@@ -359,6 +311,18 @@ def verify_pi_hom(n):
 
 # -- Fock realizations --------------------------------------------------------
 
+def top_kind(top, alpha_idx):
+    """The FockVector kind of a module top: 'V' for a Verma top, and
+    ('GT', alpha_idx) for a Gelfand-Tsetlin top twisted along alpha."""
+    if top == "V":
+        return "V"
+    if top != "GT":
+        raise ModuleMismatch("top must be 'V' or 'GT'")
+    if alpha_idx is None:
+        raise ModuleMismatch("GT top needs alpha")
+    return ("GT", alpha_idx)
+
+
 class FockVector:
     """Vector of F_nbar or F_{nbar,alpha}, twisted by C_{lambda+2rho}.
 
@@ -388,18 +352,12 @@ class FockVector:
     def __add__(self, other):
         if self.kind != other.kind or self.lam != other.lam:
             raise ModuleMismatch("incompatible Fock vectors")
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            v = out.get(m, ZERO) + c
-            if v:
-                out[m] = v
-            elif m in out:
-                del out[m]
-        return FockVector(self.rs, self.kind, self.lam, out)
+        return FockVector(self.rs, self.kind, self.lam,
+                          added(self.terms, other.terms))
 
     def __rmul__(self, c):
         return FockVector(self.rs, self.kind, self.lam,
-                          poly_scale(self.terms, c))
+                          scaled(self.terms, Fraction(c)))
 
     def __eq__(self, other):
         return (isinstance(other, FockVector) and self.kind == other.kind
@@ -488,12 +446,7 @@ def act_F(w, v):
                         break
             if not ok or coef == 0:
                 continue
-            key = tuple(m)
-            val = out.get(key, ZERO) + coef
-            if val:
-                out[key] = val
-            elif key in out:
-                del out[key]
+            add_term(out, tuple(m), coef)
     return FockVector(rs, v.kind, v.lam, out)
 
 

@@ -65,20 +65,18 @@ def test_04_c_gamma_lambda_independent_rational():
 
 
 def test_05_character_identity():
-    k = Fr(1, 2)
     for lam_c in FIVE_LAMBDAS:
         lam = Weight((lam_c,))
         for top, ai in (("GT", 0), ("V", None)):
-            a = relaxed.character_relaxed_verma(RS2, top, lam, ai, k, 6, 10)
-            b = relaxed.character_relaxed_wakimoto(RS2, top, lam, ai, k, 6, 10)
+            a = relaxed.character_relaxed_verma(RS2, top, lam, ai, 6, 10)
+            b = relaxed.character_relaxed_wakimoto(RS2, top, lam, ai, 6, 10)
             assert a == b
     lam3 = Weight((Fr(1, 3), Fr(2)))
     th = RS3.root_index[(1, 1)]
-    k3 = Fr(-3, 2)
     for top, ai in (("GT", th), ("V", None)):
-        a = relaxed.character_relaxed_verma(RS3, top, lam3, ai, k3, 3, 5,
+        a = relaxed.character_relaxed_verma(RS3, top, lam3, ai, 3, 5,
                                             kcap=25)
-        b = relaxed.character_relaxed_wakimoto(RS3, top, lam3, ai, k3, 3, 5,
+        b = relaxed.character_relaxed_wakimoto(RS3, top, lam3, ai, 3, 5,
                                                kcap=25)
         assert a == b
 
@@ -100,9 +98,9 @@ def test_07_twisting_functor_characters():
     assert twist_character(RS3, lam3, th, 4, kcap=20) == \
         fock_character(RS3, lam3, ("GT", th), 4, kcap=20)
     # GT-top relaxed character restricted to energy 0 is the twisted character
-    for rs, lam, ai, k, r, kc in ((RS2, Weight((Fr(2, 3),)), 0, Fr(1, 2), 8, 60),
-                                  (RS3, lam3, th, Fr(-3, 2), 4, 20)):
-        ch = relaxed.character_relaxed_verma(rs, "GT", lam, ai, k, 2, r,
+    for rs, lam, ai, r, kc in ((RS2, Weight((Fr(2, 3),)), 0, 8, 60),
+                               (RS3, lam3, th, 4, 20)):
+        ch = relaxed.character_relaxed_verma(rs, "GT", lam, ai, 2, r,
                                              kcap=kc + 2)
         d0 = {wt: m for (wt, d), m in ch.items() if d == 0}
         assert d0 == twist_character(rs, lam, ai, r, kcap=kc + 2)

@@ -12,7 +12,7 @@ from wakimoto.admissible import (AdmissibleLevel, AffineWeight, admissible_check
                                  orbit_q, orbit_table, pr_k_bar, pr_k_classes,
                                  pr_k_integral, richardson, rho_hat,
                                  sigma_roots, t_translation, transpose,
-                                 w_cycle, y_is_admissible)
+                                 y_is_admissible)
 from wakimoto.errors import SizeMismatch
 from wakimoto.rootdata import Weight, build_root_system, rho
 
@@ -106,14 +106,6 @@ def test_pr_k_classes_partition():
     flat = sorted((w for c in classes for w in c), key=lambda x: x.coords)
     assert flat == pr_k_bar(lvl)
     assert all(c for c in classes)
-
-
-def test_w_cycle():
-    for n in (2, 3, 4, 5):
-        rs = build_root_system(n)
-        for j in range(1, n):
-            w_cycle(rs, j)  # the defining property is asserted internally
-    assert w_cycle(RS2, 1) == (1, 0)
 
 
 # -- Omega sets ---------------------------------------------------------------------

@@ -112,6 +112,25 @@ def test_internal_errors_exit_3(exc, monkeypatch, capsys):
     assert lines[0].startswith("internal error: %s" % type(exc).__name__)
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify", "pi-hom", "-n", "2", "-D", "0"],
+    ["verify", "singular", "-n", "2", "-k", "-1/2", "--lam", "0",
+     "--window", "1"],
+])
+def test_verify_suites_refuse_options_they_ignore(argv, capsys):
+    assert main(list(argv)) == 2
+    capsys.readouterr()
+
+
+def test_verify_characters_level_is_optional(capsys):
+    argv = ["verify", "characters", "-n", "2", "-D", "1", "--window", "2"]
+    assert main(argv) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["ok"] is True and "k" not in out
+    assert main(argv + ["-k", "-3/2"]) == 0
+    assert json.loads(capsys.readouterr().out)["k"] == "-3/2"
+
+
 def test_verify_exit_codes(capsys):
     assert main(["verify", "pi-hom", "-n", "2"]) == 0
     out = json.loads(capsys.readouterr().out)

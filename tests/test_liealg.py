@@ -1,13 +1,10 @@
 from fractions import Fraction as Fr
 from itertools import product
 
-import pytest
-
-from wakimoto.errors import NotNilpotent
-from wakimoto.liealg import (LieElement, ad_nilpotency_index, basis_symbols,
-                             bracket, bracket_symbols, casimir_s_alpha,
-                             h_alpha, kappa0_symbols, matrix_to_lie, render,
-                             split_triangular, symbol_matrix)
+from wakimoto.liealg import (LieElement, basis_symbols, bracket,
+                             bracket_symbols, casimir_s_alpha, h_alpha,
+                             kappa0_symbols, matrix_to_lie, render,
+                             symbol_matrix)
 from wakimoto.rootdata import build_root_system
 
 
@@ -82,16 +79,6 @@ def test_matrix_round_trip():
         assert matrix_to_lie(rs, symbol_matrix(rs, s)) == LieElement.basis(rs, s)
 
 
-def test_ad_nilpotency():
-    rs2 = build_root_system(2)
-    assert ad_nilpotency_index(LieElement.basis(rs2, ("f", 0))) == 3
-    rs3 = build_root_system(3)
-    th = rs3.root_index[(1, 1)]
-    assert ad_nilpotency_index(LieElement.basis(rs3, ("f", th))) == 3
-    with pytest.raises(NotNilpotent):
-        ad_nilpotency_index(LieElement.basis(rs2, ("h", 0)))
-
-
 def test_kappa0_symbols():
     rs = build_root_system(3)
     syms = basis_symbols(rs)
@@ -119,15 +106,6 @@ def test_kappa0_invariance():
     for s1, s2, s3 in product(syms, repeat=3):
         a, b, c = (LieElement.basis(rs, s) for s in (s1, s2, s3))
         assert k0(bracket(a, b), c) + k0(b, bracket(a, c)) == 0
-
-
-def test_split_triangular():
-    rs = build_root_system(3)
-    x = LieElement(rs, {("e", 0): Fr(2), ("h", 1): Fr(-1), ("f", 2): Fr(1, 3)})
-    f, h, e = split_triangular(x)
-    assert f.coeffs == {("f", 2): Fr(1, 3)}
-    assert h.coeffs == {("h", 1): Fr(-1)}
-    assert e.coeffs == {("e", 0): Fr(2)}
 
 
 def test_casimir_shape():

@@ -1,7 +1,6 @@
 from fractions import Fraction as Fr
 
-from wakimoto.linalg import (charpoly, nullspace, rank, rational_roots, rref,
-                             solve_linear)
+from wakimoto.linalg import charpoly, nullspace, rank, rational_roots, rref
 
 
 def F(x):
@@ -28,10 +27,21 @@ def test_nullspace():
         len(nullspace([], ncols=2)) == 2
 
 
-def test_solve_linear():
-    x = solve_linear([[F(2), F(1)], [F(1), F(-1)]], [F(5), F(1)])
-    assert x == [F(2), F(1)]
-    assert solve_linear([[F(1), F(1)], [F(1), F(1)]], [F(0), F(1)]) is None
+def _matvec(a, v):
+    return [sum(x * y for x, y in zip(row, v)) for row in a]
+
+
+def test_integer_matrices_stay_exact():
+    for a in ([[2, 1], [4, 2]], [[3, 1]], [[2, 4, 6], [1, 3, 5]],
+              [[0, 3, 1], [0, 6, 2], [5, 0, 1]]):
+        m, _ = rref(a)
+        ns = nullspace(a)
+        assert ns
+        assert not any(isinstance(x, float) for row in m + ns for x in row)
+        for v in ns:
+            assert _matvec(a, v) == [0] * len(a)
+    assert rref([[3, 1]]) == ([[1, Fr(1, 3)]], [0])
+    assert nullspace([[2, 1], [4, 2]]) == [[Fr(-1, 2), 1]]
 
 
 def test_charpoly():

@@ -1,15 +1,12 @@
 from fractions import Fraction as Fr
 
-import pytest
-
 from wakimoto import modes
-from wakimoto.errors import UseBracketClosure
 from wakimoto.liealg import LieElement, basis_symbols
-from wakimoto.modes import (FieldExpr, WakimotoModule, bracket_closure, canon,
-                            heisenberg_act, mode_apply, mode_apply_elem,
-                            mono_energy, pi_affine, pi_field, render_field,
-                            solve_c_gamma, vec_add, verify_affine_comm)
+from wakimoto.modes import (FieldExpr, WakimotoModule, canon, mode_apply,
+                            mode_apply_elem, mono_energy, pi_affine, pi_field,
+                            render_field, solve_c_gamma, verify_affine_comm)
 from wakimoto.rootdata import Weight, build_root_system
+from wakimoto.sparse import added as vec_add
 
 RS2 = build_root_system(2)
 RS3 = build_root_system(3)
@@ -32,23 +29,23 @@ def test_mono_energy():
 def test_heisenberg_sl2_anchors():
     mod = vmod()
     vac = mod.vacuum()
-    assert heisenberg_act(mod, 0, 1, vac) == {}
-    y = heisenberg_act(mod, 0, -1, vac)
+    assert mod.apply_b(0, 1, vac) == {}
+    y = mod.apply_b(0, -1, vac)
     # b_1 y_1 vac = (k + h_dual) kappa0(h,h) vac = 2(k+2) vac
-    assert heisenberg_act(mod, 0, 1, y) == {(): 2 * (K + 2)}
-    assert heisenberg_act(mod, 0, 0, vac) == {(): LAM2.coords[0] + 2}
+    assert mod.apply_b(0, 1, y) == {(): 2 * (K + 2)}
+    assert mod.apply_b(0, 0, vac) == {(): LAM2.coords[0] + 2}
 
 
 def test_heisenberg_commutation_sl3():
     mod = vmod(RS3, Weight((Fr(1, 3), Fr(2))), Fr(-3, 2))
     vac = mod.vacuum()
-    v = heisenberg_act(mod, 1, -2, heisenberg_act(mod, 0, -1, vac))
+    v = mod.apply_b(1, -2, mod.apply_b(0, -1, vac))
     for i in range(2):
         for j in range(2):
             for m in (1, 2):
                 for n in (-1, -2):
-                    ab = heisenberg_act(mod, i, m, heisenberg_act(mod, j, n, v))
-                    ba = heisenberg_act(mod, j, n, heisenberg_act(mod, i, m, v))
+                    ab = mod.apply_b(i, m, mod.apply_b(j, n, v))
+                    ba = mod.apply_b(j, n, mod.apply_b(i, m, v))
                     diff = vec_add(ab, ba, -Fr(1))
                     expect = {}
                     if m == -n:
@@ -141,18 +138,13 @@ def test_solve_c_gamma_sl3_symmetric():
     assert c1 == c2 == Fr(-5, 2)
 
 
-# -- bracket closure ---------------------------------------------------------------
-
-def test_bracket_closure_rejects_simple():
-    with pytest.raises(UseBracketClosure):
-        bracket_closure(RS2, 0, K)
-
+# -- the non-simple e_theta field --------------------------------------------------
 
 def test_e_theta_kills_verma_vacuum_sl3():
     k = Fr(-3, 2)
     mod = vmod(RS3, Weight((Fr(1, 3), Fr(2))), k)
     th = RS3.root_index[(1, 1)]
-    F = bracket_closure(RS3, th, k)
+    F = pi_field(RS3, ("e", th), k)
     assert mode_apply(mod, F, 0, mod.vacuum()) == {}
 
 

@@ -4,9 +4,9 @@ from itertools import product
 import pytest
 
 from wakimoto import rootdata
-from wakimoto.errors import DimensionError, InvalidForm, InvalidRank
+from wakimoto.errors import DimensionError, InvalidRank
 from wakimoto.rootdata import (Root, Weight, all_weyl_elements,
-                               build_root_system, dot_action, form, pairing,
+                               build_root_system, dot_action, pairing,
                                perm_compose, perm_from_word, rho,
                                simple_reflection, theta, weight_inner,
                                weyl_act, weyl_act_root)
@@ -66,44 +66,6 @@ def test_weight_inner_norms():
         for a in rs.positive_roots:
             w = rs.root_to_weight(a)
             assert weight_inner(rs, w, w) == 2
-
-
-def test_form_sl2_anchors():
-    rs = build_root_system(2)
-    assert form(rs, "kappa0").h(0, 0) == 2
-    assert form(rs, "kappa_g").h(0, 0) == 8
-    assert form(rs, "kappa_c").h(0, 0) == -4
-    assert form(rs, "kappa_c_b").h(0, 0) == -4
-    assert form(rs, "k*kappa0", Fr(1, 2)).h(0, 0) == 1
-
-
-def test_form_gram_matches_cartan():
-    rs = build_root_system(3)
-    f = form(rs, "kappa0")
-    assert f.gram_h == [[Fr(2), Fr(-1)], [Fr(-1), Fr(2)]]
-    # gram_hstar is the inverse Cartan matrix
-    assert f.gram_hstar == [[Fr(2, 3), Fr(1, 3)], [Fr(1, 3), Fr(2, 3)]]
-
-
-def test_form_unknown_label():
-    rs = build_root_system(2)
-    with pytest.raises(InvalidForm):
-        form(rs, "nope")
-    with pytest.raises(InvalidForm):
-        form(rs, "k*kappa0")
-
-
-def test_kappa_c_b_vs_sum_over_roots():
-    # kappa_c^b(h,h') = -sum_{gamma>0} gamma(h)gamma(h')
-    for n in (2, 3, 4):
-        rs = build_root_system(n)
-        f = form(rs, "kappa_c_b")
-        for i in range(rs.rank):
-            for j in range(rs.rank):
-                s = sum(rs.root_to_weight(g).coords[i]
-                        * rs.root_to_weight(g).coords[j]
-                        for g in rs.positive_roots)
-                assert f.h(i, j) == -s
 
 
 def test_weyl_group_size():
@@ -177,12 +139,6 @@ def test_root_label():
     rs = build_root_system(3)
     assert rootdata.root_label(rs.positive_roots[2]) == "a1+a2"
     assert rootdata.root_label(Root((1, 0))) == "a1"
-
-
-def test_is_dominant_for():
-    rs = build_root_system(3)
-    assert rootdata.is_dominant_for(rs, {1, 2}, Weight((0, 3)))
-    assert not rootdata.is_dominant_for(rs, {1}, Weight((Fr(-1, 2), 0)))
 
 
 # -- enumerators, against brute force --------------------------------------------

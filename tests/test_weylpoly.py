@@ -1,3 +1,4 @@
+from copy import deepcopy
 from fractions import Fraction as Fr
 
 import pytest
@@ -6,8 +7,8 @@ from wakimoto.errors import (EmptyWeightSpace, ModuleMismatch, NotInNilradical,
                              NotSimpleRoot)
 from wakimoto.liealg import LieElement, basis_symbols
 from wakimoto.rootdata import Weight, build_root_system
-from wakimoto.weylpoly import (FockVector, T_poly, WeylElement, act_F,
-                               bernoulli_series, fock_character,
+from wakimoto.weylpoly import (FockVector, PolyGValued, T_poly, WeylElement,
+                               act_F, bernoulli_series, fock_character,
                                gamma_alpha_multiplicity, pi_g, pi_g_elem,
                                pq_polynomials, render_weyl, twist_character,
                                verify_pi_hom, weyl_mul)
@@ -55,6 +56,29 @@ def test_weyl_mul_associative():
 
 
 # -- kernels ----------------------------------------------------------------------
+
+def test_sums_leave_operands_unchanged():
+    a = w_elem(RS2, (1,), (0,)) + w_elem(RS2, (0,), (1,), c=Fr(1, 2))
+    b = w_elem(RS2, (1,), (0,), c=Fr(-1))
+    keep = deepcopy((a.terms, b.terms))
+    assert (a + b) == w_elem(RS2, (0,), (1,), c=Fr(1, 2))
+    assert not (b + a).is_zero()
+    assert (a.terms, b.terms) == keep
+    e = LieElement.basis(RS3, ("e", 0))
+    p = PolyGValued.from_lie(e + LieElement.basis(RS3, ("f", 1)))
+    q = PolyGValued.from_lie(e)
+    keep = deepcopy((p.components, q.components))
+    assert p.scale_add(q, Fr(-1)).components == \
+        PolyGValued.from_lie(LieElement.basis(RS3, ("f", 1))).components
+    q.scale_add(p, 3)
+    assert (p.components, q.components) == keep
+    lam = Weight((Fr(2, 3),))
+    u = FockVector(RS2, "V", lam, {(0,): 1, (1,): 2})
+    v = FockVector(RS2, "V", lam, {(1,): -2, (2,): 1})
+    keep = deepcopy((u.terms, v.terms))
+    assert (u + v).terms == {(0,): 1, (2,): 1}
+    assert (u.terms, v.terms) == keep
+
 
 def test_bernoulli_k0():
     assert bernoulli_series("t/(e^t-1)", 4) == [
