@@ -221,13 +221,19 @@ def cmd_verify(args):
         top = args.top.upper() if args.top else "V"
         if top not in ("V", "GT"):
             raise WakimotoError("--top must be V or GT")
-        ai = parse_root(rs, args.alpha) if args.alpha else (
-            rs.simple_indices[0] if top == "GT" else None)
+        ai = None
+        if top == "GT":
+            ai = (parse_root(rs, args.alpha) if args.alpha
+                  else rs.simple_indices[0])
+            report["alpha"] = root_label(rs.positive_roots[ai])
+        elif args.alpha:
+            raise WakimotoError("--alpha needs --top GT")
         a = relaxed.character_relaxed_verma(rs, top, lam, ai, args.D,
                                             args.window)
         b = relaxed.character_relaxed_wakimoto(rs, top, lam, ai, args.D,
                                                args.window)
-        report.update({"top": top, "D": args.D, "entries": len(a)})
+        report.update({"top": top, "lambda": weight_to_json(lam),
+                       "D": args.D, "entries": len(a)})
         if a != b:
             keys = {kk for kk in set(a) | set(b)
                     if a.get(kk) != b.get(kk)}
@@ -383,10 +389,18 @@ def cmd_golden(args):
 
 # -- parser ----------------------------------------------------------------------
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a parse error as a WakimotoError, so that it prints as one
+    `error:` line like every other usage error; sub-parsers inherit it."""
+
+    def error(self, message):
+        raise WakimotoError("%s: %s" % (self.prog, message))
+
+
 def build_parser():
-    ap = argparse.ArgumentParser(prog="wakimoto",
-                                 description="free-field realizations and "
-                                             "admissible weights for sl_n")
+    ap = _Parser(prog="wakimoto",
+                 description="free-field realizations and "
+                             "admissible weights for sl_n")
     sub = ap.add_subparsers(dest="command", required=True)
 
     def common(p, k=False, D=None, window=None):
@@ -519,11 +533,10 @@ def main(argv=None):
     argv = _merge_negative_values(list(argv))
     try:
         args = ap.parse_args(argv)
-    except SystemExit as e:
-        return 2 if e.code not in (0, None) else 0
-    try:
         _check_ranges(args)
         return args.func(args)
+    except SystemExit as e:  # -h printed the help
+        return e.code or 0
     except WakimotoError as e:
         print("error: %s" % (e,), file=sys.stderr)
         return 2

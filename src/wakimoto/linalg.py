@@ -1,63 +1,74 @@
 """Small exact linear-algebra helpers over Fraction."""
 
 from fractions import Fraction
+from math import gcd, lcm
+
+from .sparse import add_into, scaled
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
+def _eliminate(rows):
+    """Reduced row echelon form of a dense matrix, as {pivot column: row}
+    with each row a sparse {column: coeff} dict.  Every pivot row is 1 at
+    its pivot and 0 at every other pivot column."""
+    piv = {}
+    for dense in rows:
+        r = {c: x for c, x in enumerate(dense) if x}
+        # the pivot rows are fully reduced, so clearing one pivot column
+        # never refills another
+        for c, x in [(c, x) for c, x in r.items() if c in piv]:
+            add_into(r, piv[c], -x)
+        if not r:
+            continue
+        p = min(r)
+        # a Fraction pivot keeps integer input exact: int / int is a float
+        r = scaled(r, 1 / Fraction(r[p]))
+        for s in piv.values():
+            if p in s:
+                add_into(s, r, -s[p])
+        piv[p] = r
+    return piv
+
+
 def rref(rows):
     """Reduced row echelon form; returns (rref_rows, pivot_columns)."""
-    m = [list(r) for r in rows]
-    if not m:
+    if not rows:
         return [], []
-    ncols = len(m[0])
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        piv = None
-        for i in range(r, len(m)):
-            if m[i][c] != 0:
-                piv = i
-                break
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        # a Fraction pivot keeps integer input exact: int / int is a float
-        p = Fraction(m[r][c])
-        m[r] = [x / p for x in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(m):
-            break
+    ncols = len(rows[0])
+    piv = _eliminate(rows)
+    pivots = sorted(piv)
+    m = []
+    for c in pivots:
+        dense = [ZERO] * ncols
+        for j, x in piv[c].items():
+            dense[j] = x
+        m.append(dense)
+    m.extend([ZERO] * ncols for _ in range(len(rows) - len(pivots)))
     return m, pivots
 
 
 def rank(rows):
-    return len(rref(rows)[1])
+    return len(_eliminate(rows))
 
 
 def nullspace(rows, ncols=None):
-    """Basis of the right nullspace of the matrix (rows of length ncols)."""
-    if not rows:
-        if not ncols:
-            return []
-        rows = [[ZERO] * ncols]
-    ncols = len(rows[0])
-    m, pivots = rref(rows)
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for fc in free:
-        v = [ZERO] * ncols
-        v[fc] = ONE
-        for r, pc in enumerate(pivots):
-            v[pc] = -m[r][fc]
-        basis.append(v)
-    return basis
+    """Basis of the right nullspace of the matrix (rows of length ncols),
+    one vector per free column in ascending order."""
+    if rows:
+        ncols = len(rows[0])
+    elif not ncols:
+        return []
+    piv = _eliminate(rows)
+    basis = {c: [ZERO] * ncols for c in range(ncols) if c not in piv}
+    for c, v in basis.items():
+        v[c] = ONE
+    for pc, r in piv.items():
+        for c, x in r.items():
+            if c != pc:
+                basis[c][pc] = -x
+    return list(basis.values())
 
 
 def charpoly(mat):
@@ -86,9 +97,6 @@ def rational_roots(coeffs):
     """All rational roots with multiplicity of a polynomial with Fraction
     coefficients (constant term first).  Returns (roots_dict, residual_degree);
     residual_degree > 0 means non-rational factors remain."""
-    # clear denominators
-    from math import lcm
-
     c = list(coeffs)
     while c and c[-1] == 0:
         c.pop()
@@ -99,58 +107,61 @@ def rational_roots(coeffs):
         den = lcm(den, Fraction(x).denominator)
     ic = [int(x * den) for x in c]
     roots = {}
-    # strip zero roots
-    while ic[0] == 0:
-        roots[ZERO] = roots.get(ZERO, 0) + 1
-        ic = ic[1:]
-    while len(ic) > 1:
-        found = None
-        a0, an = abs(ic[0]), abs(ic[-1])
-        for p in _divisors(a0):
-            for q in _divisors(an):
-                for sign in (1, -1):
-                    r = Fraction(sign * p, q)
-                    if _poly_eval(ic, r) == 0:
-                        found = r
-                        break
-                if found is not None:
-                    break
-            if found is not None:
-                break
-        if found is None:
-            break
-        roots[found] = roots.get(found, 0) + 1
-        ic = _synthetic_div(ic, found)
+    zeros = next(i for i, x in enumerate(ic) if x)
+    if zeros:
+        roots[ZERO] = zeros
+        ic = ic[zeros:]
+    # a root p/q in lowest terms has p | a_0 and q | a_n; each quotient's
+    # roots are roots of ic, so the candidates are found once
+    cands = [(s * p, q) for q in _divisors(abs(ic[-1]))
+             for p in _divisors(abs(ic[0])) if gcd(p, q) == 1
+             for s in (1, -1)]
+    for p, q in cands:
+        while len(ic) > 1 and _is_root(ic, p, q):
+            r = Fraction(p, q)
+            roots[r] = roots.get(r, 0) + 1
+            ic = _divide_linear(ic, p, q)
     return roots, len(ic) - 1
 
 
 def _divisors(a):
-    if a == 0:
-        return [1]
-    out = []
-    d = 1
+    """Positive divisors of a > 0, from its factorisation by trial division
+    (which stops at the square root of the unfactored part)."""
+    divs = [1]
+    d = 2
     while d * d <= a:
-        if a % d == 0:
-            out.append(d)
-            if d != a // d:
-                out.append(a // d)
+        e = 0
+        while a % d == 0:
+            a //= d
+            e += 1
+        if e:
+            divs = [x * d ** i for x in divs for i in range(e + 1)]
         d += 1
-    return sorted(out)
+    if a > 1:
+        divs += [x * a for x in divs]
+    return divs
 
 
-def _poly_eval(c, x):
-    acc = ZERO
+def _is_root(c, p, q):
+    """Whether p/q is a root of the integer polynomial c (constant first):
+    sum c_i p^i q^(deg - i) == 0."""
+    acc = 0
+    qpow = 1
     for coef in reversed(c):
-        acc = acc * x + coef
-    return acc
+        acc = acc * p + coef * qpow
+        qpow *= q
+    return acc == 0
 
 
-def _synthetic_div(c, r):
-    """Divide polynomial (constant first) by (x - r); exact."""
+def _divide_linear(c, p, q):
+    """Quotient of the integer polynomial c (constant first) by q x - p, for
+    a root p/q in lowest terms; by Gauss's lemma it has integer
+    coefficients."""
     n = len(c) - 1
-    out = [ZERO] * n
-    acc = ZERO
+    out = [0] * n
+    b = 0
     for i in range(n, 0, -1):
-        acc = c[i] + acc * r
-        out[i - 1] = acc
+        # c_i = q b_{i-1} - p b_i
+        b = (c[i] + p * b) // q
+        out[i - 1] = b
     return out

@@ -12,7 +12,7 @@ F_{nbar,alpha} for GT tops).
 from fractions import Fraction
 
 from . import liealg, weylpoly
-from .errors import ModuleMismatch
+from .errors import ModuleMismatch, RealizationBug
 from .liealg import LieElement, bracket_symbols, kappa0_symbols
 from .linalg import nullspace, rank
 from .rootdata import (bounded_degree_exponents, offset_weight,
@@ -313,7 +313,9 @@ def _cell_basis(mod, monomials, mu_delta, gt_cap=12):
 def find_singular_vectors(rs, lam, k, D, top="V", radius=None, alpha_idx=None):
     """Vectors of energy 1..D annihilated by the raising generators
     {e_{gamma,0} (gamma simple), f_{theta,1}} (which generate everything in
-    positive modes).  Returns a list of (energy, weight-delta, vector)."""
+    positive modes).  Returns a list of (energy, weight-delta, vector).
+    Each vector is checked by acting on it with every raising generator;
+    RealizationBug if one does not annihilate it."""
     if radius is None:
         radius = 2 * D + 2
     mod = RelaxedModule(rs, top, lam, k, alpha_idx)
@@ -342,6 +344,10 @@ def find_singular_vectors(rs, lam, k, D, top="V", radius=None, alpha_idx=None):
                 rows.extend(block)
             for v in nullspace(rows, ncols=len(basis)):
                 vec = {basis[i]: c for i, c in enumerate(v) if c}
+                # check each vector by acting on it, not through the matrix
+                if any(relaxed_verma_act(mod, sym, m, vec) for sym, m in conds):
+                    raise RealizationBug("energy %d, shift %s: a nullspace "
+                                         "vector is not singular" % (d, delta))
                 found.append((d, delta, vec))
     return found
 

@@ -3,7 +3,7 @@ import os
 
 import pytest
 
-from wakimoto import weylpoly
+from wakimoto import relaxed, weylpoly
 from wakimoto.cli import (main, parse_fraction, parse_root, parse_sigma,
                           parse_symbol, parse_weight)
 from wakimoto.errors import RealizationBug, WakimotoError
@@ -90,6 +90,11 @@ TWIST = ["twist-char", "-n", "2", "--lam", "2/3", "--alpha", "a1"]
     ["verify", "affine-comm", "-n", "2", "-k", "1/2", "-D", "-1"],
     ["gamma-mult", "-n", "2", "--lam", "2/3", "--alpha", "a1",
      "--mu", "8/3", "-D", "-1"],
+    ["verify", "characters", "-n", "3", "--alpha", "theta"],
+    ["verify", "affine-comm", "-n", "2"],
+    ["pi-g", "-n", "2", "--bogus", "h:1"],
+    ["orbits", "-n", "x"],
+    ["verify"],
 ])
 def test_usage_errors_exit_2_with_one_line(argv, capsys):
     assert main(list(argv)) == 2
@@ -97,6 +102,11 @@ def test_usage_errors_exit_2_with_one_line(argv, capsys):
     assert out == ""
     lines = err.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
+def test_help_exits_0(capsys):
+    assert main(["verify", "-h"]) == 0
+    assert capsys.readouterr().out.startswith("usage: wakimoto verify")
 
 
 @pytest.mark.parametrize("exc", [RealizationBug("inconsistent system"),
@@ -129,6 +139,30 @@ def test_verify_characters_level_is_optional(capsys):
     assert out["ok"] is True and "k" not in out
     assert main(argv + ["-k", "-3/2"]) == 0
     assert json.loads(capsys.readouterr().out)["k"] == "-3/2"
+
+
+def test_verify_characters_echoes_weight_and_gt_root(capsys):
+    argv = ["verify", "characters", "-n", "3", "-D", "1", "--window", "2",
+            "--lam", "1/3,1"]
+    assert main(argv) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["lambda"] == ["1/3", "1"] and "alpha" not in out
+    assert main(argv + ["--top", "GT", "--alpha", "theta"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["ok"] is True and out["alpha"] == "a1+a2"
+    assert main(argv + ["--top", "GT"]) == 0
+    assert json.loads(capsys.readouterr().out)["alpha"] == "a1"
+
+
+def test_singular_vectors_are_checked_by_acting_on_them(monkeypatch, capsys):
+    def first_basis_vector(rows, ncols=None):
+        return [[1] + [0] * (ncols - 1)]
+
+    monkeypatch.setattr(relaxed, "nullspace", first_basis_vector)
+    assert main(["verify", "singular", "-n", "2", "-k", "-1/2", "--lam", "0",
+                 "-D", "1"]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("internal error: RealizationBug")
 
 
 def test_verify_exit_codes(capsys):

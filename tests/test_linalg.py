@@ -1,10 +1,68 @@
 from fractions import Fraction as Fr
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from wakimoto.linalg import charpoly, nullspace, rank, rational_roots, rref
 
 
 def F(x):
     return Fr(x)
+
+
+def _dense_rref(rows):
+    """Dense Gauss-Jordan elimination: the oracle for rref."""
+    m = [list(r) for r in rows]
+    if not m:
+        return [], []
+    ncols = len(m[0])
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        piv = None
+        for i in range(r, len(m)):
+            if m[i][c] != 0:
+                piv = i
+                break
+        if piv is None:
+            continue
+        m[r], m[piv] = m[piv], m[r]
+        p = Fr(m[r][c])
+        m[r] = [x / p for x in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][c] != 0:
+                f = m[i][c]
+                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(m):
+            break
+    return m, pivots
+
+
+@st.composite
+def sparse_matrices(draw, min_rows=0):
+    """Up to 12 x 12, about 80% zeros, int and Fraction entries, with some
+    zero rows and repeated rows."""
+    nrows = draw(st.integers(min_rows, 12))
+    ncols = draw(st.integers(1, 12))
+    nonzero = st.one_of(st.integers(-6, 6),
+                        st.fractions(-6, 6, max_denominator=7))
+
+    def entry():
+        return draw(nonzero) if draw(st.integers(0, 4)) == 0 else 0
+
+    rows = []
+    for i in range(nrows):
+        kind = draw(st.integers(0, 5))
+        if kind == 0:
+            rows.append([0] * ncols)
+        elif kind == 1 and rows:
+            rows.append(list(rows[draw(st.integers(0, len(rows) - 1))]))
+        else:
+            rows.append([entry() for _ in range(ncols)])
+    return rows
 
 
 def test_rref_identity():
@@ -19,12 +77,9 @@ def test_rank():
 
 
 def test_nullspace():
-    ns = nullspace([[F(1), F(2)]])
-    assert len(ns) == 1
-    v = ns[0]
-    assert v[0] + 2 * v[1] == 0
-    assert nullspace([], ncols=2) == [[F(1), F(0)], [F(0), F(1)]] or \
-        len(nullspace([], ncols=2)) == 2
+    assert nullspace([[F(1), F(2)]]) == [[F(-2), F(1)]]
+    assert nullspace([], ncols=2) == [[F(1), F(0)], [F(0), F(1)]]
+    assert nullspace([]) == []
 
 
 def _matvec(a, v):
@@ -42,6 +97,27 @@ def test_integer_matrices_stay_exact():
             assert _matvec(a, v) == [0] * len(a)
     assert rref([[3, 1]]) == ([[1, Fr(1, 3)]], [0])
     assert nullspace([[2, 1], [4, 2]]) == [[Fr(-1, 2), 1]]
+
+
+@settings(max_examples=300, deadline=None)
+@given(sparse_matrices())
+def test_sparse_elimination_matches_dense_oracle(a):
+    ncols = len(a[0]) if a else 3
+    assert rref(a) == _dense_rref(a)
+    ns = nullspace(a, ncols=ncols)
+    for v in ns:
+        assert _matvec(a, v) == [0] * len(a)
+    assert rank(a) + len(ns) == ncols
+
+
+@settings(max_examples=40, deadline=None)
+@given(sparse_matrices(min_rows=1))
+def test_rref_matches_sympy(a):
+    sympy = pytest.importorskip("sympy")
+    m, pivots = sympy.Matrix(a).rref()
+    expected = [[Fr(int(x.p), int(x.q)) for x in m.row(i)]
+                for i in range(m.rows)]
+    assert rref(a) == (expected, list(pivots))
 
 
 def test_charpoly():
@@ -63,3 +139,23 @@ def test_rational_roots_irrational_factor():
     roots, resid = rational_roots([F(-2), F(0), F(1)])
     assert roots == {}
     assert resid == 2
+
+
+def _poly_mul(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.dictionaries(st.fractions(-9, 9, max_denominator=6),
+                       st.integers(1, 3), max_size=4),
+       st.fractions(-5, 5, max_denominator=4).filter(bool))
+def test_rational_roots_of_products(roots, scale):
+    poly = [-2 * scale, 0, scale]   # scale * (x^2 - 2)
+    for r, m in roots.items():
+        for _ in range(m):
+            poly = _poly_mul(poly, [-r.numerator, r.denominator])
+    assert rational_roots(poly) == (roots, 2)
