@@ -6,12 +6,12 @@ and nilpotent/Richardson orbit combinatorics for partitions of n.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import permutations
 from math import gcd
 
 from .errors import InvalidRank, SizeMismatch
-from .rootdata import (Weight, bounded_degree_exponents, build_root_system,
-                       pairing, rho, theta, weight_inner, weyl_act)
+from .rootdata import (Weight, all_weyl_elements, bounded_degree_exponents,
+                       build_root_system, dot_action, pairing, rho, theta,
+                       weight_inner, weyl_act, weyl_act_root)
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -119,7 +119,7 @@ def y_is_admissible(rs, w, eta, q):
     0 <= (eta,alpha) <= q-1 when w(alpha) > 0, else 1 <= (eta,alpha) <= q."""
     for a in rs.positive_roots:
         v = pairing(rs, eta, a)
-        wa = _act_root(rs, w, a)
+        wa = weyl_act_root(rs, w, a).coeffs
         if rs.is_positive_root(wa):
             if not (0 <= v <= q - 1):
                 return False
@@ -129,17 +129,6 @@ def y_is_admissible(rs, w, eta, q):
     return True
 
 
-def _act_root(rs, w, a):
-    """Image of a root under a finite Weyl element; returns the simple-root
-    coefficient tuple (possibly of a negative root)."""
-    from .rootdata import weyl_act_root
-    return weyl_act_root(rs, w, a).coeffs
-
-
-def all_perms(n):
-    return [tuple(p) for p in permutations(range(n))]
-
-
 def pr_k_bar(lvl, with_y=False):
     """Projections to h* of the dot-orbit of Pr_{k,Z} under all admissible
     y = w t_{-eta} with eta dominant, (eta,theta) <= q-1.  Deduplicated and
@@ -147,7 +136,7 @@ def pr_k_bar(lvl, with_y=False):
     rs = build_root_system(lvl.n)
     base = [AffineWeight(lam, lvl.k, ZERO) for lam in pr_k_integral(lvl)]
     found = {}
-    for w in all_perms(lvl.n):
+    for w in all_weyl_elements(rs):
         for eta in dominant_coweights(rs, lvl.q - 1):
             if not y_is_admissible(rs, w, eta, lvl.q):
                 continue
@@ -163,7 +152,6 @@ def pr_k_bar(lvl, with_y=False):
 def pr_k_classes(lvl):
     """Group pr_k_bar by finite W dot-action orbits ([Pr_k-bar])."""
     rs = build_root_system(lvl.n)
-    from .rootdata import all_weyl_elements, dot_action
     weights = pr_k_bar(lvl)
     pool = set(weights)
     classes = []
@@ -202,20 +190,20 @@ def omega_theorem(sigma, lvl):
     base = [AffineWeight(lam, lvl.k, ZERO) for lam in pr_k_integral(lvl)]
     th = theta(rs)
     found = set()
-    for w in all_perms(lvl.n):
-        if not rs.is_positive_root(_act_root(rs, w, th)):
+    for w in all_weyl_elements(rs):
+        if not rs.is_positive_root(weyl_act_root(rs, w, th).coeffs):
             continue
         for eta in dominant_coweights(rs, lvl.q - 1):
             if not y_is_admissible(rs, w, eta, lvl.q):
                 continue
             zero_pos = [a for a in rs.positive_roots
                         if pairing(rs, eta, a) == 0]
-            if any(not rs.is_positive_root(_act_root(rs, w, a))
+            if any(not rs.is_positive_root(weyl_act_root(rs, w, a).coeffs)
                    for a in zero_pos):
                 continue
             img = set()
             for a in zero_pos:
-                wa = _act_root(rs, w, a)
+                wa = weyl_act_root(rs, w, a).coeffs
                 img.add(wa)
                 img.add(tuple(-c for c in wa))
             if img != dsig:

@@ -24,7 +24,8 @@ from fractions import Fraction
 from . import liealg, weylpoly
 from .errors import RealizationBug
 from .liealg import LieElement, bracket_symbols, kappa0_symbols
-from .rootdata import rho
+from .rootdata import (Weight, bounded_degree_exponents, build_root_system,
+                       rho, root_combinations)
 from .sparse import add_into, added, scaled
 
 ZERO = Fraction(0)
@@ -142,26 +143,22 @@ class WakimotoModule:
 
 # -- field expressions --------------------------------------------------------
 
-_FIELD_TOKEN = [0]
-
-
 class FieldExpr:
     """Either an explicit list of normal-ordered terms
     (coeff, astars, main) with astars a tuple of (gamma, dz_order<=1) and
     main in {None, ('a', gamma), ('b', i)}, or a lazy commutator
     ('comm', coeff, F, G) whose modes are [F_0, G_m].
 
-    Each instance carries a unique token used as a memoization key."""
+    Instances hash by identity; the mode cache keys on the instance itself,
+    so it keeps the field alive and its id is never reused for another."""
 
-    __slots__ = ("terms", "comm", "token")
+    __slots__ = ("terms", "comm")
 
     def __init__(self, terms=None, comm=None):
         self.terms = ([(_ival(c), astars, main) for c, astars, main in terms]
                       if terms else [])
         self.comm = ((_ival(comm[0]),) + tuple(comm[1:])
                      if comm is not None else None)
-        _FIELD_TOKEN[0] += 1
-        self.token = _FIELD_TOKEN[0]
 
     def __repr__(self):
         return "FieldExpr(%s)" % (render_field(self),)
@@ -196,7 +193,7 @@ def mode_apply(module, F, m, vec):
 
 def _mode_apply_mono(module, F, m, mono):
     cache = module._mode_cache
-    key = (F.token, m, mono)
+    key = (F, m, mono)
     hit = cache.get(key)
     if hit is not None:
         return hit
@@ -248,34 +245,29 @@ def _mode_apply_raw(module, F, m, vec):
                 add_into(out, vec, coeff)
             continue
         # candidate negative (annihilation-side) exponents per factor, plus
-        # the creation side j >= jpos
+        # the creation side j >= 0
         neg = []
-        jpos = []
         for f in factors:
             if f[0] == "as":
                 g = f[1]
                 if f[2] == 0:
                     neg.append([-mm for mm in dmods.get(g, ())])
-                    jpos.append(0)
                 else:
                     # coefficient (j+1) => x-index j+1; x-index 0 vanishes
                     neg.append([-mm - 1 for mm in dmods.get(g, ())])
-                    jpos.append(0)
             elif f[1] == "a":
                 g = f[2]
                 cand = [-n - 1 for n in xmods.get(g, ())]
                 cand.append(-1)  # n = 0: top operator, always admissible
                 neg.append(cand)
-                jpos.append(0)
             else:
                 i = f[2]
                 cand = [-mm - 1 for (jj, mm) in ymods
                         if module.heis_gram[i][jj] != 0]
                 cand.append(-1)  # n = 0: scalar
                 neg.append(sorted(set(cand)))
-                jpos.append(0)
-        jmins = [min(ns, default=0) if not ns else min(min(ns), 0)
-                 for ns in neg]
+        # every candidate in neg is < 0
+        jmins = [min(ns, default=0) for ns in neg]
         nfac = len(factors)
         tail_min = [0] * (nfac + 1)
         for i in range(nfac - 1, -1, -1):
@@ -283,17 +275,14 @@ def _mode_apply_raw(module, F, m, vec):
 
         def candidates(idx, jmax):
             for j in neg[idx]:
-                if j <= jmax and j < jpos[idx]:
+                if j <= jmax:
                     yield j
-            j = jpos[idx]
-            while j <= jmax:
-                yield j
-                j += 1
+            yield from range(jmax + 1)
 
         def rec(idx, remaining, js):
             if idx == nfac - 1:
                 j = remaining
-                if j >= jpos[idx] or j in neg[idx]:
+                if j >= 0 or j in neg[idx]:
                     yield js + [j]
                 return
             for j in candidates(idx, remaining - tail_min[idx + 1]):
@@ -386,8 +375,6 @@ def solve_c_gamma(rs, gamma_idx, k, lam=None):
     """The unique c_gamma making [pi(e_gamma)_1, pi(f_gamma)_{-1}] =
     pi(h_gamma)_0 + k kappa_0(e_gamma,f_gamma) id on a degree-<=2 spanning
     set of the Verma-top module."""
-    from .rootdata import Weight
-
     k = Fraction(k)
     if lam is None:
         lam = Weight([Fraction(i + 1, i + 2) for i in range(rs.rank)])
@@ -396,12 +383,12 @@ def solve_c_gamma(rs, gamma_idx, k, lam=None):
     s = rs.positive_roots[gamma_idx].coeffs.index(1)
     h_field = _h_field(rs, s)
     vectors = _spanning_vectors(mod, 2, 1)
+    e_fields = [_e_simple_field(rs, gamma_idx, C) for C in (ZERO, ONE)]
     eqs = []  # (a, b): a*C = b per monomial component
     for v in vectors:
         fv = mode_apply(mod, f_field, -1, v)
         lhs_by_C = []
-        for C in (ZERO, ONE):
-            ef = _e_simple_field(rs, gamma_idx, C)
+        for ef in e_fields:
             l1 = mode_apply(mod, ef, 1, fv)
             l2 = mode_apply(mod, f_field, -1, mode_apply(mod, ef, 1, v))
             lhs_by_C.append(added(l1, l2, -ONE))
@@ -483,84 +470,36 @@ def mode_apply_elem(module, fields, m, vec):
 
 # -- spanning sets and verification -------------------------------------------
 
-def _mode_generators(rs, dmax):
-    gens = []
-    for m in range(1, dmax + 1):
-        for g in range(len(rs.positive_roots)):
-            gens.append((("D", g, m), m))
-            gens.append((("X", g, m), m))
-        for i in range(rs.rank):
-            gens.append((("Y", i, m), m))
-    return gens
-
-
-def _top_generators(module):
+def _spanning_vectors(module, dmax, top_deg):
+    """Monomial vectors of energy <= dmax and top degree <= top_deg, sorted
+    by (energy, monomial)."""
     rs = module.rs
-    keys = []
-    for g in range(len(rs.positive_roots)):
-        if module.top == "GT" and g == module.alpha_idx:
-            keys.append(("X0", g))
-        else:
-            keys.append(("D0", g))
-    return keys
-
-
-def _spanning_vectors(module, dmax, top_deg, max_vectors=None):
-    """Monomial vectors of energy <= dmax and top degree <= top_deg, in a
-    deterministic order (by (energy, top degree, monomial))."""
-    rs = module.rs
-    gens = _mode_generators(rs, dmax)
-    monos = [{}]
-    for key, en in gens:
-        new = []
-        for m in monos:
-            cur = dict(m)
-            used = sum(k[2] * e for k, e in cur.items())
-            c = 0
-            while True:
-                new.append(dict(cur))
-                c += 1
-                if used + c * en > dmax:
-                    break
-                cur[key] = c
-        monos = [dict(t) for t in {canon(m): m for m in new}.values()]
-    mode_monos = sorted({canon(m) for m in monos},
-                        key=lambda m: (mono_energy(m), m))
-    tops = [{}]
-    for key in _top_generators(module):
-        new = []
-        for t in tops:
-            for c in range(top_deg - sum(t.values()) + 1):
-                d = dict(t)
-                if c:
-                    d[key] = c
-                new.append(d)
-        tops = new
-    top_monos = sorted({canon(t) for t in tops}, key=lambda m: (len(m), m))
+    npos = len(rs.positive_roots)
+    keys = [(kind, g, m) for m in range(1, dmax + 1)
+            for kind, count in (("D", npos), ("X", npos), ("Y", rs.rank))
+            for g in range(count)]
+    tops = [fock_to_top_monomial(rs, module, e)
+            for e in bounded_degree_exponents(npos, top_deg)]
     vectors = []
-    for mm in mode_monos:
-        for tt in top_monos:
-            vectors.append({canon(dict(list(mm) + list(tt))): ONE})
-    vectors.sort(key=lambda v: (mono_energy(next(iter(v))), next(iter(v))))
-    if max_vectors is not None:
-        vectors = vectors[:max_vectors]
-    return vectors
+    # each generator's energy is a one-coordinate root
+    for b, (left,) in root_combinations([(key[2],) for key in keys],
+                                        (dmax,), 0):
+        mode = tuple((key, c) for key, c in zip(keys, b) if c)
+        vectors.extend((dmax - left, canon(dict(mode + top))) for top in tops)
+    vectors.sort()
+    return [{mono: ONE} for _, mono in vectors]
 
 
-def verify_affine_comm(n, k, dmax, tops=("V", "GT"), lam=None, alpha_idx=None,
-                       top_deg=None, max_vectors=None, mode_range=2):
+def verify_affine_comm(n, k, dmax):
     """Check [pi(a)_m, pi(b)_n] = pi([a,b])_{m+n} + m k kappa_0(a,b)
-    delta_{m,-n} on spanning vectors; returns the list of failures."""
-    from .rootdata import Weight, build_root_system
-
+    delta_{m,-n} for modes -2..2 on spanning vectors of both tops; returns
+    the list of failures."""
     rs = build_root_system(n)
     k = Fraction(k)
-    if lam is None:
-        lam = Weight([Fraction(2 * i + 1, 3) for i in range(rs.rank)])
-    if alpha_idx is None:
-        alpha_idx = rs.simple_indices[0]
-    if top_deg is None:
-        top_deg = 2 if n == 2 else 1
+    lam = Weight([Fraction(2 * i + 1, 3) for i in range(rs.rank)])
+    alpha_idx = rs.simple_indices[0]
+    top_deg = 2 if n == 2 else 1
+    mode_range = range(-2, 3)
     syms = liealg.basis_symbols(rs)
     fields = {s: pi_field(rs, s, k) for s in syms}
     brackets = {}
@@ -569,17 +508,17 @@ def verify_affine_comm(n, k, dmax, tops=("V", "GT"), lam=None, alpha_idx=None,
             brackets[(s1, s2)] = LieElement(
                 rs, bracket_symbols(rs, s1, s2))
     failures = []
-    for top in tops:
+    for top in ("V", "GT"):
         mod = WakimotoModule(rs, top, lam, k,
                              alpha_idx if top == "GT" else None)
-        vectors = _spanning_vectors(mod, dmax, top_deg, max_vectors)
+        vectors = _spanning_vectors(mod, dmax, top_deg)
         for s1 in syms:
             for s2 in syms:
                 br = brackets[(s1, s2)]
                 br_fields = pi_affine(rs, br, k) if not br.is_zero() else []
                 kap = kappa0_symbols(rs, s1, s2)
-                for m in range(-mode_range, mode_range + 1):
-                    for nn in range(-mode_range, mode_range + 1):
+                for m in mode_range:
+                    for nn in mode_range:
                         for v in vectors:
                             l1 = mode_apply(mod, fields[s1], m,
                                             mode_apply(mod, fields[s2], nn, v))

@@ -1,4 +1,5 @@
 from fractions import Fraction as Fr
+from itertools import product
 
 from wakimoto import modes
 from wakimoto.liealg import LieElement, basis_symbols
@@ -174,6 +175,72 @@ def test_h_e_theta_commutator_is_theta_of_h():
 def vec_scale_dict(v, c):
     c = Fr(c)
     return {m: c * x for m, x in v.items()} if c else {}
+
+
+def test_mode_cache_keeps_a_dropped_field_apart_from_a_new_one():
+    # a new field built after an old one is dropped may get the old one's id;
+    # its modes must still be its own, not the cached modes of the old field
+    mod = vmod()
+    v = {canon({("D", 0, 1): 1}): Fr(1)}
+    F = FieldExpr([(Fr(1), (), ("a", 0))])
+    assert mode_apply(mod, F, -1, v) == mod.apply_d(0, -1, v)
+    terms = [(Fr(1), (), ("b", 0))]
+    del F  # with nothing allocated in between, G takes F's memory and id
+    G = FieldExpr(terms)
+    assert mode_apply(mod, G, -1, v) == mod.apply_b(0, -1, v)
+
+
+# -- spanning vectors ----------------------------------------------------------------
+
+def _spanning_oracle(mod, dmax, top_deg):
+    """Every monomial of energy <= dmax and top degree <= top_deg, from
+    itertools.product over the generator counts (one mode level at a time),
+    sorted by (energy, monomial)."""
+    rs = mod.rs
+    npos = len(rs.positive_roots)
+    levels = []
+    for m in range(1, dmax + 1):
+        keys = ([("D", g, m) for g in range(npos)]
+                + [("X", g, m) for g in range(npos)]
+                + [("Y", i, m) for i in range(rs.rank)])
+        levels.append([dict(zip(keys, c))
+                       for c in product(range(dmax // m + 1), repeat=len(keys))
+                       if m * sum(c) <= dmax])
+    top_keys = [("X0", g) if mod.top == "GT" and g == mod.alpha_idx
+                else ("D0", g) for g in range(npos)]
+    tops = [dict(zip(top_keys, c))
+            for c in product(range(top_deg + 1), repeat=npos)
+            if sum(c) <= top_deg]
+    found = []
+    for parts in product(*levels):
+        mode = {}
+        for part in parts:
+            mode.update(part)
+        energy = sum(key[2] * c for key, c in mode.items())
+        if energy > dmax:
+            continue
+        for top in tops:
+            mono = tuple(sorted((key, c) for key, c in {**mode, **top}.items()
+                                if c))
+            found.append((energy, mono))
+    found.sort()
+    return [{mono: Fr(1)} for _, mono in found]
+
+
+def test_spanning_vectors_match_brute_force():
+    theta3 = RS3.root_index[(1, 1)]
+    for rs, dmaxes, top_deg, gt_alphas in ((RS2, range(4), 2, (0,)),
+                                           (RS3, range(3), 1, (0, theta3))):
+        mods = [vmod(rs)] + [vmod(rs, top="GT", alpha_idx=a)
+                             for a in gt_alphas]
+        for mod in mods:
+            for dmax in dmaxes:
+                got = modes._spanning_vectors(mod, dmax, top_deg)
+                assert got == _spanning_oracle(mod, dmax, top_deg)
+    # the sl3 D=2 set that test_03 checks on each top
+    assert len(modes._spanning_vectors(vmod(RS3), 2, 1)) == 212
+    assert len(modes._spanning_vectors(
+        vmod(RS3, top="GT", alpha_idx=0), 2, 1)) == 212
 
 
 # -- the full commutation suite (small instance; acceptance runs the big one) ------

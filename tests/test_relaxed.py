@@ -3,6 +3,7 @@ from itertools import product
 
 import pytest
 
+from wakimoto import relaxed
 from wakimoto.errors import ModuleMismatch
 from wakimoto.liealg import basis_symbols, bracket_symbols, kappa0_symbols
 from wakimoto.relaxed import (RelaxedModule, character_relaxed_verma,
@@ -164,6 +165,40 @@ def test_enum_root_decompositions():
     assert enum_root_decompositions(RS3, (-1, 0)) == []
 
 
+def _exact_oracle(mod, d):
+    """(factors, weight shift) of every factor tuple of energy exactly d, from
+    itertools.product over the counts of the generators a^{(s)}_{-n} in PBW
+    order (n descending, s ascending), one mode level at a time; product
+    gives the count vectors in lexicographic order."""
+    rs = mod.rs
+    nsyms = len(mod.syms)
+    levels = [[(n, c) for c in product(range(d // n + 1), repeat=nsyms)
+               if n * sum(c) <= d] for n in range(d, 0, -1)]
+    out = []
+    for parts in product(*levels):
+        if sum(n * sum(c) for n, c in parts) != d:
+            continue
+        factors = tuple((n, s) for n, c in parts for s in range(nsyms)
+                        for _ in range(c[s]))
+        shift = [0] * rs.rank
+        for _, s in factors:
+            kind, idx = mod.syms[s]
+            if kind != "h":
+                sign = 1 if kind == "e" else -1
+                for t, x in enumerate(rs.positive_roots[idx].coeffs):
+                    shift[t] += sign * x
+        out.append((factors, tuple(shift)))
+    return out
+
+
+def test_mode_monomials_exact_match_brute_force():
+    for rs, dmax in ((RS2, 5), (RS3, 3)):
+        mod = RelaxedModule(rs, "V", Weight((0,) * rs.rank), K)
+        for d in range(dmax + 1):
+            got = relaxed._mode_monomials_exact(mod, d)
+            assert got == _exact_oracle(mod, d)
+
+
 # -- diagnostics -------------------------------------------------------------------
 
 def test_top_component_check_sl2():
@@ -183,6 +218,25 @@ def test_singular_vector_annihilation():
         # and by the derived positive modes too
         assert relaxed_verma_act(
             mod, ("h", 0), 1, vec) == {}
+
+
+def test_vacuum_singular_vector_at_two_alpha():
+    # the cell-basis column order decides which nullspace basis vector comes
+    # out; pin the energy-4 vector at weight lam + 2 alpha term by term, in
+    # basis order
+    found = find_singular_vectors(RS2, Weight((Fr(0),)), Fr(-1, 2), 4)
+    [vec] = [v for d, delta, v in found if (d, delta) == (4, (2,))]
+    assert list(vec.items()) == [
+        ((((1, 0), (1, 0), (1, 1), (1, 1)), (0,)), Fr(-1, 7)),
+        ((((1, 0), (1, 0), (1, 0), (1, 2)), (0,)), Fr(-4, 7)),
+        ((((1, 0), (1, 0), (1, 0), (1, 1)), (1,)), Fr(4, 7)),
+        ((((1, 0), (1, 0), (1, 0), (1, 0)), (2,)), Fr(4, 7)),
+        ((((2, 1), (1, 0), (1, 0)), (0,)), Fr(-1, 7)),
+        ((((2, 0), (1, 0), (1, 1)), (0,)), Fr(3, 7)),
+        ((((2, 0), (1, 0), (1, 0)), (1,)), Fr(-2, 7)),
+        ((((2, 0), (2, 0)), (0,)), Fr(-15, 28)),
+        ((((3, 0), (1, 0)), (0,)), Fr(1)),
+    ]
 
 
 def test_no_singular_vectors_generic():
