@@ -17,10 +17,6 @@ class InvalidWeylWord(WakimotoError):
     pass
 
 
-class NotInNilradical(WakimotoError):
-    pass
-
-
 class NotSimpleRoot(WakimotoError):
     pass
 

@@ -65,9 +65,6 @@ class LieElement:
         if self.rs is not other.rs and self.rs.n != other.rs.n:
             raise DimensionError("elements of different algebras")
 
-    def support_kinds(self):
-        return {s[0] for s in self.coeffs}
-
     def __repr__(self):
         return "LieElement(%s)" % (render(self),)
 

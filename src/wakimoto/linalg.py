@@ -32,23 +32,6 @@ def _eliminate(rows):
     return piv
 
 
-def rref(rows):
-    """Reduced row echelon form; returns (rref_rows, pivot_columns)."""
-    if not rows:
-        return [], []
-    ncols = len(rows[0])
-    piv = _eliminate(rows)
-    pivots = sorted(piv)
-    m = []
-    for c in pivots:
-        dense = [ZERO] * ncols
-        for j, x in piv[c].items():
-            dense[j] = x
-        m.append(dense)
-    m.extend([ZERO] * ncols for _ in range(len(rows) - len(pivots)))
-    return m, pivots
-
-
 def rank(rows):
     return len(_eliminate(rows))
 

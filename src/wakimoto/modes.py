@@ -22,18 +22,15 @@ from bisect import bisect_left
 from fractions import Fraction
 
 from . import liealg, weylpoly
-from .errors import RealizationBug
+from .errors import NotSimpleRoot, RealizationBug
 from .liealg import LieElement, bracket_symbols, kappa0_symbols
+from .linalg import nullspace
 from .rootdata import (Weight, bounded_degree_exponents, build_root_system,
                        rho, root_combinations)
 from .sparse import add_into, added, scaled
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
-
-
-def mono_energy(mono):
-    return sum(key[2] * e for key, e in mono if len(key) == 3)
 
 
 def canon(d):
@@ -144,30 +141,22 @@ class WakimotoModule:
 # -- field expressions --------------------------------------------------------
 
 class FieldExpr:
-    """Either an explicit list of normal-ordered terms
-    (coeff, astars, main) with astars a tuple of (gamma, dz_order<=1) and
-    main in {None, ('a', gamma), ('b', i)}, or a lazy commutator
-    ('comm', coeff, F, G) whose modes are [F_0, G_m].
+    """A list of normal-ordered terms (coeff, astars, main) with astars a
+    tuple of (gamma, dz_order<=1) and main in {None, ('a', gamma), ('b', i)}.
 
     Instances hash by identity; the mode cache keys on the instance itself,
     so it keeps the field alive and its id is never reused for another."""
 
-    __slots__ = ("terms", "comm")
+    __slots__ = ("terms",)
 
-    def __init__(self, terms=None, comm=None):
-        self.terms = ([(_ival(c), astars, main) for c, astars, main in terms]
-                      if terms else [])
-        self.comm = ((_ival(comm[0]),) + tuple(comm[1:])
-                     if comm is not None else None)
+    def __init__(self, terms):
+        self.terms = [(_ival(c), astars, main) for c, astars, main in terms]
 
     def __repr__(self):
         return "FieldExpr(%s)" % (render_field(self),)
 
 
 def render_field(F):
-    if F.comm is not None:
-        c, A, B = F.comm
-        return "%s [%s , %s]" % (c, render_field(A), render_field(B))
     parts = []
     for coeff, astars, main in F.terms:
         factors = []
@@ -197,13 +186,13 @@ def _mode_apply_mono(module, F, m, mono):
     hit = cache.get(key)
     if hit is not None:
         return hit
-    res = _mode_apply_raw(module, F, m, {mono: 1})
+    res = _mode_apply_raw(module, F, m, mono)
     cache[key] = res
     return res
 
 
-def _mode_apply_raw(module, F, m, vec):
-    """Core evaluation on a single-monomial vector.
+def _mode_apply_raw(module, F, m, mono):
+    """Core evaluation on a single monomial.
 
     For each term the z-exponent of every field factor is enumerated; an
     exponent that makes the factor a (nonzero-energy) annihilation operator is
@@ -211,17 +200,7 @@ def _mode_apply_raw(module, F, m, vec):
     in the monomial — annihilation operators act first, and nothing in a term
     can create an energy>0 generator before they apply, so this pruning is
     exact."""
-    if not vec:
-        return {}
-    if F.comm is not None:
-        c, A, B = F.comm
-        out = mode_apply(module, A, 0, mode_apply(module, B, m, vec))
-        add_into(out, mode_apply(module, B, m, mode_apply(module, A, 0, vec)),
-                 -1)
-        # scaling copies into a compact dict: the cache keeps the result, and
-        # the cancellations above leave unused slots behind
-        return scaled(out, c)
-    mono = next(iter(vec))
+    vec = {mono: 1}
     dmods = {}
     xmods = {}
     ymods = set()
@@ -325,132 +304,127 @@ def _mode_apply_raw(module, F, m, vec):
 # -- the free-field homomorphism at mode level --------------------------------
 
 _FIELD_CACHE = {}
-_C_CACHE = {}
 
 
-def _nbar_field(rs, a):
-    """pi(a(z)) = -sum_alpha :T_alpha(a,z) a_alpha(z): for a in nbar."""
-    T = weylpoly.T_poly(a)
-    terms = []
-    for (kind, alpha), p in T.components.items():
-        for e, c in p.items():
-            astars = []
-            for g, ex in enumerate(e):
-                astars.extend([(g, 0)] * ex)
-            terms.append((-c, tuple(astars), ("a", alpha)))
-    return FieldExpr(terms)
+def _lift(rs, sym):
+    """The normal-ordered lift of pi_g(sym) (x -> a*, d -> a, h_i -> b_i), as
+    its a-terms and its b-terms, each in pi_g's term order."""
+    a_terms, b_terms = [], []
+    for (xa, db), hp in weylpoly.pi_g(LieElement.basis(rs, sym)).terms.items():
+        astars = tuple((g, 0) for g, ex in enumerate(xa) for _ in range(ex))
+        for he, c in hp.items():
+            if sum(db) + sum(he) > 1:
+                raise RealizationBug("pi_g%r has a term with more than one "
+                                     "d or h factor" % (sym,))
+            if any(he):
+                b_terms.append((c, astars, ("b", he.index(1))))
+            else:
+                a_terms.append((c, astars, ("a", db.index(1)) if any(db)
+                                else None))
+    return a_terms, b_terms
 
 
-def _h_field(rs, i):
-    """pi(h_i(z)) = sum_alpha alpha(h_i) :a*_alpha a_alpha: + b_i(z)."""
-    terms = []
-    for g, alpha in enumerate(rs.positive_roots):
-        coef = rs.root_to_weight(alpha).coords[i]
-        if coef:
-            terms.append((Fraction(coef), ((g, 0),), ("a", g)))
-    terms.append((ONE, (), ("b", i)))
-    return FieldExpr(terms)
+def _dz_candidates(rs, idx):
+    """The a*-factor tuples of every :dz a*_beta (a*-monomial): of root weight
+    alpha = positive root idx, the only a*-only shape of conformal weight 1."""
+    roots = [g.coeffs for g in rs.positive_roots]
+    out = []
+    for beta, r in enumerate(roots):
+        rest = tuple(a - b for a, b in zip(roots[idx], r))
+        for b, end in root_combinations(roots, rest, 0):
+            if not any(end):
+                out.append(((beta, 1),) + tuple(
+                    (g, 0) for g, ex in enumerate(b) for _ in range(ex)))
+    return out
 
 
-def _e_simple_field(rs, gamma_idx, C):
-    """pi(e_gamma(z)) with total dz-a* coefficient -C
-    (C = c_gamma + (k+h_dual) kappa_0(e_gamma, f_gamma))."""
-    _, q = weylpoly.pq_polynomials(rs, gamma_idx)
-    terms = []
-    for alpha, p in q.items():
-        for e, c in p.items():
-            astars = []
-            for g, ex in enumerate(e):
-                astars.extend([(g, 0)] * ex)
-            terms.append((-c, tuple(astars), ("a", alpha)))
-    if C:
-        terms.append((-C, ((gamma_idx, 1),), None))
-    # b_{h_gamma}: gamma is simple, so h_gamma = h_s for the simple index s
-    s = rs.positive_roots[gamma_idx].coeffs.index(1)
-    terms.append((ONE, ((gamma_idx, 0),), ("b", s)))
-    return FieldExpr(terms)
+def _dz_terms(rs, idx, k, lift_terms, lam=None):
+    """The :dz a*: terms of pi(e_alpha), alpha = positive root idx, with
+    their coefficients solved on the V-top vacuum of weight lam; lift_terms
+    are the terms of the lift of pi_g(e_alpha).
 
-
-def solve_c_gamma(rs, gamma_idx, k, lam=None):
-    """The unique c_gamma making [pi(e_gamma)_1, pi(f_gamma)_{-1}] =
-    pi(h_gamma)_0 + k kappa_0(e_gamma,f_gamma) id on a degree-<=2 spanning
-    set of the Verma-top module."""
-    k = Fraction(k)
+    With E the lift plus sum_t c_t P_t over the candidates P_t, the vacuum
+    fixes the c_t: for simple alpha by
+    [E_1, pi(f_alpha)_{-1}] = pi(h_alpha)_0 + k kappa_0(e_alpha, f_alpha),
+    and otherwise by N E_m = [pi(e_gamma)_0, pi(e_{alpha-gamma})_m] for
+    m = -ht(alpha)-1..-1 (gamma simple, N the structure constant).  An
+    r-factor term is zero on the vacuum above mode -r; the extra mode
+    -ht(alpha)-1 tells apart the terms that differ only in which factor
+    carries dz.  RealizationBug if the system is inconsistent or leaves a
+    coefficient free."""
     if lam is None:
         lam = Weight([Fraction(i + 1, i + 2) for i in range(rs.rank)])
     mod = WakimotoModule(rs, "V", lam, k)
-    f_field = _nbar_field(rs, LieElement.basis(rs, ("f", gamma_idx)))
-    s = rs.positive_roots[gamma_idx].coeffs.index(1)
-    h_field = _h_field(rs, s)
-    vectors = _spanning_vectors(mod, 2, 1)
-    e_fields = [_e_simple_field(rs, gamma_idx, C) for C in (ZERO, ONE)]
-    eqs = []  # (a, b): a*C = b per monomial component
-    for v in vectors:
-        fv = mode_apply(mod, f_field, -1, v)
-        lhs_by_C = []
-        for ef in e_fields:
-            l1 = mode_apply(mod, ef, 1, fv)
-            l2 = mode_apply(mod, f_field, -1, mode_apply(mod, ef, 1, v))
-            lhs_by_C.append(added(l1, l2, -ONE))
-        rhs = added(mode_apply(mod, h_field, 0, v), v, k)
-        l0, l1 = lhs_by_C
-        slope = added(l1, l0, -ONE)
-        resid = added(rhs, l0, -ONE)
-        for mono in set(slope) | set(resid):
-            eqs.append((slope.get(mono, ZERO), resid.get(mono, ZERO)))
-    sol = None
-    for a, b in eqs:
-        if a:
-            c = b / a
-            if sol is None:
-                sol = c
-            elif sol != c:
-                raise RealizationBug("inconsistent c_gamma system")
-    if sol is None:
-        raise RealizationBug("c_gamma undetermined")
-    for a, b in eqs:
-        if a == 0 and b != 0:
-            raise RealizationBug("inconsistent c_gamma system (rigid part)")
-    sol = sol - (k + rs.h_dual) * kappa0_symbols(
+    vac = mod.vacuum()
+    lift = FieldExpr(lift_terms)
+    cands = _dz_candidates(rs, idx)
+    cand_fields = [FieldExpr([(ONE, astars, None)]) for astars in cands]
+    alpha = rs.positive_roots[idx]
+    eqs = []  # (m, v, target): sum_t c_t P_{t,m} v = target - lift_m v
+    if alpha.height == 1:
+        s = alpha.coeffs.index(1)
+        # E_1 kills the vacuum, so only E_1 pi(f)_{-1} vac remains
+        fv = mode_apply(mod, pi_field(rs, ("f", idx), k), -1, vac)
+        target = added(mode_apply(mod, pi_field(rs, ("h", s), k), 0, vac),
+                       vac, k * kappa0_symbols(rs, ("e", idx), ("f", idx)))
+        eqs.append((1, fv, target))
+    else:
+        for si, simple in enumerate(rs.simple_roots):
+            rest = tuple(a - b for a, b in zip(alpha.coeffs, simple.coeffs))
+            if rs.is_positive_root(rest):
+                break
+        g_idx = rs.simple_indices[si]
+        rest_idx = rs.root_index[rest]
+        N = bracket_symbols(rs, ("e", g_idx), ("e", rest_idx))[("e", idx)]
+        A = pi_field(rs, ("e", g_idx), k)
+        B = pi_field(rs, ("e", rest_idx), k)
+        for m in range(-alpha.height - 1, 0):
+            comm = added(mode_apply(mod, A, 0, mode_apply(mod, B, m, vac)),
+                         mode_apply(mod, B, m, mode_apply(mod, A, 0, vac)),
+                         -ONE)
+            eqs.append((m, vac, scaled(comm, ONE / N)))
+    # one row per (equation, monomial): [P_t component ..., lift_m v - target]
+    rows = []
+    for m, v, target in eqs:
+        cols = [mode_apply(mod, P, m, v) for P in cand_fields]
+        cols.append(added(mode_apply(mod, lift, m, v), target, -ONE))
+        for mono in {mono for col in cols for mono in col}:
+            rows.append([col.get(mono, ZERO) for col in cols])
+    sol = nullspace(rows, ncols=len(cands) + 1)
+    # a unique solution leaves exactly the last column free
+    if len(sol) != 1 or not sol[0][-1]:
+        raise RealizationBug("the dz-term system of pi(e_%d) is inconsistent "
+                             "or leaves a coefficient free" % idx)
+    return [(c / sol[0][-1], astars, None)
+            for c, astars in zip(sol[0], cands) if c]
+
+
+def solve_c_gamma(rs, gamma_idx, k, lam=None):
+    """c_gamma for a simple root gamma: pi(e_gamma) carries
+    -(c_gamma + (k + h_dual) kappa_0(e_gamma, f_gamma)) :dz a*_gamma:, with
+    the coefficient solved on the V-top vacuum of weight lam."""
+    if rs.positive_roots[gamma_idx].height != 1:
+        raise NotSimpleRoot("gamma must be simple")
+    k = Fraction(k)
+    a_terms, b_terms = _lift(rs, ("e", gamma_idx))
+    C = -sum(c for c, _, _ in _dz_terms(rs, gamma_idx, k, a_terms + b_terms,
+                                        lam))
+    return C - (k + rs.h_dual) * kappa0_symbols(
         rs, ("e", gamma_idx), ("f", gamma_idx))
-    return Fraction(int(sol.numerator), int(sol.denominator))
 
 
 def pi_field(rs, sym, k):
-    """Mode-level image of a Chevalley basis symbol (cached)."""
+    """Mode-level image of a Chevalley basis symbol (cached): the lift of
+    pi_g(sym), and for sym = e_alpha its solved :dz a*: terms, placed after
+    the a-terms and before the b-terms."""
     k = Fraction(k)
     key = (rs.n, sym, k)
-    if key in _FIELD_CACHE:
-        return _FIELD_CACHE[key]
-    kind, idx = sym
-    if kind == "f":
-        F = _nbar_field(rs, LieElement.basis(rs, sym))
-    elif kind == "h":
-        F = _h_field(rs, idx)
-    else:
-        alpha = rs.positive_roots[idx]
-        if alpha.height == 1:
-            ckey = (rs.n, idx, k)
-            if ckey not in _C_CACHE:
-                c = solve_c_gamma(rs, idx, k)
-                _C_CACHE[ckey] = c + (k + rs.h_dual)
-            F = _e_simple_field(rs, idx, _C_CACHE[ckey])
-        else:
-            # lowest simple root s with alpha - alpha_s a positive root
-            for si, simple in enumerate(rs.simple_roots):
-                rest = tuple(a - b for a, b in zip(alpha.coeffs, simple.coeffs))
-                if rs.is_positive_root(rest):
-                    break
-            else:
-                raise RealizationBug("no decomposition for %r" % (sym,))
-            g_idx = rs.simple_indices[si]
-            rest_idx = rs.root_index[rest]
-            br = bracket_symbols(rs, ("e", g_idx), ("e", rest_idx))
-            N = br[("e", idx)]
-            F = FieldExpr(comm=(ONE / N, pi_field(rs, ("e", g_idx), k),
-                                pi_field(rs, ("e", rest_idx), k)))
-    _FIELD_CACHE[key] = F
-    return F
+    if key not in _FIELD_CACHE:
+        a_terms, b_terms = _lift(rs, sym)
+        if sym[0] == "e":
+            a_terms += _dz_terms(rs, sym[1], k, a_terms + b_terms)
+        _FIELD_CACHE[key] = FieldExpr(a_terms + b_terms)
+    return _FIELD_CACHE[key]
 
 
 def pi_affine(rs, a, k):

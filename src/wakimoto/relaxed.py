@@ -1,6 +1,6 @@
 """Relaxed Verma modules as explicit PBW modules, bigraded characters of the
 relaxed Verma / relaxed Wakimoto constructions, top-component and singular
-vector diagnostics, and coinvariant characters.
+vector diagnostics.
 
 A PBW basis element is (factors, top) where factors is a tuple of (n, sidx)
 meaning a^{(sidx)}_{-n} (n >= 1, sidx indexing the Chevalley basis in the
@@ -12,9 +12,9 @@ F_{nbar,alpha} for GT tops).
 from fractions import Fraction
 
 from . import liealg, weylpoly
-from .errors import ModuleMismatch, RealizationBug
+from .errors import RealizationBug
 from .liealg import LieElement, bracket_symbols, kappa0_symbols
-from .linalg import nullspace, rank
+from .linalg import nullspace
 from .rootdata import (bounded_degree_exponents, offset_weight,
                        root_combinations)
 from .sparse import add_into, add_term
@@ -360,34 +360,3 @@ def _candidate_deltas(rs, mod, monomials, radius):
                 if all(c <= radius for c in end):
                     out.add(end)
     return out
-
-
-def coinvariants_character(rs, lam, k, alpha_idx, D, radius, top="V",
-                           gt_alpha_idx=None):
-    """Character of M / f_{alpha,0} M per (weight, energy) cell:
-    dim(cell) - rank(f_{alpha,0}: cell(mu+alpha) -> cell(mu))."""
-    mod = RelaxedModule(rs, top, lam, k, gt_alpha_idx)
-    alpha = rs.positive_roots[alpha_idx]
-    table = {}
-    for d in range(D + 1):
-        monomials = _mode_monomials_exact(mod, d)
-        for delta in sorted(_candidate_deltas(rs, mod, monomials, radius)):
-            basis = _cell_basis(mod, monomials, delta)
-            if not basis:
-                continue
-            src_delta = tuple(delta[t] + alpha.coeffs[t]
-                              for t in range(rs.rank))
-            src = _cell_basis(mod, monomials, src_delta)
-            index = {b: i for i, b in enumerate(basis)}
-            rows = [[ZERO] * len(src) for _ in range(len(basis))]
-            for jcol, b in enumerate(src):
-                img = relaxed_verma_act(mod, ("f", alpha_idx), 0, {b: ONE})
-                for mono, c in img.items():
-                    i = index.get(mono)
-                    if i is None:
-                        raise ModuleMismatch("f_0 image left the cell")
-                    rows[i][jcol] = c
-            co = len(basis) - (rank(rows) if src else 0)
-            if co:
-                table[(offset_weight(rs, lam, delta), d)] = co
-    return table

@@ -12,8 +12,7 @@ from fractions import Fraction
 from math import comb, factorial
 
 from . import liealg
-from .errors import (EmptyWindow, ModuleMismatch, NotInNilradical,
-                     NotSimpleRoot)
+from .errors import EmptyWindow, ModuleMismatch, NotSimpleRoot
 from .linalg import charpoly, rational_roots
 from .liealg import LieElement, bracket_symbols
 from .rootdata import (bounded_degree_exponents, offset_weight, rho,
@@ -221,18 +220,6 @@ def exp_minus_ad_u(a):
     N = _order_bound(rs)
     coeffs = [Fraction((-1) ** i, factorial(i)) for i in range(N)]
     return apply_kernel(coeffs, PolyGValued.from_lie(a))
-
-
-def T_poly(a):
-    """T(a,x) = [t/(e^t-1)](ad u) a, for a in nbar."""
-    if a.support_kinds() - {"f"}:
-        raise NotInNilradical("T_poly needs a in nbar")
-    rs = a.rs
-    k0 = bernoulli_series("t/(e^t-1)", _order_bound(rs))
-    out = apply_kernel(k0, PolyGValued.from_lie(a))
-    if {s[0] for s in out.components} - {"f"}:
-        raise RuntimeError("kernel did not preserve nbar")
-    return out
 
 
 def pi_g(a):

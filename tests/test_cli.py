@@ -222,6 +222,15 @@ def test_gamma_mult(capsys):
     assert out["multiplicities"] == [{"eigenvalue": "8/9", "mult": 1}]
 
 
+def test_ff_field_non_simple_e_is_explicit(capsys):
+    # e_theta prints its normal-ordered terms, :dz a*: terms included
+    assert main(["ff-field", "-n", "3", "-k", "-3/2", "e:theta"]) == 0
+    out = capsys.readouterr().out
+    field = json.loads(out)["field"]
+    assert "[" not in out
+    assert ":dz a*_" in field
+
+
 def test_determinism_byte_identical(capsys):
     argsets = [
         ["twist-char", "-n", "2", "--lam", "2/3", "--alpha", "a1"],

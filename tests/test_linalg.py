@@ -4,15 +4,28 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wakimoto.linalg import charpoly, nullspace, rank, rational_roots, rref
+from wakimoto.linalg import (_eliminate, charpoly, nullspace, rank,
+                             rational_roots)
 
 
 def F(x):
     return Fr(x)
 
 
+def rref(rows):
+    """`_eliminate` densified: (rref rows, zero rows last; pivot columns)."""
+    if not rows:
+        return [], []
+    ncols = len(rows[0])
+    piv = _eliminate(rows)
+    m = [[r.get(j, Fr(0)) for j in range(ncols)]
+         for _, r in sorted(piv.items())]
+    m.extend([Fr(0)] * ncols for _ in range(len(rows) - len(piv)))
+    return m, sorted(piv)
+
+
 def _dense_rref(rows):
-    """Dense Gauss-Jordan elimination: the oracle for rref."""
+    """Dense Gauss-Jordan elimination: the oracle for `_eliminate`."""
     m = [list(r) for r in rows]
     if not m:
         return [], []

@@ -1,13 +1,18 @@
 from fractions import Fraction as Fr
 from itertools import product
 
+import pytest
+
 from wakimoto import modes
-from wakimoto.liealg import LieElement, basis_symbols
+from wakimoto.errors import RealizationBug
+from wakimoto.liealg import (LieElement, basis_symbols, bracket_symbols,
+                             kappa0_symbols)
 from wakimoto.modes import (FieldExpr, WakimotoModule, canon, mode_apply,
-                            mode_apply_elem, mono_energy, pi_affine, pi_field,
+                            mode_apply_elem, pi_affine, pi_field,
                             render_field, solve_c_gamma, verify_affine_comm)
 from wakimoto.rootdata import Weight, build_root_system
 from wakimoto.sparse import added as vec_add
+from wakimoto.sparse import scaled
 
 RS2 = build_root_system(2)
 RS3 = build_root_system(3)
@@ -18,11 +23,6 @@ K = Fr(1, 2)
 def vmod(rs=RS2, lam=None, k=K, top="V", alpha_idx=None):
     return WakimotoModule(rs, top, lam or Weight((Fr(2, 3),) * rs.rank), k,
                           alpha_idx)
-
-
-def test_mono_energy():
-    assert mono_energy(canon({("D", 0, 2): 1, ("Y", 0, 1): 3})) == 5
-    assert mono_energy(canon({("D0", 0): 4})) == 0
 
 
 # -- Heisenberg sector ------------------------------------------------------------
@@ -93,7 +93,8 @@ def test_smoothness():
     # pi(a)_m v = 0 for m beyond the energy of v
     mod = vmod()
     v = {canon({("D", 0, 2): 1, ("Y", 0, 1): 1, ("D0", 0): 2}): Fr(1)}
-    d = mono_energy(next(iter(v)))
+    # energy: each D/X/Y generator carries its mode index
+    d = sum(key[2] * e for key, e in next(iter(v)) if len(key) == 3)
     for sym in basis_symbols(RS2):
         F = pi_field(RS2, sym, K)
         for m in range(d + 2, d + 5):
@@ -137,6 +138,115 @@ def test_solve_c_gamma_sl3_symmetric():
     c1 = solve_c_gamma(RS3, RS3.simple_indices[0], k)
     c2 = solve_c_gamma(RS3, RS3.simple_indices[1], k)
     assert c1 == c2 == Fr(-5, 2)
+
+
+def _c_gamma_oracle(rs, gamma_idx, k, lam):
+    """c_gamma from [pi(e_gamma)_1, pi(f_gamma)_{-1}] = pi(h_gamma)_0
+    + k kappa_0(e_gamma, f_gamma) on the degree-<=2 spanning set of the
+    Verma-top module: each monomial component is a scalar equation
+    a C = b in the total dz a*_gamma coefficient -C."""
+    mod = WakimotoModule(rs, "V", lam, k)
+    f_field = pi_field(rs, ("f", gamma_idx), k)
+    s = rs.positive_roots[gamma_idx].coeffs.index(1)
+    h_field = pi_field(rs, ("h", s), k)
+    # pi(e_gamma) with its dz term replaced by -C :dz a*_gamma:
+    rigid = [t for t in pi_field(rs, ("e", gamma_idx), k).terms
+             if all(d == 0 for _, d in t[1])]
+    e_fields = [FieldExpr(rigid + [(-C, ((gamma_idx, 1),), None)])
+                for C in (0, 1)]
+    eqs = []
+    for v in modes._spanning_vectors(mod, 2, 1):
+        fv = mode_apply(mod, f_field, -1, v)
+        l0, l1 = [vec_add(mode_apply(mod, ef, 1, fv),
+                          mode_apply(mod, f_field, -1,
+                                     mode_apply(mod, ef, 1, v)), -Fr(1))
+                  for ef in e_fields]
+        rhs = vec_add(mode_apply(mod, h_field, 0, v), v, k)
+        slope = vec_add(l1, l0, -Fr(1))
+        resid = vec_add(rhs, l0, -Fr(1))
+        for mono in set(slope) | set(resid):
+            eqs.append((slope.get(mono, 0), resid.get(mono, 0)))
+    sols = {Fr(b) / a for a, b in eqs if a}
+    assert len(sols) == 1
+    assert all(b == 0 for a, b in eqs if not a)
+    C = sols.pop()
+    return C - (k + rs.h_dual) * kappa0_symbols(rs, ("e", gamma_idx),
+                                                ("f", gamma_idx))
+
+
+def test_c_gamma_vacuum_solve_matches_spanning_set_system():
+    for rs in (RS2, RS3):
+        for k in (Fr(1, 2), Fr(-3, 2), Fr(-4, 3)):
+            for lam in (Weight((Fr(2, 3),) * rs.rank),
+                        Weight((Fr(-1, 5),) * rs.rank)):
+                for gi in rs.simple_indices:
+                    assert (solve_c_gamma(rs, gi, k, lam=lam)
+                            == _c_gamma_oracle(rs, gi, k, lam))
+
+
+# -- the non-simple e fields ---------------------------------------------------------
+
+def _lazy_e_modes(mod, rs, idx, k, m, v):
+    """Mode m of pi(e_alpha) on v through the commutator
+    (1/N)[pi(e_gamma)_0, pi(e_{alpha-gamma})_m], recursively down to the
+    simple roots (gamma the lowest simple root with alpha - gamma a root)."""
+    alpha = rs.positive_roots[idx]
+    if alpha.height == 1:
+        return mode_apply(mod, pi_field(rs, ("e", idx), k), m, v)
+    for si, simple in enumerate(rs.simple_roots):
+        rest = tuple(a - b for a, b in zip(alpha.coeffs, simple.coeffs))
+        if rs.is_positive_root(rest):
+            break
+    g_idx, rest_idx = rs.simple_indices[si], rs.root_index[rest]
+    N = bracket_symbols(rs, ("e", g_idx), ("e", rest_idx))[("e", idx)]
+    A = pi_field(rs, ("e", g_idx), k)
+    ab = mode_apply(mod, A, 0, _lazy_e_modes(mod, rs, rest_idx, k, m, v))
+    ba = _lazy_e_modes(mod, rs, rest_idx, k, m, mode_apply(mod, A, 0, v))
+    return scaled(vec_add(ab, ba, -Fr(1)), Fr(1) / N)
+
+
+@pytest.mark.parametrize("n,dmax", [(3, 1), (4, 0)])
+def test_explicit_e_fields_match_lazy_commutator(n, dmax):
+    rs = build_root_system(n)
+    k = Fr(-3, 2)
+    lam = Weight([Fr(2 * i + 1, 3) for i in range(rs.rank)])
+    nonsimple = [i for i, a in enumerate(rs.positive_roots) if a.height > 1]
+    for top, ai in (("V", None), ("GT", rs.simple_indices[0])):
+        mod = vmod(rs, lam, k, top, ai)
+        for v in modes._spanning_vectors(mod, dmax, 1):
+            for idx in nonsimple:
+                F = pi_field(rs, ("e", idx), k)
+                for m in range(-2, 3):
+                    assert (mode_apply(mod, F, m, v)
+                            == _lazy_e_modes(mod, rs, idx, k, m, v))
+
+
+def test_duplicated_dz_candidate_is_a_realization_bug(monkeypatch):
+    # a duplicated candidate makes two equal columns: a coefficient is free
+    k = Fr(-3, 2)
+    th = RS3.root_index[(1, 1)]
+    for i in RS3.simple_indices:
+        pi_field(RS3, ("e", i), k)  # built before the patch, and kept
+    stale = {(3, ("e", th), k), (2, ("e", 0), k)}
+    monkeypatch.setattr(modes, "_FIELD_CACHE",
+                        {key: F for key, F in modes._FIELD_CACHE.items()
+                         if key not in stale})
+    cands = modes._dz_candidates
+    monkeypatch.setattr(modes, "_dz_candidates",
+                        lambda rs, idx: cands(rs, idx) + cands(rs, idx)[:1])
+    for rs, idx in ((RS3, th), (RS2, 0)):
+        with pytest.raises(RealizationBug):
+            pi_field(rs, ("e", idx), k)
+
+
+def test_fields_have_conformal_weight_one():
+    # every term is a*'s times exactly one of dz a*, a or b
+    for rs in (RS2, RS3):
+        for sym in basis_symbols(rs):
+            F = pi_field(rs, sym, Fr(-3, 2))
+            for c, astars, main in F.terms:
+                assert c and all(d in (0, 1) for _, d in astars)
+                assert sum(d for _, d in astars) + (main is not None) == 1
 
 
 # -- the non-simple e_theta field --------------------------------------------------

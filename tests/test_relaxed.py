@@ -8,7 +8,7 @@ from wakimoto.errors import ModuleMismatch
 from wakimoto.liealg import basis_symbols, bracket_symbols, kappa0_symbols
 from wakimoto.relaxed import (RelaxedModule, character_relaxed_verma,
                               character_relaxed_wakimoto,
-                              coinvariants_character, enum_root_decompositions,
+                              enum_root_decompositions,
                               find_singular_vectors, relaxed_verma_act,
                               top_component_check)
 from wakimoto.rootdata import Weight, build_root_system, pairing
@@ -241,13 +241,6 @@ def test_vacuum_singular_vector_at_two_alpha():
 
 def test_no_singular_vectors_generic():
     assert find_singular_vectors(RS2, Weight((Fr(1, 5),)), Fr(7, 3), 2) == []
-
-
-def test_coinvariants_degree_zero_sl2():
-    # M(lam)/f M(lam) has a single degree-0 line, at weight lam
-    table = coinvariants_character(RS2, LAM2, K, 0, 1, 6)
-    d0 = {wt: m for (wt, d), m in table.items() if d == 0}
-    assert d0 == {LAM2: 1}
 
 
 def test_f_alpha_locally_nilpotent_on_sl2_gt_top():
