@@ -11,10 +11,7 @@ from math import gcd
 from .errors import InvalidRank, SizeMismatch
 from .rootdata import (Weight, all_weyl_elements, bounded_degree_exponents,
                        build_root_system, dot_action, pairing, rho, theta,
-                       weight_inner, weyl_act, weyl_act_root)
-
-ZERO = Fraction(0)
-ONE = Fraction(1)
+                       weyl_act_root)
 
 
 # -- admissible numbers ----------------------------------------------------------
@@ -56,55 +53,7 @@ def pr_k_integral(lvl):
             for e in bounded_degree_exponents(lvl.n - 1, lvl.p - lvl.n)]
 
 
-# -- affine weights and the extended affine Weyl group ----------------------------
-
-@dataclass(frozen=True)
-class AffineWeight:
-    """finite + a0*Lambda0 + d*delta, finite in fundamental-weight coords."""
-    finite: Weight
-    a0: Fraction
-    d: Fraction
-
-    def __add__(self, other):
-        return AffineWeight(self.finite + other.finite, self.a0 + other.a0,
-                            self.d + other.d)
-
-    def scale(self, c):
-        c = Fraction(c)
-        return AffineWeight(c * self.finite, c * self.a0, c * self.d)
-
-
-def affine_inner(rs, x, y):
-    """(.,.) extended by (Lambda0, delta) = 1, (Lambda0, Lambda0) =
-    (delta, delta) = 0, h* orthogonal to both."""
-    return weight_inner(rs, x.finite, y.finite) + x.a0 * y.d + x.d * y.a0
-
-
-def t_translation(rs, eta, gamma):
-    """t_eta(gamma) = gamma + (gamma,delta) eta
-    - ((eta,eta)/2 (gamma,delta) + (gamma,eta)) delta."""
-    gd = gamma.a0  # (gamma, delta)
-    ge = weight_inner(rs, gamma.finite, eta)
-    ee = weight_inner(rs, eta, eta)
-    return AffineWeight(gamma.finite + gd * eta, gamma.a0,
-                        gamma.d - (ee / 2 * gd + ge))
-
-
-def affine_weyl_act(rs, w, eta, gamma):
-    """(w, t_{-eta}) acting linearly: finite reflections fix Lambda0, delta."""
-    g = t_translation(rs, -1 * eta, gamma)
-    return AffineWeight(weyl_act(rs, w, g.finite), g.a0, g.d)
-
-
-def rho_hat(rs):
-    return AffineWeight(rho(rs), Fraction(rs.n), ZERO)
-
-
-def affine_dot(rs, w, eta, gamma):
-    rh = rho_hat(rs)
-    moved = affine_weyl_act(rs, w, eta, gamma + rh)
-    return moved + rh.scale(-1)
-
+# -- the extended affine Weyl group ----------------------------------------------
 
 def dominant_coweights(rs, cap):
     """Dominant integral coweights eta with (eta, theta) <= cap.  In type A
@@ -129,30 +78,31 @@ def y_is_admissible(rs, w, eta, q):
     return True
 
 
-def pr_k_bar(lvl, with_y=False):
+def pr_k_bar(lvl):
     """Projections to h* of the dot-orbit of Pr_{k,Z} under all admissible
     y = w t_{-eta} with eta dominant, (eta,theta) <= q-1.  Deduplicated and
-    sorted; with_y additionally returns one generating (w, eta, lambda)."""
+    sorted."""
     rs = build_root_system(lvl.n)
-    base = [AffineWeight(lam, lvl.k, ZERO) for lam in pr_k_integral(lvl)]
-    found = {}
+    base = pr_k_integral(lvl)
+    t = lvl.k + lvl.n
+    found = set()
     for w in all_weyl_elements(rs):
         for eta in dominant_coweights(rs, lvl.q - 1):
             if not y_is_admissible(rs, w, eta, lvl.q):
                 continue
-            for g in base:
-                lam = affine_dot(rs, w, eta, g).finite
-                found.setdefault(lam, (w, eta, g.finite))
-    weights = sorted(found, key=lambda x: x.coords)
-    if with_y:
-        return weights, found
-    return weights
+            for lam in base:
+                # lam + k Lambda0 plus the affine rho (rho + n Lambda0) has
+                # level k + n, so t_{-eta} moves its finite part by
+                # -(k + n) eta: the projection of y.(lam + k Lambda0) is
+                # w(lam + rho - (k + n) eta) - rho.
+                found.add(dot_action(rs, w, lam - t * eta))
+    return sorted(found, key=lambda x: x.coords)
 
 
-def pr_k_classes(lvl):
-    """Group pr_k_bar by finite W dot-action orbits ([Pr_k-bar])."""
+def pr_k_classes(lvl, weights):
+    """Group the weights of pr_k_bar(lvl) by finite W dot-action orbits
+    ([Pr_k-bar])."""
     rs = build_root_system(lvl.n)
-    weights = pr_k_bar(lvl)
     pool = set(weights)
     classes = []
     for lam in weights:
@@ -187,7 +137,8 @@ def omega_theorem(sigma, lvl):
     w(Delta_0^eta) = Delta_Sigma."""
     rs = build_root_system(lvl.n)
     dsig = sigma_roots(rs, sigma)
-    base = [AffineWeight(lam, lvl.k, ZERO) for lam in pr_k_integral(lvl)]
+    base = pr_k_integral(lvl)
+    t = lvl.k + lvl.n
     th = theta(rs)
     found = set()
     for w in all_weyl_elements(rs):
@@ -208,8 +159,9 @@ def omega_theorem(sigma, lvl):
                 img.add(tuple(-c for c in wa))
             if img != dsig:
                 continue
-            for g in base:
-                found.add(affine_dot(rs, w, eta, g).finite)
+            for lam in base:
+                # the finite part of y.(lam + k Lambda0), as in pr_k_bar
+                found.add(dot_action(rs, w, lam - t * eta))
     return sorted(found, key=lambda x: x.coords)
 
 
@@ -261,14 +213,14 @@ def check_regular_dominant(lvl, lam, depth=3):
     return True
 
 
-def omega_certificates(sigma, lvl):
-    """Export (lambda, alpha) pairs for every lambda in Omega_k(p_Sigma) and
-    alpha in Delta_+^u, the data of an admissible GT module."""
+def omega_certificates(sigma, lvl, omega):
+    """Export (lambda, alpha) pairs for every lambda in omega, the list
+    Omega_k(p_Sigma), and alpha in Delta_+^u, the data of an admissible GT
+    module."""
     rs = build_root_system(lvl.n)
     dsig = sigma_roots(rs, sigma)
     du = [a for a in rs.positive_roots if a.coeffs not in dsig]
-    return [{"lambda": lam, "alpha": a} for lam in omega_direct(sigma, lvl)
-            for a in du]
+    return [{"lambda": lam, "alpha": a} for lam in omega for a in du]
 
 
 # -- partitions and nilpotent orbits ----------------------------------------------

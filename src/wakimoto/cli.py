@@ -269,7 +269,7 @@ def cmd_omega(args):
     sigma = parse_sigma(args.sigma, args.n)
     th = admissible.omega_theorem(sigma, lvl)
     dr = admissible.omega_direct(sigma, lvl)
-    certs = admissible.omega_certificates(sigma, lvl)
+    certs = admissible.omega_certificates(sigma, lvl, dr)
     payload = {
         "level": {"n": lvl.n, "p": lvl.p, "q": lvl.q, "k": frac_str(lvl.k)},
         "sigma": sorted(sigma),
@@ -285,7 +285,7 @@ def cmd_omega(args):
 def cmd_prk(args):
     lvl = _level(args)
     weights = admissible.pr_k_bar(lvl)
-    classes = admissible.pr_k_classes(lvl)
+    classes = admissible.pr_k_classes(lvl, weights)
     payload = {
         "level": {"n": lvl.n, "p": lvl.p, "q": lvl.q, "k": frac_str(lvl.k)},
         "weights": [weight_to_json(w) for w in weights],

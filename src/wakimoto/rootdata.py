@@ -260,16 +260,14 @@ def weyl_act(rs, perm, lam):
 
 
 def weyl_act_root(rs, perm, alpha):
-    """Action on a root; returns a Root (possibly negative of a positive one)."""
-    w = weyl_act(rs, perm, rs.root_to_weight(alpha))
-    # recover simple coefficients: c_j = partial sums of eps coords
-    v = rs.weight_to_eps(w)
-    coeffs = []
-    s = ZERO
-    for j in range(rs.rank):
-        s += v[j]
-        coeffs.append(int(s))
-    return Root(coeffs)
+    """Action on a positive root; returns a Root (possibly negative of a
+    positive one).  w(eps_i - eps_j) = eps_{perm[i]} - eps_{perm[j]}, and eps_a - eps_b is
+    +-1 on the simple coordinates between a and b."""
+    i, j = rs.root_pair(alpha)
+    a, b = perm[i], perm[j]
+    sign = 1 if a < b else -1
+    lo, hi = min(a, b), max(a, b)
+    return Root(sign if lo <= t < hi else 0 for t in range(rs.rank))
 
 
 def all_weyl_elements(rs):

@@ -1,20 +1,21 @@
+from dataclasses import dataclass
 from fractions import Fraction as Fr
 from itertools import combinations
 
 import pytest
 
-from wakimoto.admissible import (AdmissibleLevel, AffineWeight, admissible_check,
-                                 affine_dot, affine_inner, all_partitions,
-                                 check_regular_dominant, dominance_leq,
-                                 dominant_coweights, hasse_covers, level_from_pq,
-                                 levi_blocks, omega_certificates, omega_direct,
+from wakimoto.admissible import (AdmissibleLevel, admissible_check,
+                                 all_partitions, check_regular_dominant,
+                                 dominance_leq, dominant_coweights,
+                                 hasse_covers, level_from_pq, levi_blocks,
+                                 omega_certificates, omega_direct,
                                  omega_theorem, orbit_dim, orbit_labels,
                                  orbit_q, orbit_table, pr_k_bar, pr_k_classes,
-                                 pr_k_integral, richardson, rho_hat,
-                                 sigma_roots, t_translation, transpose,
-                                 y_is_admissible)
+                                 pr_k_integral, richardson, sigma_roots,
+                                 transpose, y_is_admissible)
 from wakimoto.errors import SizeMismatch
-from wakimoto.rootdata import Weight, build_root_system, rho
+from wakimoto.rootdata import (Weight, all_weyl_elements, build_root_system,
+                               dot_action, rho, weight_inner, weyl_act)
 
 RS2 = build_root_system(2)
 RS3 = build_root_system(3)
@@ -46,6 +47,58 @@ def test_pr_k_integral():
 
 
 # -- the extended affine Weyl group ------------------------------------------------
+#
+# The affine-weight algebra below is an oracle: admissible computes only the
+# finite projection w(lam + rho - (k + n) eta) - rho of the dot orbit, and the
+# test checks it against the full action on lam + k Lambda0.
+
+@dataclass(frozen=True)
+class AffineWeight:
+    """finite + a0*Lambda0 + d*delta, finite in fundamental-weight coords."""
+    finite: Weight
+    a0: Fr
+    d: Fr
+
+    def __add__(self, other):
+        return AffineWeight(self.finite + other.finite, self.a0 + other.a0,
+                            self.d + other.d)
+
+    def scale(self, c):
+        c = Fr(c)
+        return AffineWeight(c * self.finite, c * self.a0, c * self.d)
+
+
+def affine_inner(rs, x, y):
+    """(.,.) extended by (Lambda0, delta) = 1, (Lambda0, Lambda0) =
+    (delta, delta) = 0, h* orthogonal to both."""
+    return weight_inner(rs, x.finite, y.finite) + x.a0 * y.d + x.d * y.a0
+
+
+def t_translation(rs, eta, gamma):
+    """t_eta(gamma) = gamma + (gamma,delta) eta
+    - ((eta,eta)/2 (gamma,delta) + (gamma,eta)) delta."""
+    gd = gamma.a0  # (gamma, delta)
+    ge = weight_inner(rs, gamma.finite, eta)
+    ee = weight_inner(rs, eta, eta)
+    return AffineWeight(gamma.finite + gd * eta, gamma.a0,
+                        gamma.d - (ee / 2 * gd + ge))
+
+
+def affine_weyl_act(rs, w, eta, gamma):
+    """(w, t_{-eta}) acting linearly: finite reflections fix Lambda0, delta."""
+    g = t_translation(rs, -1 * eta, gamma)
+    return AffineWeight(weyl_act(rs, w, g.finite), g.a0, g.d)
+
+
+def rho_hat(rs):
+    return AffineWeight(rho(rs), Fr(rs.n), Fr(0))
+
+
+def affine_dot(rs, w, eta, gamma):
+    rh = rho_hat(rs)
+    moved = affine_weyl_act(rs, w, eta, gamma + rh)
+    return moved + rh.scale(-1)
+
 
 def test_translation_group_law():
     mu, nu = wt(2), wt(-1)
@@ -78,6 +131,31 @@ def test_affine_dot_identity():
     assert affine_dot(RS2, (0, 1), wt(0), g) == g
 
 
+def test_finite_dot_matches_affine_dot():
+    # every admissible y = w t_{-eta} and every lam in Pr_{k,Z}: the finite
+    # dot action on lam - (k + n) eta is the h*-part of y.(lam + k Lambda0),
+    # and pr_k_bar is the set of those h*-parts
+    for n, pqs in ((2, ((2, 1), (3, 2), (5, 3), (5, 4))),
+                   (3, ((4, 1), (3, 2), (4, 3), (5, 4))),
+                   (4, ((5, 1), (5, 2), (4, 3), (5, 4)))):
+        rs = build_root_system(n)
+        for p, q in pqs:
+            lvl = level_from_pq(n, p, q)
+            assert isinstance(lvl, AdmissibleLevel)
+            t = lvl.k + n
+            orbit = set()
+            for w in all_weyl_elements(rs):
+                for eta in dominant_coweights(rs, q - 1):
+                    if not y_is_admissible(rs, w, eta, q):
+                        continue
+                    for lam in pr_k_integral(lvl):
+                        g = AffineWeight(lam, lvl.k, Fr(0))
+                        finite = affine_dot(rs, w, eta, g).finite
+                        assert dot_action(rs, w, lam - t * eta) == finite
+                        orbit.add(finite)
+            assert pr_k_bar(lvl) == sorted(orbit, key=lambda x: x.coords)
+
+
 def test_y_is_admissible_sl2():
     assert y_is_admissible(RS2, (0, 1), wt(0), 2)
     assert y_is_admissible(RS2, (0, 1), wt(1), 2)
@@ -102,9 +180,10 @@ def test_pr_k_bar_q1_is_integral():
 
 def test_pr_k_classes_partition():
     lvl = level_from_pq(2, 3, 2)
-    classes = pr_k_classes(lvl)
+    weights = pr_k_bar(lvl)
+    classes = pr_k_classes(lvl, weights)
     flat = sorted((w for c in classes for w in c), key=lambda x: x.coords)
-    assert flat == pr_k_bar(lvl)
+    assert flat == weights
     assert all(c for c in classes)
 
 
@@ -165,8 +244,8 @@ def test_omega_full_parabolic_is_integral():
 
 def test_omega_certificates():
     lvl = level_from_pq(2, 3, 2)
-    certs = omega_certificates(set(), lvl)
     lams = omega_direct(set(), lvl)
+    certs = omega_certificates(set(), lvl, lams)
     assert len(certs) == len(lams)  # one positive root for sl2
     assert {c["lambda"] for c in certs} == set(lams)
     assert all(c["alpha"] == RS2.positive_roots[0] for c in certs)

@@ -83,6 +83,16 @@ def test_simple_reflection_on_simple_root():
         assert img.coeffs == tuple(-c for c in rs.simple_roots[i].coeffs)
 
 
+def test_weyl_act_root_matches_weyl_act():
+    # the eps-index permutation agrees with acting on the root as a weight
+    for n in (2, 3, 4, 5):
+        rs = build_root_system(n)
+        for w in all_weyl_elements(rs):
+            for a in rs.positive_roots:
+                assert rs.root_to_weight(weyl_act_root(rs, w, a)) == \
+                    weyl_act(rs, w, rs.root_to_weight(a))
+
+
 def test_braid_relation_sl3():
     rs = build_root_system(3)
     s0, s1 = simple_reflection(rs, 0), simple_reflection(rs, 1)
