@@ -77,6 +77,14 @@ def parse_symbol(rs, s):
     return (kind, parse_root(rs, rest))
 
 
+def symbol_label(rs, sym):
+    """The label parse_symbol reads back: 'e:a1', 'f:a1+a2', 'h:1'."""
+    kind, i = sym
+    if kind == "h":
+        return "h:%d" % (i + 1)
+    return "%s:%s" % (kind, root_label(rs.positive_roots[i]))
+
+
 def parse_sigma(s, n):
     if not s:
         return set()
@@ -199,7 +207,11 @@ def cmd_verify(args):
                                    + args.n - 1) ** 2
     elif suite == "affine-comm":
         k = parse_fraction(args.k)
-        failures = modes.verify_affine_comm(args.n, k, args.D)
+        rs = build_root_system(args.n)
+        failures = [{"pair": [symbol_label(rs, s) for s in f["pair"]],
+                     "m": f["m"], "n": f["n"], "top": f["top"],
+                     "vector": [[list(key), e] for key, e in f["vector"]]}
+                    for f in modes.verify_affine_comm(args.n, k, args.D)]
         report["k"] = frac_str(k)
         report["D"] = args.D
     elif suite == "zhu-diagram":
@@ -251,7 +263,8 @@ def cmd_verify(args):
                             "terms": len(v)} for d, delta, v in found]})
         emit(args, report, json.dumps(report, sort_keys=True))
         return 0
-    report["failures"] = [repr(f) for f in failures]
+    report["failures"] = (failures if suite == "affine-comm"
+                          else [repr(f) for f in failures])
     report["ok"] = not failures
     emit(args, report, "ok" if not failures else "FAIL: %r" % (failures,))
     return 0 if not failures else 1

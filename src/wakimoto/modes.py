@@ -16,6 +16,24 @@ gamma != alpha) and X0(alpha) = x_{alpha,0} (GT).
 Normal ordering places the annihilation set {x_{.,n<=-1}, d_{x_{.,n>=0}},
 b_{.,n>=1}} to the right; on the relaxed module the two groups each consist of
 mutually commuting operators, so group-internal order is immaterial.
+
+Each generator operation (x/d/b, index, mode) resolves to one action on a
+monomial: multiply by a key, differentiate a key times a factor, scale, or
+fan out over the rows of heis_gram (WakimotoModule.resolve).  A mode of a
+field is evaluated through two caches on the module, both kept for the
+module's lifetime and both keyed on the FieldExpr instance itself, so a
+dropped field's id never reaches a new one:
+
+- the plan cache, keyed by (field, mode, support), where the support is the
+  tuple of the monomial's energy>0 keys.  A plan is the field's mode
+  compiled for every monomial of that support: a list of (coefficient,
+  chain), a chain being a tuple of steps (key, +1 multiply / -1
+  differentiate);
+- the mode cache, keyed by (field, mode, monomial), holding the result
+  vector of one monomial.
+
+Chains and result monomials are interned per module, so an equal tuple that
+many plans or results hold is stored once.
 """
 
 from bisect import bisect_left
@@ -27,7 +45,7 @@ from .liealg import LieElement, bracket_symbols, kappa0_symbols
 from .linalg import nullspace
 from .rootdata import (Weight, bounded_degree_exponents, build_root_system,
                        rho, root_combinations)
-from .sparse import add_into, added, scaled
+from .sparse import add_into, add_term, added, scaled
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -77,65 +95,74 @@ class WakimotoModule:
                            for j in range(rs.rank)]
                           for i in range(rs.rank)]
         self._mode_cache = {}
+        self._plan_cache = {}
+        self._interned = {}
+        self._resolved = {}
 
     def vacuum(self):
         return {(): ONE}
 
-    # -- elementary generator operations on {monomial: coeff} dicts ---------
-    def _mult(self, vec, key):
-        out = {}
-        for m, c in vec.items():
-            out[_bump(m, key, 1)] = c
-        return out
+    # -- generator operations -----------------------------------------------
+    def resolve(self, kind, g, j):
+        """The action of x_{g,j}, d_{x_{g,j}} or b_{g,j} (kind x, d or b) as a
+        tuple of alternatives (factor, step), summed: step (key, 1)
+        multiplies by key, (key, -1) differentiates by key, and None leaves
+        the monomial as it is.  Memoized, so equal steps share one tuple."""
+        op = (kind, g, j)
+        alts = self._resolved.get(op)
+        if alts is None:
+            alts = self._resolved[op] = self._resolve(kind, g, j)
+        return alts
 
-    def _diff(self, vec, key, scale=1):
+    def _resolve(self, kind, g, j):
+        top = self.top == "GT" and g == self.alpha_idx
+        if kind == "x":
+            if j >= 1:
+                return ((1, (("X", g, j), 1)),)
+            if j <= -1:
+                return ((-1, (("D", g, -j), -1)),)
+            return ((1, (("X0", g), 1)),) if top else ((-1, (("D0", g), -1)),)
+        if kind == "d":
+            if j <= -1:
+                return ((1, (("D", g, -j), 1)),)
+            if j >= 1:
+                return ((1, (("X", g, j), -1)),)
+            return ((1, (("X0", g), -1)),) if top else ((1, (("D0", g), 1)),)
+        if j <= -1:
+            return ((1, (("Y", g, -j), 1)),)
+        if j == 0:
+            s = self.lam2rho[g]
+            return ((s, None),) if s else ()
+        # b_{i,n}, n >= 1: n heis_gram[i][jj] d/dy_{jj,n}, summed over jj
+        return tuple((j * c, (("Y", jj, j), -1))
+                     for jj, c in enumerate(self.heis_gram[g]) if c)
+
+    def _apply(self, kind, g, j, vec):
         out = {}
-        for m, c in vec.items():
-            i = bisect_left(m, (key,))
-            if i == len(m) or m[i][0] != key:
-                continue
-            e = m[i][1]
-            if e == 1:
-                k2 = m[:i] + m[i + 1:]
-            else:
-                k2 = m[:i] + ((key, e - 1),) + m[i + 1:]
-            # lowering one exponent keeps distinct monomials distinct, and
-            # c * e * scale is nonzero, so nothing adds up or cancels
-            out[k2] = c * (e * scale)
+        for factor, step in self.resolve(kind, g, j):
+            for m, c in vec.items():
+                if step is not None:
+                    key, delta = step
+                    if delta < 0:
+                        i = bisect_left(m, (key,))
+                        if i == len(m) or m[i][0] != key:
+                            continue
+                        c = c * m[i][1]
+                    m = _bump(m, key, delta)
+                add_term(out, m, c * factor)
         return out
 
     def apply_x(self, g, j, vec):
         """x_{gamma,j}"""
-        if j >= 1:
-            return self._mult(vec, ("X", g, j))
-        if j <= -1:
-            return self._diff(vec, ("D", g, -j), -1)
-        if self.top == "GT" and g == self.alpha_idx:
-            return self._mult(vec, ("X0", g))
-        return self._diff(vec, ("D0", g), -1)
+        return self._apply("x", g, j, vec)
 
     def apply_d(self, g, n, vec):
         """d_{x_{gamma,n}}"""
-        if n <= -1:
-            return self._mult(vec, ("D", g, -n))
-        if n >= 1:
-            return self._diff(vec, ("X", g, n))
-        if self.top == "GT" and g == self.alpha_idx:
-            return self._diff(vec, ("X0", g))
-        return self._mult(vec, ("D0", g))
+        return self._apply("d", g, n, vec)
 
     def apply_b(self, i, n, vec):
         """b_{i,n} (Heisenberg mode of h_i)."""
-        if n <= -1:
-            return self._mult(vec, ("Y", i, -n))
-        if n == 0:
-            return scaled(vec, self.lam2rho[i])
-        out = {}
-        for jj in range(self.rs.rank):
-            g = self.heis_gram[i][jj]
-            if g:
-                add_into(out, self._diff(vec, ("Y", jj, n), n * g))
-        return out
+        return self._apply("b", i, n, vec)
 
 
 # -- field expressions --------------------------------------------------------
@@ -144,8 +171,9 @@ class FieldExpr:
     """A list of normal-ordered terms (coeff, astars, main) with astars a
     tuple of (gamma, dz_order<=1) and main in {None, ('a', gamma), ('b', i)}.
 
-    Instances hash by identity; the mode cache keys on the instance itself,
-    so it keeps the field alive and its id is never reused for another."""
+    Instances hash by identity; the plan and mode caches key on the instance
+    itself, so they keep the field alive and its id is never reused for
+    another."""
 
     __slots__ = ("terms",)
 
@@ -192,36 +220,68 @@ def _mode_apply_mono(module, F, m, mono):
 
 
 def _mode_apply_raw(module, F, m, mono):
-    """Core evaluation on a single monomial.
+    """Mode m of F on a single monomial, through the plan compiled for the
+    monomial's support: each entry copies the monomial's exponents once and
+    runs its chain of steps on them."""
+    support = tuple(key for key, _ in mono if len(key) == 3)
+    pkey = (F, m, support)
+    plan = module._plan_cache.get(pkey)
+    if plan is None:
+        plan = module._plan_cache[pkey] = _compile(module, F, m, support)
+    exps = dict(mono)
+    interned = module._interned
+    out = {}
+    for c, chain in plan:
+        d = exps.copy()
+        for key, delta in chain:
+            e = d.get(key, 0)
+            if delta > 0:
+                d[key] = e + 1
+            elif e == 1:
+                del d[key]
+            elif e:
+                c *= e
+                d[key] = e - 1
+            else:
+                break
+        else:
+            res = tuple(sorted(d.items()))
+            add_term(out, interned.setdefault(res, res), c)
+    return out
+
+
+def _compile(module, F, m, support):
+    """The plan of mode m of F on monomials whose energy>0 keys are support.
 
     For each term the z-exponent of every field factor is enumerated; an
     exponent that makes the factor a (nonzero-energy) annihilation operator is
-    proposed only if the corresponding creation generator is actually present
-    in the monomial — annihilation operators act first, and nothing in a term
-    can create an energy>0 generator before they apply, so this pruning is
-    exact."""
-    vec = {mono: 1}
+    proposed only if the corresponding creation generator is in the support —
+    annihilation operators act first, and nothing in a term can create an
+    energy>0 generator before they apply, so this pruning is exact.  Each
+    choice of exponents is a product of generator operations, annihilators
+    first; their resolved alternatives multiply out into chains of steps, and
+    a chain that differentiates an energy>0 key outside the support is
+    dropped.  Equal chains add their coefficients."""
     dmods = {}
     xmods = {}
     ymods = set()
-    for key, e in mono:
-        if len(key) == 3:
-            kind, g, mm = key
-            if kind == "D":
-                dmods.setdefault(g, []).append(mm)
-            elif kind == "X":
-                xmods.setdefault(g, []).append(mm)
-            else:
-                ymods.add((g, mm))
+    for kind, g, mm in support:
+        if kind == "D":
+            dmods.setdefault(g, []).append(mm)
+        elif kind == "X":
+            xmods.setdefault(g, []).append(mm)
+        else:
+            ymods.add((g, mm))
+    present = set(support)
     total = -m - 1
-    out = {}
+    acc = {}
     for coeff, astars, main in F.terms:
         factors = [("as", g, d) for g, d in astars]
         if main is not None:
             factors.append(("main",) + main)
         if not factors:
             if m == -1:
-                add_into(out, vec, coeff)
+                add_term(acc, (), coeff)
             continue
         # candidate negative (annihilation-side) exponents per factor, plus
         # the creation side j >= 0
@@ -286,19 +346,20 @@ def _mode_apply_raw(module, F, m, mono):
                 else:
                     n = -j - 1
                     (annih if n >= 1 else create).append(("b", f[2], n))
-            cur = vec
+            chains = [(1, ())]
             for op in annih + create:
-                if op[0] == "x":
-                    cur = module.apply_x(op[1], op[2], cur)
-                elif op[0] == "d":
-                    cur = module.apply_d(op[1], op[2], cur)
-                else:
-                    cur = module.apply_b(op[1], op[2], cur)
-                if not cur:
+                chains = [(c * factor, chain + (step,) if step else chain)
+                          for c, chain in chains
+                          for factor, step in module.resolve(*op)
+                          if step is None or step[1] > 0
+                          or len(step[0]) == 2 or step[0] in present]
+                if not chains:
                     break
-            if cur:
-                add_into(out, cur, cmul)
-    return out
+            for c, chain in chains:
+                add_term(acc, chain, cmul * c)
+    interned = module._interned
+    return [(c, interned.setdefault(chain, chain))
+            for chain, c in acc.items()]
 
 
 # -- the free-field homomorphism at mode level --------------------------------
@@ -468,45 +529,55 @@ def verify_affine_comm(n, k, dmax):
     """Check [pi(a)_m, pi(b)_n] = pi([a,b])_{m+n} + m k kappa_0(a,b)
     delta_{m,-n} for modes -2..2 on spanning vectors of both tops; returns
     the list of failures."""
+    return _affine_comm(n, k, dmax)[0]
+
+
+def _affine_comm(n, k, dmax):
+    """(failures, checks) of verify_affine_comm, checks counting the
+    (pair, m, n, top, vector) commutators compared.
+
+    Each unordered pair of items (a, m), (b, n) is checked once: the check
+    for ((b, n), (a, m)) is the negative of this one, since the bracket and
+    kappa_0 are antisymmetric and symmetric, and ((a, m), (a, m)) reads
+    0 = 0."""
     rs = build_root_system(n)
     k = Fraction(k)
     lam = Weight([Fraction(2 * i + 1, 3) for i in range(rs.rank)])
     alpha_idx = rs.simple_indices[0]
     top_deg = 2 if n == 2 else 1
-    mode_range = range(-2, 3)
     syms = liealg.basis_symbols(rs)
     fields = {s: pi_field(rs, s, k) for s in syms}
+    items = [(s, m) for s in syms for m in range(-2, 3)]
     brackets = {}
-    for s1 in syms:
-        for s2 in syms:
-            brackets[(s1, s2)] = LieElement(
-                rs, bracket_symbols(rs, s1, s2))
+    for i, s1 in enumerate(syms):
+        for s2 in syms[i:]:
+            br = LieElement(rs, bracket_symbols(rs, s1, s2))
+            brackets[(s1, s2)] = (pi_affine(rs, br, k) if not br.is_zero()
+                                  else [], kappa0_symbols(rs, s1, s2))
     failures = []
+    checks = 0
     for top in ("V", "GT"):
         mod = WakimotoModule(rs, top, lam, k,
                              alpha_idx if top == "GT" else None)
         vectors = _spanning_vectors(mod, dmax, top_deg)
-        for s1 in syms:
-            for s2 in syms:
-                br = brackets[(s1, s2)]
-                br_fields = pi_affine(rs, br, k) if not br.is_zero() else []
-                kap = kappa0_symbols(rs, s1, s2)
-                for m in mode_range:
-                    for nn in mode_range:
-                        for v in vectors:
-                            l1 = mode_apply(mod, fields[s1], m,
-                                            mode_apply(mod, fields[s2], nn, v))
-                            l2 = mode_apply(mod, fields[s2], nn,
-                                            mode_apply(mod, fields[s1], m, v))
-                            lhs = added(l1, l2, -ONE)
-                            rhs = mode_apply_elem(mod, br_fields, m + nn, v)
-                            if m == -nn and kap:
-                                add_into(rhs, v, m * k * kap)
-                            if lhs != rhs:
-                                failures.append(
-                                    {"pair": (s1, s2), "m": m, "n": nn,
-                                     "vector": next(iter(v)), "top": top})
-    return failures
+        for i, (s1, m) in enumerate(items):
+            for s2, nn in items[i + 1:]:
+                br_fields, kap = brackets[(s1, s2)]
+                for v in vectors:
+                    l1 = mode_apply(mod, fields[s1], m,
+                                    mode_apply(mod, fields[s2], nn, v))
+                    l2 = mode_apply(mod, fields[s2], nn,
+                                    mode_apply(mod, fields[s1], m, v))
+                    lhs = added(l1, l2, -ONE)
+                    rhs = mode_apply_elem(mod, br_fields, m + nn, v)
+                    if m == -nn and kap:
+                        add_into(rhs, v, m * k * kap)
+                    checks += 1
+                    if lhs != rhs:
+                        failures.append(
+                            {"pair": (s1, s2), "m": m, "n": nn,
+                             "vector": next(iter(v)), "top": top})
+    return failures, checks
 
 
 # -- Zhu / top-component helpers ----------------------------------------------

@@ -185,24 +185,25 @@ def root_combinations(roots, start, floor):
 
     roots are nonzero coefficient tuples with nonnegative entries, so a
     coordinate only decreases and a branch is cut as soon as it drops below
-    floor.  The b come in lexicographic order.
+    floor.  The b come in lexicographic order: a depth-first walk on an
+    explicit stack, which pushes each node's children largest count first.
     """
     roots = [tuple(g) for g in roots]
     last = len(roots)
-
-    def rec(idx, cur, b):
+    start = tuple(start)
+    if any(c < floor for c in start):
+        return
+    stack = [((), start)]
+    while stack:
+        b, cur = stack.pop()
+        idx = len(b)
         if idx == last:
             yield b, cur
-            return
+            continue
         g = roots[idx]
         bmax = min((c - floor) // x for c, x in zip(cur, g) if x)
-        for k in range(bmax + 1):
-            yield from rec(idx + 1, tuple(c - k * x for c, x in zip(cur, g)),
-                           b + (k,))
-
-    start = tuple(start)
-    if all(c >= floor for c in start):
-        yield from rec(0, start, ())
+        for k in range(bmax, -1, -1):
+            stack.append((b + (k,), tuple(c - k * x for c, x in zip(cur, g))))
 
 
 def bounded_degree_exponents(nvars, dmax):

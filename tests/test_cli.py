@@ -1,12 +1,14 @@
 import json
 import os
+from fractions import Fraction
 
 import pytest
 
-from wakimoto import relaxed, weylpoly
+from wakimoto import modes, relaxed, weylpoly
 from wakimoto.cli import (main, parse_fraction, parse_root, parse_sigma,
                           parse_symbol, parse_weight)
 from wakimoto.errors import RealizationBug, WakimotoError
+from wakimoto.liealg import basis_symbols
 from wakimoto.rootdata import build_root_system
 
 RS3 = build_root_system(3)
@@ -169,6 +171,39 @@ def test_verify_exit_codes(capsys):
     assert main(["verify", "pi-hom", "-n", "2"]) == 0
     out = json.loads(capsys.readouterr().out)
     assert out["ok"] is True and out["failures"] == []
+
+
+@pytest.mark.parametrize("scale", [0, 2])
+def test_affine_comm_fails_on_a_wrong_dz_term(monkeypatch, capsys, scale):
+    # drop (scale 0) or double the :dz a*: terms of sl3's pi(e_theta)
+    k = Fraction(-3, 2)
+    th = RS3.root_index[(1, 1)]
+    for sym in basis_symbols(RS3):
+        modes.pi_field(RS3, sym, k)
+    key = (3, ("e", th), k)
+    terms = [(c * scale if any(d for _, d in astars) else c, astars, main)
+             for c, astars, main in modes._FIELD_CACHE[key].terms]
+    monkeypatch.setitem(modes._FIELD_CACHE, key,
+                        modes.FieldExpr([t for t in terms if t[0]]))
+    returned = []
+    verify = modes.verify_affine_comm
+
+    def recording(*args):
+        returned.append(verify(*args))
+        return returned[-1]
+
+    monkeypatch.setattr(modes, "verify_affine_comm", recording)
+    assert main(["verify", "affine-comm", "-n", "3", "-k", "-3/2",
+                 "-D", "0"]) == 1
+    (failures,) = returned
+    assert failures
+    out = json.loads(capsys.readouterr().out)
+    assert out["ok"] is False and len(out["failures"]) == len(failures)
+    for f, js in zip(failures, out["failures"]):
+        assert set(js) == {"pair", "m", "n", "top", "vector"}
+        assert [parse_symbol(RS3, lbl) for lbl in js["pair"]] == list(f["pair"])
+        assert (js["m"], js["n"], js["top"]) == (f["m"], f["n"], f["top"])
+        assert [(tuple(key), e) for key, e in js["vector"]] == list(f["vector"])
 
 
 def test_negative_rational_flag(capsys):

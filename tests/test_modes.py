@@ -1,5 +1,5 @@
 from fractions import Fraction as Fr
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 
@@ -289,15 +289,19 @@ def vec_scale_dict(v, c):
 
 def test_mode_cache_keeps_a_dropped_field_apart_from_a_new_one():
     # a new field built after an old one is dropped may get the old one's id;
-    # its modes must still be its own, not the cached modes of the old field
-    mod = vmod()
+    # its modes must still be its own, not the cached modes or the compiled
+    # plan of the old field.  Each round empties one cache, so that only the
+    # other one can keep the old field alive.
     v = {canon({("D", 0, 1): 1}): Fr(1)}
-    F = FieldExpr([(Fr(1), (), ("a", 0))])
-    assert mode_apply(mod, F, -1, v) == mod.apply_d(0, -1, v)
-    terms = [(Fr(1), (), ("b", 0))]
-    del F  # with nothing allocated in between, G takes F's memory and id
-    G = FieldExpr(terms)
-    assert mode_apply(mod, G, -1, v) == mod.apply_b(0, -1, v)
+    for cleared in ("_plan_cache", "_mode_cache"):
+        mod = vmod()
+        F = FieldExpr([(Fr(1), (), ("a", 0))])
+        assert mode_apply(mod, F, -1, v) == mod.apply_d(0, -1, v)
+        getattr(mod, cleared).clear()
+        terms = [(Fr(1), (), ("b", 0))]
+        del F  # with nothing allocated in between, G takes F's memory and id
+        G = FieldExpr(terms)
+        assert mode_apply(mod, G, -1, v) == mod.apply_b(0, -1, v)
 
 
 # -- spanning vectors ----------------------------------------------------------------
@@ -353,10 +357,150 @@ def test_spanning_vectors_match_brute_force():
         vmod(RS3, top="GT", alpha_idx=0), 2, 1)) == 212
 
 
+# -- compiled plans against the op-by-op evaluator ------------------------------------
+
+def _op_by_op(module, F, m, mono):
+    """Mode m of F on one monomial, one generator operation at a time
+    through apply_x/apply_d/apply_b: the reference for the compiled plans.
+
+    For each term the z-exponent of every field factor is enumerated; an
+    exponent that makes the factor a (nonzero-energy) annihilation operator is
+    proposed only if the corresponding creation generator is actually present
+    in the monomial — annihilation operators act first, and nothing in a term
+    can create an energy>0 generator before they apply, so this pruning is
+    exact."""
+    vec = {mono: 1}
+    dmods = {}
+    xmods = {}
+    ymods = set()
+    for key, e in mono:
+        if len(key) == 3:
+            kind, g, mm = key
+            if kind == "D":
+                dmods.setdefault(g, []).append(mm)
+            elif kind == "X":
+                xmods.setdefault(g, []).append(mm)
+            else:
+                ymods.add((g, mm))
+    total = -m - 1
+    out = {}
+    for coeff, astars, main in F.terms:
+        factors = [("as", g, d) for g, d in astars]
+        if main is not None:
+            factors.append(("main",) + main)
+        if not factors:
+            if m == -1:
+                out = vec_add(out, vec, coeff)
+            continue
+        neg = []
+        for f in factors:
+            if f[0] == "as":
+                g = f[1]
+                if f[2] == 0:
+                    neg.append([-mm for mm in dmods.get(g, ())])
+                else:
+                    neg.append([-mm - 1 for mm in dmods.get(g, ())])
+            elif f[1] == "a":
+                cand = [-n - 1 for n in xmods.get(f[2], ())]
+                cand.append(-1)
+                neg.append(cand)
+            else:
+                i = f[2]
+                cand = [-mm - 1 for (jj, mm) in ymods
+                        if module.heis_gram[i][jj] != 0]
+                cand.append(-1)
+                neg.append(sorted(set(cand)))
+        jmins = [min(ns, default=0) for ns in neg]
+        nfac = len(factors)
+        tail_min = [0] * (nfac + 1)
+        for i in range(nfac - 1, -1, -1):
+            tail_min[i] = tail_min[i + 1] + jmins[i]
+
+        def candidates(idx, jmax):
+            for j in neg[idx]:
+                if j <= jmax:
+                    yield j
+            yield from range(jmax + 1)
+
+        def rec(idx, remaining, js):
+            if idx == nfac - 1:
+                j = remaining
+                if j >= 0 or j in neg[idx]:
+                    yield js + [j]
+                return
+            for j in candidates(idx, remaining - tail_min[idx + 1]):
+                yield from rec(idx + 1, remaining - j, js + [j])
+
+        for js in rec(0, total, []):
+            cmul = coeff
+            annih = []
+            create = []
+            for f, j in zip(factors, js):
+                if f[0] == "as":
+                    _, g, d = f
+                    if d == 1:
+                        cmul *= (j + 1)
+                        xj = j + 1
+                    else:
+                        xj = j
+                    (annih if xj <= -1 else create).append(("x", g, xj))
+                elif f[1] == "a":
+                    n = -j - 1
+                    (annih if n >= 0 else create).append(("d", f[2], n))
+                else:
+                    n = -j - 1
+                    (annih if n >= 1 else create).append(("b", f[2], n))
+            cur = vec
+            for op in annih + create:
+                if op[0] == "x":
+                    cur = module.apply_x(op[1], op[2], cur)
+                elif op[0] == "d":
+                    cur = module.apply_d(op[1], op[2], cur)
+                else:
+                    cur = module.apply_b(op[1], op[2], cur)
+                if not cur:
+                    break
+            if cur:
+                out = vec_add(out, cur, cmul)
+    return out
+
+
+@pytest.mark.parametrize("rs,dmax,top_deg", [(RS2, 2, 2), (RS3, 1, 1)])
+def test_compiled_plans_match_op_by_op_evaluator(rs, dmax, top_deg):
+    # sl3's Heisenberg Gram rows fan b_{i,n>=1} out over both y_{j,n}
+    assert all(all(row) for row in vmod(rs).heis_gram)
+    lam = Weight([Fr(2 * i + 1, 3) for i in range(rs.rank)])
+    for k in (Fr(1, 2), Fr(-3, 2)):
+        for top, ai in (("V", None), ("GT", rs.simple_indices[0])):
+            mod = vmod(rs, lam, k, top, ai)
+            vectors = modes._spanning_vectors(mod, dmax, top_deg)
+            for sym in basis_symbols(rs):
+                F = pi_field(rs, sym, k)
+                for m in range(-4, 5):
+                    for v in vectors:
+                        assert (mode_apply(mod, F, m, v)
+                                == _op_by_op(mod, F, m, next(iter(v))))
+
+
 # -- the full commutation suite (small instance; acceptance runs the big one) ------
 
 def test_verify_affine_comm_sl2_small():
     assert verify_affine_comm(2, Fr(1, 2), 2) == []
+
+
+def test_affine_comm_checks_each_unordered_pair_once():
+    # sl2 at D=1: 3 symbols x 5 modes give 15 items, so C(15, 2) = 105
+    # checks per vector, on the spanning vectors of both tops
+    failures, checks = modes._affine_comm(2, Fr(1, 2), 1)
+    assert failures == []
+    items = list(product(basis_symbols(RS2), range(-2, 3)))
+    pairs = len(list(combinations(items, 2)))
+    lam = Weight((Fr(1, 3),))
+    nvec = sum(len(_spanning_oracle(vmod(RS2, lam, top=top, alpha_idx=ai),
+                                    1, 2))
+               for top, ai in (("V", None), ("GT", 0)))
+    assert pairs == 105 and nvec == 2 * 12
+    assert checks == pairs * nvec
 
 
 def test_pi_affine_linearity():

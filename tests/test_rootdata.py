@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction as Fr
 from itertools import product
 
@@ -154,7 +155,7 @@ def test_root_label():
 # -- enumerators, against brute force --------------------------------------------
 
 def _brute_root_combinations(roots, start, floor):
-    # every b_g is at most max(start) - floor: each root has a coefficient 1
+    # every b_g is at most max(start) - floor: each root has a positive entry
     bound = max(max(start) - floor, 0)
     out = []
     for b in product(range(bound + 1), repeat=len(roots)):
@@ -181,6 +182,23 @@ def test_root_combinations_matches_brute_force(n):
                 assert got == _brute_root_combinations(rts, start, floor)
         # a start already below the floor yields nothing
         assert list(rootdata.root_combinations(rts, (0,) * r, 1)) == []
+
+
+def test_root_combinations_matches_brute_force_on_random_inputs():
+    # any nonzero nonnegative roots, such as the mode energies (m,) of the
+    # mode monomials, in the lexicographic order of itertools.product
+    rng = random.Random(8)
+    for _ in range(300):
+        r, nroots = rng.randint(1, 3), rng.randint(0, 4)
+        roots = []
+        while len(roots) < nroots:
+            g = tuple(rng.randint(0, 2) for _ in range(r))
+            if any(g):
+                roots.append(g)
+        start = tuple(rng.randint(-1, 4) for _ in range(r))
+        floor = rng.randint(-1, 1)
+        got = list(rootdata.root_combinations(roots, start, floor))
+        assert got == _brute_root_combinations(roots, start, floor)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
