@@ -202,9 +202,9 @@ def cmd_verify(args):
     report = {"suite": suite, "n": args.n}
     failures = []
     if suite == "pi-hom":
-        failures = weylpoly.verify_pi_hom(args.n)
-        report["pairs_checked"] = (2 * (args.n * (args.n - 1) // 2)
-                                   + args.n - 1) ** 2
+        rs = build_root_system(args.n)
+        pairs, report["pairs_checked"] = weylpoly._pi_hom(args.n)
+        failures = [[symbol_label(rs, s) for s in pair] for pair in pairs]
     elif suite == "affine-comm":
         k = parse_fraction(args.k)
         rs = build_root_system(args.n)
@@ -220,7 +220,9 @@ def cmd_verify(args):
                else Weight(tuple(Fraction(2 * i + 1, 3)
                                  for i in range(rs.rank))))
         k = parse_fraction(args.k) if args.k else Fraction(1, 2)
-        failures = relaxed.top_component_check(args.n, lam, k)
+        failures = [{"top": f["top"], "sym": symbol_label(rs, f["sym"]),
+                     "exps": list(f["exps"])}
+                    for f in relaxed.top_component_check(args.n, lam, k)]
         report["k"] = frac_str(k)
         report["lambda"] = weight_to_json(lam)
     elif suite == "characters":
@@ -263,8 +265,7 @@ def cmd_verify(args):
                             "terms": len(v)} for d, delta, v in found]})
         emit(args, report, json.dumps(report, sort_keys=True))
         return 0
-    report["failures"] = (failures if suite == "affine-comm"
-                          else [repr(f) for f in failures])
+    report["failures"] = failures
     report["ok"] = not failures
     emit(args, report, "ok" if not failures else "FAIL: %r" % (failures,))
     return 0 if not failures else 1

@@ -1,4 +1,5 @@
-"""Small exact linear-algebra helpers over Fraction."""
+"""Small exact linear-algebra helpers over Fraction: the nullspace of sparse
+{column: coeff} rows, characteristic polynomials and rational roots."""
 
 from fractions import Fraction
 from math import gcd, lcm
@@ -10,12 +11,12 @@ ONE = Fraction(1)
 
 
 def _eliminate(rows):
-    """Reduced row echelon form of a dense matrix, as {pivot column: row}
-    with each row a sparse {column: coeff} dict.  Every pivot row is 1 at
-    its pivot and 0 at every other pivot column."""
+    """Reduced row echelon form of sparse {column: coeff} rows, as {pivot
+    column: row}.  Every pivot row is 1 at its pivot and 0 at every other
+    pivot column, so its other entries lie in free columns right of it."""
     piv = {}
-    for dense in rows:
-        r = {c: x for c, x in enumerate(dense) if x}
+    for row in rows:
+        r = {c: x for c, x in row.items() if x}
         # the pivot rows are fully reduced, so clearing one pivot column
         # never refills another
         for c, x in [(c, x) for c, x in r.items() if c in piv]:
@@ -32,25 +33,19 @@ def _eliminate(rows):
     return piv
 
 
-def rank(rows):
-    return len(_eliminate(rows))
-
-
-def nullspace(rows, ncols=None):
-    """Basis of the right nullspace of the matrix (rows of length ncols),
-    one vector per free column in ascending order."""
-    if rows:
-        ncols = len(rows[0])
-    elif not ncols:
-        return []
+def nullspace(rows, ncols):
+    """Basis of the right nullspace of the sparse rows over columns
+    0..ncols-1: one sparse vector per free column c, in ascending order.  It
+    is 1 at c and minus the pivot rows' c entries at their pivots, all left
+    of c, so its keys come in ascending order."""
     piv = _eliminate(rows)
-    basis = {c: [ZERO] * ncols for c in range(ncols) if c not in piv}
-    for c, v in basis.items():
-        v[c] = ONE
-    for pc, r in piv.items():
-        for c, x in r.items():
+    basis = {c: {} for c in range(ncols) if c not in piv}
+    for pc in sorted(piv):
+        for c, x in piv[pc].items():
             if c != pc:
                 basis[c][pc] = -x
+    for c, v in basis.items():
+        v[c] = ONE
     return list(basis.values())
 
 

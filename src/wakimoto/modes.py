@@ -47,7 +47,6 @@ from .rootdata import (Weight, bounded_degree_exponents, build_root_system,
                        rho, root_combinations)
 from .sparse import add_into, add_term, added, scaled
 
-ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
@@ -444,20 +443,23 @@ def _dz_terms(rs, idx, k, lift_terms, lam=None):
                          mode_apply(mod, B, m, mode_apply(mod, A, 0, vac)),
                          -ONE)
             eqs.append((m, vac, scaled(comm, ONE / N)))
-    # one row per (equation, monomial): [P_t component ..., lift_m v - target]
-    rows = []
-    for m, v, target in eqs:
+    # one sparse row per (equation, monomial): column t holds the P_t
+    # component, the last column lift_m v - target
+    last = len(cands)
+    rows = {}
+    for e, (m, v, target) in enumerate(eqs):
         cols = [mode_apply(mod, P, m, v) for P in cand_fields]
         cols.append(added(mode_apply(mod, lift, m, v), target, -ONE))
-        for mono in {mono for col in cols for mono in col}:
-            rows.append([col.get(mono, ZERO) for col in cols])
-    sol = nullspace(rows, ncols=len(cands) + 1)
-    # a unique solution leaves exactly the last column free
-    if len(sol) != 1 or not sol[0][-1]:
+        for t, col in enumerate(cols):
+            for mono, c in col.items():
+                rows.setdefault((e, mono), {})[t] = c
+    sol = nullspace(list(rows.values()), ncols=last + 1)
+    # a unique solution leaves exactly the last column free; its vector is 1
+    # there and holds c_t at the candidates, in candidate order
+    if len(sol) != 1 or last not in sol[0]:
         raise RealizationBug("the dz-term system of pi(e_%d) is inconsistent "
                              "or leaves a coefficient free" % idx)
-    return [(c / sol[0][-1], astars, None)
-            for c, astars in zip(sol[0], cands) if c]
+    return [(c, cands[t], None) for t, c in sol[0].items() if t != last]
 
 
 def solve_c_gamma(rs, gamma_idx, k, lam=None):

@@ -280,20 +280,28 @@ def pq_polynomials(rs, gamma_idx):
 def verify_pi_hom(n):
     """Check pi_g([a,b]) = [pi_g(a), pi_g(b)] for all basis pairs; returns
     the list of failing pairs (expected empty)."""
+    return _pi_hom(n)[0]
+
+
+def _pi_hom(n):
+    """(failures, checks) of verify_pi_hom, checks counting the ordered
+    basis pairs compared."""
     from .rootdata import build_root_system
 
     rs = build_root_system(n)
     syms = liealg.basis_symbols(rs)
     images = {s: pi_g(LieElement.basis(rs, s)) for s in syms}
     failures = []
+    checks = 0
     for s1 in syms:
         for s2 in syms:
             lhs = pi_g_elem(liealg.bracket(LieElement.basis(rs, s1),
                                            LieElement.basis(rs, s2)))
             rhs = weyl_mul(images[s1], images[s2]) - weyl_mul(images[s2], images[s1])
+            checks += 1
             if lhs != rhs:
                 failures.append((s1, s2))
-    return failures
+    return failures, checks
 
 
 # -- Fock realizations --------------------------------------------------------

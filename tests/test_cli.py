@@ -8,7 +8,7 @@ from wakimoto import modes, relaxed, weylpoly
 from wakimoto.cli import (main, parse_fraction, parse_root, parse_sigma,
                           parse_symbol, parse_weight)
 from wakimoto.errors import RealizationBug, WakimotoError
-from wakimoto.liealg import basis_symbols
+from wakimoto.liealg import basis_symbols, bracket_symbols
 from wakimoto.rootdata import build_root_system
 
 RS3 = build_root_system(3)
@@ -157,8 +157,8 @@ def test_verify_characters_echoes_weight_and_gt_root(capsys):
 
 
 def test_singular_vectors_are_checked_by_acting_on_them(monkeypatch, capsys):
-    def first_basis_vector(rows, ncols=None):
-        return [[1] + [0] * (ncols - 1)]
+    def first_basis_vector(rows, ncols):
+        return [{0: 1}]
 
     monkeypatch.setattr(relaxed, "nullspace", first_basis_vector)
     assert main(["verify", "singular", "-n", "2", "-k", "-1/2", "--lam", "0",
@@ -171,6 +171,53 @@ def test_verify_exit_codes(capsys):
     assert main(["verify", "pi-hom", "-n", "2"]) == 0
     out = json.loads(capsys.readouterr().out)
     assert out["ok"] is True and out["failures"] == []
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_pi_hom_counts_the_pairs_it_compares(n, capsys):
+    assert main(["verify", "pi-hom", "-n", str(n)]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["pairs_checked"] == len(basis_symbols(build_root_system(n))) ** 2
+
+
+def test_pi_hom_failures_are_symbol_label_pairs(monkeypatch, capsys):
+    # doubling pi_g on brackets breaks every pair with a nonzero bracket
+    rs = build_root_system(2)
+    pi_g_elem = weylpoly.pi_g_elem
+    monkeypatch.setattr(weylpoly, "pi_g_elem", lambda a: 2 * pi_g_elem(a))
+    assert main(["verify", "pi-hom", "-n", "2"]) == 1
+    out = json.loads(capsys.readouterr().out)
+    assert out["ok"] is False and out["pairs_checked"] == 9
+    pairs = [tuple(parse_symbol(rs, lbl) for lbl in js)
+             for js in out["failures"]]
+    syms = basis_symbols(rs)
+    assert pairs == [(a, b) for a in syms for b in syms
+                     if bracket_symbols(rs, a, b)]
+
+
+def test_zhu_diagram_failures_are_json_objects(monkeypatch, capsys):
+    # doubling the finite action on the top breaks every nonzero zero mode
+    act_F = weylpoly.act_F
+    monkeypatch.setattr(weylpoly, "act_F", lambda w, v: 2 * act_F(w, v))
+    returned = []
+    check = relaxed.top_component_check
+
+    def recording(*args):
+        returned.append(check(*args))
+        return returned[-1]
+
+    monkeypatch.setattr(relaxed, "top_component_check", recording)
+    assert main(["verify", "zhu-diagram", "-n", "2"]) == 1
+    (failures,) = returned
+    assert failures
+    rs = build_root_system(2)
+    out = json.loads(capsys.readouterr().out)
+    assert out["ok"] is False and len(out["failures"]) == len(failures)
+    for f, js in zip(failures, out["failures"]):
+        assert set(js) == {"top", "sym", "exps"}
+        assert js["top"] == f["top"]
+        assert parse_symbol(rs, js["sym"]) == f["sym"]
+        assert tuple(js["exps"]) == f["exps"]
 
 
 @pytest.mark.parametrize("scale", [0, 2])

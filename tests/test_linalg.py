@@ -4,23 +4,28 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wakimoto.linalg import (_eliminate, charpoly, nullspace, rank,
-                             rational_roots)
+from wakimoto.linalg import _eliminate, charpoly, nullspace, rational_roots
 
 
 def F(x):
     return Fr(x)
 
 
-def rref(rows):
-    """`_eliminate` densified: (rref rows, zero rows last; pivot columns)."""
-    if not rows:
+def sparse(a):
+    """The dense matrix a as sparse {column: coeff} rows."""
+    return [{c: x for c, x in enumerate(row) if x} for row in a]
+
+
+def rref(a):
+    """`_eliminate` on the dense matrix a, densified: (rref rows, zero rows
+    last; pivot columns)."""
+    if not a:
         return [], []
-    ncols = len(rows[0])
-    piv = _eliminate(rows)
+    ncols = len(a[0])
+    piv = _eliminate(sparse(a))
     m = [[r.get(j, Fr(0)) for j in range(ncols)]
          for _, r in sorted(piv.items())]
-    m.extend([Fr(0)] * ncols for _ in range(len(rows) - len(piv)))
+    m.extend([Fr(0)] * ncols for _ in range(len(a) - len(piv)))
     return m, sorted(piv)
 
 
@@ -85,31 +90,56 @@ def test_rref_identity():
 
 
 def test_rank():
-    assert rank([[F(1), F(2)], [F(2), F(4)]]) == 1
-    assert rank([]) == 0
+    assert len(_eliminate([{0: F(1), 1: F(2)}, {0: F(2), 1: F(4)}])) == 1
+    assert len(_eliminate([{}, {}])) == 0
+    assert _eliminate([]) == {}
 
 
 def test_nullspace():
-    assert nullspace([[F(1), F(2)]]) == [[F(-2), F(1)]]
-    assert nullspace([], ncols=2) == [[F(1), F(0)], [F(0), F(1)]]
-    assert nullspace([]) == []
+    assert nullspace([{0: F(1), 1: F(2)}], 2) == [{0: F(-2), 1: F(1)}]
+    assert nullspace([], 2) == [{0: F(1)}, {1: F(1)}]
+    assert nullspace([], 0) == []
+    # pivots 0 and 1, free columns 2 and 3; each vector is keyed in
+    # ascending order, whatever the order of its rows' keys
+    ns = nullspace([{0: F(1), 3: F(5)}, {2: F(1), 1: F(-1), 3: F(2)}], 4)
+    assert ns == [{1: F(1), 2: F(1)}, {0: F(-5), 1: F(2), 3: F(1)}]
+    assert [list(v) for v in ns] == [[1, 2], [0, 1, 3]]
 
 
-def _matvec(a, v):
-    return [sum(x * y for x, y in zip(row, v)) for row in a]
+def test_eliminate_leaves_its_rows_unchanged():
+    rows = [{0: F(2), 1: F(4)}, {0: F(1), 2: F(1)}]
+    copy = [dict(r) for r in rows]
+    nullspace(rows, 3)
+    assert rows == copy
+
+
+def _dot(row, v):
+    return sum(x * v.get(c, 0) for c, x in row.items())
+
+
+def _check_nullspace(a, ncols):
+    """nullspace of a's sparse rows: rank + nullity = ncols, and every
+    vector has ascending keys, no zero entry and is killed by every row."""
+    rows = sparse(a)
+    ns = nullspace(rows, ncols)
+    assert len(_eliminate(rows)) + len(ns) == ncols
+    for v in ns:
+        assert list(v) == sorted(v)
+        assert all(v.values())
+        assert all(_dot(r, v) == 0 for r in rows)
+    return ns
 
 
 def test_integer_matrices_stay_exact():
     for a in ([[2, 1], [4, 2]], [[3, 1]], [[2, 4, 6], [1, 3, 5]],
               [[0, 3, 1], [0, 6, 2], [5, 0, 1]]):
         m, _ = rref(a)
-        ns = nullspace(a)
+        ns = _check_nullspace(a, len(a[0]))
         assert ns
-        assert not any(isinstance(x, float) for row in m + ns for x in row)
-        for v in ns:
-            assert _matvec(a, v) == [0] * len(a)
+        assert not any(isinstance(x, float) for row in m for x in row)
+        assert not any(isinstance(x, float) for v in ns for x in v.values())
     assert rref([[3, 1]]) == ([[1, Fr(1, 3)]], [0])
-    assert nullspace([[2, 1], [4, 2]]) == [[Fr(-1, 2), 1]]
+    assert nullspace(sparse([[2, 1], [4, 2]]), 2) == [{0: Fr(-1, 2), 1: 1}]
 
 
 @settings(max_examples=300, deadline=None)
@@ -117,10 +147,7 @@ def test_integer_matrices_stay_exact():
 def test_sparse_elimination_matches_dense_oracle(a):
     ncols = len(a[0]) if a else 3
     assert rref(a) == _dense_rref(a)
-    ns = nullspace(a, ncols=ncols)
-    for v in ns:
-        assert _matvec(a, v) == [0] * len(a)
-    assert rank(a) + len(ns) == ncols
+    _check_nullspace(a, ncols)
 
 
 @settings(max_examples=40, deadline=None)

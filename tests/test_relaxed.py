@@ -8,10 +8,10 @@ from wakimoto.errors import ModuleMismatch
 from wakimoto.liealg import basis_symbols, bracket_symbols, kappa0_symbols
 from wakimoto.relaxed import (RelaxedModule, character_relaxed_verma,
                               character_relaxed_wakimoto,
-                              enum_root_decompositions,
                               find_singular_vectors, relaxed_verma_act,
                               top_component_check)
-from wakimoto.rootdata import Weight, build_root_system, pairing
+from wakimoto.rootdata import (Weight, bounded_degree_exponents,
+                               build_root_system, pairing)
 from wakimoto.sparse import added as vec_add
 
 RS2 = build_root_system(2)
@@ -157,14 +157,6 @@ def test_character_identity_sl3_theta():
     assert any(isinstance(m, tuple) for m in a.values())
 
 
-def test_enum_root_decompositions():
-    # theta = a1 + a2 two ways: b_theta = 1, or b_a1 = b_a2 = 1
-    decs = enum_root_decompositions(RS3, (1, 1))
-    assert len(decs) == 2
-    assert enum_root_decompositions(RS3, (0, 0)) == [(0, 0, 0)]
-    assert enum_root_decompositions(RS3, (-1, 0)) == []
-
-
 def _exact_oracle(mod, d):
     """(factors, weight shift) of every factor tuple of energy exactly d, from
     itertools.product over the counts of the generators a^{(s)}_{-n} in PBW
@@ -192,11 +184,46 @@ def _exact_oracle(mod, d):
 
 
 def test_mode_monomials_exact_match_brute_force():
+    # one enumeration up to dmax, grouped by energy, gives each energy's
+    # monomials in the order of a separate exact-energy enumeration
     for rs, dmax in ((RS2, 5), (RS3, 3)):
         mod = RelaxedModule(rs, "V", Weight((0,) * rs.rank), K)
+        got = relaxed._mode_monomials(mod, dmax)
+        assert sorted(got) == list(range(dmax + 1))
         for d in range(dmax + 1):
-            got = relaxed._mode_monomials_exact(mod, d)
-            assert got == _exact_oracle(mod, d)
+            assert got[d] == _exact_oracle(mod, d)
+
+
+def _cells_oracle(rs, monomials, radius):
+    """The cells by brute force: every monomial times every top exponent
+    tuple b, from bounded_degree_exponents, whose weight delta = shift -
+    sum b_g g lands in the box |delta| <= radius."""
+    roots = [g.coeffs for g in rs.positive_roots]
+    cells = {}
+    for factors, wshift in monomials:
+        # each root has height >= 1, so a b in the box has degree at most
+        # sum(shift) + rank * radius
+        for b in bounded_degree_exponents(len(roots),
+                                          sum(wshift) + rs.rank * radius):
+            delta = tuple(w - sum(x * g[t] for x, g in zip(b, roots))
+                          for t, w in enumerate(wshift))
+            if all(abs(c) <= radius for c in delta):
+                cells.setdefault(delta, []).append((factors, b))
+    return cells
+
+
+def test_cells_match_brute_force():
+    # at the search radius 2D + 2 no shift leaves the box from above; a
+    # radius of 1 checks that edge too
+    for rs, dmax in ((RS2, 4), (RS3, 2)):
+        mod = RelaxedModule(rs, "V", Weight((0,) * rs.rank), K)
+        roots = [g.coeffs for g in rs.positive_roots]
+        for d in range(dmax + 1):
+            monomials = _exact_oracle(mod, d)
+            for radius in (1, 2 * dmax + 2):
+                # list equality: each cell's basis in the oracle's order
+                assert (relaxed._cells(monomials, roots, radius)
+                        == _cells_oracle(rs, monomials, radius))
 
 
 # -- diagnostics -------------------------------------------------------------------
@@ -237,6 +264,15 @@ def test_vacuum_singular_vector_at_two_alpha():
         ((((2, 0), (2, 0)), (0,)), Fr(-15, 28)),
         ((((3, 0), (1, 0)), (0,)), Fr(1)),
     ]
+
+
+def test_sl3_vacuum_singular_vectors():
+    # (energy, shift, term count) of every vector of the sl3 vacuum module
+    # at k = -3/2 up to energy 2
+    found = find_singular_vectors(RS3, Weight((Fr(0), Fr(0))), Fr(-3, 2), 2)
+    assert [(d, delta, len(v)) for d, delta, v in found] == [
+        (2, (-3, -3), 127), (2, (-3, -1), 63), (2, (-1, -3), 63),
+        (2, (-1, 1), 14), (2, (1, -1), 14), (2, (1, 1), 7)]
 
 
 def test_no_singular_vectors_generic():
