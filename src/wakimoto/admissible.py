@@ -55,6 +55,21 @@ def pr_k_integral(lvl):
 
 # -- the extended affine Weyl group ----------------------------------------------
 
+# The largest n for which pr_k_bar, pr_k_classes and the Omega sets run over
+# the Weyl group S_n, all n! of its elements held at once.  On a 2-core box
+# `prk -n 8 -p 8 -q 1` takes 9.2 s with a 42 MB peak and `omega -n 8 -p 8
+# -q 1` 2.6 s (`prk -n 7 -p 7 -q 1`: 1.1 s, 19 MB); n = 9 holds 9 times as
+# many permutations, and n = 12 would hold 479,001,600.
+MAX_WEYL_N = 8
+
+
+def _check_weyl_size(n):
+    """InvalidRank (a usage error) if S_n is too large to enumerate."""
+    if n > MAX_WEYL_N:
+        raise InvalidRank("this enumerates all n! Weyl group elements; "
+                          "n = %d is above the limit %d" % (n, MAX_WEYL_N))
+
+
 def dominant_coweights(rs, cap):
     """Dominant integral coweights eta with (eta, theta) <= cap.  In type A
     the fundamental coweights pair as (omega_i_vee, alpha_j) = delta_ij, so
@@ -82,6 +97,7 @@ def pr_k_bar(lvl):
     """Projections to h* of the dot-orbit of Pr_{k,Z} under all admissible
     y = w t_{-eta} with eta dominant, (eta,theta) <= q-1.  Deduplicated and
     sorted."""
+    _check_weyl_size(lvl.n)
     rs = build_root_system(lvl.n)
     base = pr_k_integral(lvl)
     t = lvl.k + lvl.n
@@ -102,6 +118,7 @@ def pr_k_bar(lvl):
 def pr_k_classes(lvl, weights):
     """Group the weights of pr_k_bar(lvl) by finite W dot-action orbits
     ([Pr_k-bar])."""
+    _check_weyl_size(lvl.n)
     rs = build_root_system(lvl.n)
     pool = set(weights)
     classes = []
@@ -135,6 +152,7 @@ def omega_theorem(sigma, lvl):
     admissible y = w t_{-eta} with w(theta) > 0,
     Delta_0^eta cap Delta_+ inside w^{-1}(Delta_+), and
     w(Delta_0^eta) = Delta_Sigma."""
+    _check_weyl_size(lvl.n)
     rs = build_root_system(lvl.n)
     dsig = sigma_roots(rs, sigma)
     base = pr_k_integral(lvl)

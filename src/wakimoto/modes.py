@@ -19,18 +19,27 @@ mutually commuting operators, so group-internal order is immaterial.
 
 Each generator operation (x/d/b, index, mode) resolves to one action on a
 monomial: multiply by a key, differentiate a key times a factor, scale, or
-fan out over the rows of heis_gram (WakimotoModule.resolve).  A mode of a
-field is evaluated through two caches on the module, both kept for the
-module's lifetime and both keyed on the FieldExpr instance itself, so a
-dropped field's id never reaches a new one:
+fan out over the rows of heis_gram (WakimotoModule.resolve).
 
+The mode engine computes in Python ints.  A module has den, the lcm of the
+denominators of lam2rho and heis_gram, and a field F has the scale
+s(F) = den * lcm(denominators of F's coefficients).  A mode of a field is
+evaluated through three caches on the module, all kept for the module's
+lifetime and all keyed on the FieldExpr instance itself, so a dropped
+field's id never reaches a new one:
+
+- the scale cache, keyed by field: s(F) and F's terms with integer
+  coefficients;
 - the plan cache, keyed by (field, mode, support), where the support is the
   tuple of the monomial's energy>0 keys.  A plan is the field's mode
   compiled for every monomial of that support: a list of (coefficient,
   chain), a chain being a tuple of steps (key, +1 multiply / -1
-  differentiate);
-- the mode cache, keyed by (field, mode, monomial), holding the result
-  vector of one monomial.
+  differentiate), and each coefficient the int s(F) times the exact one;
+- the mode cache, keyed by (field, mode, monomial), holding s(F) times the
+  result vector of one monomial, in ints.
+
+mode_apply divides by s(F) once per output entry; the commutation verifier
+never divides, and compares its two sides by cross-multiplying.
 
 Chains and result monomials are interned per module, so an equal tuple that
 many plans or results hold is stored once.
@@ -38,6 +47,7 @@ many plans or results hold is stored once.
 
 from bisect import bisect_left
 from fractions import Fraction
+from math import lcm
 
 from . import liealg, weylpoly
 from .errors import NotSimpleRoot, RealizationBug
@@ -65,15 +75,13 @@ def _bump(m, key, delta):
     return m[:i] + ((key, delta),) + m[i:]
 
 
-def _ival(x):
-    """Normalize a rational coefficient for the mode engine: plain int when
-    integral, else Fraction.  An int is ==/hash-compatible with the equal
-    Fraction, so vectors built from them compare equal to Fraction
-    expectations, and int arithmetic is an order of magnitude faster."""
-    num, den = int(x.numerator), int(x.denominator)
-    if den == 1:
-        return num
-    return Fraction(num, den)
+def _integral(x):
+    """The rational x as an int; RealizationBug if it is not integral."""
+    x = Fraction(x)
+    if x.denominator != 1:
+        raise RealizationBug("the integer mode engine met the non-integral "
+                             "coefficient %s" % (x,))
+    return x.numerator
 
 
 class WakimotoModule:
@@ -88,15 +96,20 @@ class WakimotoModule:
         self.k = Fraction(k)
         self.alpha_idx = alpha_idx
         lam2 = lam + 2 * rho(rs)
-        self.lam2rho = [_ival(lam2.coords[i]) for i in range(rs.rank)]
+        self.lam2rho = [Fraction(lam2.coords[i]) for i in range(rs.rank)]
         c = self.k + rs.h_dual
-        self.heis_gram = [[_ival(c * rs.cartan_matrix[i][j])
+        self.heis_gram = [[c * rs.cartan_matrix[i][j]
                            for j in range(rs.rank)]
                           for i in range(rs.rank)]
+        self.den = lcm(*(x.denominator for x in self.lam2rho),
+                       *(x.denominator for row in self.heis_gram
+                         for x in row))
+        self._scales = {}
         self._mode_cache = {}
         self._plan_cache = {}
         self._interned = {}
         self._resolved = {}
+        self._int_resolved = {}
 
     def vacuum(self):
         return {(): ONE}
@@ -170,14 +183,14 @@ class FieldExpr:
     """A list of normal-ordered terms (coeff, astars, main) with astars a
     tuple of (gamma, dz_order<=1) and main in {None, ('a', gamma), ('b', i)}.
 
-    Instances hash by identity; the plan and mode caches key on the instance
-    itself, so they keep the field alive and its id is never reused for
-    another."""
+    Instances hash by identity; the scale, plan and mode caches key on the
+    instance itself, so they keep the field alive and its id is never reused
+    for another."""
 
     __slots__ = ("terms",)
 
     def __init__(self, terms):
-        self.terms = [(_ival(c), astars, main) for c, astars, main in terms]
+        self.terms = list(terms)
 
     def __repr__(self):
         return "FieldExpr(%s)" % (render_field(self),)
@@ -200,11 +213,47 @@ def render_field(F):
 def mode_apply(module, F, m, vec):
     """Apply mode m of the field F to a vector (dict monomial -> coeff).
 
-    Results are memoized per (field, mode, monomial) on the module."""
+    Results are memoized per (field, mode, monomial) on the module as s(F)
+    times the exact ones; each output entry is divided by s(F) once."""
+    s = _scaled(module, F)[0]
+    return {mono: Fraction(c, s)
+            for mono, c in _scaled_apply(module, F, m, vec).items()}
+
+
+def _scaled_apply(module, F, m, vec):
+    """s(F) times mode m of F on vec: the memoized integer results of its
+    monomials, summed with vec's coefficients (so ints on an int vec)."""
     out = {}
     for mono, c in vec.items():
         add_into(out, _mode_apply_mono(module, F, m, mono), c)
     return out
+
+
+def _scaled(module, F):
+    """(s(F), F's terms with each coefficient times s(F)/den, as ints), s(F)
+    being den times the lcm of the denominators of F's coefficients.
+    Memoized on the module, keyed on F."""
+    hit = module._scales.get(F)
+    if hit is None:
+        f = lcm(*(Fraction(c).denominator for c, _, _ in F.terms))
+        terms = [(_integral(c * f), astars, main)
+                 for c, astars, main in F.terms]
+        hit = module._scales[F] = (module.den * f, terms)
+    return hit
+
+
+def _int_resolve(module, op):
+    """module.resolve(*op) with int factors: a b-operation's factors
+    (lam2rho, j heis_gram, creation 1) times den; the x and d factors are
+    already +-1.  Memoized on the module."""
+    alts = module._int_resolved.get(op)
+    if alts is None:
+        alts = module.resolve(*op)
+        if op[0] == "b":
+            alts = tuple((_integral(f * module.den), step)
+                         for f, step in alts)
+        module._int_resolved[op] = alts
+    return alts
 
 
 def _mode_apply_mono(module, F, m, mono):
@@ -219,9 +268,9 @@ def _mode_apply_mono(module, F, m, mono):
 
 
 def _mode_apply_raw(module, F, m, mono):
-    """Mode m of F on a single monomial, through the plan compiled for the
-    monomial's support: each entry copies the monomial's exponents once and
-    runs its chain of steps on them."""
+    """s(F) times mode m of F on a single monomial, through the plan compiled
+    for the monomial's support: each entry copies the monomial's exponents
+    once and runs its chain of steps on them, in ints."""
     support = tuple(key for key, _ in mono if len(key) == 3)
     pkey = (F, m, support)
     plan = module._plan_cache.get(pkey)
@@ -260,7 +309,11 @@ def _compile(module, F, m, support):
     choice of exponents is a product of generator operations, annihilators
     first; their resolved alternatives multiply out into chains of steps, and
     a chain that differentiates an energy>0 key outside the support is
-    dropped.  Equal chains add their coefficients."""
+    dropped.  Equal chains add their coefficients.
+
+    The coefficients are ints: each term's coefficient is taken times
+    s(F)/den, and den goes on the term's b-factor, or on the term itself if
+    it has none, so every entry is s(F) times its exact coefficient."""
     dmods = {}
     xmods = {}
     ymods = set()
@@ -274,7 +327,9 @@ def _compile(module, F, m, support):
     present = set(support)
     total = -m - 1
     acc = {}
-    for coeff, astars, main in F.terms:
+    for coeff, astars, main in _scaled(module, F)[1]:
+        if main is None or main[0] != "b":
+            coeff *= module.den
         factors = [("as", g, d) for g, d in astars]
         if main is not None:
             factors.append(("main",) + main)
@@ -349,7 +404,7 @@ def _compile(module, F, m, support):
             for op in annih + create:
                 chains = [(c * factor, chain + (step,) if step else chain)
                           for c, chain in chains
-                          for factor, step in module.resolve(*op)
+                          for factor, step in _int_resolve(module, op)
                           if step is None or step[1] > 0
                           or len(step[0]) == 2 or step[0] in present]
                 if not chains:
@@ -492,17 +547,7 @@ def pi_field(rs, sym, k):
 
 def pi_affine(rs, a, k):
     """Image of a LieElement as a list of (coeff, FieldExpr)."""
-    out = []
-    for sym, c in a.coeffs.items():
-        out.append((_ival(c), pi_field(rs, sym, k)))
-    return out
-
-
-def mode_apply_elem(module, fields, m, vec):
-    out = {}
-    for c, F in fields:
-        add_into(out, mode_apply(module, F, m, vec), c)
-    return out
+    return [(c, pi_field(rs, sym, k)) for sym, c in a.coeffs.items()]
 
 
 # -- spanning sets and verification -------------------------------------------
@@ -524,7 +569,7 @@ def _spanning_vectors(module, dmax, top_deg):
         mode = tuple((key, c) for key, c in zip(keys, b) if c)
         vectors.extend((dmax - left, canon(dict(mode + top))) for top in tops)
     vectors.sort()
-    return [{mono: ONE} for _, mono in vectors]
+    return [{mono: 1} for _, mono in vectors]
 
 
 def verify_affine_comm(n, k, dmax):
@@ -541,7 +586,13 @@ def _affine_comm(n, k, dmax):
     Each unordered pair of items (a, m), (b, n) is checked once: the check
     for ((b, n), (a, m)) is the negative of this one, since the bracket and
     kappa_0 are antisymmetric and symmetric, and ((a, m), (a, m)) reads
-    0 = 0."""
+    0 = 0.
+
+    Both sides stay in ints.  On a spanning vector {mono: 1} the scaled
+    modes give lhs = s(F1) s(F2) times the commutator, and rhs = R times
+    pi([a,b])_{m+n} + m k kappa_0, R being the lcm of the denominators of
+    c / s(F) over the bracket's terms c F and of m k kappa_0; the check is
+    lhs R == rhs s(F1) s(F2)."""
     rs = build_root_system(n)
     k = Fraction(k)
     lam = Weight([Fraction(2 * i + 1, 3) for i in range(rs.rank)])
@@ -554,8 +605,8 @@ def _affine_comm(n, k, dmax):
     for i, s1 in enumerate(syms):
         for s2 in syms[i:]:
             br = LieElement(rs, bracket_symbols(rs, s1, s2))
-            brackets[(s1, s2)] = (pi_affine(rs, br, k) if not br.is_zero()
-                                  else [], kappa0_symbols(rs, s1, s2))
+            brackets[(s1, s2)] = (pi_affine(rs, br, k),
+                                  kappa0_symbols(rs, s1, s2))
     failures = []
     checks = 0
     for top in ("V", "GT"):
@@ -563,19 +614,31 @@ def _affine_comm(n, k, dmax):
                              alpha_idx if top == "GT" else None)
         vectors = _spanning_vectors(mod, dmax, top_deg)
         for i, (s1, m) in enumerate(items):
+            F1 = fields[s1]
             for s2, nn in items[i + 1:]:
+                F2 = fields[s2]
                 br_fields, kap = brackets[(s1, s2)]
+                exact = [(Fraction(c, _scaled(mod, F)[0]), F)
+                         for c, F in br_fields]
+                central = Fraction(m * k * kap if m == -nn else 0)
+                R = lcm(central.denominator,
+                        *(q.denominator for q, _ in exact))
+                br = [(int(q * R), F) for q, F in exact]
+                central = int(central * R)
+                s12 = _scaled(mod, F1)[0] * _scaled(mod, F2)[0]
                 for v in vectors:
-                    l1 = mode_apply(mod, fields[s1], m,
-                                    mode_apply(mod, fields[s2], nn, v))
-                    l2 = mode_apply(mod, fields[s2], nn,
-                                    mode_apply(mod, fields[s1], m, v))
-                    lhs = added(l1, l2, -ONE)
-                    rhs = mode_apply_elem(mod, br_fields, m + nn, v)
-                    if m == -nn and kap:
-                        add_into(rhs, v, m * k * kap)
+                    l1 = _scaled_apply(mod, F1, m,
+                                       _scaled_apply(mod, F2, nn, v))
+                    l2 = _scaled_apply(mod, F2, nn,
+                                       _scaled_apply(mod, F1, m, v))
+                    lhs = added(l1, l2, -1)
+                    rhs = {}
+                    for c, F in br:
+                        add_into(rhs, _scaled_apply(mod, F, m + nn, v), c)
+                    if central:
+                        add_into(rhs, v, central)
                     checks += 1
-                    if lhs != rhs:
+                    if scaled(lhs, R) != scaled(rhs, s12):
                         failures.append(
                             {"pair": (s1, s2), "m": m, "n": nn,
                              "vector": next(iter(v)), "top": top})

@@ -4,12 +4,12 @@ from fractions import Fraction
 
 import pytest
 
-from wakimoto import modes, relaxed, weylpoly
+from wakimoto import admissible, modes, relaxed, weylpoly
 from wakimoto.cli import (main, parse_fraction, parse_root, parse_sigma,
                           parse_symbol, parse_weight)
 from wakimoto.errors import RealizationBug, WakimotoError
 from wakimoto.liealg import basis_symbols, bracket_symbols
-from wakimoto.rootdata import build_root_system
+from wakimoto.rootdata import Weight, build_root_system
 
 RS3 = build_root_system(3)
 
@@ -253,6 +253,34 @@ def test_affine_comm_fails_on_a_wrong_dz_term(monkeypatch, capsys, scale):
         assert [(tuple(key), e) for key, e in js["vector"]] == list(f["vector"])
 
 
+def test_affine_comm_fails_on_a_new_denominator(monkeypatch, capsys):
+    # add 1/7 to the first coefficient of sl3's pi(h_1) before the e fields
+    # are solved against it: the field's scale gains a factor 7, and the
+    # cross-multiplied comparison must see every commutator this breaks
+    k = Fraction(-3, 2)
+    monkeypatch.setattr(modes, "_FIELD_CACHE", {})
+    F = modes.pi_field(RS3, ("h", 0), k)
+    (c, astars, field_main), *rest = F.terms
+    G = modes.FieldExpr([(c + Fraction(1, 7), astars, field_main)] + rest)
+    mod = modes.WakimotoModule(RS3, "V", Weight((Fraction(1, 3), 1)), k)
+    assert modes._scaled(mod, G)[0] == 7 * modes._scaled(mod, F)[0]
+    modes._FIELD_CACHE[(3, ("h", 0), k)] = G
+    returned = []
+    verify = modes.verify_affine_comm
+
+    def recording(*args):
+        returned.append(verify(*args))
+        return returned[-1]
+
+    monkeypatch.setattr(modes, "verify_affine_comm", recording)
+    assert main(["verify", "affine-comm", "-n", "3", "-k", "-3/2",
+                 "-D", "0"]) == 1
+    (failures,) = returned
+    assert len(failures) == 1115
+    out = json.loads(capsys.readouterr().out)
+    assert out["ok"] is False and len(out["failures"]) == 1115
+
+
 def test_negative_rational_flag(capsys):
     assert main(["verify", "affine-comm", "-n", "2", "-k", "-1/2",
                  "-D", "1"]) == 0
@@ -274,6 +302,26 @@ def test_prk_payload(capsys):
     assert out["weights"] == [["-3/2"], ["-1/2"], ["0"], ["1"]]
     flat = sorted(w for cls in out["classes"] for w in cls)
     assert flat == sorted(out["weights"])
+
+
+@pytest.mark.parametrize("cmd", ["prk", "omega"])
+def test_weyl_group_enumeration_is_refused_above_the_limit(
+        cmd, monkeypatch, capsys):
+    # 12! = 479,001,600 Weyl group elements: refused with a usage error
+    # before anything is enumerated (an enumeration here fails the test
+    # instead of running)
+    def enumerated(*args):
+        raise AssertionError("enumerated before the size check")
+
+    for name in ("all_weyl_elements", "bounded_degree_exponents"):
+        monkeypatch.setattr(admissible, name, enumerated)
+    n = admissible.MAX_WEYL_N + 1
+    assert main([cmd, "-n", str(n), "-p", str(n + 1), "-q", "1"]) == 2
+    assert main([cmd, "-n", "12", "-p", "13", "-q", "1"]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["error: this enumerates all n! Weyl group elements; "
+                   "n = %d is above the limit %d" % (m, n - 1)
+                   for m in (n, 12)]
 
 
 def test_richardson_text_format(capsys):

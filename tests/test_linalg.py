@@ -1,4 +1,5 @@
 from fractions import Fraction as Fr
+from itertools import combinations, permutations
 
 import pytest
 from hypothesis import given, settings
@@ -164,6 +165,39 @@ def test_charpoly():
     # [[0,1],[-2,3]]: t^2 - 3t + 2
     c = charpoly([[F(0), F(1)], [F(-2), F(3)]])
     assert c == [F(2), F(-3), F(1)]
+
+
+def _det(a):
+    """Leibniz expansion: the signed sum over permutations of products of
+    entries, the oracle for charpoly's constant term."""
+    n = len(a)
+    total = Fr(0)
+    for p in permutations(range(n)):
+        inversions = sum(p[i] > p[j] for i, j in combinations(range(n), 2))
+        term = Fr((-1) ** inversions)
+        for i in range(n):
+            term *= a[i][p[i]]
+        total += term
+    return total
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 5).flatmap(lambda n: st.lists(
+    st.lists(st.fractions(-5, 5, max_denominator=6), min_size=n, max_size=n),
+    min_size=n, max_size=n)))
+def test_charpoly_satisfies_cayley_hamilton(a):
+    n = len(a)
+    c = charpoly(a)
+    assert len(c) == n + 1 and c[n] == 1
+    assert c[n - 1] == -sum(a[i][i] for i in range(n))
+    assert c[0] == (-1) ** n * _det(a)
+    # p(A) = 0 exactly, by Horner: P <- P A + c_i I from the top down
+    p = [[Fr(0)] * n for _ in range(n)]
+    for coef in reversed(c):
+        p = [[sum(p[i][t] * a[t][j] for t in range(n))
+              + (coef if i == j else 0) for j in range(n)]
+             for i in range(n)]
+    assert p == [[0] * n for _ in range(n)]
 
 
 def test_rational_roots():

@@ -8,8 +8,8 @@ from wakimoto.errors import RealizationBug
 from wakimoto.liealg import (LieElement, basis_symbols, bracket_symbols,
                              kappa0_symbols)
 from wakimoto.modes import (FieldExpr, WakimotoModule, canon, mode_apply,
-                            mode_apply_elem, pi_affine, pi_field,
-                            render_field, solve_c_gamma, verify_affine_comm)
+                            pi_affine, pi_field, render_field, solve_c_gamma,
+                            verify_affine_comm)
 from wakimoto.rootdata import Weight, build_root_system
 from wakimoto.sparse import added as vec_add
 from wakimoto.sparse import scaled
@@ -289,15 +289,18 @@ def vec_scale_dict(v, c):
 
 def test_mode_cache_keeps_a_dropped_field_apart_from_a_new_one():
     # a new field built after an old one is dropped may get the old one's id;
-    # its modes must still be its own, not the cached modes or the compiled
-    # plan of the old field.  Each round empties one cache, so that only the
-    # other one can keep the old field alive.
+    # its modes must still be its own, not the cached modes, the compiled
+    # plan or the scale of the old field.  Each round empties all caches but
+    # one, so that only that one can keep the old field alive.
     v = {canon({("D", 0, 1): 1}): Fr(1)}
-    for cleared in ("_plan_cache", "_mode_cache"):
+    caches = ("_scales", "_plan_cache", "_mode_cache")
+    for kept in caches:
         mod = vmod()
         F = FieldExpr([(Fr(1), (), ("a", 0))])
         assert mode_apply(mod, F, -1, v) == mod.apply_d(0, -1, v)
-        getattr(mod, cleared).clear()
+        for cleared in caches:
+            if cleared != kept:
+                getattr(mod, cleared).clear()
         terms = [(Fr(1), (), ("b", 0))]
         del F  # with nothing allocated in between, G takes F's memory and id
         G = FieldExpr(terms)
@@ -467,10 +470,13 @@ def _op_by_op(module, F, m, mono):
 
 @pytest.mark.parametrize("rs,dmax,top_deg", [(RS2, 2, 2), (RS3, 1, 1)])
 def test_compiled_plans_match_op_by_op_evaluator(rs, dmax, top_deg):
-    # sl3's Heisenberg Gram rows fan b_{i,n>=1} out over both y_{j,n}
+    # sl3's Heisenberg Gram rows fan b_{i,n>=1} out over both y_{j,n}; at
+    # k = -5/7 heis_gram is in sevenths, and at the critical level -h_dual
+    # it is all zero
     assert all(all(row) for row in vmod(rs).heis_gram)
+    assert not any(any(row) for row in vmod(rs, k=-rs.h_dual).heis_gram)
     lam = Weight([Fr(2 * i + 1, 3) for i in range(rs.rank)])
-    for k in (Fr(1, 2), Fr(-3, 2)):
+    for k in (Fr(1, 2), Fr(-3, 2), Fr(-5, 7), Fr(-rs.h_dual)):
         for top, ai in (("V", None), ("GT", rs.simple_indices[0])):
             mod = vmod(rs, lam, k, top, ai)
             vectors = modes._spanning_vectors(mod, dmax, top_deg)
@@ -486,6 +492,61 @@ def test_compiled_plans_match_op_by_op_evaluator(rs, dmax, top_deg):
 
 def test_verify_affine_comm_sl2_small():
     assert verify_affine_comm(2, Fr(1, 2), 2) == []
+
+
+@pytest.mark.parametrize("n,dmax", [(2, 1), (3, 0)])
+def test_verify_affine_comm_at_sevenths_and_the_critical_level(n, dmax):
+    for k in (Fr(-5, 7), Fr(-n)):
+        assert verify_affine_comm(n, k, dmax) == []
+
+
+def test_integer_engine_holds_only_ints(monkeypatch):
+    # every plan coefficient and every cached result is s(F) times the exact
+    # one, an int: no Fraction reaches the hot path
+    made = []
+
+    class Recording(WakimotoModule):
+        def __init__(self, *args):
+            super().__init__(*args)
+            made.append(self)
+
+    monkeypatch.setattr(modes, "WakimotoModule", Recording)
+    for n, k, dmax in ((2, K, 1), (3, Fr(-3, 2), 0)):
+        made.clear()
+        assert verify_affine_comm(n, k, dmax) == []
+        assert len(made) >= 2
+        for mod in made:
+            assert mod._plan_cache and mod._mode_cache
+            assert all(type(c) is int for plan in mod._plan_cache.values()
+                       for c, _ in plan)
+            assert all(type(c) is int for res in mod._mode_cache.values()
+                       for c in res.values())
+
+
+def test_a_non_integral_plan_entry_is_a_realization_bug():
+    # never round: with den missing lam2rho's denominator 3, the b_{0,0}
+    # factor 8/3 is not integral
+    mod = vmod()
+    assert mod.den == 3
+    mod.den = 1
+    with pytest.raises(RealizationBug):
+        mode_apply(mod, FieldExpr([(Fr(1), (), ("b", 0))]), 0, mod.vacuum())
+
+
+def test_scaling_does_not_split_plan_keys(monkeypatch):
+    # a cold sl3 D=0 run, the dz solves of its e fields included, compiles
+    # as many plans as the engine did before it computed in ints
+    monkeypatch.setattr(modes, "_FIELD_CACHE", {})
+    compiled = []
+    compile_ = modes._compile
+
+    def counting(*args):
+        compiled.append(args)
+        return compile_(*args)
+
+    monkeypatch.setattr(modes, "_compile", counting)
+    modes._affine_comm(3, Fr(-3, 2), 0)
+    assert len(compiled) == 2903
 
 
 def test_affine_comm_checks_each_unordered_pair_once():
@@ -506,9 +567,10 @@ def test_affine_comm_checks_each_unordered_pair_once():
 def test_pi_affine_linearity():
     mod = vmod()
     a = LieElement(RS2, {("e", 0): Fr(2), ("f", 0): Fr(-1, 3)})
-    fields = pi_affine(RS2, a, K)
     v = {canon({("D", 0, 1): 1}): Fr(1)}
-    got = mode_apply_elem(mod, fields, 0, v)
+    got = {}
+    for c, F in pi_affine(RS2, a, K):
+        got = vec_add(got, mode_apply(mod, F, 0, v), c)
     expect = vec_add(
         vec_scale_dict(mode_apply(mod, pi_field(RS2, ("e", 0), K), 0, v), 2),
         mode_apply(mod, pi_field(RS2, ("f", 0), K), 0, v), Fr(-1, 3))
