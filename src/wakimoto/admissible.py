@@ -4,9 +4,8 @@ sets (theorem-side construction plus an independent direct-definition oracle),
 and nilpotent/Richardson orbit combinatorics for partitions of n.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import comb, factorial, gcd
 
 from .errors import InvalidRank, SizeMismatch
 from .rootdata import (Weight, all_weyl_elements, bounded_degree_exponents,
@@ -16,12 +15,28 @@ from .rootdata import (Weight, all_weyl_elements, bounded_degree_exponents,
 
 # -- admissible numbers ----------------------------------------------------------
 
-@dataclass(frozen=True)
 class AdmissibleLevel:
-    n: int
-    p: int
-    q: int
-    k: Fraction
+    """An admissible level k of sl_n, k + n = p/q in lowest terms; compared
+    and hashed by value."""
+
+    __slots__ = ("n", "p", "q", "k")
+
+    def __init__(self, n, p, q, k):
+        self.n, self.p, self.q, self.k = n, p, q, k
+
+    def _key(self):
+        return (self.n, self.p, self.q, self.k)
+
+    def __eq__(self, other):
+        if type(other) is not AdmissibleLevel:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        return "AdmissibleLevel(n=%r, p=%r, q=%r, k=%r)" % self._key()
 
 
 def admissible_check(k, n):
@@ -62,12 +77,34 @@ def pr_k_integral(lvl):
 # many permutations, and n = 12 would hold 479,001,600.
 MAX_WEYL_N = 8
 
+# The largest enumeration_size that the same functions run, n! x #eta x
+# #Pr_{k,Z}.  On a 2-core box `prk -n 5 -p 8 -q 3` (63,000) takes 7 s and
+# `prk -n 8 -p 8 -q 1` (40,320) 9-16 s; `prk -n 7 -p 9 -q 2` (987,840) took
+# 90 s and printed 339 KB.
+MAX_ENUMERATION = 100000
 
-def _check_weyl_size(n):
-    """InvalidRank (a usage error) if S_n is too large to enumerate."""
-    if n > MAX_WEYL_N:
+
+def enumeration_size(lvl):
+    """n! x C(q-1+n-1, n-1) x C(p-1, n-1): the Weyl group elements, times
+    the dominant coweights eta with (eta, theta) <= q-1, times the weights
+    of Pr_{k,Z}; a bound on the dot actions the enumerators compute."""
+    n, p, q = lvl.n, lvl.p, lvl.q
+    return factorial(n) * comb(q + n - 2, n - 1) * comb(p - 1, n - 1)
+
+
+def _check_enumeration(lvl):
+    """InvalidRank (a usage error) if S_n, or the enumeration over it, is
+    too large to run."""
+    if lvl.n > MAX_WEYL_N:
         raise InvalidRank("this enumerates all n! Weyl group elements; "
-                          "n = %d is above the limit %d" % (n, MAX_WEYL_N))
+                          "n = %d is above the limit %d"
+                          % (lvl.n, MAX_WEYL_N))
+    size = enumeration_size(lvl)
+    if size > MAX_ENUMERATION:
+        raise InvalidRank("n = %d, p = %d, q = %d enumerates about %d "
+                          "(Weyl element, eta, weight) triples; the limit "
+                          "is %d" % (lvl.n, lvl.p, lvl.q, size,
+                                     MAX_ENUMERATION))
 
 
 def dominant_coweights(rs, cap):
@@ -97,7 +134,7 @@ def pr_k_bar(lvl):
     """Projections to h* of the dot-orbit of Pr_{k,Z} under all admissible
     y = w t_{-eta} with eta dominant, (eta,theta) <= q-1.  Deduplicated and
     sorted."""
-    _check_weyl_size(lvl.n)
+    _check_enumeration(lvl)
     rs = build_root_system(lvl.n)
     base = pr_k_integral(lvl)
     t = lvl.k + lvl.n
@@ -118,7 +155,7 @@ def pr_k_bar(lvl):
 def pr_k_classes(lvl, weights):
     """Group the weights of pr_k_bar(lvl) by finite W dot-action orbits
     ([Pr_k-bar])."""
-    _check_weyl_size(lvl.n)
+    _check_enumeration(lvl)
     rs = build_root_system(lvl.n)
     pool = set(weights)
     classes = []
@@ -152,7 +189,7 @@ def omega_theorem(sigma, lvl):
     admissible y = w t_{-eta} with w(theta) > 0,
     Delta_0^eta cap Delta_+ inside w^{-1}(Delta_+), and
     w(Delta_0^eta) = Delta_Sigma."""
-    _check_weyl_size(lvl.n)
+    _check_enumeration(lvl)
     rs = build_root_system(lvl.n)
     dsig = sigma_roots(rs, sigma)
     base = pr_k_integral(lvl)

@@ -43,8 +43,18 @@ never divides, and compares its two sides by cross-multiplying.
 
 Chains and result monomials are interned per module, so an equal tuple that
 many plans or results hold is stored once.
+
+verify_affine_comm checks its two tops in two processes: it solves the
+fields and brackets once, then forks (POSIX fork), and the parent checks the
+V top while the child checks the GT top, each with its own module and
+caches.  The wall time is about that of the slower top.  The memory is that
+of two processes: the child shares the solved fields copy-on-write, and each
+process holds one top's caches.
 """
 
+import os
+import pickle
+import signal
 from bisect import bisect_left
 from fractions import Fraction
 from math import lcm
@@ -580,8 +590,88 @@ def verify_affine_comm(n, k, dmax):
 
 
 def _affine_comm(n, k, dmax):
-    """(failures, checks) of verify_affine_comm, checks counting the
-    (pair, m, n, top, vector) commutators compared.
+    """(failures, checks) of verify_affine_comm: the V top's, then the GT
+    top's, checks counting the (pair, m, n, top, vector) commutators
+    compared.
+
+    The fields and brackets are solved once; then the process forks, and
+    the parent checks the V top while the child checks the GT top.  The two
+    tops share nothing after that, as each builds its own module and caches,
+    and the child reads the solved fields copy-on-write.  The child sends
+    its result, or the exception it raised, back through a pipe with
+    pickle.  The child is reaped on every path, and killed first if the
+    parent's half raises; a child that ends without a result is a
+    RealizationBug."""
+    problem = _comm_problem(n, k)
+    r, w = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        os.close(r)
+        _send_and_exit(w, lambda: _check_top(problem, "GT", dmax))
+    os.close(w)
+    with open(r, "rb") as pipe:
+        try:
+            failures, checks = _check_top(problem, "V", dmax)
+            data = pipe.read()
+        except BaseException:
+            os.kill(pid, signal.SIGKILL)
+            raise
+        finally:
+            status = os.waitpid(pid, 0)[1]
+    if status or not data:
+        raise RealizationBug("the GT half of the affine commutation check "
+                             "ended without a result (wait status %d)"
+                             % status)
+    gt = pickle.loads(data)
+    if isinstance(gt, BaseException):
+        raise gt
+    return failures + gt[0], checks + gt[1]
+
+
+def _send_and_exit(w, fn):
+    """In a forked child: write the pickled result of fn(), or the exception
+    it raised, to the pipe end w, and end the process without running the
+    parent's exit handlers.  An exception that does not survive pickling is
+    sent as RealizationBug(repr(e))."""
+    try:
+        try:
+            result = fn()
+        except BaseException as e:
+            result = e
+        try:
+            data = pickle.dumps(result)
+            if isinstance(result, BaseException):
+                pickle.loads(data)
+        except Exception:
+            data = pickle.dumps(RealizationBug(repr(result)))
+        with open(w, "wb") as pipe:
+            pipe.write(data)
+    finally:
+        os._exit(0)
+
+
+def _comm_problem(n, k):
+    """(rs, k, fields, items, brackets) of the affine commutation check:
+    pi of every basis symbol, the (symbol, mode) items for modes -2..2, and
+    for each unordered pair of symbols pi of their bracket with kappa_0."""
+    rs = build_root_system(n)
+    k = Fraction(k)
+    syms = liealg.basis_symbols(rs)
+    fields = {s: pi_field(rs, s, k) for s in syms}
+    items = [(s, m) for s in syms for m in range(-2, 3)]
+    brackets = {}
+    for i, s1 in enumerate(syms):
+        for s2 in syms[i:]:
+            br = LieElement(rs, bracket_symbols(rs, s1, s2))
+            brackets[(s1, s2)] = (pi_affine(rs, br, k),
+                                  kappa0_symbols(rs, s1, s2))
+    return rs, k, fields, items, brackets
+
+
+def _check_top(problem, top, dmax):
+    """(failures, checks) of the affine commutation check on one top ("V",
+    or "GT" at the first simple root), on its spanning vectors of energy
+    <= dmax.
 
     Each unordered pair of items (a, m), (b, n) is checked once: the check
     for ((b, n), (a, m)) is the negative of this one, since the bracket and
@@ -593,55 +683,42 @@ def _affine_comm(n, k, dmax):
     pi([a,b])_{m+n} + m k kappa_0, R being the lcm of the denominators of
     c / s(F) over the bracket's terms c F and of m k kappa_0; the check is
     lhs R == rhs s(F1) s(F2)."""
-    rs = build_root_system(n)
-    k = Fraction(k)
+    rs, k, fields, items, brackets = problem
     lam = Weight([Fraction(2 * i + 1, 3) for i in range(rs.rank)])
-    alpha_idx = rs.simple_indices[0]
-    top_deg = 2 if n == 2 else 1
-    syms = liealg.basis_symbols(rs)
-    fields = {s: pi_field(rs, s, k) for s in syms}
-    items = [(s, m) for s in syms for m in range(-2, 3)]
-    brackets = {}
-    for i, s1 in enumerate(syms):
-        for s2 in syms[i:]:
-            br = LieElement(rs, bracket_symbols(rs, s1, s2))
-            brackets[(s1, s2)] = (pi_affine(rs, br, k),
-                                  kappa0_symbols(rs, s1, s2))
+    mod = WakimotoModule(rs, top, lam, k,
+                         rs.simple_indices[0] if top == "GT" else None)
+    vectors = _spanning_vectors(mod, dmax, 2 if rs.n == 2 else 1)
     failures = []
     checks = 0
-    for top in ("V", "GT"):
-        mod = WakimotoModule(rs, top, lam, k,
-                             alpha_idx if top == "GT" else None)
-        vectors = _spanning_vectors(mod, dmax, top_deg)
-        for i, (s1, m) in enumerate(items):
-            F1 = fields[s1]
-            for s2, nn in items[i + 1:]:
-                F2 = fields[s2]
-                br_fields, kap = brackets[(s1, s2)]
-                exact = [(Fraction(c, _scaled(mod, F)[0]), F)
-                         for c, F in br_fields]
-                central = Fraction(m * k * kap if m == -nn else 0)
-                R = lcm(central.denominator,
-                        *(q.denominator for q, _ in exact))
-                br = [(int(q * R), F) for q, F in exact]
-                central = int(central * R)
-                s12 = _scaled(mod, F1)[0] * _scaled(mod, F2)[0]
-                for v in vectors:
-                    l1 = _scaled_apply(mod, F1, m,
-                                       _scaled_apply(mod, F2, nn, v))
-                    l2 = _scaled_apply(mod, F2, nn,
-                                       _scaled_apply(mod, F1, m, v))
-                    lhs = added(l1, l2, -1)
-                    rhs = {}
-                    for c, F in br:
-                        add_into(rhs, _scaled_apply(mod, F, m + nn, v), c)
-                    if central:
-                        add_into(rhs, v, central)
-                    checks += 1
-                    if scaled(lhs, R) != scaled(rhs, s12):
-                        failures.append(
-                            {"pair": (s1, s2), "m": m, "n": nn,
-                             "vector": next(iter(v)), "top": top})
+    for i, (s1, m) in enumerate(items):
+        F1 = fields[s1]
+        for s2, nn in items[i + 1:]:
+            F2 = fields[s2]
+            br_fields, kap = brackets[(s1, s2)]
+            exact = [(Fraction(c, _scaled(mod, F)[0]), F)
+                     for c, F in br_fields]
+            central = Fraction(m * k * kap if m == -nn else 0)
+            R = lcm(central.denominator,
+                    *(q.denominator for q, _ in exact))
+            br = [(int(q * R), F) for q, F in exact]
+            central = int(central * R)
+            s12 = _scaled(mod, F1)[0] * _scaled(mod, F2)[0]
+            for v in vectors:
+                l1 = _scaled_apply(mod, F1, m,
+                                   _scaled_apply(mod, F2, nn, v))
+                l2 = _scaled_apply(mod, F2, nn,
+                                   _scaled_apply(mod, F1, m, v))
+                lhs = added(l1, l2, -1)
+                rhs = {}
+                for c, F in br:
+                    add_into(rhs, _scaled_apply(mod, F, m + nn, v), c)
+                if central:
+                    add_into(rhs, v, central)
+                checks += 1
+                if scaled(lhs, R) != scaled(rhs, s12):
+                    failures.append(
+                        {"pair": (s1, s2), "m": m, "n": nn,
+                         "vector": next(iter(v)), "top": top})
     return failures, checks
 
 

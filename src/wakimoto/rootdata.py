@@ -170,13 +170,6 @@ def theta(rs):
     return Root((1,) * rs.rank)
 
 
-def weight_inner(rs, lam, mu):
-    """kappa_0-induced form on h*, computed in epsilon coordinates."""
-    v = rs.weight_to_eps(lam)
-    u = rs.weight_to_eps(mu)
-    return sum((a * b for a, b in zip(v, u)), ZERO)
-
-
 # -- enumerators ------------------------------------------------------------
 
 def root_combinations(roots, start, floor):

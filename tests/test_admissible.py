@@ -4,9 +4,10 @@ from itertools import combinations
 
 import pytest
 
-from wakimoto.admissible import (AdmissibleLevel, admissible_check,
-                                 all_partitions, check_regular_dominant,
-                                 dominance_leq, dominant_coweights,
+from wakimoto.admissible import (MAX_ENUMERATION, AdmissibleLevel,
+                                 admissible_check, all_partitions,
+                                 check_regular_dominant, dominance_leq,
+                                 dominant_coweights, enumeration_size,
                                  hasse_covers, level_from_pq, levi_blocks,
                                  omega_certificates, omega_direct,
                                  omega_theorem, orbit_dim, orbit_labels,
@@ -15,7 +16,9 @@ from wakimoto.admissible import (AdmissibleLevel, admissible_check,
                                  transpose, y_is_admissible)
 from wakimoto.errors import SizeMismatch
 from wakimoto.rootdata import (Weight, all_weyl_elements, build_root_system,
-                               dot_action, rho, weight_inner, weyl_act)
+                               dot_action, rho, weyl_act)
+
+from test_rootdata import weight_inner
 
 RS2 = build_root_system(2)
 RS3 = build_root_system(3)
@@ -185,6 +188,20 @@ def test_pr_k_classes_partition():
     flat = sorted((w for c in classes for w in c), key=lambda x: x.coords)
     assert flat == weights
     assert all(c for c in classes)
+
+
+
+def test_enumeration_size_counts_the_enumerated_triples():
+    # |W| x #eta x #Pr_{k,Z}, counted from the enumerators themselves
+    for n, p, q in ((2, 3, 2), (3, 4, 3), (3, 7, 2), (4, 5, 4), (4, 7, 3)):
+        lvl = level_from_pq(n, p, q)
+        rs = build_root_system(n)
+        assert enumeration_size(lvl) == (len(all_weyl_elements(rs))
+                                         * len(dominant_coweights(rs, q - 1))
+                                         * len(pr_k_integral(lvl)))
+    # the largest Weyl group still runs; p and q can make it too large
+    assert enumeration_size(level_from_pq(8, 8, 1)) == 40320 <= MAX_ENUMERATION
+    assert enumeration_size(level_from_pq(7, 9, 2)) == 987840 > MAX_ENUMERATION
 
 
 # -- Omega sets ---------------------------------------------------------------------

@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -277,8 +279,36 @@ def test_affine_comm_fails_on_a_new_denominator(monkeypatch, capsys):
                  "-D", "0"]) == 1
     (failures,) = returned
     assert len(failures) == 1115
+    # the V top's failures, from the parent, before the GT top's, from the
+    # child
+    tops = [f["top"] for f in failures]
+    assert set(tops) == {"V", "GT"}
+    assert tops == sorted(tops, key=("V", "GT").index)
     out = json.loads(capsys.readouterr().out)
     assert out["ok"] is False and len(out["failures"]) == 1115
+
+
+class GTHalfFailed(Exception):
+    pass
+
+
+def test_an_exception_in_the_gt_half_exits_3(monkeypatch, capsys):
+    # raised in the forked child that checks the GT top, it reaches the CLI
+    # with its type, and no child process is left
+    check = modes._check_top
+
+    def patched(problem, top, dmax):
+        if top == "GT":
+            raise GTHalfFailed("raised in the GT half")
+        return check(problem, top, dmax)
+
+    monkeypatch.setattr(modes, "_check_top", patched)
+    assert main(["verify", "affine-comm", "-n", "2", "-k", "1/2",
+                 "-D", "0"]) == 3
+    assert capsys.readouterr().err == \
+        "internal error: GTHalfFailed: raised in the GT half\n"
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def test_negative_rational_flag(capsys):
@@ -322,6 +352,33 @@ def test_weyl_group_enumeration_is_refused_above_the_limit(
     assert err == ["error: this enumerates all n! Weyl group elements; "
                    "n = %d is above the limit %d" % (m, n - 1)
                    for m in (n, 12)]
+
+
+@pytest.mark.parametrize("cmd", ["prk", "omega"])
+def test_a_large_enumeration_is_refused(cmd, monkeypatch, capsys):
+    # n = 7 is below MAX_WEYL_N, but p = 9, q = 2 makes 7! x C(7, 6) x
+    # C(8, 6) = 987,840 (Weyl element, eta, weight) triples: refused before
+    # anything is enumerated
+    def enumerated(*args):
+        raise AssertionError("enumerated before the size check")
+
+    for name in ("all_weyl_elements", "bounded_degree_exponents"):
+        monkeypatch.setattr(admissible, name, enumerated)
+    assert main([cmd, "-n", "7", "-p", "9", "-q", "2"]) == 2
+    assert capsys.readouterr().err == (
+        "error: n = 7, p = 9, q = 2 enumerates about 987840 (Weyl element, "
+        "eta, weight) triples; the limit is %d\n" % admissible.MAX_ENUMERATION)
+
+
+def test_the_cli_does_not_import_dataclasses():
+    # dataclasses (and the inspect it imports) would add to every command's
+    # start-up
+    src = os.path.dirname(os.path.dirname(admissible.__file__))
+    code = "import sys, wakimoto.cli; print('dataclasses' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    assert out == "False\n"
 
 
 def test_richardson_text_format(capsys):

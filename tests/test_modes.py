@@ -1,3 +1,5 @@
+import os
+import time
 from fractions import Fraction as Fr
 from itertools import combinations, product
 
@@ -500,6 +502,18 @@ def test_verify_affine_comm_at_sevenths_and_the_critical_level(n, dmax):
         assert verify_affine_comm(n, k, dmax) == []
 
 
+def _affine_comm_in_process(n, k, dmax):
+    """_affine_comm with both tops checked in this process, so that a test
+    sees the modules and caches of the GT top too."""
+    problem = modes._comm_problem(n, k)
+    failures, checks = [], 0
+    for top in ("V", "GT"):
+        f, c = modes._check_top(problem, top, dmax)
+        failures += f
+        checks += c
+    return failures, checks
+
+
 def test_integer_engine_holds_only_ints(monkeypatch):
     # every plan coefficient and every cached result is s(F) times the exact
     # one, an int: no Fraction reaches the hot path
@@ -513,7 +527,7 @@ def test_integer_engine_holds_only_ints(monkeypatch):
     monkeypatch.setattr(modes, "WakimotoModule", Recording)
     for n, k, dmax in ((2, K, 1), (3, Fr(-3, 2), 0)):
         made.clear()
-        assert verify_affine_comm(n, k, dmax) == []
+        assert _affine_comm_in_process(n, k, dmax)[0] == []
         assert len(made) >= 2
         for mod in made:
             assert mod._plan_cache and mod._mode_cache
@@ -545,7 +559,7 @@ def test_scaling_does_not_split_plan_keys(monkeypatch):
         return compile_(*args)
 
     monkeypatch.setattr(modes, "_compile", counting)
-    modes._affine_comm(3, Fr(-3, 2), 0)
+    _affine_comm_in_process(3, Fr(-3, 2), 0)
     assert len(compiled) == 2903
 
 
@@ -562,6 +576,83 @@ def test_affine_comm_checks_each_unordered_pair_once():
                for top, ai in (("V", None), ("GT", 0)))
     assert pairs == 105 and nvec == 2 * 12
     assert checks == pairs * nvec
+
+
+# -- two processes: V in the parent, GT in a forked child -------------------------
+
+class TopFailed(Exception):
+    pass
+
+
+def _patch_top(monkeypatch, top, action):
+    """Run action() before the check of one top, in whichever process
+    checks that top."""
+    check = modes._check_top
+
+    def patched(problem, t, dmax):
+        if t == top:
+            action()
+        return check(problem, t, dmax)
+
+    monkeypatch.setattr(modes, "_check_top", patched)
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_two_processes_give_the_in_process_result():
+    for n, k, dmax in ((2, K, 1), (3, Fr(-3, 2), 0)):
+        assert modes._affine_comm(n, k, dmax) == \
+            _affine_comm_in_process(n, k, dmax)
+    _assert_no_child_left()
+
+
+def test_an_exception_in_the_gt_half_reaches_the_caller(monkeypatch):
+    def fail():
+        raise TopFailed("raised in the GT half")
+
+    _patch_top(monkeypatch, "GT", fail)
+    with pytest.raises(TopFailed, match="raised in the GT half"):
+        verify_affine_comm(2, K, 0)
+    _assert_no_child_left()
+
+
+def test_a_child_that_dies_is_a_realization_bug(monkeypatch):
+    _patch_top(monkeypatch, "GT", lambda: os._exit(9))
+    with pytest.raises(RealizationBug, match="without a result"):
+        verify_affine_comm(2, K, 0)
+    _assert_no_child_left()
+
+
+def test_an_unpicklable_exception_is_sent_as_a_realization_bug(monkeypatch):
+    class Local(Exception):  # a local class does not pickle
+        pass
+
+    def fail():
+        raise Local("in the GT half")
+
+    _patch_top(monkeypatch, "GT", fail)
+    with pytest.raises(RealizationBug, match=r"Local\('in the GT half'\)"):
+        verify_affine_comm(2, K, 0)
+    _assert_no_child_left()
+
+
+@pytest.mark.parametrize("exc", [TopFailed, KeyboardInterrupt])
+def test_an_exception_in_the_v_half_kills_the_child(monkeypatch, exc):
+    # the GT half would sleep for a minute; the parent kills it, reaps it
+    # and re-raises its own exception
+    def fail():
+        raise exc("raised in the V half")
+
+    _patch_top(monkeypatch, "GT", lambda: time.sleep(60))
+    _patch_top(monkeypatch, "V", fail)
+    start = time.monotonic()
+    with pytest.raises(exc, match="raised in the V half"):
+        verify_affine_comm(2, K, 0)
+    assert time.monotonic() - start < 30
+    _assert_no_child_left()
 
 
 def test_pi_affine_linearity():

@@ -9,8 +9,16 @@ from wakimoto.errors import DimensionError, InvalidRank
 from wakimoto.rootdata import (Root, Weight, all_weyl_elements,
                                build_root_system, dot_action, pairing,
                                perm_compose, perm_from_word, rho,
-                               simple_reflection, theta, weight_inner,
-                               weyl_act, weyl_act_root)
+                               simple_reflection, theta, weyl_act,
+                               weyl_act_root)
+
+
+def weight_inner(rs, lam, mu):
+    """kappa_0-induced form on h*, computed in epsilon coordinates (also the
+    affine-weight oracle's form in test_admissible)."""
+    v = rs.weight_to_eps(lam)
+    u = rs.weight_to_eps(mu)
+    return sum((a * b for a, b in zip(v, u)), Fr(0))
 
 
 def test_basic_counts():
