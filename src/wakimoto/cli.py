@@ -441,7 +441,7 @@ def build_parser():
     common(p, window=6)
     p.add_argument("--lam", required=True)
     p.add_argument("--alpha", required=True)
-    p.add_argument("--kcap", type=int, default=60)
+    p.add_argument("--kcap", type=int, default=weylpoly.KCAP)
     p.set_defaults(func=cmd_twist_char)
 
     p = sub.add_parser("gamma-mult", help="Gamma_alpha multiplicities")
@@ -474,8 +474,9 @@ def build_parser():
     s.add_argument("-k", required=True)
     s.add_argument("--lam", required=True)
     s = suites.add_parser("characters",
-                          help="relaxed Verma and relaxed Wakimoto "
-                               "characters agree")
+                          help="PBW and free-field mode families give one "
+                               "character over one top count (whose oracle "
+                               "is in tests/test_weylpoly.py)")
     common(s, D=3, window=6)
     s.add_argument("-k", default=None,
                    help="echoed in the report; the characters do not "

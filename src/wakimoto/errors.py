@@ -13,10 +13,6 @@ class DimensionError(WakimotoError):
     pass
 
 
-class InvalidWeylWord(WakimotoError):
-    pass
-
-
 class NotSimpleRoot(WakimotoError):
     pass
 
@@ -26,6 +22,10 @@ class ModuleMismatch(WakimotoError):
 
 
 class EmptyWindow(WakimotoError):
+    pass
+
+
+class WindowTooLarge(WakimotoError):
     pass
 
 

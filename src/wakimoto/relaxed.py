@@ -15,8 +15,8 @@ from . import liealg, weylpoly
 from .errors import RealizationBug
 from .liealg import LieElement, bracket_symbols, kappa0_symbols
 from .linalg import nullspace
-from .rootdata import (bounded_degree_exponents, offset_weight,
-                       root_combinations)
+from .rootdata import (bounded_degree_exponents, lattice_counts,
+                       offset_weight, root_combinations)
 from .sparse import add_into, add_term
 
 ONE = Fraction(1)
@@ -125,25 +125,18 @@ def _root_shift(rs, sym):
 
 
 def _mode_monomial_table(rs, families, dmax):
-    """DP table {energy d: {root-coord weight delta: count}} of monomials in
-    negative-mode families; families is a list of root-coordinate tuples (one
-    per generator family, each family existing for every m >= 1)."""
-    zero = (0,) * rs.rank
-    table = {0: {zero: 1}}
-    for wt in families:
-        for m in range(1, dmax + 1):
-            # multiply by the free generator (family, m): geometric series
-            new = {d: dict(row) for d, row in table.items()}
-            for c in range(1, dmax // m + 1):
-                shift = tuple(c * w for w in wt)
-                for d, row in table.items():
-                    if d + c * m > dmax:
-                        continue
-                    dst = new.setdefault(d + c * m, {})
-                    for w0, cnt in row.items():
-                        key = tuple(a + b for a, b in zip(w0, shift))
-                        dst[key] = dst.get(key, 0) + cnt
-            table = new
+    """{energy d: {root-coordinate weight: count}} of the monomials of
+    energy d <= dmax in negative-mode families; families is a list of
+    root-coordinate weights, one per generator family, each family holding
+    a generator for every mode m >= 1.  One lattice count on the points
+    (energy left, weight), from (dmax, 0) by the generators (m, -w)."""
+    gens = [(m,) + tuple(-c for c in wt)
+            for wt in families for m in range(1, dmax + 1)]
+    counts = lattice_counts({(dmax,) + (0,) * rs.rank: 1}, gens,
+                            lambda p: p[0] >= 0)
+    table = {}
+    for p, cnt in counts.items():
+        table.setdefault(dmax - p[0], {})[p[1:]] = cnt
     return table
 
 
@@ -170,46 +163,37 @@ def _convolve_character(rs, lam, top_table, mode_table, radius):
     return {(offset_weight(rs, lam, c), d): m for (c, d), m in out.items()}
 
 
-def character_relaxed_verma(rs, top, lam, alpha_idx, dmax, radius, kcap=40):
-    """Bigraded character of the relaxed Verma module, counted on the PBW
-    side: top character (f-monomial combinatorics for Verma tops, the
-    twisting-functor formula for GT tops) times monomials in the dim g
-    families of negative modes."""
-    if top == "V":
-        top_table = _verma_top_character(rs, radius + dmax)
-    else:
-        top_table = weylpoly._twist_counts(rs, alpha_idx, radius + dmax, kcap)
-    families = [_root_shift(rs, sym) for sym in liealg.basis_symbols(rs)]
+def _relaxed_character(rs, top, lam, alpha_idx, dmax, radius, families):
+    """The top count in the window widened by dmax, times the monomials in
+    the mode families, as {(Weight, energy): count-or-('ge', n)}."""
+    kind = weylpoly.top_kind(top, alpha_idx)
+    top_table = weylpoly._top_counts(rs, None if kind == "V" else kind[1],
+                                     radius + dmax, weylpoly.KCAP)
     mode_table = _mode_monomial_table(rs, families, dmax)
     return _convolve_character(rs, lam, top_table, mode_table, radius)
 
 
-def character_relaxed_wakimoto(rs, top, lam, alpha_idx, dmax, radius,
-                               kcap=40):
+def character_relaxed_verma(rs, top, lam, alpha_idx, dmax, radius):
+    """Bigraded character of the relaxed Verma module, counted on the PBW
+    side: the top character times monomials in the dim g families a_{-m},
+    one for each Chevalley basis element a."""
+    families = [_root_shift(rs, sym) for sym in liealg.basis_symbols(rs)]
+    return _relaxed_character(rs, top, lam, alpha_idx, dmax, radius,
+                              families)
+
+
+def character_relaxed_wakimoto(rs, top, lam, alpha_idx, dmax, radius):
     """Bigraded character of the relaxed Wakimoto module, counted on the
-    free-field side: Fock monomials for the top times monomials in the
-    generators {d_{x,-m}: -gamma, x_m: +gamma, y_m: 0}."""
-    top_table = weylpoly._fock_counts(rs, weylpoly.top_kind(top, alpha_idx),
-                                      radius + dmax, kcap)
+    free-field side: the top character times monomials in the generators
+    {d_{x,-m}: -gamma, x_m: +gamma, y_m: 0}."""
     families = []
     for gamma in rs.positive_roots:
         families.append(tuple(-c for c in gamma.coeffs))
         families.append(gamma.coeffs)
     for _ in range(rs.rank):
         families.append((0,) * rs.rank)
-    mode_table = _mode_monomial_table(rs, families, dmax)
-    return _convolve_character(rs, lam, top_table, mode_table, radius)
-
-
-def _verma_top_character(rs, radius):
-    """Verma character e^lam prod (1-e^{-gamma})^{-1} as {root-coordinate
-    offset from lam: count}, by direct f-monomial enumeration (independent
-    of the Fock realization)."""
-    table = {}
-    for _, offset in root_combinations(
-            [g.coeffs for g in rs.positive_roots], (0,) * rs.rank, -radius):
-        table[offset] = table.get(offset, 0) + 1
-    return table
+    return _relaxed_character(rs, top, lam, alpha_idx, dmax, radius,
+                              families)
 
 
 # -- diagnostics ---------------------------------------------------------------

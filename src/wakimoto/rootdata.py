@@ -13,8 +13,9 @@ through the epsilon-coordinate realization (sum-zero vectors in Q^n).
 
 from fractions import Fraction
 from itertools import permutations
+from operator import add, sub
 
-from .errors import DimensionError, InvalidRank, InvalidWeylWord
+from .errors import DimensionError, InvalidRank
 
 ZERO = Fraction(0)
 
@@ -199,6 +200,38 @@ def root_combinations(roots, start, floor):
             stack.append((b + (k,), tuple(c - k * x for c, x in zip(cur, g))))
 
 
+def lattice_counts(starts, gens, keep):
+    """{point: count} of the points s - sum_g b[g] * g with b >= 0, where
+    starts is {s: count}: a point counts starts[s] once for every start s
+    and every b that reach it.
+
+    Only the points that keep accepts are counted.  keep(c) must imply
+    keep(c + g) for every generator g, so that every point on the way
+    down to a kept point is kept too.  The generators are taken one at a
+    time: each point's ray c, c - g, c - 2g, ... is walked down until it
+    meets a point already held or one that keep rejects, and then each ray
+    is walked again from its top, setting count(c) = before(c) +
+    count(c + g).  Equal points merge, so the work grows with the number
+    of distinct points, not with the number of exponent vectors b.
+    """
+    table = {s: c for s, c in starts.items() if keep(s)}
+    for g in gens:
+        for c in list(table):
+            c = tuple(map(sub, c, g))
+            while c not in table and keep(c):
+                table[c] = 0
+                c = tuple(map(sub, c, g))
+        for c in list(table):
+            if tuple(map(add, c, g)) in table:
+                continue
+            run = 0
+            while c in table:
+                run += table[c]
+                table[c] = run
+                c = tuple(map(sub, c, g))
+    return table
+
+
 def bounded_degree_exponents(nvars, dmax):
     """Every exponent tuple in nvars variables of total degree <= dmax, in
     lexicographic order."""
@@ -217,32 +250,6 @@ def offset_weight(rs, lam, coords):
 
 
 # -- Weyl group --------------------------------------------------------------
-
-def identity_perm(rs):
-    return tuple(range(rs.n))
-
-
-def simple_reflection(rs, i):
-    """s_{alpha_{i+1}} as a permutation of {0..n-1} (0-based simple index i)."""
-    if not 0 <= i < rs.rank:
-        raise InvalidWeylWord("simple index out of range: %r" % (i,))
-    p = list(range(rs.n))
-    p[i], p[i + 1] = p[i + 1], p[i]
-    return tuple(p)
-
-
-def perm_compose(p, q):
-    """(p o q): first q, then p."""
-    return tuple(p[q[i]] for i in range(len(p)))
-
-
-def perm_from_word(rs, word):
-    """Permutation for a word in simple reflections (list of 0-based indices)."""
-    p = identity_perm(rs)
-    for i in word:
-        p = perm_compose(p, simple_reflection(rs, i))
-    return p
-
 
 def weyl_act(rs, perm, lam):
     """Action of the permutation on a weight (via epsilon coordinates)."""
@@ -268,14 +275,9 @@ def all_weyl_elements(rs):
     return list(permutations(range(rs.n)))
 
 
-def dot_action(rs, w, lam):
-    """w . lam = w(lam + rho) - rho.  w is a permutation or a reduced word."""
-    if w and isinstance(w[0], list):
-        raise InvalidWeylWord("nested word")
-    if all(isinstance(x, int) for x in w) and sorted(w) == list(range(rs.n)):
-        perm = tuple(w)
-    else:
-        perm = perm_from_word(rs, list(w))
+def dot_action(rs, perm, lam):
+    """perm . lam = perm(lam + rho) - rho, for a permutation of the
+    epsilon indices, as all_weyl_elements lists them."""
     r = rho(rs)
     return weyl_act(rs, perm, lam + r) - r
 

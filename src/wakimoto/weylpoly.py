@@ -1,6 +1,10 @@
 """The finite Weyl algebra A_nbar tensor U(h), the homomorphism pi_g, the
-p/q polynomials, the Fock realizations F_nbar and F_{nbar,alpha}, twisted
-characters and Gamma_alpha multiplicities.
+p/q polynomials, the Fock realizations F_nbar and F_{nbar,alpha}, the
+characters of module tops and Gamma_alpha multiplicities.
+
+_top_counts is the one table of a top's character, the Verma top or the
+twisted top T_alpha M(lambda) = W(lambda, alpha), counted by
+rootdata.lattice_counts; twist_character and the relaxed characters read it.
 
 Polynomials are sparse dicts {exponent tuple: Fraction}.  A WeylElement is a
 dict {(x-exponents, d-exponents): h-polynomial}; the normal form has all x's
@@ -9,14 +13,15 @@ to the left of all d's, and the commutation rule is [x_a, d_b] = -delta_ab
 """
 
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, prod
 
 from . import liealg
-from .errors import EmptyWindow, ModuleMismatch, NotSimpleRoot
+from .errors import (EmptyWindow, ModuleMismatch, NotSimpleRoot,
+                     WindowTooLarge)
 from .linalg import charpoly, rational_roots
 from .liealg import LieElement, bracket_symbols
-from .rootdata import (bounded_degree_exponents, offset_weight, rho,
-                       root_combinations, root_label)
+from .rootdata import (bounded_degree_exponents, lattice_counts,
+                       offset_weight, rho, root_label)
 from .sparse import add_nested, add_term, added, scaled
 
 ZERO = Fraction(0)
@@ -450,6 +455,19 @@ def act_F(w, v):
 # A character is counted as {root-coordinate offset from lambda: mult}; the
 # offsets are integer tuples, and each becomes a Weight once, on output.
 
+# The default cap on the alpha exponent k of a twisted top with a non-simple
+# alpha.
+KCAP = 60
+
+# The most lattice points _top_counts may hold: prod_t (radius + 1 +
+# kmax * alpha_t) bounds the points between the window's floor and the
+# highest start.  On a 2-core box `twist-char -n 4 --alpha theta --window 4`
+# (274,625) takes 4 s and 51 MB, `-n 7 --alpha theta --window 1 --kcap 6`
+# (262,144) 15 s and 56 MB; `-n 4 --alpha theta --window 4 --kcap 100`
+# (1,157,625) took 20 s and 183 MB.
+MAX_TOP_BOX = 300000
+
+
 def _check_window(radius):
     """Refuse a window that holds no weight beyond lambda itself."""
     if radius < 1:
@@ -460,34 +478,56 @@ def _in_window(coords, radius):
     return all(-radius <= c <= radius for c in coords)
 
 
-def _flag_unbounded(table, flagged):
-    return {c: (("ge", m) if c in flagged else m) for c, m in table.items()}
+def _top_counts(rs, alpha_idx, radius, kcap):
+    """The character of a module top as {root-coordinate offset from lambda:
+    mult} in the window |c| <= radius: the Verma character
+    prod_gamma (1 - e^{-gamma})^{-1} when alpha_idx is None, otherwise the
+    twisted one sum_{k >= 1} e^{k alpha} prod_{gamma != alpha}
+    (1 - e^{-gamma})^{-1}.
+
+    For a non-simple alpha a window weight can have infinite multiplicity,
+    so k stops at kcap, and an entry that (kcap + 1) alpha still reaches is
+    reported as ('ge', n): at least the n counted.  A simple alpha needs no
+    cap, see below.  WindowTooLarge, before anything is counted, if the
+    points held on the way exceed MAX_TOP_BOX.
+    """
+    roots = [g.coeffs for g in rs.positive_roots]
+    unbounded = alpha_idx is not None and sum(roots[alpha_idx]) > 1
+    if alpha_idx is None:
+        alpha, kmax, gens = (0,) * rs.rank, 0, roots
+        starts = {alpha: 1}
+    else:
+        alpha = roots[alpha_idx]
+        gens = roots[:alpha_idx] + roots[alpha_idx + 1:]
+        if unbounded:
+            kmax = kcap
+        else:
+            # alpha = alpha_s.  At a window point c, the roots gamma != alpha
+            # that contain alpha_s sum to B = k - c_s, and each of them also
+            # contains another simple root, so it lowers another coordinate:
+            # B <= -sum_{t != s} c_t <= (rank - 1) radius, hence
+            # k <= rank * radius.  Tight: in sl4, alpha_2 reaches
+            # (-R, R, -R) only with k = 3R.
+            kmax = rs.rank * radius
+        starts = {tuple(k * a for a in alpha): 1 for k in range(1, kmax + 1)}
+    box = prod(radius + 1 + kmax * a for a in alpha)
+    if box > MAX_TOP_BOX:
+        raise WindowTooLarge("the top character up to radius %d needs a "
+                             "counting box of %d lattice points; the limit "
+                             "is %d" % (radius, box, MAX_TOP_BOX))
+    counts = lattice_counts(starts, gens, lambda c: min(c) >= -radius)
+    table = {c: m for c, m in counts.items() if max(c) <= radius}
+    if unbounded:
+        # the other roots hold every simple root, so (kmax + 1) alpha still
+        # reaches exactly the points c <= (kmax + 1) alpha
+        past = tuple((kmax + 1) * a for a in alpha)
+        for c, m in table.items():
+            if all(x <= y for x, y in zip(c, past)):
+                table[c] = ("ge", m)
+    return table
 
 
-def _twist_counts(rs, alpha_idx, radius, kcap):
-    """twist_character as {root-coordinate offset: mult}."""
-    alpha = rs.positive_roots[alpha_idx]
-    others = [g.coeffs for i, g in enumerate(rs.positive_roots)
-              if i != alpha_idx]
-    simple = alpha.height == 1
-
-    def contributions(k):
-        """Offsets k*alpha - sum b_g gamma inside the window box."""
-        base = tuple(k * c for c in alpha.coeffs)
-        return [end for _, end in root_combinations(others, base, -radius)
-                if _in_window(end, radius)]
-
-    table = {}
-    kmax = kcap if not simple else (2 * radius + 2 * rs.n)
-    for k in range(1, kmax + 1):
-        for end in contributions(k):
-            table[end] = table.get(end, 0) + 1
-    # one step past the cap: any weight still being hit grows forever
-    flagged = set() if simple else set(contributions(kmax + 1))
-    return _flag_unbounded(table, flagged)
-
-
-def twist_character(rs, lam, alpha_idx, radius, kcap=60):
+def twist_character(rs, lam, alpha_idx, radius, kcap=KCAP):
     """Character of T_alpha M(lambda) inside the window.
 
     Returns {Weight: mult} where mult is an int or ('ge', n) when the
@@ -496,44 +536,7 @@ def twist_character(rs, lam, alpha_idx, radius, kcap=60):
     """
     _check_window(radius)
     return {offset_weight(rs, lam, c): m
-            for c, m in _twist_counts(rs, alpha_idx, radius, kcap).items()}
-
-
-def _fock_counts(rs, kind, radius, kcap):
-    """fock_character as {root-coordinate offset: mult}."""
-    roots = [g.coeffs for g in rs.positive_roots]
-    table = {}
-    if kind == "V":
-        # monomials prod d^{b_g}: offset -sum b_g gamma
-        for _, end in root_combinations(roots, (0,) * rs.rank, -radius):
-            table[end] = table.get(end, 0) + 1
-        return table
-    alpha_idx = kind[1]
-    alpha = rs.positive_roots[alpha_idx]
-    simple = alpha.height == 1
-    others = roots[:alpha_idx] + roots[alpha_idx + 1:]
-    amax = kcap if not simple else (2 * radius + 2 * rs.n)
-
-    def sweep(a):
-        """Offsets of x_alpha^a prod d^{b_g} inside the window box."""
-        base = tuple((a + 1) * c for c in alpha.coeffs)
-        return [end for _, end in root_combinations(others, base, -radius)
-                if _in_window(end, radius)]
-
-    for a in range(amax):
-        for end in sweep(a):
-            table[end] = table.get(end, 0) + 1
-    flagged = set() if simple else set(sweep(amax))
-    return _flag_unbounded(table, flagged)
-
-
-def fock_character(rs, lam, kind, radius, kcap=60):
-    """Character of the Fock realization (F_nbar or F_{nbar,alpha}) inside the
-    window, by direct monomial enumeration; same flag convention as
-    twist_character."""
-    _check_window(radius)
-    return {offset_weight(rs, lam, c): m
-            for c, m in _fock_counts(rs, kind, radius, kcap).items()}
+            for c, m in _top_counts(rs, alpha_idx, radius, kcap).items()}
 
 
 # -- Gamma_alpha multiplicities ------------------------------------------------

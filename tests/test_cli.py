@@ -370,6 +370,29 @@ def test_a_large_enumeration_is_refused(cmd, monkeypatch, capsys):
         "eta, weight) triples; the limit is %d\n" % admissible.MAX_ENUMERATION)
 
 
+@pytest.mark.parametrize("argv,radius,box", [
+    (["twist-char", "-n", "5", "--lam", "0,0,0,0", "--alpha", "theta",
+      "--window", "3", "--kcap", "20"], 3, 24 ** 4),
+    (["twist-char", "-n", "4", "--lam", "0,0,0", "--alpha", "a2",
+      "--window", "100"], 100, 101 * 401 * 101),
+    (["verify", "characters", "-n", "3", "--window", "600", "-D", "1"],
+     601, 602 ** 2),
+])
+def test_a_large_counting_box_is_refused(argv, radius, box, monkeypatch,
+                                         capsys):
+    # refused before any lattice point is counted
+    def counted(*args):
+        raise AssertionError("counted before the size check")
+
+    for mod in (weylpoly, relaxed):
+        monkeypatch.setattr(mod, "lattice_counts", counted)
+    assert main(argv) == 2
+    assert capsys.readouterr().err == (
+        "error: the top character up to radius %d needs a counting box of "
+        "%d lattice points; the limit is %d\n"
+        % (radius, box, weylpoly.MAX_TOP_BOX))
+
+
 def test_the_cli_does_not_import_dataclasses():
     # dataclasses (and the inspect it imports) would add to every command's
     # start-up

@@ -3,7 +3,7 @@ from itertools import product
 
 import pytest
 
-from wakimoto import relaxed
+from wakimoto import relaxed, weylpoly
 from wakimoto.errors import ModuleMismatch
 from wakimoto.liealg import basis_symbols, bracket_symbols, kappa0_symbols
 from wakimoto.relaxed import (RelaxedModule, character_relaxed_verma,
@@ -13,6 +13,8 @@ from wakimoto.relaxed import (RelaxedModule, character_relaxed_verma,
 from wakimoto.rootdata import (Weight, bounded_degree_exponents,
                                build_root_system, pairing)
 from wakimoto.sparse import added as vec_add
+
+from test_weylpoly import fock_oracle
 
 RS2 = build_root_system(2)
 RS3 = build_root_system(3)
@@ -151,10 +153,28 @@ def test_character_identity_sl2():
 def test_character_identity_sl3_theta():
     lam = Weight((Fr(1, 3), Fr(2)))
     th = RS3.root_index[(1, 1)]
-    a = character_relaxed_verma(RS3, "GT", lam, th, 2, 4, kcap=20)
-    b = character_relaxed_wakimoto(RS3, "GT", lam, th, 2, 4, kcap=20)
+    a = character_relaxed_verma(RS3, "GT", lam, th, 2, 4)
+    b = character_relaxed_wakimoto(RS3, "GT", lam, th, 2, 4)
     assert a == b
     assert any(isinstance(m, tuple) for m in a.values())
+
+
+@pytest.mark.parametrize("n,radius", [(2, 6), (3, 4), (4, 1)])
+def test_energy_zero_is_the_fock_oracle(n, radius):
+    # the energy-0 slice of either relaxed character is the Fock top's
+    # character, counted monomial by monomial; sl4 leaves out theta, whose
+    # default cap makes (radius + 62)^3 points
+    rs = build_root_system(n)
+    lam = Weight(tuple(Fr(i + 1, 3) for i in range(rs.rank)))
+    tops = [("V", None)] + [("GT", ai) for ai, g in
+                            enumerate(rs.positive_roots)
+                            if n < 4 or g.height < rs.rank]
+    for top, ai in tops:
+        expect = fock_oracle(rs, lam, weylpoly.top_kind(top, ai), radius)
+        for character in (character_relaxed_verma,
+                          character_relaxed_wakimoto):
+            ch = character(rs, top, lam, ai, 1, radius)
+            assert {wt: m for (wt, d), m in ch.items() if d == 0} == expect
 
 
 def _exact_oracle(mod, d):

@@ -3,14 +3,14 @@ from fractions import Fraction as Fr
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wakimoto import rootdata
 from wakimoto.errors import DimensionError, InvalidRank
 from wakimoto.rootdata import (Root, Weight, all_weyl_elements,
-                               build_root_system, dot_action, pairing,
-                               perm_compose, perm_from_word, rho,
-                               simple_reflection, theta, weyl_act,
-                               weyl_act_root)
+                               build_root_system, dot_action, pairing, rho,
+                               theta, weyl_act, weyl_act_root)
 
 
 def weight_inner(rs, lam, mu):
@@ -87,7 +87,8 @@ def test_weyl_group_size():
 def test_simple_reflection_on_simple_root():
     rs = build_root_system(3)
     for i in range(rs.rank):
-        s = simple_reflection(rs, i)
+        s = list(range(rs.n))
+        s[i], s[i + 1] = s[i + 1], s[i]
         img = weyl_act_root(rs, s, rs.simple_roots[i])
         assert img.coeffs == tuple(-c for c in rs.simple_roots[i].coeffs)
 
@@ -102,14 +103,6 @@ def test_weyl_act_root_matches_weyl_act():
                     weyl_act(rs, w, rs.root_to_weight(a))
 
 
-def test_braid_relation_sl3():
-    rs = build_root_system(3)
-    s0, s1 = simple_reflection(rs, 0), simple_reflection(rs, 1)
-    lhs = perm_compose(s0, perm_compose(s1, s0))
-    rhs = perm_compose(s1, perm_compose(s0, s1))
-    assert lhs == rhs
-
-
 def test_weyl_act_preserves_inner():
     rs = build_root_system(3)
     lam = Weight((Fr(1, 2), Fr(3)))
@@ -117,14 +110,6 @@ def test_weyl_act_preserves_inner():
     for w in all_weyl_elements(rs):
         assert weight_inner(rs, weyl_act(rs, w, lam), weyl_act(rs, w, mu)) \
             == weight_inner(rs, lam, mu)
-
-
-def test_dot_action_word_and_perm_agree():
-    rs = build_root_system(3)
-    lam = Weight((Fr(2, 3), Fr(-1)))
-    word = [0, 1, 0]
-    perm = perm_from_word(rs, word)
-    assert dot_action(rs, word, lam) == dot_action(rs, perm, lam)
 
 
 def test_dot_action_fixed_point():
@@ -224,6 +209,54 @@ def test_exact_root_decompositions_match_brute_force(n):
     # Kostant's partition function of theta in type A_r is 2^(r-1)
     assert len([b for b, end in rootdata.root_combinations(
         roots, (1,) * rs.rank, 0) if not any(end)]) == 2 ** (rs.rank - 1)
+
+
+def _brute_lattice_counts(starts, gens, keep, bound):
+    # every b_g below bound; the callers check that bound + 1 adds nothing
+    out = {}
+    for s, cnt in starts.items():
+        for b in product(range(bound), repeat=len(gens)):
+            end = tuple(x - sum(k * g[t] for k, g in zip(b, gens))
+                        for t, x in enumerate(s))
+            if keep(end):
+                out[end] = out.get(end, 0) + cnt
+    return out
+
+
+_point = st.lists(st.integers(-2, 3), min_size=2, max_size=2).map(tuple)
+
+
+@settings(max_examples=60, deadline=None)
+@given(starts=st.dictionaries(_point, st.integers(1, 3), max_size=3),
+       gens=st.lists(st.lists(st.integers(0, 2), min_size=2, max_size=2)
+                     .map(tuple).filter(any), max_size=3),
+       floor=st.integers(-2, 1))
+def test_lattice_counts_with_a_floor_match_brute_force(starts, gens, floor):
+    # nonnegative generators and every coordinate >= floor, as the top
+    # characters use them
+    def keep(c):
+        return min(c) >= floor
+
+    bound = 3 - floor + 1
+    expect = _brute_lattice_counts(starts, gens, keep, bound)
+    assert expect == _brute_lattice_counts(starts, gens, keep, bound + 1)
+    assert rootdata.lattice_counts(starts, gens, keep) == expect
+
+
+@settings(max_examples=60, deadline=None)
+@given(dmax=st.integers(0, 4),
+       gens=st.lists(st.tuples(st.integers(1, 3), st.integers(-2, 2),
+                               st.integers(-2, 2)), max_size=3))
+def test_lattice_counts_on_one_coordinate_match_brute_force(dmax, gens):
+    # positive first coordinate (an energy) and any weight, kept while the
+    # energy left is >= 0, as the mode-monomial tables use them
+    def keep(c):
+        return c[0] >= 0
+
+    starts = {(dmax, 0, 0): 1}
+    expect = _brute_lattice_counts(starts, gens, keep, dmax + 1)
+    assert expect == _brute_lattice_counts(starts, gens, keep, dmax + 2)
+    assert rootdata.lattice_counts(starts, gens, keep) == expect
 
 
 def test_bounded_degree_exponents_match_brute_force():

@@ -5,15 +5,16 @@ import pytest
 
 from wakimoto.errors import EmptyWeightSpace, ModuleMismatch, NotSimpleRoot
 from wakimoto.liealg import LieElement, basis_symbols
-from wakimoto.rootdata import Weight, build_root_system
-from wakimoto.weylpoly import (FockVector, PolyGValued, WeylElement,
-                               act_F, bernoulli_series, fock_character,
+from wakimoto.rootdata import Weight, build_root_system, offset_weight
+from wakimoto.weylpoly import (KCAP, FockVector, PolyGValued, WeylElement,
+                               _top_counts, act_F, bernoulli_series,
                                gamma_alpha_multiplicity, pi_g, pi_g_elem,
                                pq_polynomials, render_weyl, twist_character,
                                verify_pi_hom, weyl_mul)
 
 RS2 = build_root_system(2)
 RS3 = build_root_system(3)
+RS4 = build_root_system(4)
 
 
 def w_elem(rs, x, d, h=None, c=Fr(1)):
@@ -243,6 +244,61 @@ def test_act_F_is_hom_on_slice():
 
 # -- characters -------------------------------------------------------------------
 
+def _fock_counts_in_box(rs, kind, radius, box, kcap):
+    """({offset: count}, flagged offsets) of the Fock monomials
+    x_alpha^a prod_{gamma != alpha} d_gamma^{b_gamma} (kind ('GT', alpha))
+    or prod_gamma d_gamma^{b_gamma} (kind 'V') whose weight offset
+    (a + 1) alpha - sum_gamma b_gamma gamma lies in the window.  The loops
+    run a over range(box) for a simple alpha, and over range(kcap + 1) for
+    a non-simple one, where a = kcap only marks the offsets it still
+    reaches.  A d_gamma only lowers the weight, so each d exponent grows
+    until the offset drops below the window, and a branch stops once a
+    coordinate lies above the window where no later d can lower it."""
+    roots = [g.coeffs for g in rs.positive_roots]
+    if kind == "V":
+        # no x_alpha: one pass with (a + 1) alpha = 0
+        alpha, arange = (0,) * rs.rank, [-1]
+        ds = roots
+    else:
+        alpha = roots[kind[1]]
+        ds = roots[:kind[1]] + roots[kind[1] + 1:]
+        arange = range(box) if sum(alpha) == 1 else range(kcap + 1)
+    ds = sorted(ds, key=sum, reverse=True)
+    stuck = [[t for t in range(rs.rank) if not any(g[t] for g in ds[i:])]
+             for i in range(len(ds) + 1)]
+    counts, flagged = {}, set()
+
+    def loop(i, c, a):
+        if any(c[t] > radius for t in stuck[i]):
+            return
+        if i == len(ds):
+            if a == kcap and sum(alpha) > 1:
+                flagged.add(c)
+            else:
+                counts[c] = counts.get(c, 0) + 1
+            return
+        while min(c) >= -radius:
+            loop(i + 1, c, a)
+            c = tuple(x - y for x, y in zip(c, ds[i]))
+
+    for a in arange:
+        loop(0, tuple((a + 1) * x for x in alpha), a)
+    return counts, flagged
+
+
+def fock_oracle(rs, lam, kind, radius, kcap=KCAP):
+    """Character of the Fock top F_nbar (kind 'V') or F_{nbar,alpha}
+    (('GT', alpha)) in the window, as {Weight: mult} with the flags of
+    twist_character, counted monomial by monomial.  The box of x_alpha
+    exponents is generous, and a larger box must give the same table."""
+    box = 4 * rs.n * radius
+    counts, flagged = _fock_counts_in_box(rs, kind, radius, box, kcap)
+    assert _fock_counts_in_box(rs, kind, radius, 2 * box, kcap) == \
+        (counts, flagged)
+    return {offset_weight(rs, lam, c): (("ge", m) if c in flagged else m)
+            for c, m in counts.items()}
+
+
 def test_twist_character_sl2():
     lam = Weight((Fr(2, 3),))
     ch = twist_character(RS2, lam, 0, 6)
@@ -254,15 +310,39 @@ def test_twist_matches_fock_sl2():
     for lam_c in (Fr(0), Fr(2, 3), Fr(-1, 2)):
         lam = Weight((lam_c,))
         assert twist_character(RS2, lam, 0, 8) == \
-            fock_character(RS2, lam, ("GT", 0), 8)
+            fock_oracle(RS2, lam, ("GT", 0), 8)
 
 
 def test_twist_matches_fock_sl3_theta():
     lam = Weight((Fr(1, 3), Fr(2)))
     th = RS3.root_index[(1, 1)]
     a = twist_character(RS3, lam, th, 4, kcap=20)
-    b = fock_character(RS3, lam, ("GT", th), 4, kcap=20)
+    b = fock_oracle(RS3, lam, ("GT", th), 4, kcap=20)
     assert a == b
+
+
+@pytest.mark.parametrize("rs,radius", [(RS2, 9), (RS3, 6), (RS4, 2)])
+def test_twist_matches_fock_oracle_for_every_root(rs, radius):
+    lam = Weight(tuple(Fr(i + 1, 3) for i in range(rs.rank)))
+    for ai, alpha in enumerate(rs.positive_roots):
+        # a cap below, at and above the window, and the default
+        for kcap in ((1, 3, radius + 1, KCAP) if alpha.height > 1
+                     else (KCAP,)):
+            if rs.n == 4 and kcap == KCAP:
+                continue        # (radius + 61)^3 points: minutes, not seconds
+            assert twist_character(rs, lam, ai, radius, kcap=kcap) == \
+                fock_oracle(rs, lam, ("GT", ai), radius, kcap=kcap)
+
+
+def test_sl4_alpha2_reaches_the_window_corner_only_with_k_3r():
+    # (-9, 9, -9) in root coordinates, the weight (-27, 36, -27), is
+    # 27 alpha_2 - 9 (alpha_1 + alpha_2) - 9 (alpha_2 + alpha_3) at the
+    # largest k; its multiplicity is sum_{j=1}^{10} j^2
+    lam = Weight((0, 0, 0))
+    a2 = RS4.root_index[(0, 1, 0)]
+    ch = twist_character(RS4, lam, a2, 9)
+    assert ch[Weight((-27, 36, -27))] == sum(j * j for j in range(1, 11))
+    assert ch == fock_oracle(RS4, lam, ("GT", a2), 9)
 
 
 def test_theta_twist_weight_lambda_unbounded():
@@ -277,11 +357,9 @@ def test_theta_twist_weight_lambda_unbounded():
 def test_verma_fock_character_is_verma_character():
     # F_nbar monomial count inside a window = Verma character
     lam = Weight((Fr(1, 3), Fr(2)))
-    ch = fock_character(RS3, lam, "V", 3)
-    from wakimoto.relaxed import _verma_top_character
-    from wakimoto.rootdata import offset_weight
+    ch = fock_oracle(RS3, lam, "V", 3)
     assert ch == {offset_weight(RS3, lam, c): m
-                  for c, m in _verma_top_character(RS3, 3).items()}
+                  for c, m in _top_counts(RS3, None, 3, KCAP).items()}
 
 
 # -- Gamma_alpha ------------------------------------------------------------------
