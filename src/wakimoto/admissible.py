@@ -250,24 +250,6 @@ def omega_direct(sigma, lvl):
     return out
 
 
-def check_regular_dominant(lvl, lam, depth=3):
-    """<lambda_hat + rho_hat, alpha_vee> not in -N0 for the real test roots
-    +-alpha + m delta, m <= depth (finite roots at m = 0)."""
-    rs = build_root_system(lvl.n)
-    lr = lam + rho(rs)
-    t = Fraction(lvl.p, lvl.q)
-    for a in rs.positive_roots:
-        base = pairing(rs, lr, a)
-        for m in range(depth + 1):
-            for s in (1, -1):
-                if s < 0 and m == 0:
-                    continue
-                v = s * base + m * t
-                if v.denominator == 1 and v <= 0:
-                    return False
-    return True
-
-
 def omega_certificates(sigma, lvl, omega):
     """Export (lambda, alpha) pairs for every lambda in omega, the list
     Omega_k(p_Sigma), and alpha in Delta_+^u, the data of an admissible GT

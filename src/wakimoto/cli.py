@@ -12,7 +12,6 @@ from fractions import Fraction
 
 from . import admissible, modes, relaxed, weylpoly
 from .errors import WakimotoError
-from .liealg import LieElement
 from .rootdata import (Weight, build_root_system, frac_str, root_label,
                        weight_to_json)
 
@@ -132,8 +131,7 @@ def character_to_json(table):
 def cmd_pi_g(args):
     rs = build_root_system(args.n)
     sym = parse_symbol(rs, args.symbol)
-    w = weylpoly.pi_g(LieElement.basis(rs, sym))
-    text = weylpoly.render_weyl(w)
+    text = weylpoly.render_weyl(rs, weylpoly.pi_g(rs, sym))
     emit(args, {"n": args.n, "symbol": args.symbol, "pi_g": text}, text)
     return 0
 
@@ -338,10 +336,9 @@ def golden_payloads():
     rs2 = build_root_system(2)
     out = {}
     out["pi_g_sl2"] = {
-        "e:a1": weylpoly.render_weyl(weylpoly.pi_g(LieElement.basis(rs2, ("e", 0)))),
-        "h:1": weylpoly.render_weyl(weylpoly.pi_g(LieElement.basis(rs2, ("h", 0)))),
-        "f:a1": weylpoly.render_weyl(weylpoly.pi_g(LieElement.basis(rs2, ("f", 0)))),
-    }
+        symbol_label(rs2, sym): weylpoly.render_weyl(rs2,
+                                                     weylpoly.pi_g(rs2, sym))
+        for sym in (("e", 0), ("h", 0), ("f", 0))}
     lvl = admissible.level_from_pq(2, 3, 2)
     out["prk_n2_p3_q2"] = [weight_to_json(w) for w in admissible.pr_k_bar(lvl)]
     out["omega_n2_p3_q2"] = {

@@ -9,8 +9,7 @@ unambiguous.
 
 from fractions import Fraction
 
-from .errors import DimensionError
-from .rootdata import root_label
+from .sparse import add_term
 
 ZERO = Fraction(0)
 
@@ -21,52 +20,6 @@ def basis_symbols(rs):
     syms += [("h", i) for i in range(rs.rank)]
     syms += [("f", a) for a in range(len(rs.positive_roots))]
     return syms
-
-
-class LieElement:
-    """Sparse rational combination of Chevalley basis symbols."""
-
-    __slots__ = ("rs", "coeffs")
-
-    def __init__(self, rs, coeffs=None):
-        self.rs = rs
-        self.coeffs = {}
-        if coeffs:
-            for s, c in coeffs.items():
-                c = Fraction(c)
-                if c != 0:
-                    self.coeffs[s] = c
-
-    @classmethod
-    def basis(cls, rs, sym, c=1):
-        return cls(rs, {sym: Fraction(c)})
-
-    def __add__(self, other):
-        self._check(other)
-        out = dict(self.coeffs)
-        for s, c in other.coeffs.items():
-            out[s] = out.get(s, ZERO) + c
-        return LieElement(self.rs, out)
-
-    def __sub__(self, other):
-        return self + (-1) * other
-
-    def __rmul__(self, c):
-        c = Fraction(c)
-        return LieElement(self.rs, {s: c * v for s, v in self.coeffs.items()})
-
-    def __eq__(self, other):
-        return isinstance(other, LieElement) and self.coeffs == other.coeffs
-
-    def is_zero(self):
-        return not self.coeffs
-
-    def _check(self, other):
-        if self.rs is not other.rs and self.rs.n != other.rs.n:
-            raise DimensionError("elements of different algebras")
-
-    def __repr__(self):
-        return "LieElement(%s)" % (render(self),)
 
 
 def symbol_matrix(rs, sym):
@@ -81,7 +34,8 @@ def symbol_matrix(rs, sym):
 
 
 def matrix_to_lie(rs, mat):
-    """Decompose a traceless sparse matrix over the Chevalley basis."""
+    """Decompose a traceless sparse matrix over the Chevalley basis, as
+    {symbol: Fraction}."""
     coeffs = {}
     diag = [mat.get((i, i), ZERO) for i in range(rs.n)]
     # h-part: partial sums
@@ -97,7 +51,7 @@ def matrix_to_lie(rs, mat):
             coeffs[("e", _root_idx(rs, i, j))] = c
         else:
             coeffs[("f", _root_idx(rs, j, i))] = c
-    return LieElement(rs, coeffs)
+    return coeffs
 
 
 def _root_idx(rs, i, j):
@@ -119,39 +73,29 @@ def bracket_symbols(rs, s1, s2):
     for (i, j), a in m1.items():
         for (k, l), b in m2.items():
             if j == k:
-                comm[(i, l)] = comm.get((i, l), ZERO) + a * b
+                add_term(comm, (i, l), a * b)
             if l == i:
-                comm[(k, j)] = comm.get((k, j), ZERO) - a * b
-    out = matrix_to_lie(rs, comm).coeffs
+                add_term(comm, (k, j), -a * b)
+    out = matrix_to_lie(rs, comm)
     _BRACKET_CACHE[key] = out
     return out
 
 
-def bracket(a, b):
-    a._check(b)
-    rs = a.rs
-    out = {}
-    for s1, c1 in a.coeffs.items():
-        for s2, c2 in b.coeffs.items():
-            for s, c in bracket_symbols(rs, s1, s2).items():
-                out[s] = out.get(s, ZERO) + c1 * c2 * c
-    return LieElement(rs, out)
-
-
 def h_alpha(rs, a_idx):
-    """The coroot h_alpha as a LieElement (sum of consecutive h_i in type A)."""
+    """The coroot h_alpha as {symbol: Fraction} (sum of consecutive h_i in
+    type A)."""
     i, j = rs.root_pair(rs.positive_roots[a_idx])
-    return LieElement(rs, {("h", t): Fraction(1) for t in range(i, j)})
+    return {("h", t): Fraction(1) for t in range(i, j)}
 
 
 def casimir_s_alpha(rs, a_idx):
     """c_alpha = e f + f e + h^2/2 of the sl2-triple of alpha.
 
-    Returned as a list of (coefficient, tuple-of-LieElements), read as an
-    ordered product in U(g).
+    Returned as a list of (coefficient, tuple of {symbol: Fraction}), read
+    as an ordered product in U(g).
     """
-    e = LieElement.basis(rs, ("e", a_idx))
-    f = LieElement.basis(rs, ("f", a_idx))
+    e = {("e", a_idx): Fraction(1)}
+    f = {("f", a_idx): Fraction(1)}
     h = h_alpha(rs, a_idx)
     return [
         (Fraction(1), (e, f)),
@@ -173,25 +117,3 @@ def kappa0_symbols(rs, s1, s2):
     if {k1, k2} == {"e", "f"} and i1 == i2:
         return Fraction(1)
     return ZERO
-
-
-def render(a):
-    if not a.coeffs:
-        return "0"
-    parts = []
-    for sym in basis_symbols(a.rs):
-        if sym not in a.coeffs:
-            continue
-        c = a.coeffs[sym]
-        kind, idx = sym
-        if kind == "h":
-            name = "h%d" % (idx + 1)
-        else:
-            name = "%s_{%s}" % (kind, root_label(a.rs.positive_roots[idx]))
-        if c == 1:
-            parts.append(name)
-        elif c == -1:
-            parts.append("-" + name)
-        else:
-            parts.append("%s %s" % (c, name))
-    return " + ".join(parts).replace("+ -", "- ")

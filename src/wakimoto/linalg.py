@@ -90,11 +90,14 @@ def rational_roots(coeffs):
         roots[ZERO] = zeros
         ic = ic[zeros:]
     # a root p/q in lowest terms has p | a_0 and q | a_n; each quotient's
-    # roots are roots of ic, so the candidates are found once
-    cands = [(s * p, q) for q in _divisors(abs(ic[-1]))
-             for p in _divisors(abs(ic[0])) if gcd(p, q) == 1
-             for s in (1, -1)]
+    # roots are roots of ic, so the divisors are found once.  The candidate
+    # pairs are made one at a time, and none once the quotient is constant
+    pdivs = _divisors(abs(ic[0]))
+    cands = ((s * p, q) for q in _divisors(abs(ic[-1]))
+             for p in pdivs if gcd(p, q) == 1 for s in (1, -1))
     for p, q in cands:
+        if len(ic) == 1:
+            break
         while len(ic) > 1 and _is_root(ic, p, q):
             r = Fraction(p, q)
             roots[r] = roots.get(r, 0) + 1

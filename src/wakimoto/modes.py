@@ -61,7 +61,7 @@ from math import lcm
 
 from . import liealg, weylpoly
 from .errors import NotSimpleRoot, RealizationBug
-from .liealg import LieElement, bracket_symbols, kappa0_symbols
+from .liealg import bracket_symbols, kappa0_symbols
 from .linalg import nullspace
 from .rootdata import (Weight, bounded_degree_exponents, build_root_system,
                        rho, root_combinations)
@@ -435,7 +435,7 @@ def _lift(rs, sym):
     """The normal-ordered lift of pi_g(sym) (x -> a*, d -> a, h_i -> b_i), as
     its a-terms and its b-terms, each in pi_g's term order."""
     a_terms, b_terms = [], []
-    for (xa, db), hp in weylpoly.pi_g(LieElement.basis(rs, sym)).terms.items():
+    for (xa, db), hp in weylpoly.pi_g(rs, sym).items():
         astars = tuple((g, 0) for g, ex in enumerate(xa) for _ in range(ex))
         for he, c in hp.items():
             if sum(db) + sum(he) > 1:
@@ -556,8 +556,9 @@ def pi_field(rs, sym, k):
 
 
 def pi_affine(rs, a, k):
-    """Image of a LieElement as a list of (coeff, FieldExpr)."""
-    return [(c, pi_field(rs, sym, k)) for sym, c in a.coeffs.items()]
+    """Image of a g element {symbol: Fraction} as a list of (coeff,
+    FieldExpr)."""
+    return [(c, pi_field(rs, sym, k)) for sym, c in a.items()]
 
 
 # -- spanning sets and verification -------------------------------------------
@@ -662,7 +663,7 @@ def _comm_problem(n, k):
     brackets = {}
     for i, s1 in enumerate(syms):
         for s2 in syms[i:]:
-            br = LieElement(rs, bracket_symbols(rs, s1, s2))
+            br = bracket_symbols(rs, s1, s2)
             brackets[(s1, s2)] = (pi_affine(rs, br, k),
                                   kappa0_symbols(rs, s1, s2))
     return rs, k, fields, items, brackets

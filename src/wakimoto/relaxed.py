@@ -12,8 +12,8 @@ F_{nbar,alpha} for GT tops).
 from fractions import Fraction
 
 from . import liealg, weylpoly
-from .errors import RealizationBug
-from .liealg import LieElement, bracket_symbols, kappa0_symbols
+from .errors import RealizationBug, WindowTooLarge
+from .liealg import bracket_symbols, kappa0_symbols
 from .linalg import nullspace
 from .rootdata import (bounded_degree_exponents, lattice_counts,
                        offset_weight, root_combinations)
@@ -36,21 +36,15 @@ class RelaxedModule:
         self.k = Fraction(k)
         self.syms = liealg.basis_symbols(rs)
         self.sym_index = {s: i for i, s in enumerate(self.syms)}
-        self._pi_cache = {}
         self._act_cache = {}
 
     def vacuum(self):
         return {((), (0,) * len(self.rs.positive_roots)): ONE}
 
-    def pi_g_of(self, sym):
-        if sym not in self._pi_cache:
-            self._pi_cache[sym] = weylpoly.pi_g(LieElement.basis(self.rs, sym))
-        return self._pi_cache[sym]
-
     def top_act(self, sym, exps):
         """Zero-mode action on the top component, via the Fock realization."""
-        v = weylpoly.FockVector(self.rs, self.kind, self.lam, {exps: ONE})
-        return weylpoly.act_F(self.pi_g_of(sym), v).terms
+        return weylpoly.act_F(weylpoly.pi_g(self.rs, sym), self.rs,
+                              self.kind, self.lam, {exps: ONE})
 
 
 def _pbw_normalize(mod, factor_list, top, coeff, out):
@@ -163,12 +157,33 @@ def _convolve_character(rs, lam, top_table, mode_table, radius):
     return {(offset_weight(rs, lam, c), d): m for (c, d), m in out.items()}
 
 
+# The most work _relaxed_character may do, bounded before anything is
+# counted as the mode table's points times the top's counting box.  A
+# generator of energy m >= 1 moves each root coordinate by at most 1, so
+# the table holds at most (dmax + 1) (2 dmax + 1)^rank points (energy left,
+# weight), and the convolution pairs each of them with the top's points.
+# On a 2-core box both characters of `verify characters -n 3 --window 6`
+# (V top) take 2.0 s at -D 10 (1,401,939) and 3.8 s at -D 12 (2,933,125);
+# `-n 2 -D 80 --window 10` (1,186,731) takes 6.3 s, and the GT top along
+# theta at -D 3, window 5 (933,156, the largest in the tests) 0.2 s.
+MAX_CHARACTER_WORK = 1500000
+
+
 def _relaxed_character(rs, top, lam, alpha_idx, dmax, radius, families):
     """The top count in the window widened by dmax, times the monomials in
-    the mode families, as {(Weight, energy): count-or-('ge', n)}."""
+    the mode families, as {(Weight, energy): count-or-('ge', n)}.
+    WindowTooLarge, before anything is counted, if the work bound exceeds
+    MAX_CHARACTER_WORK."""
     kind = weylpoly.top_kind(top, alpha_idx)
-    top_table = weylpoly._top_counts(rs, None if kind == "V" else kind[1],
-                                     radius + dmax, weylpoly.KCAP)
+    ai = None if kind == "V" else kind[1]
+    _, box = weylpoly._top_box(rs, ai, radius + dmax, weylpoly.KCAP)
+    points = (dmax + 1) * (2 * dmax + 1) ** rs.rank
+    if points * box > MAX_CHARACTER_WORK:
+        raise WindowTooLarge(
+            "the character up to energy %d needs %d mode-table points times "
+            "a counting box of %d lattice points, %d; the limit is %d"
+            % (dmax, points, box, points * box, MAX_CHARACTER_WORK))
+    top_table = weylpoly._top_counts(rs, ai, radius + dmax, weylpoly.KCAP)
     mode_table = _mode_monomial_table(rs, families, dmax)
     return _convolve_character(rs, lam, top_table, mode_table, radius)
 
@@ -218,14 +233,13 @@ def top_component_check(n, lam, k, max_degree=None):
         slices = list(bounded_degree_exponents(npos, max_degree))
         for sym in liealg.basis_symbols(rs):
             F = modes.pi_field(rs, sym, k)
-            w = weylpoly.pi_g(LieElement.basis(rs, sym))
+            w = weylpoly.pi_g(rs, sym)
             for exps in slices:
                 mono = modes.fock_to_top_monomial(rs, mod, exps)
                 got = modes.mode_apply(mod, F, 0, {mono: ONE})
-                fv = weylpoly.act_F(
-                    w, weylpoly.FockVector(rs, mod.kind, lam, {exps: ONE}))
+                fv = weylpoly.act_F(w, rs, mod.kind, lam, {exps: ONE})
                 expect = {modes.fock_to_top_monomial(rs, mod, e): c
-                          for e, c in fv.terms.items()}
+                          for e, c in fv.items()}
                 if got != expect:
                     failures.append({"top": top, "sym": sym, "exps": exps})
     return failures

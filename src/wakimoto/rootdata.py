@@ -92,7 +92,6 @@ class RootSystem:
         self.rank = n - 1
         self.h = n
         self.h_dual = n
-        self.lacing = 1
         r = self.rank
         self.cartan_matrix = [
             [2 if i == j else (-1 if abs(i - j) == 1 else 0) for j in range(r)]

@@ -6,10 +6,16 @@ _top_counts is the one table of a top's character, the Verma top or the
 twisted top T_alpha M(lambda) = W(lambda, alpha), counted by
 rootdata.lattice_counts; twist_character and the relaxed characters read it.
 
-Polynomials are sparse dicts {exponent tuple: Fraction}.  A WeylElement is a
-dict {(x-exponents, d-exponents): h-polynomial}; the normal form has all x's
-to the left of all d's, and the commutation rule is [x_a, d_b] = -delta_ab
-(so d.x = x.d + 1 as operators).
+Every element is a sparse dict (see sparse):
+
+- a polynomial is {exponent tuple: Fraction};
+- a g element is {symbol: Fraction}, as liealg returns it;
+- a C[nbar] tensor g element is {symbol: polynomial in the x_alpha};
+- a Weyl element is {(x-exponents, d-exponents): h-polynomial}, in the
+  normal form with all x's to the left of all d's, and the commutation rule
+  is [x_a, d_b] = -delta_ab (so d.x = x.d + 1 as operators);
+- a Fock vector is {exponent tuple: Fraction}, read by its module's kind
+  (see act_F).
 """
 
 from fractions import Fraction
@@ -19,10 +25,10 @@ from . import liealg
 from .errors import (EmptyWindow, ModuleMismatch, NotSimpleRoot,
                      WindowTooLarge)
 from .linalg import charpoly, rational_roots
-from .liealg import LieElement, bracket_symbols
+from .liealg import bracket_symbols
 from .rootdata import (bounded_degree_exponents, lattice_counts,
                        offset_weight, rho, root_label)
-from .sparse import add_nested, add_term, added, scaled
+from .sparse import add_nested, add_term
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -55,60 +61,22 @@ def poly_eval(p, values):
 
 # -- Weyl algebra -------------------------------------------------------------
 
-class WeylElement:
-    """Normal-form element of A_nbar tensor U(h)."""
-
-    __slots__ = ("rs", "terms")
-
-    def __init__(self, rs, terms=None):
-        self.rs = rs
-        self.terms = {}
-        if terms:
-            for key, hp in terms.items():
-                if hp:
-                    self.terms[key] = hp
-
-    @classmethod
-    def zero(cls, rs):
-        return cls(rs)
-
-    @classmethod
-    def const(cls, rs, c=1):
-        npos = len(rs.positive_roots)
-        z = (0,) * npos
-        return cls(rs, {(z, z): {(0,) * rs.rank: Fraction(c)}})
-
-    def __add__(self, other):
-        out = dict(self.terms)
-        for key, hp in other.terms.items():
-            add_nested(out, key, hp)
-        return WeylElement(self.rs, out)
-
-    def __sub__(self, other):
-        return self + (-1) * other
-
-    def __rmul__(self, c):
-        c = Fraction(c)
-        return WeylElement(self.rs, {k: scaled(hp, c)
-                                     for k, hp in self.terms.items()})
-
-    def __eq__(self, other):
-        return isinstance(other, WeylElement) and self.terms == other.terms
-
-    def is_zero(self):
-        return not self.terms
-
-    def __repr__(self):
-        return "WeylElement(%s)" % (render_weyl(self),)
+def weyl_add(A, B, scale=1):
+    """A + scale * B as a new dict, for Weyl elements and for C[nbar] tensor
+    g elements alike (both map a key to a sparse vector); neither operand
+    changes."""
+    out = dict(A)
+    for key, p in B.items():
+        add_nested(out, key, p, scale)
+    return out
 
 
 def weyl_mul(A, B):
     """Product in normal form; CCR [x_a, d_b] = -delta_ab, i.e. d x = x d + 1."""
-    rs = A.rs
-    npos = len(rs.positive_roots)
     out = {}
-    for (a1, b1), h1 in A.terms.items():
-        for (a2, b2), h2 in B.terms.items():
+    for (a1, b1), h1 in A.items():
+        npos = len(a1)
+        for (a2, b2), h2 in B.items():
             hp = poly_mul(h1, h2)
             # reorder d^{b1} x^{a2} per variable:
             # d^b x^a = sum_k C(b,k) C(a,k) k! x^{a-k} d^{b-k}
@@ -126,7 +94,7 @@ def weyl_mul(A, B):
                 xa = tuple(a1[v] + a2[v] - ks[v] for v in range(npos))
                 db = tuple(b1[v] + b2[v] - ks[v] for v in range(npos))
                 add_nested(out, (xa, db), hp, coef)
-    return WeylElement(rs, out)
+    return out
 
 
 # -- series kernels -----------------------------------------------------------
@@ -159,37 +127,11 @@ def bernoulli_series(name, order):
 
 # -- C[nbar] tensor g and the series machinery --------------------------------
 
-class PolyGValued:
-    """Element of C[nbar] tensor g: map basis symbol -> polynomial in x_alpha."""
-
-    __slots__ = ("rs", "components")
-
-    def __init__(self, rs, components=None):
-        self.rs = rs
-        self.components = {s: p for s, p in (components or {}).items() if p}
-
-    @classmethod
-    def from_lie(cls, a):
-        npos = len(a.rs.positive_roots)
-        one = (0,) * npos
-        return cls(a.rs, {s: {one: c} for s, c in a.coeffs.items()})
-
-    def is_zero(self):
-        return not self.components
-
-    def scale_add(self, other, c):
-        out = dict(self.components)
-        for s, p in other.components.items():
-            add_nested(out, s, p, c)
-        return PolyGValued(self.rs, out)
-
-
-def ad_u(elem):
+def ad_u(rs, elem):
     """ad(u) with u = sum_gamma x_gamma f_gamma, acting on C[nbar] tensor g."""
-    rs = elem.rs
     npos = len(rs.positive_roots)
     out = {}
-    for sym, p in elem.components.items():
+    for sym, p in elem.items():
         for g in range(npos):
             br = bracket_symbols(rs, ("f", g), sym)
             if not br:
@@ -197,20 +139,20 @@ def ad_u(elem):
             xp = poly_mul(poly_var(npos, g), p)
             for s2, c2 in br.items():
                 add_nested(out, s2, xp, c2)
-    return PolyGValued(rs, out)
+    return out
 
 
-def apply_kernel(coeffs, elem):
+def apply_kernel(rs, coeffs, elem):
     """sum_i coeffs[i] ad(u)^i elem, truncated when the power vanishes."""
-    acc = PolyGValued(elem.rs).scale_add(elem, coeffs[0])
+    acc = weyl_add({}, elem, coeffs[0])
     power = elem
     for i in range(1, len(coeffs)):
-        power = ad_u(power)
-        if power.is_zero():
+        power = ad_u(rs, power)
+        if not power:
             break
-        acc = acc.scale_add(power, coeffs[i])
+        acc = weyl_add(acc, power, coeffs[i])
     else:
-        if not ad_u(power).is_zero():
+        if ad_u(rs, power):
             raise RuntimeError("kernel order too small for nilpotency index")
     return acc
 
@@ -220,29 +162,45 @@ def _order_bound(rs):
     return 2 * rs.n + 2
 
 
-def exp_minus_ad_u(a):
-    rs = a.rs
+def exp_minus_ad_u(rs, a):
+    """e^{-ad u} of a g element {symbol: Fraction}, in C[nbar] tensor g."""
     N = _order_bound(rs)
     coeffs = [Fraction((-1) ** i, factorial(i)) for i in range(N)]
-    return apply_kernel(coeffs, PolyGValued.from_lie(a))
+    one = (0,) * len(rs.positive_roots)
+    return apply_kernel(rs, coeffs, {s: {one: c} for s, c in a.items()})
 
 
-def pi_g(a):
-    """The finite free-field homomorphism, basis elements -> WeylElement.
+def _nbar_part(elem):
+    return {s: p for s, p in elem.items() if s[0] == "f"}
+
+
+_PI_CACHE = {}
+
+
+def pi_g(rs, sym):
+    """pi_g of a Chevalley basis symbol as a Weyl element (cached per
+    (n, sym), like liealg.bracket_symbols); callers must not change it."""
+    key = (rs.n, sym)
+    w = _PI_CACHE.get(key)
+    if w is None:
+        w = _PI_CACHE[key] = _pi_g(rs, sym)
+    return w
+
+
+def _pi_g(rs, sym):
+    """The finite free-field homomorphism on a basis symbol:
 
     pi_g(a) = -sum_alpha [K1(ad u)(e^{-ad u}a)_nbar]_alpha d_alpha
               + (e^{-ad u}a)_h,  K1(t) = t e^t/(e^t-1).
     """
-    rs = a.rs
     npos = len(rs.positive_roots)
-    v = exp_minus_ad_u(a)
-    nbar = PolyGValued(rs, {s: p for s, p in v.components.items() if s[0] == "f"})
-    hpart = {s: p for s, p in v.components.items() if s[0] == "h"}
+    v = exp_minus_ad_u(rs, {sym: ONE})
+    hpart = {s: p for s, p in v.items() if s[0] == "h"}
     k1 = bernoulli_series("t*e^t/(e^t-1)", _order_bound(rs))
-    w = apply_kernel(k1, nbar)
+    w = apply_kernel(rs, k1, _nbar_part(v))
     terms = {}
     zero_h = (0,) * rs.rank
-    for (kind, alpha), p in w.components.items():
+    for (kind, alpha), p in w.items():
         assert kind == "f"
         dexp = tuple(1 if t == alpha else 0 for t in range(npos))
         for e, c in p.items():
@@ -252,15 +210,15 @@ def pi_g(a):
         hvar = tuple(1 if t == i else 0 for t in range(rs.rank))
         for e, c in p.items():
             add_nested(terms, (e, zero_d), {hvar: c})
-    return WeylElement(rs, terms)
+    return terms
 
 
-def pi_g_elem(a):
-    """pi_g extended linearly to an arbitrary LieElement."""
-    rs = a.rs
-    out = WeylElement.zero(rs)
-    for s, c in a.coeffs.items():
-        out = out + c * pi_g(LieElement.basis(rs, s))
+def pi_g_elem(rs, a):
+    """pi_g extended linearly to a g element {symbol: Fraction}, as a new
+    Weyl element."""
+    out = {}
+    for s, c in a.items():
+        out = weyl_add(out, pi_g(rs, s), c)
     return out
 
 
@@ -272,13 +230,12 @@ def pq_polynomials(rs, gamma_idx):
     N = _order_bound(rs)
     k0m1 = bernoulli_series("t/(e^t-1)-1", N)
     k1 = bernoulli_series("t*e^t/(e^t-1)", N)
-    fel = PolyGValued.from_lie(LieElement.basis(rs, ("f", gamma_idx)))
-    pres = apply_kernel(k0m1, fel)
-    p_map = {s[1]: p for s, p in pres.components.items() if s[0] == "f"}
-    eel = exp_minus_ad_u(LieElement.basis(rs, ("e", gamma_idx)))
-    nbar = PolyGValued(rs, {s: p for s, p in eel.components.items() if s[0] == "f"})
-    qres = apply_kernel(k1, nbar)
-    q_map = {s[1]: p for s, p in qres.components.items() if s[0] == "f"}
+    one = (0,) * len(rs.positive_roots)
+    pres = apply_kernel(rs, k0m1, {("f", gamma_idx): {one: ONE}})
+    p_map = {s[1]: p for s, p in _nbar_part(pres).items()}
+    eel = exp_minus_ad_u(rs, {("e", gamma_idx): ONE})
+    qres = apply_kernel(rs, k1, _nbar_part(eel))
+    q_map = {s[1]: p for s, p in _nbar_part(qres).items()}
     return p_map, q_map
 
 
@@ -295,14 +252,13 @@ def _pi_hom(n):
 
     rs = build_root_system(n)
     syms = liealg.basis_symbols(rs)
-    images = {s: pi_g(LieElement.basis(rs, s)) for s in syms}
     failures = []
     checks = 0
     for s1 in syms:
         for s2 in syms:
-            lhs = pi_g_elem(liealg.bracket(LieElement.basis(rs, s1),
-                                           LieElement.basis(rs, s2)))
-            rhs = weyl_mul(images[s1], images[s2]) - weyl_mul(images[s2], images[s1])
+            a, b = pi_g(rs, s1), pi_g(rs, s2)
+            lhs = pi_g_elem(rs, bracket_symbols(rs, s1, s2))
+            rhs = weyl_add(weyl_mul(a, b), weyl_mul(b, a), -1)
             checks += 1
             if lhs != rhs:
                 failures.append((s1, s2))
@@ -312,7 +268,7 @@ def _pi_hom(n):
 # -- Fock realizations --------------------------------------------------------
 
 def top_kind(top, alpha_idx):
-    """The FockVector kind of a module top: 'V' for a Verma top, and
+    """The Fock vector kind of a module top: 'V' for a Verma top, and
     ('GT', alpha_idx) for a Gelfand-Tsetlin top twisted along alpha."""
     if top == "V":
         return "V"
@@ -323,65 +279,27 @@ def top_kind(top, alpha_idx):
     return ("GT", alpha_idx)
 
 
-class FockVector:
-    """Vector of F_nbar or F_{nbar,alpha}, twisted by C_{lambda+2rho}.
+def fock_weight(rs, kind, lam, mono):
+    """h-weight of a Fock monomial of the given kind, lambda twist included.
 
     Monomials are exponent tuples over the positive roots.  For kind 'V'
     (F_nbar) the exponent at position gamma is the d_gamma power.  For kind
-    ('GT', alpha) the exponent at position alpha is the x_alpha power and
-    at gamma != alpha the d_gamma power.
+    ('GT', alpha) (F_{nbar,alpha}) the exponent at position alpha is the
+    x_alpha power and at gamma != alpha the d_gamma power.
     """
-
-    __slots__ = ("rs", "kind", "lam", "terms")
-
-    def __init__(self, rs, kind, lam, terms=None):
-        self.rs = rs
-        self.kind = kind
-        self.lam = lam
-        self.terms = {}
-        if terms:
-            for m, c in terms.items():
-                c = Fraction(c)
-                if c:
-                    self.terms[m] = c
-
-    @classmethod
-    def vacuum(cls, rs, kind, lam):
-        return cls(rs, kind, lam, {(0,) * len(rs.positive_roots): ONE})
-
-    def __add__(self, other):
-        if self.kind != other.kind or self.lam != other.lam:
-            raise ModuleMismatch("incompatible Fock vectors")
-        return FockVector(self.rs, self.kind, self.lam,
-                          added(self.terms, other.terms))
-
-    def __rmul__(self, c):
-        return FockVector(self.rs, self.kind, self.lam,
-                          scaled(self.terms, Fraction(c)))
-
-    def __eq__(self, other):
-        return (isinstance(other, FockVector) and self.kind == other.kind
-                and self.lam == other.lam and self.terms == other.terms)
-
-    def is_zero(self):
-        return not self.terms
-
-    def weight_of(self, mono):
-        """h-weight of a monomial (includes the lambda twist)."""
-        rs = self.rs
-        wt = self.lam
-        if self.kind == "V":
-            for g, b in enumerate(mono):
-                if b:
-                    wt = wt - b * rs.root_to_weight(rs.positive_roots[g])
-        else:
-            alpha = self.kind[1]
-            aw = rs.root_to_weight(rs.positive_roots[alpha])
-            wt = wt + (mono[alpha] + 1) * aw
-            for g, b in enumerate(mono):
-                if g != alpha and b:
-                    wt = wt - b * rs.root_to_weight(rs.positive_roots[g])
-        return wt
+    wt = lam
+    if kind == "V":
+        for g, b in enumerate(mono):
+            if b:
+                wt = wt - b * rs.root_to_weight(rs.positive_roots[g])
+    else:
+        alpha = kind[1]
+        aw = rs.root_to_weight(rs.positive_roots[alpha])
+        wt = wt + (mono[alpha] + 1) * aw
+        for g, b in enumerate(mono):
+            if g != alpha and b:
+                wt = wt - b * rs.root_to_weight(rs.positive_roots[g])
+    return wt
 
 
 def _lam_2rho_values(rs, lam):
@@ -389,25 +307,26 @@ def _lam_2rho_values(rs, lam):
     return [r2.coords[i] for i in range(rs.rank)]
 
 
-def act_F(w, v):
-    """Apply a WeylElement to a Fock vector.
+def act_F(w, rs, kind, lam, v):
+    """Apply a Weyl element to a vector of F_nbar (kind 'V') or
+    F_{nbar,alpha} (kind ('GT', alpha)), twisted by C_{lambda+2rho}; returns
+    a new Fock vector.
 
     On F_nbar: d_gamma multiplies, x_gamma acts as -d/d(d_gamma).
     On F_{nbar,alpha}: x_alpha multiplies, d_alpha = d/dx_alpha, the other
     x_gamma act as -d/d(d_gamma), the other d_gamma multiply.  h acts on the
     twist by (lambda+2rho)(h).
     """
-    if w.rs.n != v.rs.n:
+    if w and len(next(iter(w))[0]) != len(rs.positive_roots):
         raise ModuleMismatch("root system mismatch")
-    rs = v.rs
-    hvals = _lam_2rho_values(rs, v.lam)
-    alpha = None if v.kind == "V" else v.kind[1]
+    hvals = _lam_2rho_values(rs, lam)
+    alpha = None if kind == "V" else kind[1]
     out = {}
-    for (xa, db), hp in w.terms.items():
+    for (xa, db), hp in w.items():
         scal = poly_eval(hp, hvals)
         if scal == 0:
             continue
-        for mono, c in v.terms.items():
+        for mono, c in v.items():
             coef = c * scal
             m = list(mono)
             ok = True
@@ -447,7 +366,7 @@ def act_F(w, v):
             if not ok or coef == 0:
                 continue
             add_term(out, tuple(m), coef)
-    return FockVector(rs, v.kind, v.lam, out)
+    return out
 
 
 # -- characters ---------------------------------------------------------------
@@ -478,6 +397,32 @@ def _in_window(coords, radius):
     return all(-radius <= c <= radius for c in coords)
 
 
+def _top_box(rs, alpha_idx, radius, kcap):
+    """(kmax, box) of a top's count in the window |c| <= radius: the largest
+    k of the starts k alpha (0 for the Verma top), and the counting box
+    prod_t (radius + 1 + kmax * alpha_t), which bounds the points held
+    between the window's floor and the highest start.  WindowTooLarge if
+    the box exceeds MAX_TOP_BOX."""
+    if alpha_idx is None:
+        alpha, kmax = (0,) * rs.rank, 0
+    elif rs.positive_roots[alpha_idx].height > 1:
+        alpha, kmax = rs.positive_roots[alpha_idx].coeffs, kcap
+    else:
+        # alpha = alpha_s.  At a window point c, the roots gamma != alpha
+        # that contain alpha_s sum to B = k - c_s, and each of them also
+        # contains another simple root, so it lowers another coordinate:
+        # B <= -sum_{t != s} c_t <= (rank - 1) radius, hence
+        # k <= rank * radius.  Tight: in sl4, alpha_2 reaches
+        # (-R, R, -R) only with k = 3R.
+        alpha, kmax = rs.positive_roots[alpha_idx].coeffs, rs.rank * radius
+    box = prod(radius + 1 + kmax * a for a in alpha)
+    if box > MAX_TOP_BOX:
+        raise WindowTooLarge("the top character up to radius %d needs a "
+                             "counting box of %d lattice points; the limit "
+                             "is %d" % (radius, box, MAX_TOP_BOX))
+    return kmax, box
+
+
 def _top_counts(rs, alpha_idx, radius, kcap):
     """The character of a module top as {root-coordinate offset from lambda:
     mult} in the window |c| <= radius: the Verma character
@@ -488,36 +433,21 @@ def _top_counts(rs, alpha_idx, radius, kcap):
     For a non-simple alpha a window weight can have infinite multiplicity,
     so k stops at kcap, and an entry that (kcap + 1) alpha still reaches is
     reported as ('ge', n): at least the n counted.  A simple alpha needs no
-    cap, see below.  WindowTooLarge, before anything is counted, if the
+    cap, see _top_box.  WindowTooLarge, before anything is counted, if the
     points held on the way exceed MAX_TOP_BOX.
     """
+    kmax, _ = _top_box(rs, alpha_idx, radius, kcap)
     roots = [g.coeffs for g in rs.positive_roots]
-    unbounded = alpha_idx is not None and sum(roots[alpha_idx]) > 1
     if alpha_idx is None:
-        alpha, kmax, gens = (0,) * rs.rank, 0, roots
+        alpha, gens = (0,) * rs.rank, roots
         starts = {alpha: 1}
     else:
         alpha = roots[alpha_idx]
         gens = roots[:alpha_idx] + roots[alpha_idx + 1:]
-        if unbounded:
-            kmax = kcap
-        else:
-            # alpha = alpha_s.  At a window point c, the roots gamma != alpha
-            # that contain alpha_s sum to B = k - c_s, and each of them also
-            # contains another simple root, so it lowers another coordinate:
-            # B <= -sum_{t != s} c_t <= (rank - 1) radius, hence
-            # k <= rank * radius.  Tight: in sl4, alpha_2 reaches
-            # (-R, R, -R) only with k = 3R.
-            kmax = rs.rank * radius
         starts = {tuple(k * a for a in alpha): 1 for k in range(1, kmax + 1)}
-    box = prod(radius + 1 + kmax * a for a in alpha)
-    if box > MAX_TOP_BOX:
-        raise WindowTooLarge("the top character up to radius %d needs a "
-                             "counting box of %d lattice points; the limit "
-                             "is %d" % (radius, box, MAX_TOP_BOX))
     counts = lattice_counts(starts, gens, lambda c: min(c) >= -radius)
     table = {c: m for c, m in counts.items() if max(c) <= radius}
-    if unbounded:
+    if sum(alpha) > 1:
         # the other roots hold every simple root, so (kmax + 1) alpha still
         # reaches exactly the points c <= (kmax + 1) alpha
         past = tuple((kmax + 1) * a for a in alpha)
@@ -547,23 +477,22 @@ def gamma_alpha_multiplicity(rs, lam, alpha_idx, mu, D):
     from .errors import EmptyWeightSpace
 
     kind = ("GT", alpha_idx)
-    probe = FockVector(rs, kind, lam)
     basis = [m for m in bounded_degree_exponents(len(rs.positive_roots), D)
-             if probe.weight_of(m) == mu]
+             if fock_weight(rs, kind, lam, m) == mu]
     if not basis:
         raise EmptyWeightSpace("mu is not a weight of the truncated slice")
     index = {m: i for i, m in enumerate(basis)}
     cas = liealg.casimir_s_alpha(rs, alpha_idx)
-    op = WeylElement.zero(rs)
+    op = {}
     for coef, factors in cas:
-        prod = WeylElement.const(rs)
-        for f in factors:
-            prod = weyl_mul(prod, pi_g_elem(f))
-        op = op + coef * prod
+        prod = pi_g_elem(rs, factors[0])
+        for f in factors[1:]:
+            prod = weyl_mul(prod, pi_g_elem(rs, f))
+        op = weyl_add(op, prod, coef)
     mat = [[ZERO] * len(basis) for _ in range(len(basis))]
     for j, m in enumerate(basis):
-        img = act_F(op, FockVector(rs, kind, lam, {m: ONE}))
-        for m2, c in img.terms.items():
+        img = act_F(op, rs, kind, lam, {m: ONE})
+        for m2, c in img.items():
             i = index.get(m2)
             if i is not None:  # projection P_D
                 mat[i][j] = c
@@ -576,13 +505,12 @@ def gamma_alpha_multiplicity(rs, lam, alpha_idx, mu, D):
 
 # -- rendering ----------------------------------------------------------------
 
-def render_weyl(w):
-    rs = w.rs
-    if not w.terms:
+def render_weyl(rs, w):
+    if not w:
         return "0"
     pieces = []
-    for (xa, db) in sorted(w.terms, key=lambda k: (sum(k[0]) + sum(k[1]), k)):
-        hp = w.terms[(xa, db)]
+    for (xa, db) in sorted(w, key=lambda k: (sum(k[0]) + sum(k[1]), k)):
+        hp = w[(xa, db)]
         mono = []
         for g, a in enumerate(xa):
             if a:

@@ -12,11 +12,11 @@ from wakimoto.admissible import (AdmissibleLevel, level_from_pq, omega_direct,
                                  omega_theorem, orbit_dim, orbit_q,
                                  orbit_table, pr_k_integral, richardson,
                                  sigma_roots)
-from wakimoto.liealg import LieElement, casimir_s_alpha
+from wakimoto.liealg import casimir_s_alpha
 from wakimoto.rootdata import Weight, build_root_system
-from wakimoto.weylpoly import (FockVector, WeylElement, act_F,
-                               gamma_alpha_multiplicity, pi_g, twist_character,
-                               verify_pi_hom, weyl_mul)
+from wakimoto.weylpoly import (act_F, gamma_alpha_multiplicity, pi_g,
+                               pi_g_elem, twist_character, verify_pi_hom,
+                               weyl_add, weyl_mul)
 
 from test_weylpoly import fock_oracle
 
@@ -32,20 +32,15 @@ def test_01_pi_g_homomorphism_sl2_sl3_sl4():
 
 
 def test_02_sl2_anchors_and_highest_weight():
-    def w_elem(x, d, h=(0,), c=Fr(1)):
-        return WeylElement(RS2, {(x, d): {h: c}})
-
-    e = pi_g(LieElement.basis(RS2, ("e", 0)))
-    h = pi_g(LieElement.basis(RS2, ("h", 0)))
-    f = pi_g(LieElement.basis(RS2, ("f", 0)))
-    assert e == w_elem((2,), (1,)) + w_elem((1,), (0,), h=(1,))
-    assert h == 2 * w_elem((1,), (1,)) + w_elem((0,), (0,), h=(1,))
-    assert f == -1 * w_elem((0,), (1,))
+    e, h, f = (pi_g(RS2, (kind, 0)) for kind in "ehf")
+    assert e == {((2,), (1,)): {(0,): 1}, ((1,), (0,)): {(1,): 1}}
+    assert h == {((1,), (1,)): {(0,): 2}, ((0,), (0,)): {(1,): 1}}
+    assert f == {((0,), (1,)): {(0,): -1}}
     for lam_c in FIVE_LAMBDAS:
         lam = Weight((lam_c,))
-        vac = FockVector.vacuum(RS2, "V", lam)
-        assert act_F(h, vac).terms == ({(0,): lam_c} if lam_c else {})
-        assert act_F(e, vac).terms == {}
+        vac = {(0,): Fr(1)}
+        assert act_F(h, RS2, "V", lam, vac) == ({(0,): lam_c} if lam_c else {})
+        assert act_F(e, RS2, "V", lam, vac) == {}
 
 
 def test_03_affine_commutation():
@@ -128,16 +123,14 @@ def test_08_gamma_alpha_multiplicities_stabilize():
 
 
 def test_09_central_character_invariance():
-    zero = WeylElement.zero(RS2)
-    cas = zero
+    cas = {}
     for c, (a, b) in casimir_s_alpha(RS2, 0):
-        cas = cas + c * weyl_mul(pi_g(a), pi_g(b))
+        cas = weyl_add(cas, weyl_mul(pi_g_elem(RS2, a), pi_g_elem(RS2, b)), c)
     for lam_c in FIVE_LAMBDAS:
         lam = Weight((lam_c,))
         scalar = lam_c + lam_c * lam_c / 2
         for j in range(20):
-            v = FockVector(RS2, ("GT", 0), lam, {(j,): Fr(1)})
-            got = act_F(cas, v).terms
+            got = act_F(cas, RS2, ("GT", 0), lam, {(j,): Fr(1)})
             assert got == ({(j,): scalar} if scalar else {})
 
 

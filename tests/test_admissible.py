@@ -6,7 +6,7 @@ import pytest
 
 from wakimoto.admissible import (MAX_ENUMERATION, AdmissibleLevel,
                                  admissible_check, all_partitions,
-                                 check_regular_dominant, dominance_leq,
+                                 dominance_leq,
                                  dominant_coweights, enumeration_size,
                                  hasse_covers, level_from_pq, levi_blocks,
                                  omega_certificates, omega_direct,
@@ -16,7 +16,7 @@ from wakimoto.admissible import (MAX_ENUMERATION, AdmissibleLevel,
                                  transpose, y_is_admissible)
 from wakimoto.errors import SizeMismatch
 from wakimoto.rootdata import (Weight, all_weyl_elements, build_root_system,
-                               dot_action, rho, weyl_act)
+                               dot_action, pairing, rho, weyl_act)
 
 from test_rootdata import weight_inner
 
@@ -166,6 +166,24 @@ def test_y_is_admissible_sl2():
     # the simple reflection with eta = 0 has (eta, alpha) = 0 < 1 on the
     # flipped root: rejected
     assert not y_is_admissible(RS2, (1, 0), wt(0), 2)
+
+
+def check_regular_dominant(lvl, lam, depth=3):
+    """<lambda_hat + rho_hat, alpha_vee> not in -N0 for the real test roots
+    +-alpha + m delta, m <= depth (finite roots at m = 0)."""
+    rs = build_root_system(lvl.n)
+    lr = lam + rho(rs)
+    t = Fr(lvl.p, lvl.q)
+    for a in rs.positive_roots:
+        base = pairing(rs, lr, a)
+        for m in range(depth + 1):
+            for s in (1, -1):
+                if s < 0 and m == 0:
+                    continue
+                v = s * base + m * t
+                if v.denominator == 1 and v <= 0:
+                    return False
+    return True
 
 
 def test_pr_k_bar_sl2_32():

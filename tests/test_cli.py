@@ -12,6 +12,7 @@ from wakimoto.cli import (main, parse_fraction, parse_root, parse_sigma,
 from wakimoto.errors import RealizationBug, WakimotoError
 from wakimoto.liealg import basis_symbols, bracket_symbols
 from wakimoto.rootdata import Weight, build_root_system
+from wakimoto.sparse import scaled
 
 RS3 = build_root_system(3)
 
@@ -186,7 +187,11 @@ def test_pi_hom_failures_are_symbol_label_pairs(monkeypatch, capsys):
     # doubling pi_g on brackets breaks every pair with a nonzero bracket
     rs = build_root_system(2)
     pi_g_elem = weylpoly.pi_g_elem
-    monkeypatch.setattr(weylpoly, "pi_g_elem", lambda a: 2 * pi_g_elem(a))
+
+    def doubled(rs, a):
+        return weylpoly.weyl_add({}, pi_g_elem(rs, a), 2)
+
+    monkeypatch.setattr(weylpoly, "pi_g_elem", doubled)
     assert main(["verify", "pi-hom", "-n", "2"]) == 1
     out = json.loads(capsys.readouterr().out)
     assert out["ok"] is False and out["pairs_checked"] == 9
@@ -200,7 +205,8 @@ def test_pi_hom_failures_are_symbol_label_pairs(monkeypatch, capsys):
 def test_zhu_diagram_failures_are_json_objects(monkeypatch, capsys):
     # doubling the finite action on the top breaks every nonzero zero mode
     act_F = weylpoly.act_F
-    monkeypatch.setattr(weylpoly, "act_F", lambda w, v: 2 * act_F(w, v))
+    monkeypatch.setattr(weylpoly, "act_F",
+                        lambda *args: scaled(act_F(*args), 2))
     returned = []
     check = relaxed.top_component_check
 
@@ -391,6 +397,23 @@ def test_a_large_counting_box_is_refused(argv, radius, box, monkeypatch,
         "error: the top character up to radius %d needs a counting box of "
         "%d lattice points; the limit is %d\n"
         % (radius, box, weylpoly.MAX_TOP_BOX))
+
+
+def test_a_large_character_is_refused(monkeypatch, capsys):
+    # -n 3 -D 20 --window 6 took 32 s: refused before any lattice point is
+    # counted, by (D + 1)(2D + 1)^2 mode-table points times the top's box
+    def counted(*args):
+        raise AssertionError("counted before the size check")
+
+    for mod in (weylpoly, relaxed):
+        monkeypatch.setattr(mod, "lattice_counts", counted)
+    assert main(["verify", "characters", "-n", "3", "-D", "20",
+                 "--window", "6"]) == 2
+    points, box = 21 * 41 ** 2, 27 ** 2
+    assert capsys.readouterr().err == (
+        "error: the character up to energy 20 needs %d mode-table points "
+        "times a counting box of %d lattice points, %d; the limit is %d\n"
+        % (points, box, points * box, relaxed.MAX_CHARACTER_WORK))
 
 
 def test_the_cli_does_not_import_dataclasses():

@@ -1,10 +1,12 @@
 from fractions import Fraction as Fr
 from itertools import combinations, permutations
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from wakimoto import linalg
 from wakimoto.linalg import _eliminate, charpoly, nullspace, rational_roots
 
 
@@ -213,6 +215,22 @@ def test_rational_roots_irrational_factor():
     roots, resid = rational_roots([F(-2), F(0), F(1)])
     assert roots == {}
     assert resid == 2
+
+
+def test_rational_roots_stop_once_the_polynomial_is_used_up(monkeypatch):
+    # 720720 (x - 1) has 240 x 240 candidate pairs p/q, and 1/1 is the
+    # first: once it is divided out the quotient is a constant, so no other
+    # pair may be made, let alone all 57,600 before the first is tried
+    # (gamma-mult at D = 32 ran out of memory building that list)
+    made = []
+
+    def counting_gcd(a, b):
+        made.append((a, b))
+        return gcd(a, b)
+
+    monkeypatch.setattr(linalg, "gcd", counting_gcd)
+    assert rational_roots([F(-720720), F(720720)]) == ({F(1): 1}, 0)
+    assert made == [(1, 1)]
 
 
 def _poly_mul(a, b):

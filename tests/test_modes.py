@@ -7,8 +7,7 @@ import pytest
 
 from wakimoto import modes
 from wakimoto.errors import RealizationBug
-from wakimoto.liealg import (LieElement, basis_symbols, bracket_symbols,
-                             kappa0_symbols)
+from wakimoto.liealg import basis_symbols, bracket_symbols, kappa0_symbols
 from wakimoto.modes import (FieldExpr, WakimotoModule, canon, mode_apply,
                             pi_affine, pi_field, render_field, solve_c_gamma,
                             verify_affine_comm)
@@ -111,15 +110,14 @@ def test_zhu_correspondence_sl2():
         kind = "V" if top == "V" else ("GT", 0)
         for sym in basis_symbols(RS2):
             F = pi_field(RS2, sym, K)
-            w = weylpoly.pi_g(LieElement.basis(RS2, sym))
+            w = weylpoly.pi_g(RS2, sym)
             for j in range(4):
                 exps = (j,)
                 mono = modes.fock_to_top_monomial(RS2, mod, exps)
                 got = mode_apply(mod, F, 0, {mono: Fr(1)})
-                fv = weylpoly.act_F(w, weylpoly.FockVector(RS2, kind, lam,
-                                                           {exps: Fr(1)}))
+                fv = weylpoly.act_F(w, RS2, kind, lam, {exps: Fr(1)})
                 expect = {modes.fock_to_top_monomial(RS2, mod, e): c
-                          for e, c in fv.terms.items()}
+                          for e, c in fv.items()}
                 assert got == expect
 
 
@@ -657,7 +655,7 @@ def test_an_exception_in_the_v_half_kills_the_child(monkeypatch, exc):
 
 def test_pi_affine_linearity():
     mod = vmod()
-    a = LieElement(RS2, {("e", 0): Fr(2), ("f", 0): Fr(-1, 3)})
+    a = {("e", 0): Fr(2), ("f", 0): Fr(-1, 3)}
     v = {canon({("D", 0, 1): 1}): Fr(1)}
     got = {}
     for c, F in pi_affine(RS2, a, K):

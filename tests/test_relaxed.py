@@ -177,6 +177,19 @@ def test_energy_zero_is_the_fock_oracle(n, radius):
             assert {wt: m for (wt, d), m in ch.items() if d == 0} == expect
 
 
+@pytest.mark.parametrize("n,dmax", [(2, 6), (3, 3), (4, 2)])
+def test_mode_table_points_are_bounded(n, dmax):
+    # _relaxed_character's work bound counts (dmax + 1)(2 dmax + 1)^rank
+    # points (energy left, weight); a generator of energy m moves each root
+    # coordinate by at most 1 <= m
+    rs = build_root_system(n)
+    pbw = [relaxed._root_shift(rs, sym) for sym in basis_symbols(rs)]
+    for families in (pbw, pbw + [(0,) * rs.rank]):
+        table = relaxed._mode_monomial_table(rs, families, dmax)
+        assert sum(map(len, table.values())) <= \
+            (dmax + 1) * (2 * dmax + 1) ** rs.rank
+
+
 def _exact_oracle(mod, d):
     """(factors, weight shift) of every factor tuple of energy exactly d, from
     itertools.product over the counts of the generators a^{(s)}_{-n} in PBW
