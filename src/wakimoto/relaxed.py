@@ -10,6 +10,7 @@ F_{nbar,alpha} for GT tops).
 """
 
 from fractions import Fraction
+from math import prod
 
 from . import liealg, weylpoly
 from .errors import RealizationBug, WindowTooLarge
@@ -158,14 +159,18 @@ def _convolve_character(rs, lam, top_table, mode_table, radius):
 
 
 # The most work _relaxed_character may do, bounded before anything is
-# counted as the mode table's points times the top's counting box.  A
+# counted as the mode table's points times the top table's points.  A
 # generator of energy m >= 1 moves each root coordinate by at most 1, so
 # the table holds at most (dmax + 1) (2 dmax + 1)^rank points (energy left,
-# weight), and the convolution pairs each of them with the top's points.
+# weight), and the convolution pairs each of them with each top point.  The
+# top table holds window points c (|c_t| <= R, R = radius + dmax) at or
+# below the highest start kmax alpha, at most prod_t min(R + 1 + kmax
+# alpha_t, 2 R + 1); the counting that fills it is bounded by MAX_TOP_BOX.
 # On a 2-core box both characters of `verify characters -n 3 --window 6`
 # (V top) take 2.0 s at -D 10 (1,401,939) and 3.8 s at -D 12 (2,933,125);
-# `-n 2 -D 80 --window 10` (1,186,731) takes 6.3 s, and the GT top along
-# theta at -D 3, window 5 (933,156, the largest in the tests) 0.2 s.
+# `-n 2 -D 80 --window 10` (1,186,731) takes 6.3 s; with the GT top of
+# sl3, along theta at -D 5 --window 17 (1,470,150) they take 2.9 s, along
+# a1 at -D 10 --window 1 (1,338,876) 1.9 s.
 MAX_CHARACTER_WORK = 1500000
 
 
@@ -176,14 +181,17 @@ def _relaxed_character(rs, top, lam, alpha_idx, dmax, radius, families):
     MAX_CHARACTER_WORK."""
     kind = weylpoly.top_kind(top, alpha_idx)
     ai = None if kind == "V" else kind[1]
-    _, box = weylpoly._top_box(rs, ai, radius + dmax, weylpoly.KCAP)
+    wide = radius + dmax
+    kmax = weylpoly._top_kmax(rs, ai, wide, weylpoly.KCAP)
+    alpha = (0,) * rs.rank if ai is None else rs.positive_roots[ai].coeffs
+    held = prod(min(wide + 1 + kmax * a, 2 * wide + 1) for a in alpha)
     points = (dmax + 1) * (2 * dmax + 1) ** rs.rank
-    if points * box > MAX_CHARACTER_WORK:
+    if points * held > MAX_CHARACTER_WORK:
         raise WindowTooLarge(
             "the character up to energy %d needs %d mode-table points times "
-            "a counting box of %d lattice points, %d; the limit is %d"
-            % (dmax, points, box, points * box, MAX_CHARACTER_WORK))
-    top_table = weylpoly._top_counts(rs, ai, radius + dmax, weylpoly.KCAP)
+            "%d top points, %d; the limit is %d"
+            % (dmax, points, held, points * held, MAX_CHARACTER_WORK))
+    top_table = weylpoly._top_counts(rs, ai, wide, weylpoly.KCAP)
     mode_table = _mode_monomial_table(rs, families, dmax)
     return _convolve_character(rs, lam, top_table, mode_table, radius)
 

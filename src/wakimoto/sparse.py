@@ -44,6 +44,16 @@ def added(a, b, scale=1):
     return out
 
 
+def added_nested(a, b, scale=1):
+    """a + scale * b as a new dict, for dicts whose values are sparse
+    vectors (Weyl elements, C[nbar] tensor g elements); neither operand
+    changes."""
+    out = dict(a)
+    for key, p in b.items():
+        add_nested(out, key, p, scale)
+    return out
+
+
 def scaled(a, c):
     """c * a as a new dict."""
     return {m: c * x for m, x in a.items()} if c else {}

@@ -28,7 +28,7 @@ from .linalg import charpoly, rational_roots
 from .liealg import bracket_symbols
 from .rootdata import (bounded_degree_exponents, lattice_counts,
                        offset_weight, rho, root_label)
-from .sparse import add_nested, add_term
+from .sparse import add_nested, add_term, added_nested
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -60,16 +60,6 @@ def poly_eval(p, values):
 
 
 # -- Weyl algebra -------------------------------------------------------------
-
-def weyl_add(A, B, scale=1):
-    """A + scale * B as a new dict, for Weyl elements and for C[nbar] tensor
-    g elements alike (both map a key to a sparse vector); neither operand
-    changes."""
-    out = dict(A)
-    for key, p in B.items():
-        add_nested(out, key, p, scale)
-    return out
-
 
 def weyl_mul(A, B):
     """Product in normal form; CCR [x_a, d_b] = -delta_ab, i.e. d x = x d + 1."""
@@ -144,13 +134,13 @@ def ad_u(rs, elem):
 
 def apply_kernel(rs, coeffs, elem):
     """sum_i coeffs[i] ad(u)^i elem, truncated when the power vanishes."""
-    acc = weyl_add({}, elem, coeffs[0])
+    acc = added_nested({}, elem, coeffs[0])
     power = elem
     for i in range(1, len(coeffs)):
         power = ad_u(rs, power)
         if not power:
             break
-        acc = weyl_add(acc, power, coeffs[i])
+        acc = added_nested(acc, power, coeffs[i])
     else:
         if ad_u(rs, power):
             raise RuntimeError("kernel order too small for nilpotency index")
@@ -218,7 +208,7 @@ def pi_g_elem(rs, a):
     Weyl element."""
     out = {}
     for s, c in a.items():
-        out = weyl_add(out, pi_g(rs, s), c)
+        out = added_nested(out, pi_g(rs, s), c)
     return out
 
 
@@ -258,7 +248,7 @@ def _pi_hom(n):
         for s2 in syms:
             a, b = pi_g(rs, s1), pi_g(rs, s2)
             lhs = pi_g_elem(rs, bracket_symbols(rs, s1, s2))
-            rhs = weyl_add(weyl_mul(a, b), weyl_mul(b, a), -1)
+            rhs = added_nested(weyl_mul(a, b), weyl_mul(b, a), -1)
             checks += 1
             if lhs != rhs:
                 failures.append((s1, s2))
@@ -317,7 +307,9 @@ def act_F(w, rs, kind, lam, v):
     x_gamma act as -d/d(d_gamma), the other d_gamma multiply.  h acts on the
     twist by (lambda+2rho)(h).
     """
-    if w and len(next(iter(w))[0]) != len(rs.positive_roots):
+    npos = len(rs.positive_roots)
+    if ((w and len(next(iter(w))[0]) != npos)
+            or (v and len(next(iter(v))) != npos)):
         raise ModuleMismatch("root system mismatch")
     hvals = _lam_2rho_values(rs, lam)
     alpha = None if kind == "V" else kind[1]
@@ -397,12 +389,12 @@ def _in_window(coords, radius):
     return all(-radius <= c <= radius for c in coords)
 
 
-def _top_box(rs, alpha_idx, radius, kcap):
-    """(kmax, box) of a top's count in the window |c| <= radius: the largest
-    k of the starts k alpha (0 for the Verma top), and the counting box
-    prod_t (radius + 1 + kmax * alpha_t), which bounds the points held
-    between the window's floor and the highest start.  WindowTooLarge if
-    the box exceeds MAX_TOP_BOX."""
+def _top_kmax(rs, alpha_idx, radius, kcap):
+    """The largest k of the starts k alpha of a top's count in the window
+    |c| <= radius (0 for the Verma top).  WindowTooLarge if the counting
+    box prod_t (radius + 1 + kmax * alpha_t), which bounds the points held
+    between the window's floor and the highest start, exceeds
+    MAX_TOP_BOX."""
     if alpha_idx is None:
         alpha, kmax = (0,) * rs.rank, 0
     elif rs.positive_roots[alpha_idx].height > 1:
@@ -420,7 +412,7 @@ def _top_box(rs, alpha_idx, radius, kcap):
         raise WindowTooLarge("the top character up to radius %d needs a "
                              "counting box of %d lattice points; the limit "
                              "is %d" % (radius, box, MAX_TOP_BOX))
-    return kmax, box
+    return kmax
 
 
 def _top_counts(rs, alpha_idx, radius, kcap):
@@ -433,10 +425,10 @@ def _top_counts(rs, alpha_idx, radius, kcap):
     For a non-simple alpha a window weight can have infinite multiplicity,
     so k stops at kcap, and an entry that (kcap + 1) alpha still reaches is
     reported as ('ge', n): at least the n counted.  A simple alpha needs no
-    cap, see _top_box.  WindowTooLarge, before anything is counted, if the
+    cap, see _top_kmax.  WindowTooLarge, before anything is counted, if the
     points held on the way exceed MAX_TOP_BOX.
     """
-    kmax, _ = _top_box(rs, alpha_idx, radius, kcap)
+    kmax = _top_kmax(rs, alpha_idx, radius, kcap)
     roots = [g.coeffs for g in rs.positive_roots]
     if alpha_idx is None:
         alpha, gens = (0,) * rs.rank, roots
@@ -488,7 +480,7 @@ def gamma_alpha_multiplicity(rs, lam, alpha_idx, mu, D):
         prod = pi_g_elem(rs, factors[0])
         for f in factors[1:]:
             prod = weyl_mul(prod, pi_g_elem(rs, f))
-        op = weyl_add(op, prod, coef)
+        op = added_nested(op, prod, coef)
     mat = [[ZERO] * len(basis) for _ in range(len(basis))]
     for j, m in enumerate(basis):
         img = act_F(op, rs, kind, lam, {m: ONE})

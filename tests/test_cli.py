@@ -12,7 +12,7 @@ from wakimoto.cli import (main, parse_fraction, parse_root, parse_sigma,
 from wakimoto.errors import RealizationBug, WakimotoError
 from wakimoto.liealg import basis_symbols, bracket_symbols
 from wakimoto.rootdata import Weight, build_root_system
-from wakimoto.sparse import scaled
+from wakimoto.sparse import added_nested, scaled
 
 RS3 = build_root_system(3)
 
@@ -189,7 +189,7 @@ def test_pi_hom_failures_are_symbol_label_pairs(monkeypatch, capsys):
     pi_g_elem = weylpoly.pi_g_elem
 
     def doubled(rs, a):
-        return weylpoly.weyl_add({}, pi_g_elem(rs, a), 2)
+        return added_nested({}, pi_g_elem(rs, a), 2)
 
     monkeypatch.setattr(weylpoly, "pi_g_elem", doubled)
     assert main(["verify", "pi-hom", "-n", "2"]) == 1
@@ -399,21 +399,35 @@ def test_a_large_counting_box_is_refused(argv, radius, box, monkeypatch,
         % (radius, box, weylpoly.MAX_TOP_BOX))
 
 
-def test_a_large_character_is_refused(monkeypatch, capsys):
-    # -n 3 -D 20 --window 6 took 32 s: refused before any lattice point is
-    # counted, by (D + 1)(2D + 1)^2 mode-table points times the top's box
+@pytest.mark.parametrize("argv,D,held", [
+    # -n 3 -D 20 --window 6 took 32 s
+    (["-D", "20", "--window", "6"], 20, 27 ** 2),
+    # a GT top's table holds only window points, |c_t| <= window + D
+    (["--top", "GT", "--alpha", "theta", "-D", "5", "--window", "18"], 5,
+     47 ** 2),
+])
+def test_a_large_character_is_refused(argv, D, held, monkeypatch, capsys):
+    # refused before any lattice point is counted, by (D + 1)(2D + 1)^2
+    # mode-table points times the top table's points
     def counted(*args):
         raise AssertionError("counted before the size check")
 
     for mod in (weylpoly, relaxed):
         monkeypatch.setattr(mod, "lattice_counts", counted)
-    assert main(["verify", "characters", "-n", "3", "-D", "20",
-                 "--window", "6"]) == 2
-    points, box = 21 * 41 ** 2, 27 ** 2
+    assert main(["verify", "characters", "-n", "3"] + argv) == 2
+    points = (D + 1) * (2 * D + 1) ** 2
     assert capsys.readouterr().err == (
-        "error: the character up to energy 20 needs %d mode-table points "
-        "times a counting box of %d lattice points, %d; the limit is %d\n"
-        % (points, box, points * box, relaxed.MAX_CHARACTER_WORK))
+        "error: the character up to energy %d needs %d mode-table points "
+        "times %d top points, %d; the limit is %d\n"
+        % (D, points, held, points * held, relaxed.MAX_CHARACTER_WORK))
+
+
+def test_a_gt_character_in_a_small_window_is_not_refused(capsys):
+    # the theta top's counting box, (5 + 1 + 60)^2 points, is not the work:
+    # its table holds at most 11^2 window points
+    assert main(["verify", "characters", "-n", "3", "--top", "GT",
+                 "--alpha", "theta", "-D", "4", "--window", "1"]) == 0
+    assert json.loads(capsys.readouterr().out)["ok"] is True
 
 
 def test_the_cli_does_not_import_dataclasses():

@@ -7,11 +7,11 @@ from wakimoto.errors import EmptyWeightSpace, ModuleMismatch, NotSimpleRoot
 from wakimoto import weylpoly
 from wakimoto.liealg import basis_symbols, bracket_symbols
 from wakimoto.rootdata import Weight, build_root_system, offset_weight
+from wakimoto.sparse import added_nested
 from wakimoto.weylpoly import (KCAP, _top_counts, act_F, apply_kernel,
                                bernoulli_series, gamma_alpha_multiplicity,
                                pi_g, pi_g_elem, pq_polynomials, render_weyl,
-                               twist_character, verify_pi_hom, weyl_add,
-                               weyl_mul)
+                               twist_character, verify_pi_hom, weyl_mul)
 
 RS2 = build_root_system(2)
 RS3 = build_root_system(3)
@@ -30,7 +30,7 @@ def test_ccr_single_contraction():
     x = w_elem(RS2, (1,), (0,))
     d = w_elem(RS2, (0,), (1,))
     got = weyl_mul(d, x)
-    expect = weyl_add(w_elem(RS2, (1,), (1,)), w_elem(RS2, (0,), (0,)))
+    expect = added_nested(w_elem(RS2, (1,), (1,)), w_elem(RS2, (0,), (0,)))
     assert got == expect
 
 
@@ -38,7 +38,7 @@ def test_ccr_double_contraction():
     x = w_elem(RS2, (1,), (0,))
     d2 = w_elem(RS2, (0,), (2,))
     got = weyl_mul(d2, x)
-    expect = weyl_add(w_elem(RS2, (1,), (2,)), w_elem(RS2, (0,), (1,)), 2)
+    expect = added_nested(w_elem(RS2, (1,), (2,)), w_elem(RS2, (0,), (1,)), 2)
     assert got == expect
 
 
@@ -59,19 +59,19 @@ def test_weyl_mul_associative():
 # -- kernels ----------------------------------------------------------------------
 
 def test_sums_leave_operands_unchanged():
-    a = weyl_add(w_elem(RS2, (1,), (0,)), w_elem(RS2, (0,), (1,), c=Fr(1, 2)))
+    a = added_nested(w_elem(RS2, (1,), (0,)), w_elem(RS2, (0,), (1,), c=Fr(1, 2)))
     b = w_elem(RS2, (1,), (0,), c=Fr(-1))
     keep = deepcopy((a, b))
-    assert weyl_add(a, b) == w_elem(RS2, (0,), (1,), c=Fr(1, 2))
-    assert weyl_add(b, a)
+    assert added_nested(a, b) == w_elem(RS2, (0,), (1,), c=Fr(1, 2))
+    assert added_nested(b, a)
     assert (a, b) == keep
     # C[nbar] tensor g elements nest the same way
     one = (0, 0, 0)
     p = {("e", 0): {one: Fr(1)}, ("f", 1): {one: Fr(1)}}
     q = {("e", 0): {one: Fr(1)}}
     keep = deepcopy((p, q))
-    assert weyl_add(p, q, Fr(-1)) == {("f", 1): {one: Fr(1)}}
-    weyl_add(q, p, 3)
+    assert added_nested(p, q, Fr(-1)) == {("f", 1): {one: Fr(1)}}
+    added_nested(q, p, 3)
     apply_kernel(RS3, bernoulli_series("t/(e^t-1)", 8), p)
     assert (p, q) == keep
 
@@ -135,9 +135,9 @@ def test_T_sl3_f_simple_has_theta_correction():
 def test_pi_g_sl2_anchors():
     e, h, f = (pi_g(RS2, (kind, 0)) for kind in "ehf")
     assert f == w_elem(RS2, (0,), (1,), c=Fr(-1))
-    assert h == weyl_add(w_elem(RS2, (0,), (0,), h=(1,)),
+    assert h == added_nested(w_elem(RS2, (0,), (0,), h=(1,)),
                          w_elem(RS2, (1,), (1,)), 2)
-    assert e == weyl_add(w_elem(RS2, (2,), (1,)),
+    assert e == added_nested(w_elem(RS2, (2,), (1,)),
                          w_elem(RS2, (1,), (0,), h=(1,)))
 
 
@@ -203,6 +203,9 @@ def test_act_F_kind_mismatch():
     lam = Weight((Fr(0),))
     with pytest.raises(ModuleMismatch):
         act_F(pi_g(RS3, ("f", 0)), RS2, "V", lam, {(0,): Fr(1)})
+    # an sl3 vector with the sl2 operator and root system
+    with pytest.raises(ModuleMismatch):
+        act_F(pi_g(RS2, ("f", 0)), RS2, "V", lam, {(0, 0, 0): Fr(1)})
 
 
 def test_act_F_is_hom_on_slice():
@@ -251,7 +254,7 @@ def test_pi_g_cache_is_not_poisoned():
         assert {s: weylpoly._PI_CACHE[(rs.n, s)] for s in syms} == fresh
         for s1 in syms:
             for s2 in syms:
-                weyl_add(pi_g(rs, s1), pi_g(rs, s2), Fr(-1, 2))
+                added_nested(pi_g(rs, s1), pi_g(rs, s2), Fr(-1, 2))
                 pi_g_elem(rs, {s1: Fr(2), s2: Fr(-1)})
                 assert (pi_g(rs, s1), pi_g(rs, s2)) == (fresh[s1], fresh[s2])
 
