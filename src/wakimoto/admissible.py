@@ -8,8 +8,8 @@ from fractions import Fraction
 from math import comb, factorial, gcd
 
 from .errors import InvalidRank, SizeMismatch
-from .rootdata import (Weight, all_weyl_elements, bounded_degree_exponents,
-                       build_root_system, dot_action, pairing, rho, theta,
+from .rootdata import (Weight, all_weyl_elements, build_root_system,
+                       dot_action, pairing, rho, root_combinations, theta,
                        weyl_act_root)
 
 
@@ -64,8 +64,8 @@ def level_from_pq(n, p, q):
 
 def pr_k_integral(lvl):
     """Dominant integral lambda with <lambda, theta_vee> <= p - n, sorted."""
-    return [Weight(e)
-            for e in bounded_degree_exponents(lvl.n - 1, lvl.p - lvl.n)]
+    return [Weight(e) for e, _ in root_combinations([(1,)] * (lvl.n - 1),
+                                                    (lvl.p - lvl.n,), 0)]
 
 
 # -- the extended affine Weyl group ----------------------------------------------
@@ -111,7 +111,8 @@ def dominant_coweights(rs, cap):
     """Dominant integral coweights eta with (eta, theta) <= cap.  In type A
     the fundamental coweights pair as (omega_i_vee, alpha_j) = delta_ij, so
     these are just nonnegative integer coordinate vectors with sum <= cap."""
-    return [Weight(e) for e in bounded_degree_exponents(rs.rank, cap)]
+    return [Weight(e)
+            for e, _ in root_combinations([(1,)] * rs.rank, (cap,), 0)]
 
 
 def y_is_admissible(rs, w, eta, q):
@@ -120,8 +121,7 @@ def y_is_admissible(rs, w, eta, q):
     0 <= (eta,alpha) <= q-1 when w(alpha) > 0, else 1 <= (eta,alpha) <= q."""
     for a in rs.positive_roots:
         v = pairing(rs, eta, a)
-        wa = weyl_act_root(rs, w, a).coeffs
-        if rs.is_positive_root(wa):
+        if rs.is_positive_root(weyl_act_root(rs, w, a)):
             if not (0 <= v <= q - 1):
                 return False
         else:
@@ -137,10 +137,11 @@ def pr_k_bar(lvl):
     _check_enumeration(lvl)
     rs = build_root_system(lvl.n)
     base = pr_k_integral(lvl)
+    etas = dominant_coweights(rs, lvl.q - 1)
     t = lvl.k + lvl.n
     found = set()
     for w in all_weyl_elements(rs):
-        for eta in dominant_coweights(rs, lvl.q - 1):
+        for eta in etas:
             if not y_is_admissible(rs, w, eta, lvl.q):
                 continue
             for lam in base:
@@ -178,9 +179,9 @@ def sigma_roots(rs, sigma):
     out = set()
     marked = set(sigma)
     for a in rs.positive_roots:
-        if all((i + 1) in marked for i, c in enumerate(a.coeffs) if c):
-            out.add(a.coeffs)
-            out.add(tuple(-c for c in a.coeffs))
+        if all((i + 1) in marked for i, c in enumerate(a) if c):
+            out.add(a)
+            out.add(tuple(-c for c in a))
     return out
 
 
@@ -194,22 +195,23 @@ def omega_theorem(sigma, lvl):
     dsig = sigma_roots(rs, sigma)
     base = pr_k_integral(lvl)
     t = lvl.k + lvl.n
+    etas = dominant_coweights(rs, lvl.q - 1)
     th = theta(rs)
     found = set()
     for w in all_weyl_elements(rs):
-        if not rs.is_positive_root(weyl_act_root(rs, w, th).coeffs):
+        if not rs.is_positive_root(weyl_act_root(rs, w, th)):
             continue
-        for eta in dominant_coweights(rs, lvl.q - 1):
+        for eta in etas:
             if not y_is_admissible(rs, w, eta, lvl.q):
                 continue
             zero_pos = [a for a in rs.positive_roots
                         if pairing(rs, eta, a) == 0]
-            if any(not rs.is_positive_root(weyl_act_root(rs, w, a).coeffs)
+            if any(not rs.is_positive_root(weyl_act_root(rs, w, a))
                    for a in zero_pos):
                 continue
             img = set()
             for a in zero_pos:
-                wa = weyl_act_root(rs, w, a).coeffs
+                wa = weyl_act_root(rs, w, a)
                 img.add(wa)
                 img.add(tuple(-c for c in wa))
             if img != dsig:
@@ -237,7 +239,7 @@ def omega_direct(sigma, lvl):
         ok = True
         for a in rs.positive_roots:
             v = pairing(rs, lr, a)
-            if a.coeffs in dsig:
+            if a in dsig:
                 if not _is_pos_int(v):
                     ok = False
                     break
@@ -256,7 +258,7 @@ def omega_certificates(sigma, lvl, omega):
     module."""
     rs = build_root_system(lvl.n)
     dsig = sigma_roots(rs, sigma)
-    du = [a for a in rs.positive_roots if a.coeffs not in dsig]
+    du = [a for a in rs.positive_roots if a not in dsig]
     return [{"lambda": lam, "alpha": a} for lam in omega for a in du]
 
 
@@ -372,7 +374,7 @@ def richardson(sigma, n):
     part = transpose(blocks)
     rs = build_root_system(n)
     dsig = sigma_roots(rs, sigma)
-    nu = sum(1 for a in rs.positive_roots if a.coeffs not in dsig)
+    nu = sum(1 for a in rs.positive_roots if a not in dsig)
     if orbit_dim(part) != 2 * nu:
         raise SizeMismatch("Richardson dimension identity failed")
     return part

@@ -7,6 +7,8 @@ Exit codes: 0 success, 1 verification failure, 2 usage/domain error,
 
 import argparse
 import json
+import os
+import re
 import sys
 from fractions import Fraction
 
@@ -220,7 +222,7 @@ def cmd_verify(args):
         k = parse_fraction(args.k) if args.k else Fraction(1, 2)
         failures = [{"top": f["top"], "sym": symbol_label(rs, f["sym"]),
                      "exps": list(f["exps"])}
-                    for f in relaxed.top_component_check(args.n, lam, k)]
+                    for f in modes.top_component_check(args.n, lam, k)]
         report["k"] = frac_str(k)
         report["lambda"] = weight_to_json(lam)
     elif suite == "characters":
@@ -240,9 +242,8 @@ def cmd_verify(args):
             report["alpha"] = root_label(rs.positive_roots[ai])
         elif args.alpha:
             raise WakimotoError("--alpha needs --top GT")
-        a = relaxed.character_relaxed_verma(rs, top, lam, ai, args.D,
-                                            args.window)
-        b = relaxed.character_relaxed_wakimoto(rs, top, lam, ai, args.D,
+        a = relaxed.character_relaxed_verma(rs, lam, ai, args.D, args.window)
+        b = relaxed.character_relaxed_wakimoto(rs, lam, ai, args.D,
                                                args.window)
         report.update({"top": top, "lambda": weight_to_json(lam),
                        "D": args.D, "entries": len(a)})
@@ -367,8 +368,6 @@ def golden_payloads():
 
 
 def cmd_golden(args):
-    import os
-
     payloads = golden_payloads()
     if args.write:
         os.makedirs(args.dir, exist_ok=True)
@@ -513,8 +512,6 @@ _RATIONAL_OPTS = {"-k", "--lam", "--mu"}
 
 def _merge_negative_values(argv):
     """Let `-k -1/2` parse: argparse would read the value as an option."""
-    import re
-
     out = []
     i = 0
     while i < len(argv):

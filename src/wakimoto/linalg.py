@@ -1,6 +1,7 @@
 """Small exact linear-algebra helpers over Fraction: the nullspace of sparse
 {column: coeff} rows, characteristic polynomials and rational roots."""
 
+from bisect import bisect_right
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -89,12 +90,16 @@ def rational_roots(coeffs):
     if zeros:
         roots[ZERO] = zeros
         ic = ic[zeros:]
-    # a root p/q in lowest terms has p | a_0 and q | a_n; each quotient's
-    # roots are roots of ic, so the divisors are found once.  The candidate
-    # pairs are made one at a time, and none once the quotient is constant
-    pdivs = _divisors(abs(ic[0]))
-    cands = ((s * p, q) for q in _divisors(abs(ic[-1]))
-             for p in pdivs if gcd(p, q) == 1 for s in (1, -1))
+    # a root p/q in lowest terms has p | a_0, q | a_n and |p| <= bound q;
+    # each quotient's roots are roots of ic, so the divisors and the bound
+    # are found once.  The denominators come in ascending order.  The
+    # candidate pairs are made one at a time, and none once the quotient is
+    # constant
+    pdivs = sorted(_divisors(abs(ic[0])))
+    bound = _root_bound(ic)
+    cands = ((s * p, q) for q in sorted(_divisors(abs(ic[-1])))
+             for p in pdivs[:bisect_right(pdivs, bound * q)]
+             if gcd(p, q) == 1 for s in (1, -1))
     for p, q in cands:
         if len(ic) == 1:
             break
@@ -103,6 +108,30 @@ def rational_roots(coeffs):
             roots[r] = roots.get(r, 0) + 1
             ic = _divide_linear(ic, p, q)
     return roots, len(ic) - 1
+
+
+def _root_bound(c):
+    """An integer B with |z| <= B for every complex root z of the integer
+    polynomial c (constant first, nonzero leading coefficient): Fujiwara's
+    bound 2 max_i |c_{n-i} / c_n|^(1/i), each i-th root rounded up."""
+    n = len(c) - 1
+    lead = abs(c[-1])
+    return 2 * max((_ceil_root(-(-abs(c[n - i]) // lead), i)
+                    for i in range(1, n + 1)), default=0)
+
+
+def _ceil_root(a, i):
+    """The least integer t >= 0 with t^i >= a, by bisection."""
+    lo, hi = 0, 1
+    while hi ** i < a:
+        hi *= 2
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if mid ** i < a:
+            lo = mid + 1
+        else:
+            hi = mid
+    return lo
 
 
 def _divisors(a):

@@ -1,6 +1,7 @@
 """Mode-level free fields: the Weyl algebra of loop modes, the Heisenberg
 algebra, the relaxed Wakimoto module, and the mode-level free-field
-homomorphism with its c_gamma constants.
+homomorphism with its c_gamma constants, and the check of its zero modes on
+the top against the finite pi_g action.
 
 Mode dictionary (coefficient of z^j in each field):
     a*_alpha(z) = sum_j x_{alpha,j} z^j
@@ -11,7 +12,8 @@ and mode m of a current is the coefficient of z^{-m-1}.
 WakimotoVector monomials are multisets over the creation generators
     D(gamma,m) = d_{x_{gamma,-m}},  X(gamma,m) = x_{gamma,m},  Y(i,m)   (m >= 1)
 times top-component generators D0(gamma) = d_{x_{gamma,0}} (Verma; GT for
-gamma != alpha) and X0(alpha) = x_{alpha,0} (GT).
+gamma != alpha) and X0(alpha) = x_{alpha,0} (GT).  A module's top is its
+alpha_idx: None for the Verma top, the twisting root's index for a GT top.
 
 Normal ordering places the annihilation set {x_{.,n<=-1}, d_{x_{.,n>=0}},
 b_{.,n>=1}} to the right; on the relaxed module the two groups each consist of
@@ -63,8 +65,7 @@ from . import liealg, weylpoly
 from .errors import NotSimpleRoot, RealizationBug
 from .liealg import bracket_symbols, kappa0_symbols
 from .linalg import nullspace
-from .rootdata import (Weight, bounded_degree_exponents, build_root_system,
-                       rho, root_combinations)
+from .rootdata import Weight, build_root_system, rho, root_combinations
 from .sparse import add_into, add_term, added, scaled
 
 ONE = Fraction(1)
@@ -95,13 +96,11 @@ def _integral(x):
 
 
 class WakimotoModule:
-    """Context for a relaxed Wakimoto module: root system, top kind, highest
-    data lambda (and alpha for GT tops), level k."""
+    """Context for a relaxed Wakimoto module: root system, highest data
+    lambda, level k, and the top alpha_idx (None for the Verma top)."""
 
-    def __init__(self, rs, top, lam, k, alpha_idx=None):
-        self.kind = weylpoly.top_kind(top, alpha_idx)
+    def __init__(self, rs, lam, k, alpha_idx=None):
         self.rs = rs
-        self.top = top
         self.lam = lam
         self.k = Fraction(k)
         self.alpha_idx = alpha_idx
@@ -137,7 +136,7 @@ class WakimotoModule:
         return alts
 
     def _resolve(self, kind, g, j):
-        top = self.top == "GT" and g == self.alpha_idx
+        top = g == self.alpha_idx
         if kind == "x":
             if j >= 1:
                 return ((1, (("X", g, j), 1)),)
@@ -452,7 +451,7 @@ def _lift(rs, sym):
 def _dz_candidates(rs, idx):
     """The a*-factor tuples of every :dz a*_beta (a*-monomial): of root weight
     alpha = positive root idx, the only a*-only shape of conformal weight 1."""
-    roots = [g.coeffs for g in rs.positive_roots]
+    roots = rs.positive_roots
     out = []
     for beta, r in enumerate(roots):
         rest = tuple(a - b for a, b in zip(roots[idx], r))
@@ -479,15 +478,15 @@ def _dz_terms(rs, idx, k, lift_terms, lam=None):
     coefficient free."""
     if lam is None:
         lam = Weight([Fraction(i + 1, i + 2) for i in range(rs.rank)])
-    mod = WakimotoModule(rs, "V", lam, k)
+    mod = WakimotoModule(rs, lam, k)
     vac = mod.vacuum()
     lift = FieldExpr(lift_terms)
     cands = _dz_candidates(rs, idx)
     cand_fields = [FieldExpr([(ONE, astars, None)]) for astars in cands]
     alpha = rs.positive_roots[idx]
     eqs = []  # (m, v, target): sum_t c_t P_{t,m} v = target - lift_m v
-    if alpha.height == 1:
-        s = alpha.coeffs.index(1)
+    if sum(alpha) == 1:
+        s = alpha.index(1)
         # E_1 kills the vacuum, so only E_1 pi(f)_{-1} vac remains
         fv = mode_apply(mod, pi_field(rs, ("f", idx), k), -1, vac)
         target = added(mode_apply(mod, pi_field(rs, ("h", s), k), 0, vac),
@@ -495,7 +494,7 @@ def _dz_terms(rs, idx, k, lift_terms, lam=None):
         eqs.append((1, fv, target))
     else:
         for si, simple in enumerate(rs.simple_roots):
-            rest = tuple(a - b for a, b in zip(alpha.coeffs, simple.coeffs))
+            rest = tuple(a - b for a, b in zip(alpha, simple))
             if rs.is_positive_root(rest):
                 break
         g_idx = rs.simple_indices[si]
@@ -503,7 +502,7 @@ def _dz_terms(rs, idx, k, lift_terms, lam=None):
         N = bracket_symbols(rs, ("e", g_idx), ("e", rest_idx))[("e", idx)]
         A = pi_field(rs, ("e", g_idx), k)
         B = pi_field(rs, ("e", rest_idx), k)
-        for m in range(-alpha.height - 1, 0):
+        for m in range(-sum(alpha) - 1, 0):
             comm = added(mode_apply(mod, A, 0, mode_apply(mod, B, m, vac)),
                          mode_apply(mod, B, m, mode_apply(mod, A, 0, vac)),
                          -ONE)
@@ -531,7 +530,7 @@ def solve_c_gamma(rs, gamma_idx, k, lam=None):
     """c_gamma for a simple root gamma: pi(e_gamma) carries
     -(c_gamma + (k + h_dual) kappa_0(e_gamma, f_gamma)) :dz a*_gamma:, with
     the coefficient solved on the V-top vacuum of weight lam."""
-    if rs.positive_roots[gamma_idx].height != 1:
+    if sum(rs.positive_roots[gamma_idx]) != 1:
         raise NotSimpleRoot("gamma must be simple")
     k = Fraction(k)
     a_terms, b_terms = _lift(rs, ("e", gamma_idx))
@@ -571,8 +570,8 @@ def _spanning_vectors(module, dmax, top_deg):
     keys = [(kind, g, m) for m in range(1, dmax + 1)
             for kind, count in (("D", npos), ("X", npos), ("Y", rs.rank))
             for g in range(count)]
-    tops = [fock_to_top_monomial(rs, module, e)
-            for e in bounded_degree_exponents(npos, top_deg)]
+    tops = [fock_to_top_monomial(module, e)
+            for e, _ in root_combinations([(1,)] * npos, (top_deg,), 0)]
     vectors = []
     # each generator's energy is a one-coordinate root
     for b, (left,) in root_combinations([(key[2],) for key in keys],
@@ -604,15 +603,16 @@ def _affine_comm(n, k, dmax):
     parent's half raises; a child that ends without a result is a
     RealizationBug."""
     problem = _comm_problem(n, k)
+    alpha_idx = problem[0].simple_indices[0]
     r, w = os.pipe()
     pid = os.fork()
     if pid == 0:
         os.close(r)
-        _send_and_exit(w, lambda: _check_top(problem, "GT", dmax))
+        _send_and_exit(w, lambda: _check_top(problem, alpha_idx, dmax))
     os.close(w)
     with open(r, "rb") as pipe:
         try:
-            failures, checks = _check_top(problem, "V", dmax)
+            failures, checks = _check_top(problem, None, dmax)
             data = pipe.read()
         except BaseException:
             os.kill(pid, signal.SIGKILL)
@@ -669,10 +669,10 @@ def _comm_problem(n, k):
     return rs, k, fields, items, brackets
 
 
-def _check_top(problem, top, dmax):
-    """(failures, checks) of the affine commutation check on one top ("V",
-    or "GT" at the first simple root), on its spanning vectors of energy
-    <= dmax.
+def _check_top(problem, alpha_idx, dmax):
+    """(failures, checks) of the affine commutation check on one top (None
+    for the Verma top, or the first simple root's index for the GT top), on
+    its spanning vectors of energy <= dmax.
 
     Each unordered pair of items (a, m), (b, n) is checked once: the check
     for ((b, n), (a, m)) is the negative of this one, since the bracket and
@@ -686,8 +686,8 @@ def _check_top(problem, top, dmax):
     lhs R == rhs s(F1) s(F2)."""
     rs, k, fields, items, brackets = problem
     lam = Weight([Fraction(2 * i + 1, 3) for i in range(rs.rank)])
-    mod = WakimotoModule(rs, top, lam, k,
-                         rs.simple_indices[0] if top == "GT" else None)
+    mod = WakimotoModule(rs, lam, k, alpha_idx)
+    top = "V" if alpha_idx is None else "GT"
     vectors = _spanning_vectors(mod, dmax, 2 if rs.n == 2 else 1)
     failures = []
     checks = 0
@@ -725,13 +725,35 @@ def _check_top(problem, top, dmax):
 
 # -- Zhu / top-component helpers ----------------------------------------------
 
-def fock_to_top_monomial(rs, module, exps):
-    d = {}
-    for g, e in enumerate(exps):
-        if not e:
-            continue
-        if module.top == "GT" and g == module.alpha_idx:
-            d[("X0", g)] = e
-        else:
-            d[("D0", g)] = e
-    return canon(d)
+def fock_to_top_monomial(module, exps):
+    """The mode monomial of a top Fock monomial: x_{alpha,0} at the module's
+    twisting root, d_{x_{gamma,0}} at every other root."""
+    return canon({("X0" if g == module.alpha_idx else "D0", g): e
+                  for g, e in enumerate(exps)})
+
+
+def top_component_check(n, lam, k, max_degree=None):
+    """Zero modes of the affine realization restricted to energy 0 versus the
+    finite pi_g action, for every Chevalley basis element on a degree slice,
+    on the Verma top and the GT top twisted along the first simple root.
+    Returns the list of failures (expected empty)."""
+    rs = build_root_system(n)
+    if max_degree is None:
+        max_degree = 20 if n == 2 else 3
+    npos = len(rs.positive_roots)
+    slices = [e for e, _ in root_combinations([(1,)] * npos, (max_degree,), 0)]
+    failures = []
+    for top, alpha_idx in (("V", None), ("GT", rs.simple_indices[0])):
+        mod = WakimotoModule(rs, lam, k, alpha_idx)
+        for sym in liealg.basis_symbols(rs):
+            F = pi_field(rs, sym, k)
+            w = weylpoly.pi_g(rs, sym)
+            for exps in slices:
+                got = mode_apply(mod, F, 0,
+                                 {fock_to_top_monomial(mod, exps): ONE})
+                fv = weylpoly.act_F(w, rs, alpha_idx, lam, {exps: ONE})
+                expect = {fock_to_top_monomial(mod, e): c
+                          for e, c in fv.items()}
+                if got != expect:
+                    failures.append({"top": top, "sym": sym, "exps": exps})
+    return failures

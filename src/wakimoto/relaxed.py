@@ -1,12 +1,13 @@
 """Relaxed Verma modules as explicit PBW modules, bigraded characters of the
-relaxed Verma / relaxed Wakimoto constructions, the top-component check, and
-the singular-vector search on the Verma top.
+relaxed Verma / relaxed Wakimoto constructions, and the singular-vector
+search on the Verma top.
 
-A PBW basis element is (factors, top) where factors is a tuple of (n, sidx)
-meaning a^{(sidx)}_{-n} (n >= 1, sidx indexing the Chevalley basis in the
-canonical order) sorted by (n descending, sidx ascending), and top is a Fock
-monomial exponent tuple of the top component (F_nbar for Verma tops,
-F_{nbar,alpha} for GT tops).
+A module's top is its alpha_idx: None for the Verma top, the twisting root's
+index for a GT top.  A PBW basis element is (factors, top) where factors is a
+tuple of (n, sidx) meaning a^{(sidx)}_{-n} (n >= 1, sidx indexing the
+Chevalley basis in the canonical order) sorted by (n descending, sidx
+ascending), and top is a Fock monomial exponent tuple of the top component
+(F_nbar for the Verma top, F_{nbar,alpha} for a GT top).
 """
 
 from fractions import Fraction
@@ -16,8 +17,7 @@ from . import liealg, weylpoly
 from .errors import RealizationBug, WindowTooLarge
 from .liealg import bracket_symbols, kappa0_symbols
 from .linalg import nullspace
-from .rootdata import (bounded_degree_exponents, lattice_counts,
-                       offset_weight, root_combinations)
+from .rootdata import lattice_counts, offset_weight, root_combinations
 from .sparse import add_into, add_term
 
 ONE = Fraction(1)
@@ -30,11 +30,11 @@ def _pbw_key(f):
 class RelaxedModule:
     """Relaxed Verma module context over the affine algebra at level k."""
 
-    def __init__(self, rs, top, lam, k, alpha_idx=None):
-        self.kind = weylpoly.top_kind(top, alpha_idx)
+    def __init__(self, rs, lam, k, alpha_idx=None):
         self.rs = rs
         self.lam = lam
         self.k = Fraction(k)
+        self.alpha_idx = alpha_idx
         self.syms = liealg.basis_symbols(rs)
         self.sym_index = {s: i for i, s in enumerate(self.syms)}
         self._act_cache = {}
@@ -45,7 +45,7 @@ class RelaxedModule:
     def top_act(self, sym, exps):
         """Zero-mode action on the top component, via the Fock realization."""
         return weylpoly.act_F(weylpoly.pi_g(self.rs, sym), self.rs,
-                              self.kind, self.lam, {exps: ONE})
+                              self.alpha_idx, self.lam, {exps: ONE})
 
 
 def _pbw_normalize(mod, factor_list, top, coeff, out):
@@ -115,7 +115,7 @@ def _root_shift(rs, sym):
     kind, idx = sym
     if kind == "h":
         return (0,) * rs.rank
-    co = rs.positive_roots[idx].coeffs
+    co = rs.positive_roots[idx]
     return co if kind == "e" else tuple(-c for c in co)
 
 
@@ -174,16 +174,15 @@ def _convolve_character(rs, lam, top_table, mode_table, radius):
 MAX_CHARACTER_WORK = 1500000
 
 
-def _relaxed_character(rs, top, lam, alpha_idx, dmax, radius, families):
+def _relaxed_character(rs, lam, alpha_idx, dmax, radius, families):
     """The top count in the window widened by dmax, times the monomials in
     the mode families, as {(Weight, energy): count-or-('ge', n)}.
     WindowTooLarge, before anything is counted, if the work bound exceeds
     MAX_CHARACTER_WORK."""
-    kind = weylpoly.top_kind(top, alpha_idx)
-    ai = None if kind == "V" else kind[1]
     wide = radius + dmax
-    kmax = weylpoly._top_kmax(rs, ai, wide, weylpoly.KCAP)
-    alpha = (0,) * rs.rank if ai is None else rs.positive_roots[ai].coeffs
+    kmax = weylpoly._top_kmax(rs, alpha_idx, wide, weylpoly.KCAP)
+    alpha = ((0,) * rs.rank if alpha_idx is None
+             else rs.positive_roots[alpha_idx])
     held = prod(min(wide + 1 + kmax * a, 2 * wide + 1) for a in alpha)
     points = (dmax + 1) * (2 * dmax + 1) ** rs.rank
     if points * held > MAX_CHARACTER_WORK:
@@ -191,66 +190,30 @@ def _relaxed_character(rs, top, lam, alpha_idx, dmax, radius, families):
             "the character up to energy %d needs %d mode-table points times "
             "%d top points, %d; the limit is %d"
             % (dmax, points, held, points * held, MAX_CHARACTER_WORK))
-    top_table = weylpoly._top_counts(rs, ai, wide, weylpoly.KCAP)
+    top_table = weylpoly._top_counts(rs, alpha_idx, wide, weylpoly.KCAP)
     mode_table = _mode_monomial_table(rs, families, dmax)
     return _convolve_character(rs, lam, top_table, mode_table, radius)
 
 
-def character_relaxed_verma(rs, top, lam, alpha_idx, dmax, radius):
+def character_relaxed_verma(rs, lam, alpha_idx, dmax, radius):
     """Bigraded character of the relaxed Verma module, counted on the PBW
     side: the top character times monomials in the dim g families a_{-m},
     one for each Chevalley basis element a."""
     families = [_root_shift(rs, sym) for sym in liealg.basis_symbols(rs)]
-    return _relaxed_character(rs, top, lam, alpha_idx, dmax, radius,
-                              families)
+    return _relaxed_character(rs, lam, alpha_idx, dmax, radius, families)
 
 
-def character_relaxed_wakimoto(rs, top, lam, alpha_idx, dmax, radius):
+def character_relaxed_wakimoto(rs, lam, alpha_idx, dmax, radius):
     """Bigraded character of the relaxed Wakimoto module, counted on the
     free-field side: the top character times monomials in the generators
     {d_{x,-m}: -gamma, x_m: +gamma, y_m: 0}."""
     families = []
     for gamma in rs.positive_roots:
-        families.append(tuple(-c for c in gamma.coeffs))
-        families.append(gamma.coeffs)
+        families.append(tuple(-c for c in gamma))
+        families.append(gamma)
     for _ in range(rs.rank):
         families.append((0,) * rs.rank)
-    return _relaxed_character(rs, top, lam, alpha_idx, dmax, radius,
-                              families)
-
-
-# -- diagnostics ---------------------------------------------------------------
-
-def top_component_check(n, lam, k, max_degree=None):
-    """Zero modes of the affine realization restricted to energy 0 versus the
-    finite pi_g action, for every Chevalley basis element on a degree slice,
-    on the Verma top and the GT top twisted along the first simple root.
-    Returns the list of failures (expected empty)."""
-    from . import modes
-    from .rootdata import build_root_system
-
-    rs = build_root_system(n)
-    alpha_idx = rs.simple_indices[0]
-    if max_degree is None:
-        max_degree = 20 if n == 2 else 3
-    failures = []
-    npos = len(rs.positive_roots)
-    for top in ("V", "GT"):
-        mod = modes.WakimotoModule(rs, top, lam, k,
-                                   alpha_idx if top == "GT" else None)
-        slices = list(bounded_degree_exponents(npos, max_degree))
-        for sym in liealg.basis_symbols(rs):
-            F = modes.pi_field(rs, sym, k)
-            w = weylpoly.pi_g(rs, sym)
-            for exps in slices:
-                mono = modes.fock_to_top_monomial(rs, mod, exps)
-                got = modes.mode_apply(mod, F, 0, {mono: ONE})
-                fv = weylpoly.act_F(w, rs, mod.kind, lam, {exps: ONE})
-                expect = {modes.fock_to_top_monomial(rs, mod, e): c
-                          for e, c in fv.items()}
-                if got != expect:
-                    failures.append({"top": top, "sym": sym, "exps": exps})
-    return failures
+    return _relaxed_character(rs, lam, alpha_idx, dmax, radius, families)
 
 
 def _mode_monomials(mod, D):
@@ -293,8 +256,8 @@ def find_singular_vectors(rs, lam, k, D):
     radius 2D + 2.  Each vector is checked by acting on it with every
     raising generator; RealizationBug if one does not annihilate it."""
     radius = 2 * D + 2
-    mod = RelaxedModule(rs, "V", lam, k)
-    roots = [g.coeffs for g in rs.positive_roots]
+    mod = RelaxedModule(rs, lam, k)
+    roots = rs.positive_roots
     theta_idx = rs.root_index[(1,) * rs.rank]
     conds = [(("e", si), 0) for si in rs.simple_indices]
     conds.append((("f", theta_idx), 1))

@@ -2,9 +2,10 @@
 
 Conventions
 -----------
-Roots are stored by their integer coefficient vectors over the simple roots
-(alpha_1 .. alpha_r, r = n-1).  Weights are rational coordinate vectors in the
-fundamental-weight basis, so ``pairing(lam, alpha_i) == lam.coords[i]``.
+A root is its integer coefficient tuple over the simple roots
+(alpha_1 .. alpha_r, r = n-1), and its height is the tuple's sum.  Weights
+are rational coordinate vectors in the fundamental-weight basis, so
+``pairing(lam, alpha_i) == lam.coords[i]``.
 
 The normalized invariant form kappa_0 satisfies (theta, theta) = 2; in type A
 it is the trace form of the defining representation.  The Weyl group S_n acts
@@ -18,31 +19,6 @@ from operator import add, sub
 from .errors import DimensionError, InvalidRank
 
 ZERO = Fraction(0)
-
-
-class Root:
-    """A root, stored as an integer coefficient vector over the simple roots."""
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs):
-        self.coeffs = tuple(int(c) for c in coeffs)
-
-    @property
-    def height(self):
-        return sum(self.coeffs)
-
-    def __eq__(self, other):
-        return isinstance(other, Root) and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(self.coeffs)
-
-    def __neg__(self):
-        return Root(tuple(-c for c in self.coeffs))
-
-    def __repr__(self):
-        return "Root(%r)" % (self.coeffs,)
 
 
 class Weight:
@@ -98,18 +74,18 @@ class RootSystem:
             for i in range(r)
         ]
         self.simple_roots = [
-            Root(tuple(1 if j == i else 0 for j in range(r))) for i in range(r)
+            tuple(1 if j == i else 0 for j in range(r)) for i in range(r)
         ]
         # positive roots eps_i - eps_j (i<j) = alpha_i + ... + alpha_{j-1},
         # ordered by (height, lex coefficients).
         pos = []
         for i in range(n):
             for j in range(i + 1, n):
-                pos.append(Root(tuple(1 if i <= t < j else 0 for t in range(r))))
-        pos.sort(key=lambda a: (a.height, a.coeffs))
+                pos.append(tuple(1 if i <= t < j else 0 for t in range(r)))
+        pos.sort(key=lambda a: (sum(a), a))
         self.positive_roots = pos
-        self.root_index = {a.coeffs: idx for idx, a in enumerate(pos)}
-        self.simple_indices = [self.root_index[a.coeffs] for a in self.simple_roots]
+        self.root_index = {a: idx for idx, a in enumerate(pos)}
+        self.simple_indices = [self.root_index[a] for a in self.simple_roots]
 
     # -- epsilon coordinates -------------------------------------------------
     def weight_to_eps(self, lam):
@@ -130,10 +106,9 @@ class RootSystem:
 
     def root_pair(self, alpha):
         """(i, j) with alpha = eps_i - eps_j, 0-based, i < j."""
-        c = alpha.coeffs
-        i = c.index(1)
+        i = alpha.index(1)
         j = i
-        while j < self.rank and c[j] == 1:
+        while j < self.rank and alpha[j] == 1:
             j += 1
         return i, j
 
@@ -142,13 +117,13 @@ class RootSystem:
         r = self.rank
         return Weight(
             tuple(
-                sum(self.cartan_matrix[i][j] * alpha.coeffs[j] for j in range(r))
+                sum(self.cartan_matrix[i][j] * alpha[j] for j in range(r))
                 for i in range(r)
             )
         )
 
-    def is_positive_root(self, coeffs):
-        return tuple(coeffs) in self.root_index
+    def is_positive_root(self, alpha):
+        return alpha in self.root_index
 
 
 def build_root_system(n):
@@ -157,9 +132,9 @@ def build_root_system(n):
 
 def pairing(rs, lam, alpha):
     """<lam, alpha^vee>.  In type A alpha^vee has the same simple coefficients."""
-    if len(lam.coords) != rs.rank or len(alpha.coeffs) != rs.rank:
+    if len(lam.coords) != rs.rank or len(alpha) != rs.rank:
         raise DimensionError("rank mismatch in pairing")
-    return sum((c * m for c, m in zip(lam.coords, alpha.coeffs)), ZERO)
+    return sum((c * m for c, m in zip(lam.coords, alpha)), ZERO)
 
 
 def rho(rs):
@@ -167,7 +142,7 @@ def rho(rs):
 
 
 def theta(rs):
-    return Root((1,) * rs.rank)
+    return (1,) * rs.rank
 
 
 # -- enumerators ------------------------------------------------------------
@@ -180,6 +155,8 @@ def root_combinations(roots, start, floor):
     coordinate only decreases and a branch is cut as soon as it drops below
     floor.  The b come in lexicographic order: a depth-first walk on an
     explicit stack, which pushes each node's children largest count first.
+    With roots [(1,)] * n, start (d,) and floor 0, the b are the exponent
+    tuples in n variables of total degree <= d.
     """
     roots = [tuple(g) for g in roots]
     last = len(roots)
@@ -231,21 +208,9 @@ def lattice_counts(starts, gens, keep):
     return table
 
 
-def bounded_degree_exponents(nvars, dmax):
-    """Every exponent tuple in nvars variables of total degree <= dmax, in
-    lexicographic order."""
-    if nvars == 0:
-        if dmax >= 0:
-            yield ()
-        return
-    for e in range(dmax + 1):
-        for rest in bounded_degree_exponents(nvars - 1, dmax - e):
-            yield (e,) + rest
-
-
 def offset_weight(rs, lam, coords):
     """The weight lam + sum_i coords[i] alpha_i (integer root coordinates)."""
-    return lam + rs.root_to_weight(Root(coords))
+    return lam + rs.root_to_weight(coords)
 
 
 # -- Weyl group --------------------------------------------------------------
@@ -260,14 +225,14 @@ def weyl_act(rs, perm, lam):
 
 
 def weyl_act_root(rs, perm, alpha):
-    """Action on a positive root; returns a Root (possibly negative of a
-    positive one).  w(eps_i - eps_j) = eps_{perm[i]} - eps_{perm[j]}, and eps_a - eps_b is
+    """Action on a positive root; returns its coefficient tuple (possibly
+    the negative of a positive root's).  w(eps_i - eps_j) = eps_{perm[i]} - eps_{perm[j]}, and eps_a - eps_b is
     +-1 on the simple coordinates between a and b."""
     i, j = rs.root_pair(alpha)
     a, b = perm[i], perm[j]
     sign = 1 if a < b else -1
     lo, hi = min(a, b), max(a, b)
-    return Root(sign if lo <= t < hi else 0 for t in range(rs.rank))
+    return tuple(sign if lo <= t < hi else 0 for t in range(rs.rank))
 
 
 def all_weyl_elements(rs):
@@ -295,7 +260,7 @@ def weight_to_json(lam):
 def root_label(alpha):
     """Text label like 'a1+a2' for a positive root."""
     parts = []
-    for i, c in enumerate(alpha.coeffs):
+    for i, c in enumerate(alpha):
         if c == 0:
             continue
         parts.append(("a%d" % (i + 1)) if c == 1 else ("%da%d" % (c, i + 1)))

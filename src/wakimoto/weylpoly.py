@@ -14,20 +14,24 @@ Every element is a sparse dict (see sparse):
 - a Weyl element is {(x-exponents, d-exponents): h-polynomial}, in the
   normal form with all x's to the left of all d's, and the commutation rule
   is [x_a, d_b] = -delta_ab (so d.x = x.d + 1 as operators);
-- a Fock vector is {exponent tuple: Fraction}, read by its module's kind
+- a Fock vector is {exponent tuple: Fraction}, read by its module's top
   (see act_F).
+
+A module top is named by alpha_idx, the index of its twisting root alpha in
+rs.positive_roots: None for the Verma top M(lambda), and alpha for the
+Gelfand-Tsetlin top T_alpha M(lambda) = W(lambda, alpha).
 """
 
 from fractions import Fraction
-from math import comb, factorial, prod
+from math import comb, factorial, perm, prod
 
 from . import liealg
-from .errors import (EmptyWindow, ModuleMismatch, NotSimpleRoot,
-                     WindowTooLarge)
+from .errors import (EmptyWeightSpace, EmptyWindow, ModuleMismatch,
+                     NotSimpleRoot, WindowTooLarge)
 from .linalg import charpoly, rational_roots
 from .liealg import bracket_symbols
-from .rootdata import (bounded_degree_exponents, lattice_counts,
-                       offset_weight, rho, root_label)
+from .rootdata import (build_root_system, lattice_counts, offset_weight, rho,
+                       root_combinations, root_label)
 from .sparse import add_nested, add_term, added_nested
 
 ZERO = Fraction(0)
@@ -214,8 +218,7 @@ def pi_g_elem(rs, a):
 
 def pq_polynomials(rs, gamma_idx):
     """(p^gamma, q^gamma) for a simple root gamma; maps alpha -> polynomial."""
-    alpha = rs.positive_roots[gamma_idx]
-    if alpha.height != 1:
+    if sum(rs.positive_roots[gamma_idx]) != 1:
         raise NotSimpleRoot("gamma must be simple")
     N = _order_bound(rs)
     k0m1 = bernoulli_series("t/(e^t-1)-1", N)
@@ -238,8 +241,6 @@ def verify_pi_hom(n):
 def _pi_hom(n):
     """(failures, checks) of verify_pi_hom, checks counting the ordered
     basis pairs compared."""
-    from .rootdata import build_root_system
-
     rs = build_root_system(n)
     syms = liealg.basis_symbols(rs)
     failures = []
@@ -257,39 +258,19 @@ def _pi_hom(n):
 
 # -- Fock realizations --------------------------------------------------------
 
-def top_kind(top, alpha_idx):
-    """The Fock vector kind of a module top: 'V' for a Verma top, and
-    ('GT', alpha_idx) for a Gelfand-Tsetlin top twisted along alpha."""
-    if top == "V":
-        return "V"
-    if top != "GT":
-        raise ModuleMismatch("top must be 'V' or 'GT'")
-    if alpha_idx is None:
-        raise ModuleMismatch("GT top needs alpha")
-    return ("GT", alpha_idx)
+def fock_weight(rs, alpha_idx, lam, mono):
+    """h-weight of a Fock monomial of the top alpha_idx, lambda twist
+    included.
 
-
-def fock_weight(rs, kind, lam, mono):
-    """h-weight of a Fock monomial of the given kind, lambda twist included.
-
-    Monomials are exponent tuples over the positive roots.  For kind 'V'
-    (F_nbar) the exponent at position gamma is the d_gamma power.  For kind
-    ('GT', alpha) (F_{nbar,alpha}) the exponent at position alpha is the
-    x_alpha power and at gamma != alpha the d_gamma power.
+    Monomials are exponent tuples over the positive roots.  On the Verma top
+    (F_nbar) the exponent e at position gamma is the d_gamma power, of
+    weight -e gamma.  On the top twisted along alpha (F_{nbar,alpha}) the
+    exponent e at alpha is the x_alpha power, of weight (e + 1) alpha.
     """
-    wt = lam
-    if kind == "V":
-        for g, b in enumerate(mono):
-            if b:
-                wt = wt - b * rs.root_to_weight(rs.positive_roots[g])
-    else:
-        alpha = kind[1]
-        aw = rs.root_to_weight(rs.positive_roots[alpha])
-        wt = wt + (mono[alpha] + 1) * aw
-        for g, b in enumerate(mono):
-            if g != alpha and b:
-                wt = wt - b * rs.root_to_weight(rs.positive_roots[g])
-    return wt
+    coeffs = [e + 1 if g == alpha_idx else -e for g, e in enumerate(mono)]
+    return offset_weight(rs, lam, tuple(
+        sum(c * a[t] for c, a in zip(coeffs, rs.positive_roots))
+        for t in range(rs.rank)))
 
 
 def _lam_2rho_values(rs, lam):
@@ -297,67 +278,42 @@ def _lam_2rho_values(rs, lam):
     return [r2.coords[i] for i in range(rs.rank)]
 
 
-def act_F(w, rs, kind, lam, v):
-    """Apply a Weyl element to a vector of F_nbar (kind 'V') or
-    F_{nbar,alpha} (kind ('GT', alpha)), twisted by C_{lambda+2rho}; returns
-    a new Fock vector.
+def act_F(w, rs, alpha_idx, lam, v):
+    """Apply a Weyl element to a vector of F_nbar (alpha_idx None) or
+    F_{nbar,alpha} (alpha = positive root alpha_idx), twisted by
+    C_{lambda+2rho}; returns a new Fock vector.
 
     On F_nbar: d_gamma multiplies, x_gamma acts as -d/d(d_gamma).
     On F_{nbar,alpha}: x_alpha multiplies, d_alpha = d/dx_alpha, the other
     x_gamma act as -d/d(d_gamma), the other d_gamma multiply.  h acts on the
-    twist by (lambda+2rho)(h).
+    twist by (lambda+2rho)(h).  The operator x^a d^b acts d's-first, on each
+    variable from the monomial's own exponent e: at alpha d_alpha^b gives
+    perm(e, b), elsewhere x_gamma^a gives (-1)^a perm(e + b, a).
     """
     npos = len(rs.positive_roots)
     if ((w and len(next(iter(w))[0]) != npos)
             or (v and len(next(iter(v))) != npos)):
         raise ModuleMismatch("root system mismatch")
     hvals = _lam_2rho_values(rs, lam)
-    alpha = None if kind == "V" else kind[1]
     out = {}
     for (xa, db), hp in w.items():
         scal = poly_eval(hp, hvals)
         if scal == 0:
             continue
         for mono, c in v.items():
-            coef = c * scal
-            m = list(mono)
-            ok = True
-            # d-part first (the operator x^a d^b acts d's-first)
-            for g, b in enumerate(db):
-                if not b:
-                    continue
-                if g == alpha:
-                    # d/dx_alpha, b times
-                    for _ in range(b):
-                        if m[g] == 0:
-                            ok = False
-                            break
-                        coef *= m[g]
-                        m[g] -= 1
-                    if not ok:
-                        break
+            f = 1
+            m = []
+            for g, (e, a, b) in enumerate(zip(mono, xa, db)):
+                if g == alpha_idx:
+                    f *= perm(e, b)
+                    m.append(e - b + a)
                 else:
-                    m[g] += b
-            if not ok:
-                continue
-            # x-part
-            for g, a in enumerate(xa):
-                if not a:
-                    continue
-                if g == alpha:
-                    m[g] += a
-                else:
-                    for _ in range(a):
-                        if m[g] == 0:
-                            ok = False
-                            break
-                        coef *= -m[g]
-                        m[g] -= 1
-                    if not ok:
-                        break
-            if not ok or coef == 0:
-                continue
-            add_term(out, tuple(m), coef)
+                    f *= (-1) ** a * perm(e + b, a)
+                    m.append(e + b - a)
+                if not f:
+                    break
+            else:
+                add_term(out, tuple(m), c * scal * f)
     return out
 
 
@@ -397,16 +353,15 @@ def _top_kmax(rs, alpha_idx, radius, kcap):
     MAX_TOP_BOX."""
     if alpha_idx is None:
         alpha, kmax = (0,) * rs.rank, 0
-    elif rs.positive_roots[alpha_idx].height > 1:
-        alpha, kmax = rs.positive_roots[alpha_idx].coeffs, kcap
     else:
-        # alpha = alpha_s.  At a window point c, the roots gamma != alpha
-        # that contain alpha_s sum to B = k - c_s, and each of them also
-        # contains another simple root, so it lowers another coordinate:
-        # B <= -sum_{t != s} c_t <= (rank - 1) radius, hence
-        # k <= rank * radius.  Tight: in sl4, alpha_2 reaches
-        # (-R, R, -R) only with k = 3R.
-        alpha, kmax = rs.positive_roots[alpha_idx].coeffs, rs.rank * radius
+        # for a simple alpha = alpha_s: at a window point c, the roots
+        # gamma != alpha that contain alpha_s sum to B = k - c_s, and each
+        # of them also contains another simple root, so it lowers another
+        # coordinate: B <= -sum_{t != s} c_t <= (rank - 1) radius, hence
+        # k <= rank * radius.  Tight: in sl4, alpha_2 reaches (-R, R, -R)
+        # only with k = 3R.
+        alpha = rs.positive_roots[alpha_idx]
+        kmax = kcap if sum(alpha) > 1 else rs.rank * radius
     box = prod(radius + 1 + kmax * a for a in alpha)
     if box > MAX_TOP_BOX:
         raise WindowTooLarge("the top character up to radius %d needs a "
@@ -429,7 +384,7 @@ def _top_counts(rs, alpha_idx, radius, kcap):
     points held on the way exceed MAX_TOP_BOX.
     """
     kmax = _top_kmax(rs, alpha_idx, radius, kcap)
-    roots = [g.coeffs for g in rs.positive_roots]
+    roots = rs.positive_roots
     if alpha_idx is None:
         alpha, gens = (0,) * rs.rank, roots
         starts = {alpha: 1}
@@ -466,11 +421,9 @@ def twist_character(rs, lam, alpha_idx, radius, kcap=KCAP):
 def gamma_alpha_multiplicity(rs, lam, alpha_idx, mu, D):
     """Eigenvalue multiplicities of c_alpha on the degree-<=D slice of the
     mu-weight space of F_{nbar,alpha} tensor C_{lambda+2rho}."""
-    from .errors import EmptyWeightSpace
-
-    kind = ("GT", alpha_idx)
-    basis = [m for m in bounded_degree_exponents(len(rs.positive_roots), D)
-             if fock_weight(rs, kind, lam, m) == mu]
+    npos = len(rs.positive_roots)
+    basis = [m for m, _ in root_combinations([(1,)] * npos, (D,), 0)
+             if fock_weight(rs, alpha_idx, lam, m) == mu]
     if not basis:
         raise EmptyWeightSpace("mu is not a weight of the truncated slice")
     index = {m: i for i, m in enumerate(basis)}
@@ -483,7 +436,7 @@ def gamma_alpha_multiplicity(rs, lam, alpha_idx, mu, D):
         op = added_nested(op, prod, coef)
     mat = [[ZERO] * len(basis) for _ in range(len(basis))]
     for j, m in enumerate(basis):
-        img = act_F(op, rs, kind, lam, {m: ONE})
+        img = act_F(op, rs, alpha_idx, lam, {m: ONE})
         for m2, c in img.items():
             i = index.get(m2)
             if i is not None:  # projection P_D

@@ -208,13 +208,13 @@ def test_zhu_diagram_failures_are_json_objects(monkeypatch, capsys):
     monkeypatch.setattr(weylpoly, "act_F",
                         lambda *args: scaled(act_F(*args), 2))
     returned = []
-    check = relaxed.top_component_check
+    check = modes.top_component_check
 
     def recording(*args):
         returned.append(check(*args))
         return returned[-1]
 
-    monkeypatch.setattr(relaxed, "top_component_check", recording)
+    monkeypatch.setattr(modes, "top_component_check", recording)
     assert main(["verify", "zhu-diagram", "-n", "2"]) == 1
     (failures,) = returned
     assert failures
@@ -270,7 +270,7 @@ def test_affine_comm_fails_on_a_new_denominator(monkeypatch, capsys):
     F = modes.pi_field(RS3, ("h", 0), k)
     (c, astars, field_main), *rest = F.terms
     G = modes.FieldExpr([(c + Fraction(1, 7), astars, field_main)] + rest)
-    mod = modes.WakimotoModule(RS3, "V", Weight((Fraction(1, 3), 1)), k)
+    mod = modes.WakimotoModule(RS3, Weight((Fraction(1, 3), 1)), k)
     assert modes._scaled(mod, G)[0] == 7 * modes._scaled(mod, F)[0]
     modes._FIELD_CACHE[(3, ("h", 0), k)] = G
     returned = []
@@ -303,10 +303,10 @@ def test_an_exception_in_the_gt_half_exits_3(monkeypatch, capsys):
     # with its type, and no child process is left
     check = modes._check_top
 
-    def patched(problem, top, dmax):
-        if top == "GT":
+    def patched(problem, alpha_idx, dmax):
+        if alpha_idx is not None:
             raise GTHalfFailed("raised in the GT half")
-        return check(problem, top, dmax)
+        return check(problem, alpha_idx, dmax)
 
     monkeypatch.setattr(modes, "_check_top", patched)
     assert main(["verify", "affine-comm", "-n", "2", "-k", "1/2",
@@ -349,7 +349,7 @@ def test_weyl_group_enumeration_is_refused_above_the_limit(
     def enumerated(*args):
         raise AssertionError("enumerated before the size check")
 
-    for name in ("all_weyl_elements", "bounded_degree_exponents"):
+    for name in ("all_weyl_elements", "root_combinations"):
         monkeypatch.setattr(admissible, name, enumerated)
     n = admissible.MAX_WEYL_N + 1
     assert main([cmd, "-n", str(n), "-p", str(n + 1), "-q", "1"]) == 2
@@ -368,7 +368,7 @@ def test_a_large_enumeration_is_refused(cmd, monkeypatch, capsys):
     def enumerated(*args):
         raise AssertionError("enumerated before the size check")
 
-    for name in ("all_weyl_elements", "bounded_degree_exponents"):
+    for name in ("all_weyl_elements", "root_combinations"):
         monkeypatch.setattr(admissible, name, enumerated)
     assert main([cmd, "-n", "7", "-p", "9", "-q", "2"]) == 2
     assert capsys.readouterr().err == (

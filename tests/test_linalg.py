@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wakimoto import linalg
-from wakimoto.linalg import _eliminate, charpoly, nullspace, rational_roots
+from wakimoto.linalg import (_ceil_root, _eliminate, _root_bound, charpoly,
+                            nullspace, rational_roots)
 
 
 def F(x):
@@ -241,13 +242,48 @@ def _poly_mul(a, b):
     return out
 
 
+def _product(roots, scale=1):
+    """scale times prod (q x - p)^m over the roots p/q with multiplicity
+    m, constant first."""
+    poly = [scale]
+    for r, m in roots.items():
+        for _ in range(m):
+            poly = _poly_mul(poly, [-r.numerator, r.denominator])
+    return poly
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.dictionaries(st.fractions(-9, 9, max_denominator=6),
                        st.integers(1, 3), max_size=4),
        st.fractions(-5, 5, max_denominator=4).filter(bool))
 def test_rational_roots_of_products(roots, scale):
-    poly = [-2 * scale, 0, scale]   # scale * (x^2 - 2)
-    for r, m in roots.items():
-        for _ in range(m):
-            poly = _poly_mul(poly, [-r.numerator, r.denominator])
+    poly = _poly_mul([-2 * scale, 0, scale], _product(roots))  # x^2 - 2
     assert rational_roots(poly) == (roots, 2)
+
+
+def test_ceil_root_matches_brute_force():
+    for i in range(1, 6):
+        for a in list(range(200)) + [10 ** 12, 10 ** 12 + 1, 2 ** 61 - 1]:
+            t = _ceil_root(a, i)
+            assert t ** i >= a and (t == 0 or (t - 1) ** i < a)
+
+
+_root = st.tuples(st.integers(-10 ** 9, 10 ** 9),
+                  st.integers(1, 60)).map(lambda pq: Fr(*pq))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.dictionaries(_root, st.integers(1, 5), min_size=1, max_size=5),
+       st.integers(-7, 7).filter(bool))
+def test_root_bound_holds_for_products_of_linear_factors(roots, scale):
+    # every root, large or repeated, lies within the bound
+    bound = _root_bound(_product(roots, scale))
+    assert all(abs(r) <= bound for r in roots)
+
+
+def test_root_bound_at_large_and_repeated_roots():
+    for r, m in ((10 ** 9, 5), (-1, 8), (Fr(7, 3), 6), (Fr(-10 ** 6, 7), 3)):
+        r = Fr(r)
+        poly = _product({r: m})
+        assert abs(r) <= _root_bound(poly)
+        assert rational_roots(poly) == ({r: m}, 0)

@@ -10,7 +10,7 @@ from wakimoto.errors import RealizationBug
 from wakimoto.liealg import basis_symbols, bracket_symbols, kappa0_symbols
 from wakimoto.modes import (FieldExpr, WakimotoModule, canon, mode_apply,
                             pi_affine, pi_field, render_field, solve_c_gamma,
-                            verify_affine_comm)
+                            top_component_check, verify_affine_comm)
 from wakimoto.rootdata import Weight, build_root_system
 from wakimoto.sparse import added as vec_add
 from wakimoto.sparse import scaled
@@ -21,8 +21,8 @@ LAM2 = Weight((Fr(2, 3),))
 K = Fr(1, 2)
 
 
-def vmod(rs=RS2, lam=None, k=K, top="V", alpha_idx=None):
-    return WakimotoModule(rs, top, lam or Weight((Fr(2, 3),) * rs.rank), k,
+def vmod(rs=RS2, lam=None, k=K, alpha_idx=None):
+    return WakimotoModule(rs, lam or Weight((Fr(2, 3),) * rs.rank), k,
                           alpha_idx)
 
 
@@ -105,20 +105,23 @@ def test_smoothness():
 def test_zhu_correspondence_sl2():
     from wakimoto import weylpoly
     lam = LAM2
-    for top, ai in (("V", None), ("GT", 0)):
-        mod = vmod(top=top, alpha_idx=ai)
-        kind = "V" if top == "V" else ("GT", 0)
+    for ai in (None, 0):
+        mod = vmod(alpha_idx=ai)
         for sym in basis_symbols(RS2):
             F = pi_field(RS2, sym, K)
             w = weylpoly.pi_g(RS2, sym)
             for j in range(4):
                 exps = (j,)
-                mono = modes.fock_to_top_monomial(RS2, mod, exps)
+                mono = modes.fock_to_top_monomial(mod, exps)
                 got = mode_apply(mod, F, 0, {mono: Fr(1)})
-                fv = weylpoly.act_F(w, RS2, kind, lam, {exps: Fr(1)})
-                expect = {modes.fock_to_top_monomial(RS2, mod, e): c
+                fv = weylpoly.act_F(w, RS2, ai, lam, {exps: Fr(1)})
+                expect = {modes.fock_to_top_monomial(mod, e): c
                           for e, c in fv.items()}
                 assert got == expect
+
+
+def test_top_component_check_sl2():
+    assert top_component_check(2, LAM2, K, max_degree=6) == []
 
 
 # -- c_gamma -----------------------------------------------------------------------
@@ -145,9 +148,9 @@ def _c_gamma_oracle(rs, gamma_idx, k, lam):
     + k kappa_0(e_gamma, f_gamma) on the degree-<=2 spanning set of the
     Verma-top module: each monomial component is a scalar equation
     a C = b in the total dz a*_gamma coefficient -C."""
-    mod = WakimotoModule(rs, "V", lam, k)
+    mod = WakimotoModule(rs, lam, k)
     f_field = pi_field(rs, ("f", gamma_idx), k)
-    s = rs.positive_roots[gamma_idx].coeffs.index(1)
+    s = rs.positive_roots[gamma_idx].index(1)
     h_field = pi_field(rs, ("h", s), k)
     # pi(e_gamma) with its dz term replaced by -C :dz a*_gamma:
     rigid = [t for t in pi_field(rs, ("e", gamma_idx), k).terms
@@ -191,10 +194,10 @@ def _lazy_e_modes(mod, rs, idx, k, m, v):
     (1/N)[pi(e_gamma)_0, pi(e_{alpha-gamma})_m], recursively down to the
     simple roots (gamma the lowest simple root with alpha - gamma a root)."""
     alpha = rs.positive_roots[idx]
-    if alpha.height == 1:
+    if sum(alpha) == 1:
         return mode_apply(mod, pi_field(rs, ("e", idx), k), m, v)
     for si, simple in enumerate(rs.simple_roots):
-        rest = tuple(a - b for a, b in zip(alpha.coeffs, simple.coeffs))
+        rest = tuple(a - b for a, b in zip(alpha, simple))
         if rs.is_positive_root(rest):
             break
     g_idx, rest_idx = rs.simple_indices[si], rs.root_index[rest]
@@ -210,9 +213,9 @@ def test_explicit_e_fields_match_lazy_commutator(n, dmax):
     rs = build_root_system(n)
     k = Fr(-3, 2)
     lam = Weight([Fr(2 * i + 1, 3) for i in range(rs.rank)])
-    nonsimple = [i for i, a in enumerate(rs.positive_roots) if a.height > 1]
-    for top, ai in (("V", None), ("GT", rs.simple_indices[0])):
-        mod = vmod(rs, lam, k, top, ai)
+    nonsimple = [i for i, a in enumerate(rs.positive_roots) if sum(a) > 1]
+    for ai in (None, rs.simple_indices[0]):
+        mod = vmod(rs, lam, k, ai)
         for v in modes._spanning_vectors(mod, dmax, 1):
             for idx in nonsimple:
                 F = pi_field(rs, ("e", idx), k)
@@ -323,8 +326,8 @@ def _spanning_oracle(mod, dmax, top_deg):
         levels.append([dict(zip(keys, c))
                        for c in product(range(dmax // m + 1), repeat=len(keys))
                        if m * sum(c) <= dmax])
-    top_keys = [("X0", g) if mod.top == "GT" and g == mod.alpha_idx
-                else ("D0", g) for g in range(npos)]
+    top_keys = [("X0", g) if g == mod.alpha_idx else ("D0", g)
+                for g in range(npos)]
     tops = [dict(zip(top_keys, c))
             for c in product(range(top_deg + 1), repeat=npos)
             if sum(c) <= top_deg]
@@ -348,8 +351,7 @@ def test_spanning_vectors_match_brute_force():
     theta3 = RS3.root_index[(1, 1)]
     for rs, dmaxes, top_deg, gt_alphas in ((RS2, range(4), 2, (0,)),
                                            (RS3, range(3), 1, (0, theta3))):
-        mods = [vmod(rs)] + [vmod(rs, top="GT", alpha_idx=a)
-                             for a in gt_alphas]
+        mods = [vmod(rs)] + [vmod(rs, alpha_idx=a) for a in gt_alphas]
         for mod in mods:
             for dmax in dmaxes:
                 got = modes._spanning_vectors(mod, dmax, top_deg)
@@ -357,7 +359,7 @@ def test_spanning_vectors_match_brute_force():
     # the sl3 D=2 set that test_03 checks on each top
     assert len(modes._spanning_vectors(vmod(RS3), 2, 1)) == 212
     assert len(modes._spanning_vectors(
-        vmod(RS3, top="GT", alpha_idx=0), 2, 1)) == 212
+        vmod(RS3, alpha_idx=0), 2, 1)) == 212
 
 
 # -- compiled plans against the op-by-op evaluator ------------------------------------
@@ -477,8 +479,8 @@ def test_compiled_plans_match_op_by_op_evaluator(rs, dmax, top_deg):
     assert not any(any(row) for row in vmod(rs, k=-rs.h_dual).heis_gram)
     lam = Weight([Fr(2 * i + 1, 3) for i in range(rs.rank)])
     for k in (Fr(1, 2), Fr(-3, 2), Fr(-5, 7), Fr(-rs.h_dual)):
-        for top, ai in (("V", None), ("GT", rs.simple_indices[0])):
-            mod = vmod(rs, lam, k, top, ai)
+        for ai in (None, rs.simple_indices[0]):
+            mod = vmod(rs, lam, k, ai)
             vectors = modes._spanning_vectors(mod, dmax, top_deg)
             for sym in basis_symbols(rs):
                 F = pi_field(rs, sym, k)
@@ -505,8 +507,8 @@ def _affine_comm_in_process(n, k, dmax):
     sees the modules and caches of the GT top too."""
     problem = modes._comm_problem(n, k)
     failures, checks = [], 0
-    for top in ("V", "GT"):
-        f, c = modes._check_top(problem, top, dmax)
+    for alpha_idx in (None, problem[0].simple_indices[0]):
+        f, c = modes._check_top(problem, alpha_idx, dmax)
         failures += f
         checks += c
     return failures, checks
@@ -569,9 +571,8 @@ def test_affine_comm_checks_each_unordered_pair_once():
     items = list(product(basis_symbols(RS2), range(-2, 3)))
     pairs = len(list(combinations(items, 2)))
     lam = Weight((Fr(1, 3),))
-    nvec = sum(len(_spanning_oracle(vmod(RS2, lam, top=top, alpha_idx=ai),
-                                    1, 2))
-               for top, ai in (("V", None), ("GT", 0)))
+    nvec = sum(len(_spanning_oracle(vmod(RS2, lam, alpha_idx=ai), 1, 2))
+               for ai in (None, 0))
     assert pairs == 105 and nvec == 2 * 12
     assert checks == pairs * nvec
 
@@ -583,14 +584,14 @@ class TopFailed(Exception):
 
 
 def _patch_top(monkeypatch, top, action):
-    """Run action() before the check of one top, in whichever process
-    checks that top."""
+    """Run action() before the check of one top ("V" or "GT"), in whichever
+    process checks that top."""
     check = modes._check_top
 
-    def patched(problem, t, dmax):
-        if t == top:
+    def patched(problem, alpha_idx, dmax):
+        if top == ("V" if alpha_idx is None else "GT"):
             action()
-        return check(problem, t, dmax)
+        return check(problem, alpha_idx, dmax)
 
     monkeypatch.setattr(modes, "_check_top", patched)
 

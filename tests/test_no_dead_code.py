@@ -1,7 +1,8 @@
-"""Every public top-level function and class of the package is used by the
-package itself: some module reads its name, outside its own definition.
-Only a short list of library entry points, which the package exports but
-never calls, is exempt."""
+"""Every top-level function, class and module constant of the package, public
+or private, is used by the package itself: some module reads its name,
+outside its own definition.  Dunder names such as `__version__` and a short
+list of library entry points, which the package exports but never calls,
+are exempt."""
 
 import ast
 import os
@@ -17,7 +18,7 @@ def _read_names(node):
     """Every name node reads: bare names and attribute names."""
     out = set()
     for sub in ast.walk(node):
-        if isinstance(sub, ast.Name):
+        if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
             out.add(sub.id)
         elif isinstance(sub, ast.Attribute):
             out.add(sub.attr)
@@ -34,16 +35,29 @@ def _top_level():
                 yield fname, stmt
 
 
+def _defined_names(stmt):
+    """The names a top-level statement defines: a function or class, or the
+    targets of a module constant's assignment."""
+    if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+        return [stmt.name]
+    if isinstance(stmt, ast.Assign):
+        return [t.id for t in stmt.targets if isinstance(t, ast.Name)]
+    if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
+        return [stmt.target.id]
+    return []
+
+
 def unused_definitions():
     stmts = [(fname, stmt, _read_names(stmt))
              for fname, stmt in _top_level()]
-    defs = [(fname, stmt) for fname, stmt, _ in stmts
-            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef))]
+    defs = [(fname, stmt, name) for fname, stmt, _ in stmts
+            for name in _defined_names(stmt)]
     # a renamed entry point would leave a stale exemption behind
-    assert ENTRY_POINTS <= {stmt.name for _, stmt in defs}
-    return ["%s:%s" % (fname, stmt.name) for fname, stmt in defs
-            if not stmt.name.startswith("_") and stmt.name not in ENTRY_POINTS
-            and not any(stmt.name in names for _, other, names in stmts
+    assert ENTRY_POINTS <= {name for _, _, name in defs}
+    return ["%s:%s" % (fname, name) for fname, stmt, name in defs
+            if not (name.startswith("__") and name.endswith("__"))
+            and name not in ENTRY_POINTS
+            and not any(name in names for _, other, names in stmts
                         if other is not stmt)]
 
 

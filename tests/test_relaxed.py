@@ -3,15 +3,13 @@ from itertools import product
 
 import pytest
 
-from wakimoto import relaxed, weylpoly
-from wakimoto.errors import ModuleMismatch
+from wakimoto import relaxed
 from wakimoto.liealg import basis_symbols, bracket_symbols, kappa0_symbols
 from wakimoto.relaxed import (RelaxedModule, character_relaxed_verma,
                               character_relaxed_wakimoto,
-                              find_singular_vectors, relaxed_verma_act,
-                              top_component_check)
-from wakimoto.rootdata import (Weight, bounded_degree_exponents,
-                               build_root_system, pairing)
+                              find_singular_vectors, relaxed_verma_act)
+from wakimoto.rootdata import (Weight, build_root_system, pairing,
+                               root_combinations)
 from wakimoto.sparse import added as vec_add
 
 from test_weylpoly import fock_oracle
@@ -22,15 +20,8 @@ LAM2 = Weight((Fr(2, 3),))
 K = Fr(1, 2)
 
 
-def test_top_must_be_valid():
-    with pytest.raises(ModuleMismatch):
-        RelaxedModule(RS2, "bogus", LAM2, K)
-    with pytest.raises(ModuleMismatch):
-        RelaxedModule(RS2, "GT", LAM2, K)
-
-
 def test_e1_f_minus1_on_vacuum():
-    mod = RelaxedModule(RS2, "V", LAM2, K)
+    mod = RelaxedModule(RS2, LAM2, K)
     v = relaxed_verma_act(mod, ("f", 0), -1, mod.vacuum())
     v = relaxed_verma_act(mod, ("e", 0), 1, v)
     scalar = pairing(RS2, LAM2, RS2.positive_roots[0]) + K
@@ -38,14 +29,14 @@ def test_e1_f_minus1_on_vacuum():
 
 
 def test_positive_modes_kill_vacuum():
-    mod = RelaxedModule(RS2, "V", LAM2, K)
+    mod = RelaxedModule(RS2, LAM2, K)
     for sym in basis_symbols(RS2):
         for m in (1, 2, 3):
             assert relaxed_verma_act(mod, sym, m, mod.vacuum()) == {}
 
 
 def test_gt_top_f_zero_is_derivative():
-    mod = RelaxedModule(RS2, "GT", LAM2, K, alpha_idx=0)
+    mod = RelaxedModule(RS2, LAM2, K, alpha_idx=0)
     for j in range(1, 5):
         v = {((), (j,)): Fr(1)}
         assert relaxed_verma_act(mod, ("f", 0), 0, v) == \
@@ -55,7 +46,7 @@ def test_gt_top_f_zero_is_derivative():
 
 def test_pbw_confluence_sl2():
     # the straightening engine reproduces the mode commutation relations
-    mod = RelaxedModule(RS2, "V", LAM2, K)
+    mod = RelaxedModule(RS2, LAM2, K)
     vecs = [((), (0,)), (((1, 2),), (1,)), (((2, 0), (1, 1)), (0,))]
     syms = basis_symbols(RS2)
     for s1, s2 in product(syms, repeat=2):
@@ -79,7 +70,7 @@ def test_pbw_confluence_sl2():
 
 
 def test_act_results_are_not_cached_dicts():
-    mod = RelaxedModule(RS2, "V", LAM2, K)
+    mod = RelaxedModule(RS2, LAM2, K)
     v = {(((1, 2),), (1,)): Fr(1)}
     first = relaxed_verma_act(mod, ("e", 0), 1, v)
     expect = dict(first)
@@ -90,7 +81,7 @@ def test_act_results_are_not_cached_dicts():
 
 def test_pbw_confluence_sl3_spot():
     lam = Weight((Fr(1, 3), Fr(2)))
-    mod = RelaxedModule(RS3, "V", lam, Fr(-3, 2))
+    mod = RelaxedModule(RS3, lam, Fr(-3, 2))
     th = RS3.root_index[(1, 1)]
     vac = mod.vacuum()
     v = relaxed_verma_act(mod, ("f", th), -1, vac)
@@ -117,21 +108,21 @@ def test_pbw_confluence_sl3_spot():
 # -- characters --------------------------------------------------------------------
 
 def test_degree_zero_is_top_character():
-    ch = character_relaxed_verma(RS2, "GT", LAM2, 0, 2, 6)
+    ch = character_relaxed_verma(RS2, LAM2, 0, 2, 6)
     d0 = {wt: m for (wt, d), m in ch.items() if d == 0}
     from wakimoto.weylpoly import twist_character
     assert d0 == twist_character(RS2, LAM2, 0, 6)
 
 
 def test_gt_degree_zero_spectrum_sl2():
-    ch = character_relaxed_verma(RS2, "GT", LAM2, 0, 1, 8)
+    ch = character_relaxed_verma(RS2, LAM2, 0, 1, 8)
     d0 = sorted(wt.coords[0] for (wt, d), m in ch.items() if d == 0)
     assert d0 == [LAM2.coords[0] + 2 + 2 * j for j in range(8)]
 
 
 def test_degree_one_generator_count_is_dim_g():
     # at degree 1 over the vacuum line: one monomial per basis element of g
-    ch = character_relaxed_verma(RS2, "V", LAM2, None, 1, 6)
+    ch = character_relaxed_verma(RS2, LAM2, None, 1, 6)
     top_wt = LAM2
     a = RS2.root_to_weight(RS2.positive_roots[0])
     assert ch[(top_wt + a, 1)] == 1      # e_{-1}
@@ -144,17 +135,17 @@ def test_degree_one_generator_count_is_dim_g():
 def test_character_identity_sl2():
     for lam_c in (Fr(0), Fr(2, 3), Fr(-1, 2)):
         lam = Weight((lam_c,))
-        for top, ai in (("V", None), ("GT", 0)):
-            a = character_relaxed_verma(RS2, top, lam, ai, 3, 6)
-            b = character_relaxed_wakimoto(RS2, top, lam, ai, 3, 6)
+        for ai in (None, 0):
+            a = character_relaxed_verma(RS2, lam, ai, 3, 6)
+            b = character_relaxed_wakimoto(RS2, lam, ai, 3, 6)
             assert a == b
 
 
 def test_character_identity_sl3_theta():
     lam = Weight((Fr(1, 3), Fr(2)))
     th = RS3.root_index[(1, 1)]
-    a = character_relaxed_verma(RS3, "GT", lam, th, 2, 4)
-    b = character_relaxed_wakimoto(RS3, "GT", lam, th, 2, 4)
+    a = character_relaxed_verma(RS3, lam, th, 2, 4)
+    b = character_relaxed_wakimoto(RS3, lam, th, 2, 4)
     assert a == b
     assert any(isinstance(m, tuple) for m in a.values())
 
@@ -166,14 +157,13 @@ def test_energy_zero_is_the_fock_oracle(n, radius):
     # default cap makes (radius + 62)^3 points
     rs = build_root_system(n)
     lam = Weight(tuple(Fr(i + 1, 3) for i in range(rs.rank)))
-    tops = [("V", None)] + [("GT", ai) for ai, g in
-                            enumerate(rs.positive_roots)
-                            if n < 4 or g.height < rs.rank]
-    for top, ai in tops:
-        expect = fock_oracle(rs, lam, weylpoly.top_kind(top, ai), radius)
+    tops = [None] + [ai for ai, g in enumerate(rs.positive_roots)
+                     if n < 4 or sum(g) < rs.rank]
+    for ai in tops:
+        expect = fock_oracle(rs, lam, ai, radius)
         for character in (character_relaxed_verma,
                           character_relaxed_wakimoto):
-            ch = character(rs, top, lam, ai, 1, radius)
+            ch = character(rs, lam, ai, 1, radius)
             assert {wt: m for (wt, d), m in ch.items() if d == 0} == expect
 
 
@@ -210,7 +200,7 @@ def _exact_oracle(mod, d):
             kind, idx = mod.syms[s]
             if kind != "h":
                 sign = 1 if kind == "e" else -1
-                for t, x in enumerate(rs.positive_roots[idx].coeffs):
+                for t, x in enumerate(rs.positive_roots[idx]):
                     shift[t] += sign * x
         out.append((factors, tuple(shift)))
     return out
@@ -220,7 +210,7 @@ def test_mode_monomials_exact_match_brute_force():
     # one enumeration up to dmax, grouped by energy, gives each energy's
     # monomials in the order of a separate exact-energy enumeration
     for rs, dmax in ((RS2, 5), (RS3, 3)):
-        mod = RelaxedModule(rs, "V", Weight((0,) * rs.rank), K)
+        mod = RelaxedModule(rs, Weight((0,) * rs.rank), K)
         got = relaxed._mode_monomials(mod, dmax)
         assert sorted(got) == list(range(dmax + 1))
         for d in range(dmax + 1):
@@ -229,15 +219,15 @@ def test_mode_monomials_exact_match_brute_force():
 
 def _cells_oracle(rs, monomials, radius):
     """The cells by brute force: every monomial times every top exponent
-    tuple b, from bounded_degree_exponents, whose weight delta = shift -
-    sum b_g g lands in the box |delta| <= radius."""
-    roots = [g.coeffs for g in rs.positive_roots]
+    tuple b of bounded total degree, whose weight delta = shift - sum b_g g
+    lands in the box |delta| <= radius."""
+    roots = rs.positive_roots
     cells = {}
     for factors, wshift in monomials:
         # each root has height >= 1, so a b in the box has degree at most
         # sum(shift) + rank * radius
-        for b in bounded_degree_exponents(len(roots),
-                                          sum(wshift) + rs.rank * radius):
+        degree = sum(wshift) + rs.rank * radius
+        for b, _ in root_combinations([(1,)] * len(roots), (degree,), 0):
             delta = tuple(w - sum(x * g[t] for x, g in zip(b, roots))
                           for t, w in enumerate(wshift))
             if all(abs(c) <= radius for c in delta):
@@ -249,8 +239,8 @@ def test_cells_match_brute_force():
     # at the search radius 2D + 2 no shift leaves the box from above; a
     # radius of 1 checks that edge too
     for rs, dmax in ((RS2, 4), (RS3, 2)):
-        mod = RelaxedModule(rs, "V", Weight((0,) * rs.rank), K)
-        roots = [g.coeffs for g in rs.positive_roots]
+        mod = RelaxedModule(rs, Weight((0,) * rs.rank), K)
+        roots = rs.positive_roots
         for d in range(dmax + 1):
             monomials = _exact_oracle(mod, d)
             for radius in (1, 2 * dmax + 2):
@@ -259,11 +249,7 @@ def test_cells_match_brute_force():
                         == _cells_oracle(rs, monomials, radius))
 
 
-# -- diagnostics -------------------------------------------------------------------
-
-def test_top_component_check_sl2():
-    assert top_component_check(2, LAM2, K, max_degree=6) == []
-
+# -- singular vectors and GT tops --------------------------------------------------
 
 def test_singular_vector_annihilation():
     # every reported vector is actually killed by e_0 and f_{theta,1}
@@ -271,7 +257,7 @@ def test_singular_vector_annihilation():
     k = Fr(-1, 2)
     found = find_singular_vectors(RS2, lam, k, 4)
     assert found
-    mod = RelaxedModule(RS2, "V", lam, k)
+    mod = RelaxedModule(RS2, lam, k)
     for d, delta, vec in found:
         assert relaxed_verma_act(mod, ("e", 0), 0, vec) == {}
         assert relaxed_verma_act(mod, ("f", 0), 1, vec) == {}
@@ -314,7 +300,7 @@ def test_no_singular_vectors_generic():
 
 def test_f_alpha_locally_nilpotent_on_sl2_gt_top():
     # on the energy-0 slice of the sl2 GT module f acts as -d/dx: nilpotent
-    mod = RelaxedModule(RS2, "GT", LAM2, K, alpha_idx=0)
+    mod = RelaxedModule(RS2, LAM2, K, alpha_idx=0)
     v = {((), (5,)): Fr(1)}
     for _ in range(6):
         v = relaxed_verma_act(mod, ("f", 0), 0, v)
@@ -326,8 +312,7 @@ def test_f_simple_not_nilpotent_on_sl3_theta_top():
     # untwisted d-variable: injective, never locally nilpotent
     lam = Weight((Fr(1, 3), Fr(2)))
     a1 = RS3.root_index[(1, 0)]
-    mod = RelaxedModule(RS3, "GT", lam, Fr(-3, 2),
-                        alpha_idx=RS3.root_index[(1, 1)])
+    mod = RelaxedModule(RS3, lam, Fr(-3, 2), alpha_idx=RS3.root_index[(1, 1)])
     v = {((), (0, 0, 0)): Fr(1)}
     for _ in range(8):
         v = relaxed_verma_act(mod, ("f", a1), 0, v)

@@ -6,12 +6,14 @@ import pytest
 from wakimoto.errors import EmptyWeightSpace, ModuleMismatch, NotSimpleRoot
 from wakimoto import weylpoly
 from wakimoto.liealg import basis_symbols, bracket_symbols
-from wakimoto.rootdata import Weight, build_root_system, offset_weight
+from wakimoto.rootdata import (Weight, build_root_system, offset_weight,
+                               root_combinations)
 from wakimoto.sparse import added_nested
 from wakimoto.weylpoly import (KCAP, _top_counts, act_F, apply_kernel,
-                               bernoulli_series, gamma_alpha_multiplicity,
-                               pi_g, pi_g_elem, pq_polynomials, render_weyl,
-                               twist_character, verify_pi_hom, weyl_mul)
+                               bernoulli_series, fock_weight,
+                               gamma_alpha_multiplicity, pi_g, pi_g_elem,
+                               pq_polynomials, render_weyl, twist_character,
+                               verify_pi_hom, weyl_mul)
 
 RS2 = build_root_system(2)
 RS3 = build_root_system(3)
@@ -171,14 +173,14 @@ def test_verma_highest_weight():
     for lam_c in (Fr(0), Fr(1), Fr(2, 3), Fr(-1, 2), Fr(7, 5)):
         lam = Weight((lam_c,))
         vac = {(0,): Fr(1)}
-        hv = act_F(pi_g(RS2, ("h", 0)), RS2, "V", lam, vac)
+        hv = act_F(pi_g(RS2, ("h", 0)), RS2, None, lam, vac)
         assert hv == ({(0,): lam_c} if lam_c else {})
-        assert act_F(pi_g(RS2, ("e", 0)), RS2, "V", lam, vac) == {}
+        assert act_F(pi_g(RS2, ("e", 0)), RS2, None, lam, vac) == {}
 
 
 def test_verma_f_action():
     lam = Weight((Fr(2, 3),))
-    fv = act_F(pi_g(RS2, ("f", 0)), RS2, "V", lam, {(0,): Fr(1)})
+    fv = act_F(pi_g(RS2, ("f", 0)), RS2, None, lam, {(0,): Fr(1)})
     assert fv == {(1,): Fr(-1)}
 
 
@@ -186,7 +188,7 @@ def test_gt_h_spectrum_sl2():
     lam = Weight((Fr(2, 3),))
     h = pi_g(RS2, ("h", 0))
     for j in range(5):
-        hv = act_F(h, RS2, ("GT", 0), lam, {(j,): Fr(1)})
+        hv = act_F(h, RS2, 0, lam, {(j,): Fr(1)})
         assert hv == {(j,): lam.coords[0] + 2 + 2 * j}
 
 
@@ -194,24 +196,24 @@ def test_gt_f_is_derivative_sl2():
     lam = Weight((Fr(2, 3),))
     f = pi_g(RS2, ("f", 0))
     for j in range(1, 5):
-        assert act_F(f, RS2, ("GT", 0), lam, {(j,): Fr(1)}) == \
+        assert act_F(f, RS2, 0, lam, {(j,): Fr(1)}) == \
             {(j - 1,): Fr(-j)}
-    assert act_F(f, RS2, ("GT", 0), lam, {(0,): Fr(1)}) == {}
+    assert act_F(f, RS2, 0, lam, {(0,): Fr(1)}) == {}
 
 
 def test_act_F_kind_mismatch():
     lam = Weight((Fr(0),))
     with pytest.raises(ModuleMismatch):
-        act_F(pi_g(RS3, ("f", 0)), RS2, "V", lam, {(0,): Fr(1)})
+        act_F(pi_g(RS3, ("f", 0)), RS2, None, lam, {(0,): Fr(1)})
     # an sl3 vector with the sl2 operator and root system
     with pytest.raises(ModuleMismatch):
-        act_F(pi_g(RS2, ("f", 0)), RS2, "V", lam, {(0, 0, 0): Fr(1)})
+        act_F(pi_g(RS2, ("f", 0)), RS2, None, lam, {(0, 0, 0): Fr(1)})
 
 
 def test_act_F_is_hom_on_slice():
-    # pi_g followed by act_F respects brackets on both module kinds
+    # pi_g followed by act_F respects brackets on the Verma and theta tops
     lam3 = Weight((Fr(1, 3), Fr(2)))
-    for kind in ("V", ("GT", RS3.root_index[(1, 1)])):
+    for alpha_idx in (None, RS3.root_index[(1, 1)]):
         monos = [(0, 0, 0), (1, 0, 0), (0, 1, 1), (2, 1, 0)]
         for s1 in basis_symbols(RS3):
             for s2 in basis_symbols(RS3):
@@ -219,11 +221,11 @@ def test_act_F_is_hom_on_slice():
                 w1 = pi_g(RS3, s1)
                 w2 = pi_g(RS3, s2)
                 for mono in monos:
-                    if kind != "V" and mono[2]:
+                    if alpha_idx is not None and mono[2]:
                         continue
 
                     def act(w, v):
-                        return act_F(w, RS3, kind, lam3, v)
+                        return act_F(w, RS3, alpha_idx, lam3, v)
 
                     v = {mono: Fr(1)}
                     lhs = act(br, v)
@@ -234,6 +236,24 @@ def test_act_F_is_hom_on_slice():
                         diff[m] = diff.get(m, Fr(0)) - c
                     diff = {m: c for m, c in diff.items() if c}
                     assert lhs == diff
+
+
+def test_fock_weight_is_the_h_eigenvalue():
+    # every Fock monomial of degree <= 2 is an eigenvector of each pi_g(h_i),
+    # with eigenvalue the i-th coordinate of its fock_weight, on the Verma
+    # top and the tops twisted along a1 and theta
+    lam = Weight((Fr(1, 3), Fr(2)))
+    checks = 0
+    for alpha_idx in (None, RS3.root_index[(1, 0)], RS3.root_index[(1, 1)]):
+        for mono, _ in root_combinations([(1,)] * 3, (2,), 0):
+            wt = fock_weight(RS3, alpha_idx, lam, mono)
+            for i in range(RS3.rank):
+                got = act_F(pi_g(RS3, ("h", i)), RS3, alpha_idx, lam,
+                            {mono: Fr(1)})
+                c = wt.coords[i]
+                assert got == ({mono: c} if c else {})
+                checks += 1
+    assert checks == 60
 
 
 def test_pi_g_cache_is_not_poisoned():
@@ -261,24 +281,25 @@ def test_pi_g_cache_is_not_poisoned():
 
 # -- characters -------------------------------------------------------------------
 
-def _fock_counts_in_box(rs, kind, radius, box, kcap):
+def _fock_counts_in_box(rs, alpha_idx, radius, box, kcap):
     """({offset: count}, flagged offsets) of the Fock monomials
-    x_alpha^a prod_{gamma != alpha} d_gamma^{b_gamma} (kind ('GT', alpha))
-    or prod_gamma d_gamma^{b_gamma} (kind 'V') whose weight offset
+    x_alpha^a prod_{gamma != alpha} d_gamma^{b_gamma} (alpha the positive
+    root alpha_idx) or prod_gamma d_gamma^{b_gamma} (alpha_idx None, the
+    Verma top) whose weight offset
     (a + 1) alpha - sum_gamma b_gamma gamma lies in the window.  The loops
     run a over range(box) for a simple alpha, and over range(kcap + 1) for
     a non-simple one, where a = kcap only marks the offsets it still
     reaches.  A d_gamma only lowers the weight, so each d exponent grows
     until the offset drops below the window, and a branch stops once a
     coordinate lies above the window where no later d can lower it."""
-    roots = [g.coeffs for g in rs.positive_roots]
-    if kind == "V":
+    roots = rs.positive_roots
+    if alpha_idx is None:
         # no x_alpha: one pass with (a + 1) alpha = 0
         alpha, arange = (0,) * rs.rank, [-1]
         ds = roots
     else:
-        alpha = roots[kind[1]]
-        ds = roots[:kind[1]] + roots[kind[1] + 1:]
+        alpha = roots[alpha_idx]
+        ds = roots[:alpha_idx] + roots[alpha_idx + 1:]
         arange = range(box) if sum(alpha) == 1 else range(kcap + 1)
     ds = sorted(ds, key=sum, reverse=True)
     stuck = [[t for t in range(rs.rank) if not any(g[t] for g in ds[i:])]
@@ -303,14 +324,15 @@ def _fock_counts_in_box(rs, kind, radius, box, kcap):
     return counts, flagged
 
 
-def fock_oracle(rs, lam, kind, radius, kcap=KCAP):
-    """Character of the Fock top F_nbar (kind 'V') or F_{nbar,alpha}
-    (('GT', alpha)) in the window, as {Weight: mult} with the flags of
+def fock_oracle(rs, lam, alpha_idx, radius, kcap=KCAP):
+    """Character of the Fock top F_nbar (alpha_idx None) or F_{nbar,alpha}
+    (alpha the positive root alpha_idx) in the window, as {Weight: mult}
+    with the flags of
     twist_character, counted monomial by monomial.  The box of x_alpha
     exponents is generous, and a larger box must give the same table."""
     box = 4 * rs.n * radius
-    counts, flagged = _fock_counts_in_box(rs, kind, radius, box, kcap)
-    assert _fock_counts_in_box(rs, kind, radius, 2 * box, kcap) == \
+    counts, flagged = _fock_counts_in_box(rs, alpha_idx, radius, box, kcap)
+    assert _fock_counts_in_box(rs, alpha_idx, radius, 2 * box, kcap) == \
         (counts, flagged)
     return {offset_weight(rs, lam, c): (("ge", m) if c in flagged else m)
             for c, m in counts.items()}
@@ -327,14 +349,14 @@ def test_twist_matches_fock_sl2():
     for lam_c in (Fr(0), Fr(2, 3), Fr(-1, 2)):
         lam = Weight((lam_c,))
         assert twist_character(RS2, lam, 0, 8) == \
-            fock_oracle(RS2, lam, ("GT", 0), 8)
+            fock_oracle(RS2, lam, 0, 8)
 
 
 def test_twist_matches_fock_sl3_theta():
     lam = Weight((Fr(1, 3), Fr(2)))
     th = RS3.root_index[(1, 1)]
     a = twist_character(RS3, lam, th, 4, kcap=20)
-    b = fock_oracle(RS3, lam, ("GT", th), 4, kcap=20)
+    b = fock_oracle(RS3, lam, th, 4, kcap=20)
     assert a == b
 
 
@@ -343,12 +365,12 @@ def test_twist_matches_fock_oracle_for_every_root(rs, radius):
     lam = Weight(tuple(Fr(i + 1, 3) for i in range(rs.rank)))
     for ai, alpha in enumerate(rs.positive_roots):
         # a cap below, at and above the window, and the default
-        for kcap in ((1, 3, radius + 1, KCAP) if alpha.height > 1
+        for kcap in ((1, 3, radius + 1, KCAP) if sum(alpha) > 1
                      else (KCAP,)):
             if rs.n == 4 and kcap == KCAP:
                 continue        # (radius + 61)^3 points: minutes, not seconds
             assert twist_character(rs, lam, ai, radius, kcap=kcap) == \
-                fock_oracle(rs, lam, ("GT", ai), radius, kcap=kcap)
+                fock_oracle(rs, lam, ai, radius, kcap=kcap)
 
 
 def test_sl4_alpha2_reaches_the_window_corner_only_with_k_3r():
@@ -359,7 +381,7 @@ def test_sl4_alpha2_reaches_the_window_corner_only_with_k_3r():
     a2 = RS4.root_index[(0, 1, 0)]
     ch = twist_character(RS4, lam, a2, 9)
     assert ch[Weight((-27, 36, -27))] == sum(j * j for j in range(1, 11))
-    assert ch == fock_oracle(RS4, lam, ("GT", a2), 9)
+    assert ch == fock_oracle(RS4, lam, a2, 9)
 
 
 def test_theta_twist_weight_lambda_unbounded():
@@ -374,7 +396,7 @@ def test_theta_twist_weight_lambda_unbounded():
 def test_verma_fock_character_is_verma_character():
     # F_nbar monomial count inside a window = Verma character
     lam = Weight((Fr(1, 3), Fr(2)))
-    ch = fock_oracle(RS3, lam, "V", 3)
+    ch = fock_oracle(RS3, lam, None, 3)
     assert ch == {offset_weight(RS3, lam, c): m
                   for c, m in _top_counts(RS3, None, 3, KCAP).items()}
 
