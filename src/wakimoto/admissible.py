@@ -5,12 +5,13 @@ and nilpotent/Richardson orbit combinatorics for partitions of n.
 """
 
 from fractions import Fraction
+from itertools import accumulate
 from math import comb, factorial, gcd
+from operator import itemgetter
 
-from .errors import InvalidRank, SizeMismatch
+from .errors import InvalidRank, RealizationBug, SizeMismatch
 from .rootdata import (Weight, all_weyl_elements, build_root_system,
-                       dot_action, pairing, rho, root_combinations, theta,
-                       weyl_act_root)
+                       pairing, rho, root_combinations, theta)
 
 
 # -- admissible numbers ----------------------------------------------------------
@@ -63,31 +64,34 @@ def level_from_pq(n, p, q):
 
 
 def pr_k_integral(lvl):
-    """Dominant integral lambda with <lambda, theta_vee> <= p - n, sorted."""
-    return [Weight(e) for e, _ in root_combinations([(1,)] * (lvl.n - 1),
-                                                    (lvl.p - lvl.n,), 0)]
+    """Dominant integral lambda with <lambda, theta_vee> <= p - n, as int
+    tuples of fundamental-weight coordinates, sorted."""
+    return [e for e, _ in root_combinations([(1,)] * (lvl.n - 1),
+                                            (lvl.p - lvl.n,), 0)]
 
 
 # -- the extended affine Weyl group ----------------------------------------------
 
-# The largest n for which pr_k_bar, pr_k_classes and the Omega sets run over
-# the Weyl group S_n, all n! of its elements held at once.  On a 2-core box
-# `prk -n 8 -p 8 -q 1` takes 9.2 s with a 42 MB peak and `omega -n 8 -p 8
-# -q 1` 2.6 s (`prk -n 7 -p 7 -q 1`: 1.1 s, 19 MB); n = 9 holds 9 times as
-# many permutations, and n = 12 would hold 479,001,600.
+# The largest n for which pr_k_bar and the Omega sets run over the Weyl
+# group S_n, all n! of its elements held at once.  On a 2-core box `prk -n 8
+# -p 8 -q 1` takes 0.18 s with a 21 MB peak and `omega -n 8 -p 8 -q 1`
+# 0.26 s (`prk -n 7 -p 7 -q 1`: 0.09 s); with the limit lifted in process,
+# `prk -n 9 -p 9 -q 1` took 0.9 s and 59 MB, and n = 12 would hold
+# 479,001,600 permutations.
 MAX_WEYL_N = 8
 
 # The largest enumeration_size that the same functions run, n! x #eta x
-# #Pr_{k,Z}.  On a 2-core box `prk -n 5 -p 8 -q 3` (63,000) takes 7 s and
-# `prk -n 8 -p 8 -q 1` (40,320) 9-16 s; `prk -n 7 -p 9 -q 2` (987,840) took
-# 90 s and printed 339 KB.
+# #Pr_{k,Z}.  On a 2-core box `prk -n 5 -p 8 -q 3` (63,000) takes 0.27 s
+# and prints 397 KB, and `prk -n 8 -p 8 -q 1` (40,320) 0.18 s; with the
+# limit lifted in process, `prk -n 7 -p 9 -q 2` (987,840) took 0.2 s and
+# printed 339 KB.
 MAX_ENUMERATION = 100000
 
 
 def enumeration_size(lvl):
     """n! x C(q-1+n-1, n-1) x C(p-1, n-1): the Weyl group elements, times
     the dominant coweights eta with (eta, theta) <= q-1, times the weights
-    of Pr_{k,Z}; a bound on the dot actions the enumerators compute."""
+    of Pr_{k,Z}; a bound on the dot images the enumerators compute."""
     n, p, q = lvl.n, lvl.p, lvl.q
     return factorial(n) * comb(q + n - 2, n - 1) * comb(p - 1, n - 1)
 
@@ -110,65 +114,102 @@ def _check_enumeration(lvl):
 def dominant_coweights(rs, cap):
     """Dominant integral coweights eta with (eta, theta) <= cap.  In type A
     the fundamental coweights pair as (omega_i_vee, alpha_j) = delta_ij, so
-    these are just nonnegative integer coordinate vectors with sum <= cap."""
-    return [Weight(e)
-            for e, _ in root_combinations([(1,)] * rs.rank, (cap,), 0)]
+    these are just nonnegative integer coordinate tuples with sum <= cap."""
+    return [e for e, _ in root_combinations([(1,)] * rs.rank, (cap,), 0)]
 
 
-def y_is_admissible(rs, w, eta, q):
+def y_is_admissible(w, eta, q):
     """y = w t_{-eta} maps the integral positive system of kLambda0 into the
     positive real roots iff for every alpha in Delta_+:
-    0 <= (eta,alpha) <= q-1 when w(alpha) > 0, else 1 <= (eta,alpha) <= q."""
-    for a in rs.positive_roots:
-        v = pairing(rs, eta, a)
-        if rs.is_positive_root(weyl_act_root(rs, w, a)):
-            if not (0 <= v <= q - 1):
-                return False
-        else:
-            if not (1 <= v <= q):
+    0 <= (eta,alpha) <= q-1 when w(alpha) > 0, else 1 <= (eta,alpha) <= q.
+
+    w permutes the epsilon indices, so for alpha = eps_i - eps_j (i < j)
+    w(alpha) > 0 iff w[i] < w[j]; eta is an int coordinate tuple, and
+    (eta, alpha) = eta[i] + ... + eta[j-1]."""
+    n = len(w)
+    for i in range(n - 1):
+        v = 0
+        for j in range(i + 1, n):
+            v += eta[j - 1]
+            low = 0 if w[i] < w[j] else 1
+            if not low <= v <= q - 1 + low:
                 return False
     return True
+
+
+def _scaled_eps(coords):
+    """n eps(mu), an int vector, for the weight mu with int
+    fundamental-weight coordinates coords:
+    omega_i = eps_1 + ... + eps_i - (i/n)(eps_1 + ... + eps_n)."""
+    n = len(coords) + 1
+    shift = sum(i * c for i, c in enumerate(coords, 1))
+    tails = list(accumulate(reversed(coords), initial=0))[::-1]
+    return tuple(n * s - shift for s in tails)
+
+
+def _dot_images(lvl, keep):
+    """The sorted finite parts w(lam + rho - (k + n) eta) - rho of the dot
+    images y.(lam + k Lambda0), lam in Pr_{k,Z}, over the admissible
+    y = w t_{-eta}, eta dominant with (eta, theta) <= q-1, that keep(w, eta)
+    accepts.  lam + k Lambda0 plus the affine rho (rho + n Lambda0) has
+    level k + n = p/q, so t_{-eta} moves its finite part by -(p/q) eta.
+
+    In epsilon coordinates scaled by nq these are int vectors:
+    nq eps(lam + rho - (p/q) eta) = q n eps(lam + rho) - p n eps(eta), one
+    for each (eta, lam), which w only permutes.  Each distinct image
+    becomes a Weight once, through (E_i - E_{i+1})/(nq) - 1, the -1 being
+    rho's coordinate."""
+    _check_enumeration(lvl)
+    rs = build_root_system(lvl.n)
+    n, p, q = lvl.n, lvl.p, lvl.q
+    lams = [_scaled_eps([c + 1 for c in lam]) for lam in pr_k_integral(lvl)]
+    etas = dominant_coweights(rs, q - 1)
+    starts = []
+    for eta in etas:
+        e = _scaled_eps(eta)
+        starts.append([tuple(q * a - p * b for a, b in zip(lam, e))
+                       for lam in lams])
+    found = set()
+    for w in all_weyl_elements(rs):
+        # (w v)[w[j]] = v[j]
+        act = itemgetter(*sorted(range(n), key=w.__getitem__))
+        for eta, vecs in zip(etas, starts):
+            if keep(w, eta):
+                found.update(map(act, vecs))
+    nq = n * q
+    weights = (Weight([Fraction(a - b, nq) - 1 for a, b in zip(E, E[1:])])
+               for E in found)
+    return sorted(weights, key=lambda x: x.coords)
 
 
 def pr_k_bar(lvl):
     """Projections to h* of the dot-orbit of Pr_{k,Z} under all admissible
     y = w t_{-eta} with eta dominant, (eta,theta) <= q-1.  Deduplicated and
     sorted."""
-    _check_enumeration(lvl)
-    rs = build_root_system(lvl.n)
-    base = pr_k_integral(lvl)
-    etas = dominant_coweights(rs, lvl.q - 1)
-    t = lvl.k + lvl.n
-    found = set()
-    for w in all_weyl_elements(rs):
-        for eta in etas:
-            if not y_is_admissible(rs, w, eta, lvl.q):
-                continue
-            for lam in base:
-                # lam + k Lambda0 plus the affine rho (rho + n Lambda0) has
-                # level k + n, so t_{-eta} moves its finite part by
-                # -(k + n) eta: the projection of y.(lam + k Lambda0) is
-                # w(lam + rho - (k + n) eta) - rho.
-                found.add(dot_action(rs, w, lam - t * eta))
-    return sorted(found, key=lambda x: x.coords)
+    return _dot_images(lvl, lambda w, eta: y_is_admissible(w, eta, lvl.q))
+
+
+def _integral(x):
+    """x as an int; RealizationBug, never a rounding, if it is not one."""
+    if x.denominator != 1:
+        raise RealizationBug("%s is not an integer" % (x,))
+    return x.numerator
 
 
 def pr_k_classes(lvl, weights):
     """Group the weights of pr_k_bar(lvl) by finite W dot-action orbits
-    ([Pr_k-bar])."""
-    _check_enumeration(lvl)
-    rs = build_root_system(lvl.n)
-    pool = set(weights)
-    classes = []
+    ([Pr_k-bar]): the classes in order of first appearance, each sorted.
+
+    mu = w.lam iff eps(mu + rho) = w eps(lam + rho), a permutation of it, so
+    the sorted epsilon vector of lam + rho names lam's orbit.  The weights
+    of pr_k_bar have coordinates in (1/q)Z, so nq eps(lam + rho) is an int
+    vector."""
+    q = lvl.q
+    classes = {}
     for lam in weights:
-        if lam not in pool:
-            continue
-        orbit = {dot_action(rs, w, lam) for w in all_weyl_elements(rs)}
-        cls = sorted(orbit & pool, key=lambda x: x.coords)
-        for m in cls:
-            pool.discard(m)
-        classes.append(cls)
-    return classes
+        E = _scaled_eps([_integral(q * (c + 1)) for c in lam.coords])
+        classes.setdefault(tuple(sorted(E)), set()).add(lam)
+    return [sorted(cls, key=lambda x: x.coords) for cls in classes.values()]
 
 
 # -- Omega sets -------------------------------------------------------------------
@@ -189,37 +230,25 @@ def omega_theorem(sigma, lvl):
     """Omega_k(p_Sigma) via the classification: union of Pr_{k,y} over
     admissible y = w t_{-eta} with w(theta) > 0,
     Delta_0^eta cap Delta_+ inside w^{-1}(Delta_+), and
-    w(Delta_0^eta) = Delta_Sigma."""
-    _check_enumeration(lvl)
+    w(Delta_0^eta) = Delta_Sigma.
+
+    As in y_is_admissible, w(eps_i - eps_j) = eps_w[i] - eps_w[j] with
+    i < j, so the last two conditions together read: the pairs
+    (w[i], w[j]) over Delta_0^eta cap Delta_+ are the pairs (a, b), a < b,
+    of Delta_Sigma's positive roots."""
     rs = build_root_system(lvl.n)
-    dsig = sigma_roots(rs, sigma)
-    base = pr_k_integral(lvl)
-    t = lvl.k + lvl.n
-    etas = dominant_coweights(rs, lvl.q - 1)
-    th = theta(rs)
-    found = set()
-    for w in all_weyl_elements(rs):
-        if not rs.is_positive_root(weyl_act_root(rs, w, th)):
-            continue
-        for eta in etas:
-            if not y_is_admissible(rs, w, eta, lvl.q):
-                continue
-            zero_pos = [a for a in rs.positive_roots
-                        if pairing(rs, eta, a) == 0]
-            if any(not rs.is_positive_root(weyl_act_root(rs, w, a))
-                   for a in zero_pos):
-                continue
-            img = set()
-            for a in zero_pos:
-                wa = weyl_act_root(rs, w, a)
-                img.add(wa)
-                img.add(tuple(-c for c in wa))
-            if img != dsig:
-                continue
-            for lam in base:
-                # the finite part of y.(lam + k Lambda0), as in pr_k_bar
-                found.add(dot_action(rs, w, lam - t * eta))
-    return sorted(found, key=lambda x: x.coords)
+    dsig = {rs.root_pair(a) for a in sigma_roots(rs, sigma)
+            if rs.is_positive_root(a)}
+    ti, tj = rs.root_pair(theta(rs))
+    pairs = [rs.root_pair(a) for a in rs.positive_roots]
+
+    def keep(w, eta):
+        if w[ti] > w[tj] or not y_is_admissible(w, eta, lvl.q):
+            return False
+        img = {(w[i], w[j]) for i, j in pairs if sum(eta[i:j]) == 0}
+        return img == dsig
+
+    return _dot_images(lvl, keep)
 
 
 def _is_pos_int(x):

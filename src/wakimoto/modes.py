@@ -59,10 +59,10 @@ import pickle
 import signal
 from bisect import bisect_left
 from fractions import Fraction
-from math import lcm
+from math import comb, lcm
 
 from . import liealg, weylpoly
-from .errors import NotSimpleRoot, RealizationBug
+from .errors import NotSimpleRoot, RealizationBug, WakimotoError
 from .liealg import bracket_symbols, kappa0_symbols
 from .linalg import nullspace
 from .rootdata import Weight, build_root_system, rho, root_combinations
@@ -582,6 +582,46 @@ def _spanning_vectors(module, dmax, top_deg):
     return [{mono: 1} for _, mono in vectors]
 
 
+def _top_degree(rs):
+    """The top degree of the spanning vectors of the affine commutation
+    check."""
+    return 2 if rs.n == 2 else 1
+
+
+# The most commutator checks verify_affine_comm runs (_affine_comm_checks).
+# On a 2-core box, with the peak RSS of the parent (V top) and of the child
+# (GT top): sl2 at -D 7 (531,720 checks) takes 19 s, 131 + 141 MB, and sl3
+# at -D 2 (330,720) 30 s, 214 + 335 MB; sl4 at -D 1 (621,600) took 129 s
+# and 1.6 GB.  A check costs more as n grows: sl5 at -D 0 (157,080) takes
+# 136 s, 826 + 1127 MB.
+MAX_AFFINE_CHECKS = 600000
+
+
+def _affine_comm_checks(rs, dmax):
+    """The commutator checks of verify_affine_comm, 2 tops x C(5 dim g, 2)
+    item pairs x the spanning vectors of a top, counted without listing
+    them; exact unless it exceeds MAX_AFFINE_CHECKS, and then a lower bound
+    that exceeds it too.
+
+    A top has C(npos + d, d) monomials of degree <= d, and at each mode
+    m >= 1 there are dim g creation generators, so the mode monomials of
+    energy e number the coefficient of x^e in prod_m (1 - x^m)^(-dim g).
+    Each generator of energy <= E alone is such a monomial, so the count
+    exceeds the limit once (1 + E dim g) per_vector does, and the product
+    is expanded only up to that E."""
+    npos = len(rs.positive_roots)
+    dim = 2 * npos + rs.rank
+    top_deg = _top_degree(rs)
+    per_vector = 2 * comb(5 * dim, 2) * comb(npos + top_deg, top_deg)
+    energy = min(dmax, MAX_AFFINE_CHECKS // (per_vector * dim) + 1)
+    counts = [1] + [0] * energy
+    for m in range(1, energy + 1):
+        for _ in range(dim):
+            for e in range(m, energy + 1):
+                counts[e] += counts[e - m]
+    return per_vector * sum(counts)
+
+
 def verify_affine_comm(n, k, dmax):
     """Check [pi(a)_m, pi(b)_n] = pi([a,b])_{m+n} + m k kappa_0(a,b)
     delta_{m,-n} for modes -2..2 on spanning vectors of both tops; returns
@@ -601,7 +641,15 @@ def _affine_comm(n, k, dmax):
     its result, or the exception it raised, back through a pipe with
     pickle.  The child is reaped on every path, and killed first if the
     parent's half raises; a child that ends without a result is a
-    RealizationBug."""
+    RealizationBug.
+
+    A usage error, before any field is solved, if the checks would exceed
+    MAX_AFFINE_CHECKS."""
+    checks = _affine_comm_checks(build_root_system(n), dmax)
+    if checks > MAX_AFFINE_CHECKS:
+        raise WakimotoError("verify affine-comm at n = %d, D = %d makes at "
+                            "least %d commutator checks; the limit is %d"
+                            % (n, dmax, checks, MAX_AFFINE_CHECKS))
     problem = _comm_problem(n, k)
     alpha_idx = problem[0].simple_indices[0]
     r, w = os.pipe()
@@ -688,7 +736,7 @@ def _check_top(problem, alpha_idx, dmax):
     lam = Weight([Fraction(2 * i + 1, 3) for i in range(rs.rank)])
     mod = WakimotoModule(rs, lam, k, alpha_idx)
     top = "V" if alpha_idx is None else "GT"
-    vectors = _spanning_vectors(mod, dmax, 2 if rs.n == 2 else 1)
+    vectors = _spanning_vectors(mod, dmax, _top_degree(rs))
     failures = []
     checks = 0
     for i, (s1, m) in enumerate(items):

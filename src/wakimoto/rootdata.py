@@ -8,8 +8,10 @@ are rational coordinate vectors in the fundamental-weight basis, so
 ``pairing(lam, alpha_i) == lam.coords[i]``.
 
 The normalized invariant form kappa_0 satisfies (theta, theta) = 2; in type A
-it is the trace form of the defining representation.  The Weyl group S_n acts
-through the epsilon-coordinate realization (sum-zero vectors in Q^n).
+it is the trace form of the defining representation.  The Weyl group S_n is
+the permutations w of the epsilon indices 0..n-1, which send the root
+eps_i - eps_j to eps_w[i] - eps_w[j]; `admissible` lets them act on int
+epsilon vectors scaled to clear denominators.
 """
 
 from fractions import Fraction
@@ -86,23 +88,6 @@ class RootSystem:
         self.positive_roots = pos
         self.root_index = {a: idx for idx, a in enumerate(pos)}
         self.simple_indices = [self.root_index[a] for a in self.simple_roots]
-
-    # -- epsilon coordinates -------------------------------------------------
-    def weight_to_eps(self, lam):
-        """Sum-zero vector in Q^n representing lam."""
-        r = self.rank
-        v = [ZERO] * self.n
-        for i, c in enumerate(lam.coords):
-            # omega_{i+1} = e_1 + ... + e_{i+1} - ((i+1)/n)(e_1+...+e_n)
-            for j in range(i + 1):
-                v[j] += c
-            shift = Fraction(c * (i + 1), self.n)
-            for j in range(self.n):
-                v[j] -= shift
-        return v
-
-    def eps_to_weight(self, v):
-        return Weight(tuple(v[i] - v[i + 1] for i in range(self.rank)))
 
     def root_pair(self, alpha):
         """(i, j) with alpha = eps_i - eps_j, 0-based, i < j."""
@@ -215,35 +200,8 @@ def offset_weight(rs, lam, coords):
 
 # -- Weyl group --------------------------------------------------------------
 
-def weyl_act(rs, perm, lam):
-    """Action of the permutation on a weight (via epsilon coordinates)."""
-    v = rs.weight_to_eps(lam)
-    w = [ZERO] * rs.n
-    for j in range(rs.n):
-        w[perm[j]] = v[j]
-    return rs.eps_to_weight(w)
-
-
-def weyl_act_root(rs, perm, alpha):
-    """Action on a positive root; returns its coefficient tuple (possibly
-    the negative of a positive root's).  w(eps_i - eps_j) = eps_{perm[i]} - eps_{perm[j]}, and eps_a - eps_b is
-    +-1 on the simple coordinates between a and b."""
-    i, j = rs.root_pair(alpha)
-    a, b = perm[i], perm[j]
-    sign = 1 if a < b else -1
-    lo, hi = min(a, b), max(a, b)
-    return tuple(sign if lo <= t < hi else 0 for t in range(rs.rank))
-
-
 def all_weyl_elements(rs):
     return list(permutations(range(rs.n)))
-
-
-def dot_action(rs, perm, lam):
-    """perm . lam = perm(lam + rho) - rho, for a permutation of the
-    epsilon indices, as all_weyl_elements lists them."""
-    r = rho(rs)
-    return weyl_act(rs, perm, lam + r) - r
 
 
 # -- serialization -----------------------------------------------------------

@@ -1,3 +1,4 @@
+import random
 from dataclasses import dataclass
 from fractions import Fraction as Fr
 from itertools import combinations
@@ -14,11 +15,11 @@ from wakimoto.admissible import (MAX_ENUMERATION, AdmissibleLevel,
                                  orbit_q, orbit_table, pr_k_bar, pr_k_classes,
                                  pr_k_integral, richardson, sigma_roots,
                                  transpose, y_is_admissible)
-from wakimoto.errors import SizeMismatch
+from wakimoto.errors import RealizationBug, SizeMismatch
 from wakimoto.rootdata import (Weight, all_weyl_elements, build_root_system,
-                               dot_action, pairing, rho, weyl_act)
+                               pairing, rho, theta)
 
-from test_rootdata import weight_inner
+from test_rootdata import dot_action, weight_inner, weyl_act, weyl_act_root
 
 RS2 = build_root_system(2)
 RS3 = build_root_system(3)
@@ -44,8 +45,8 @@ def test_level_from_pq():
 
 
 def test_pr_k_integral():
-    assert pr_k_integral(level_from_pq(2, 3, 2)) == [wt(0), wt(1)]
-    assert pr_k_integral(level_from_pq(2, 2, 1)) == [wt(0)]
+    assert pr_k_integral(level_from_pq(2, 3, 2)) == [(0,), (1,)]
+    assert pr_k_integral(level_from_pq(2, 2, 1)) == [(0,)]
     assert len(pr_k_integral(level_from_pq(3, 4, 3))) == 3
 
 
@@ -148,10 +149,11 @@ def test_finite_dot_matches_affine_dot():
             t = lvl.k + n
             orbit = set()
             for w in all_weyl_elements(rs):
-                for eta in dominant_coweights(rs, q - 1):
-                    if not y_is_admissible(rs, w, eta, q):
+                for e in dominant_coweights(rs, q - 1):
+                    if not y_is_admissible(w, e, q):
                         continue
-                    for lam in pr_k_integral(lvl):
+                    eta = Weight(e)
+                    for lam in map(Weight, pr_k_integral(lvl)):
                         g = AffineWeight(lam, lvl.k, Fr(0))
                         finite = affine_dot(rs, w, eta, g).finite
                         assert dot_action(rs, w, lam - t * eta) == finite
@@ -160,12 +162,127 @@ def test_finite_dot_matches_affine_dot():
 
 
 def test_y_is_admissible_sl2():
-    assert y_is_admissible(RS2, (0, 1), wt(0), 2)
-    assert y_is_admissible(RS2, (0, 1), wt(1), 2)
-    assert not y_is_admissible(RS2, (0, 1), wt(1), 1)
+    assert y_is_admissible((0, 1), (0,), 2)
+    assert y_is_admissible((0, 1), (1,), 2)
+    assert not y_is_admissible((0, 1), (1,), 1)
     # the simple reflection with eta = 0 has (eta, alpha) = 0 < 1 on the
     # flipped root: rejected
-    assert not y_is_admissible(RS2, (1, 0), wt(0), 2)
+    assert not y_is_admissible((1, 0), (0,), 2)
+
+
+# -- the Fraction oracle: Weights, pairing and the dot action of test_rootdata
+
+def y_is_admissible_oracle(rs, w, eta, q):
+    """The definition of y_is_admissible on the Weight eta, through
+    weyl_act_root and pairing."""
+    for a in rs.positive_roots:
+        v = pairing(rs, eta, a)
+        if rs.is_positive_root(weyl_act_root(rs, w, a)):
+            if not (0 <= v <= q - 1):
+                return False
+        else:
+            if not (1 <= v <= q):
+                return False
+    return True
+
+
+def dot_images_oracle(lvl):
+    """[(w, eta, images)] for every admissible y = w t_{-eta}: the Fraction
+    dot action w . (lam - (k + n) eta) on the Weights lam of Pr_{k,Z}."""
+    rs = build_root_system(lvl.n)
+    t = lvl.k + lvl.n
+    out = []
+    for w in all_weyl_elements(rs):
+        for eta in map(Weight, dominant_coweights(rs, lvl.q - 1)):
+            if y_is_admissible_oracle(rs, w, eta, lvl.q):
+                out.append((w, eta, {dot_action(rs, w, lam - t * eta)
+                                     for lam in map(Weight,
+                                                    pr_k_integral(lvl))}))
+    return out
+
+
+def omega_keeps_oracle(rs, sigma, w, eta):
+    """omega_theorem's conditions on an admissible (w, eta), through
+    weyl_act_root."""
+    if not rs.is_positive_root(weyl_act_root(rs, w, theta(rs))):
+        return False
+    img = {weyl_act_root(rs, w, a) for a in rs.positive_roots
+           if pairing(rs, eta, a) == 0}
+    return (all(map(rs.is_positive_root, img))
+            and img | {tuple(-c for c in a) for a in img}
+            == sigma_roots(rs, sigma))
+
+
+def _sorted_union(sets):
+    return sorted(set().union(*sets), key=lambda x: x.coords)
+
+
+def classes_oracle(lvl, weights):
+    """Brute-force dot orbits: each weight not yet placed starts a class of
+    the listed weights in its orbit, sorted."""
+    rs = build_root_system(lvl.n)
+    pool = set(weights)
+    classes = []
+    for lam in weights:
+        if lam not in pool:
+            continue
+        orbit = {dot_action(rs, w, lam) for w in all_weyl_elements(rs)}
+        cls = sorted(orbit & pool, key=lambda x: x.coords)
+        pool.difference_update(cls)
+        classes.append(cls)
+    return classes
+
+
+# (n, p, q) within MAX_ENUMERATION, n = 2..5
+ORACLE_LEVELS = [(2, 3, 2), (2, 5, 3), (2, 7, 4), (3, 4, 3), (3, 5, 2),
+                 (3, 7, 4), (4, 5, 4), (4, 7, 3), (4, 6, 1), (5, 5, 4),
+                 (5, 7, 2)]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_y_is_admissible_matches_the_definition(n):
+    rs = build_root_system(n)
+    for q in range(1, 5):
+        etas = dominant_coweights(rs, q)
+        for w in all_weyl_elements(rs):
+            for e in etas:
+                assert y_is_admissible(w, e, q) == \
+                    y_is_admissible_oracle(rs, w, Weight(e), q)
+
+
+@pytest.mark.parametrize("n,p,q", ORACLE_LEVELS)
+def test_pr_k_bar_and_omega_match_the_fraction_oracle(n, p, q):
+    lvl = level_from_pq(n, p, q)
+    assert enumeration_size(lvl) <= MAX_ENUMERATION
+    rs = build_root_system(n)
+    images = dot_images_oracle(lvl)
+    assert pr_k_bar(lvl) == _sorted_union(imgs for _, _, imgs in images)
+    for r in range(n):
+        for sigma in map(set, combinations(range(1, n), r)):
+            assert omega_theorem(sigma, lvl) == _sorted_union(
+                imgs for w, eta, imgs in images
+                if omega_keeps_oracle(rs, sigma, w, eta))
+
+
+@pytest.mark.parametrize("n,p,q", ORACLE_LEVELS)
+def test_pr_k_classes_match_brute_force_orbits(n, p, q):
+    # the class lists, order included, for the sorted weights, the weights
+    # reversed, and the weights shuffled with repeats
+    lvl = level_from_pq(n, p, q)
+    weights = pr_k_bar(lvl)
+    rng = random.Random(n * 100 + p * 10 + q)
+    mixed = weights + rng.sample(weights, len(weights) // 3)
+    rng.shuffle(mixed)
+    for ws in (weights, weights[::-1], mixed):
+        assert pr_k_classes(lvl, ws) == classes_oracle(lvl, ws)
+
+
+def test_pr_k_classes_never_round():
+    # (1/3, .) is not a weight of Pr_k-bar at q = 2: 2 (1/3 + 1) is not an
+    # integer
+    lvl = level_from_pq(3, 5, 2)
+    with pytest.raises(RealizationBug):
+        pr_k_classes(lvl, [wt(Fr(1, 3), 0)])
 
 
 def check_regular_dominant(lvl, lam, depth=3):
@@ -196,7 +313,7 @@ def test_pr_k_bar_sl2_32():
 
 def test_pr_k_bar_q1_is_integral():
     lvl = level_from_pq(2, 3, 1)
-    assert pr_k_bar(lvl) == pr_k_integral(lvl)
+    assert pr_k_bar(lvl) == list(map(Weight, pr_k_integral(lvl)))
 
 
 def test_pr_k_classes_partition():
@@ -274,7 +391,8 @@ def test_omega_full_parabolic_is_integral():
     for n, p, q in ((2, 3, 2), (3, 4, 3), (3, 5, 2)):
         lvl = level_from_pq(n, p, q)
         sigma = set(range(1, n))
-        assert omega_theorem(sigma, lvl) == pr_k_integral(lvl)
+        assert omega_theorem(sigma, lvl) == list(map(Weight,
+                                                     pr_k_integral(lvl)))
 
 
 def test_omega_certificates():

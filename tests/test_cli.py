@@ -376,6 +376,29 @@ def test_a_large_enumeration_is_refused(cmd, monkeypatch, capsys):
         "eta, weight) triples; the limit is %d\n" % admissible.MAX_ENUMERATION)
 
 
+@pytest.mark.parametrize("n,D,checks", [
+    (4, 1, 621600), (3, 3, 1528800), (2, 8, 1042020), (5, 1, 3927000)])
+def test_a_large_affine_comm_is_refused(n, D, checks, monkeypatch, capsys):
+    # refused with a usage error before any field is solved or any process
+    # forked, by the exact count 2 x C(5 dim g, 2) x spanning vectors
+    def reached(*args):
+        raise AssertionError("reached before the size check")
+
+    for name in ("_check_top", "_comm_problem", "pi_field"):
+        monkeypatch.setattr(modes, name, reached)
+    monkeypatch.setattr(os, "fork", reached)
+    assert main(["verify", "affine-comm", "-n", str(n), "-k", "1/2",
+                 "-D", str(D)]) == 2
+    assert capsys.readouterr().err == (
+        "error: verify affine-comm at n = %d, D = %d makes at least %d "
+        "commutator checks; the limit is %d\n"
+        % (n, D, checks, modes.MAX_AFFINE_CHECKS))
+    # and at once for any D
+    assert main(["verify", "affine-comm", "-n", str(n), "-k", "1/2",
+                 "-D", "1000000000"]) == 2
+    assert "commutator checks; the limit is" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("argv,radius,box", [
     (["twist-char", "-n", "5", "--lam", "0,0,0,0", "--alpha", "theta",
       "--window", "3", "--kcap", "20"], 3, 24 ** 4),

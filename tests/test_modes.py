@@ -2,6 +2,7 @@ import os
 import time
 from fractions import Fraction as Fr
 from itertools import combinations, product
+from math import comb
 
 import pytest
 
@@ -575,6 +576,24 @@ def test_affine_comm_checks_each_unordered_pair_once():
                for ai in (None, 0))
     assert pairs == 105 and nvec == 2 * 12
     assert checks == pairs * nvec
+
+
+def test_affine_comm_check_count_is_exact():
+    # the count made before any work is C(5 dim g, 2) x the spanning vectors
+    # of both tops, listed, which is what _affine_comm checks
+    # (test_affine_comm_checks_each_unordered_pair_once)
+    assert modes._affine_comm_checks(RS2, 1) == \
+        modes._affine_comm(2, K, 1)[1]
+    for n, dmaxes in ((2, range(8)), (3, range(4)), (4, range(2))):
+        rs = build_root_system(n)
+        pairs = comb(5 * len(basis_symbols(rs)), 2)
+        for dmax in dmaxes:
+            nvec = sum(len(modes._spanning_vectors(
+                vmod(rs, alpha_idx=ai), dmax, modes._top_degree(rs)))
+                for ai in (None, rs.simple_indices[0]))
+            assert modes._affine_comm_checks(rs, dmax) == pairs * nvec
+    assert modes._affine_comm_checks(RS3, 2) == 330720
+    assert modes._affine_comm_checks(build_root_system(4), 1) == 621600
 
 
 # -- two processes: V in the parent, GT in a forked child -------------------------

@@ -9,15 +9,63 @@ from hypothesis import strategies as st
 from wakimoto import rootdata
 from wakimoto.errors import DimensionError, InvalidRank
 from wakimoto.rootdata import (Weight, all_weyl_elements,
-                               build_root_system, dot_action, pairing, rho,
-                               theta, weyl_act, weyl_act_root)
+                               build_root_system, pairing, rho, theta)
+
+
+# -- the Weyl group on Fraction epsilon vectors -----------------------------------
+#
+# The oracle of the int epsilon vectors in `admissible`: weights as sum-zero
+# vectors in Q^n, and the permutations of all_weyl_elements acting on them.
+
+def weight_to_eps(rs, lam):
+    """Sum-zero vector in Q^n representing lam."""
+    v = [Fr(0)] * rs.n
+    for i, c in enumerate(lam.coords):
+        # omega_{i+1} = e_1 + ... + e_{i+1} - ((i+1)/n)(e_1+...+e_n)
+        for j in range(i + 1):
+            v[j] += c
+        shift = Fr(c * (i + 1), rs.n)
+        for j in range(rs.n):
+            v[j] -= shift
+    return v
+
+
+def eps_to_weight(rs, v):
+    return Weight(tuple(v[i] - v[i + 1] for i in range(rs.rank)))
+
+
+def weyl_act(rs, perm, lam):
+    """Action of the permutation on a weight (via epsilon coordinates)."""
+    v = weight_to_eps(rs, lam)
+    w = [Fr(0)] * rs.n
+    for j in range(rs.n):
+        w[perm[j]] = v[j]
+    return eps_to_weight(rs, w)
+
+
+def weyl_act_root(rs, perm, alpha):
+    """Action on a positive root; returns its coefficient tuple (possibly
+    the negative of a positive root's).  w(eps_i - eps_j) =
+    eps_{perm[i]} - eps_{perm[j]}, and eps_a - eps_b is +-1 on the simple
+    coordinates between a and b."""
+    i, j = rs.root_pair(alpha)
+    a, b = perm[i], perm[j]
+    sign = 1 if a < b else -1
+    lo, hi = min(a, b), max(a, b)
+    return tuple(sign if lo <= t < hi else 0 for t in range(rs.rank))
+
+
+def dot_action(rs, perm, lam):
+    """perm . lam = perm(lam + rho) - rho."""
+    r = rho(rs)
+    return weyl_act(rs, perm, lam + r) - r
 
 
 def weight_inner(rs, lam, mu):
     """kappa_0-induced form on h*, computed in epsilon coordinates (also the
     affine-weight oracle's form in test_admissible)."""
-    v = rs.weight_to_eps(lam)
-    u = rs.weight_to_eps(mu)
+    v = weight_to_eps(rs, lam)
+    u = weight_to_eps(rs, mu)
     return sum((a * b for a, b in zip(v, u)), Fr(0))
 
 
@@ -123,8 +171,8 @@ def test_dot_action_fixed_point():
 def test_eps_round_trip():
     rs = build_root_system(4)
     lam = Weight((Fr(1, 3), Fr(-2), Fr(7, 5)))
-    assert rs.eps_to_weight(rs.weight_to_eps(lam)) == lam
-    assert sum(rs.weight_to_eps(lam)) == 0
+    assert eps_to_weight(rs, weight_to_eps(rs, lam)) == lam
+    assert sum(weight_to_eps(rs, lam)) == 0
 
 
 def test_root_pair():
