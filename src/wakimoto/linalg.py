@@ -1,14 +1,34 @@
-"""Small exact linear-algebra helpers over Fraction: the nullspace of sparse
-{column: coeff} rows, characteristic polynomials and rational roots."""
+"""Exact linear algebra over Q: the nullspace of sparse {column: coeff}
+rows, characteristic polynomials and rational roots.
+
+`nullspace` eliminates modulo the prime P = 2^61 - 1 and proves its answer
+exact.  A nonzero minor mod P is nonzero over Q, so rank_Q >= rank_P, and
+ncols pivots mod P prove full rank with no kernel.  Otherwise each kernel
+vector of the reduced echelon form mod P, 1 at its free column c, 0 at the
+other free columns and nonzero only at pivots left of c, is lifted to Q by
+rational reconstruction and checked against every row in Fractions.  The
+ncols - rank_P checked vectors are independent kernel vectors, so with
+rank_Q >= rank_P they span the kernel over Q.  A kernel vector whose last
+nonzero entry is at c makes column c free over Q, so the free columns mod P
+are those over Q, and the vectors are the ones `_eliminate` gives, key for
+key.  Where P divides a denominator, a reconstruction fails or a check
+fails, `nullspace` runs `_eliminate`, the Fraction elimination that is also
+its test oracle.
+"""
 
 from bisect import bisect_right
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, isqrt, lcm
 
 from .sparse import add_into, scaled
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
+# the Mersenne prime modulus of nullspace's elimination
+P = (1 << 61) - 1
+# n/d with |n|, d <= RECON_BOUND is the only such fraction in its class
+# mod P, since 2 RECON_BOUND^2 < P
+RECON_BOUND = isqrt(P // 2)
 
 
 def _eliminate(rows):
@@ -35,11 +55,18 @@ def _eliminate(rows):
 
 
 def nullspace(rows, ncols):
-    """Basis of the right nullspace of the sparse rows over columns
-    0..ncols-1: one sparse vector per free column c, in ascending order.  It
-    is 1 at c and minus the pivot rows' c entries at their pivots, all left
-    of c, so its keys come in ascending order."""
-    piv = _eliminate(rows)
+    """Basis of the right nullspace over Q of the list of sparse rows (int
+    or Fraction entries) over columns 0..ncols-1: one sparse vector per free
+    column c of the reduced row echelon form, in ascending order.  The rows
+    are not changed."""
+    basis = _modular_nullspace(rows, ncols)
+    return _kernel(_eliminate(rows), ncols) if basis is None else basis
+
+
+def _kernel(piv, ncols):
+    """The nullspace basis of reduced row echelon rows {pivot column: row}:
+    for each free column c, the vector 1 at c and minus the rows' c entries
+    at their pivots, all left of c, so its keys come in ascending order."""
     basis = {c: {} for c in range(ncols) if c not in piv}
     for pc in sorted(piv):
         for c, x in piv[pc].items():
@@ -48,6 +75,97 @@ def nullspace(rows, ncols):
     for c, v in basis.items():
         v[c] = ONE
     return list(basis.values())
+
+
+def _modular_nullspace(rows, ncols):
+    """nullspace's basis, found mod P and proved exact (see the module
+    docstring), or None if the proof does not go through."""
+    piv = _echelon_mod_p(rows, ncols)
+    if piv is None:
+        return None
+    if len(piv) == ncols:
+        return []
+    # back substitution, highest pivot first: a reduced row has entries
+    # only at its pivot and at free columns, so clearing one pivot column
+    # never refills another
+    for p in sorted(piv, reverse=True):
+        r = piv[p]
+        for q in [q for q in r if q != p and q in piv]:
+            _sub_mod_p(r, piv[q], r[q])
+    lifted = {x: None for r in piv.values() for x in r.values()}
+    for x in lifted:
+        lifted[x] = _reconstruct(x)
+        if lifted[x] is None:
+            return None
+    basis = _kernel({p: {c: lifted[x] for c, x in r.items()}
+                     for p, r in piv.items()}, ncols)
+    for v in basis:
+        for row in rows:
+            if sum(x * v[c] for c, x in row.items() if c in v):
+                return None
+    return basis
+
+
+def _echelon_mod_p(rows, ncols):
+    """Row echelon form mod P of the rows, as {pivot column: row}, each row
+    1 at its pivot and with entries only right of it.  Its pivots are the
+    leftmost independent columns mod P, as in `_eliminate`, whatever order
+    the rows are taken in; shortest first makes the least fill-in.  It
+    stops at ncols pivots.  None if P divides a denominator."""
+    inverses = {1: 1}
+    reduced = []
+    for row in rows:
+        r = {}
+        for c, x in row.items():
+            d = x.denominator
+            inv = inverses.get(d)
+            if inv is None:
+                if d % P == 0:
+                    return None
+                inv = inverses[d] = pow(d, -1, P)
+            x = x.numerator * inv % P
+            if x:
+                r[c] = x
+        if r:
+            reduced.append((len(r), min(r), r))
+    reduced.sort(key=lambda t: t[:2])
+    piv = {}
+    for _, p, r in reduced:
+        while p in piv:
+            _sub_mod_p(r, piv[p], r[p])
+            if not r:
+                break
+            p = min(r)
+        if r:
+            inv = pow(r[p], -1, P)
+            piv[p] = {c: x * inv % P for c, x in r.items()}
+            if len(piv) == ncols:
+                break
+    return piv
+
+
+def _sub_mod_p(r, s, f):
+    """In place r -= f s mod P, pruning zeros."""
+    for c, x in s.items():
+        x = (r.get(c, 0) - f * x) % P
+        if x:
+            r[c] = x
+        else:
+            del r[c]
+
+
+def _reconstruct(a):
+    """The fraction n/d with |n|, d <= RECON_BOUND and n = a d mod P, or
+    None; by the extended Euclidean algorithm on (P, a), stopped at the
+    first remainder within the bound (Wang's rational reconstruction)."""
+    r0, r1, s0, s1 = P, a, 0, 1
+    while r1 > RECON_BOUND:
+        q = r0 // r1
+        r0, r1 = r1, r0 - q * r1
+        s0, s1 = s1, s0 - q * s1
+    if abs(s1) > RECON_BOUND:
+        return None
+    return Fraction(r1, s1)
 
 
 def charpoly(mat):

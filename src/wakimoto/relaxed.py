@@ -248,13 +248,42 @@ def _cells(monomials, roots, radius):
     return cells
 
 
+# The most basis elements find_singular_vectors may search, counted before
+# any row is built.  The time per element grows with energy and rank.  On a
+# 2-core box: sl2 -D 7 (14,331) took 2.8 s and 55 MB, sl4 -D 1 (13,671)
+# 5 s and 68 MB, sl2 -D 8 (31,407) 10 s at k = 7/3 and 26 s at the vacuum
+# k = -1/2 (where one cell's kernel is beyond the modular certificate),
+# with 109 MB.  Refused: sl2 -D 9 (65,772), sl3 -D 3 (71,171;
+# 18.6 s and 269 MB at k = 1/2, lam = (1/3, 1/5)), sl5 -D 1 (422,442).
+MAX_SINGULAR_WORK = 40000
+
+
+def _search_size(rs, lam, D):
+    """The number of basis elements in find_singular_vectors' cells: the
+    relaxed Verma character at energies 1..D in the box of radius 2D + 2,
+    whose entries are the cell sizes."""
+    try:
+        char = character_relaxed_verma(rs, lam, None, D, 2 * D + 2)
+    except WindowTooLarge as e:
+        raise WindowTooLarge("the singular-vector search up to energy %d "
+                             "is too large to count: %s" % (D, e))
+    return sum(m for (_, d), m in char.items() if d)
+
+
 def find_singular_vectors(rs, lam, k, D):
     """Vectors of energy 1..D in the relaxed Verma module with Verma top
     M(lam) annihilated by the raising generators {e_{gamma,0} (gamma
     simple), f_{theta,1}} (which generate everything in positive modes).
     Returns a list of (energy, weight-delta, vector).  The search box has
     radius 2D + 2.  Each vector is checked by acting on it with every
-    raising generator; RealizationBug if one does not annihilate it."""
+    raising generator; RealizationBug if one does not annihilate it.
+    WindowTooLarge, before any row is built, if the cells hold more than
+    MAX_SINGULAR_WORK basis elements."""
+    size = _search_size(rs, lam, D)
+    if size > MAX_SINGULAR_WORK:
+        raise WindowTooLarge("the singular-vector search up to energy %d "
+                             "has %d basis elements; the limit is %d"
+                             % (D, size, MAX_SINGULAR_WORK))
     radius = 2 * D + 2
     mod = RelaxedModule(rs, lam, k)
     roots = rs.positive_roots

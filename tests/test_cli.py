@@ -399,6 +399,29 @@ def test_a_large_affine_comm_is_refused(n, D, checks, monkeypatch, capsys):
     assert "commutator checks; the limit is" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("n,D,size", [(2, 9, 65772), (3, 3, 71171),
+                                      (4, 2, 757137), (5, 1, 422442)])
+def test_a_large_singular_search_is_refused(n, D, size, monkeypatch, capsys):
+    # refused with a usage error before any module is built or any row made
+    def reached(*args):
+        raise AssertionError("reached before the size check")
+
+    for name in ("RelaxedModule", "relaxed_verma_act", "nullspace"):
+        monkeypatch.setattr(relaxed, name, reached)
+    lam = ",".join(["0"] * (n - 1))
+    assert main(["verify", "singular", "-n", str(n), "-k", "1/2", "--lam",
+                 lam, "-D", str(D)]) == 2
+    assert capsys.readouterr().err == (
+        "error: the singular-vector search up to energy %d has %d basis "
+        "elements; the limit is %d\n" % (D, size, relaxed.MAX_SINGULAR_WORK))
+    # and at once where the count itself is too large to make
+    assert main(["verify", "singular", "-n", str(n), "-k", "1/2", "--lam",
+                 lam, "-D", "1000000000"]) == 2
+    assert capsys.readouterr().err.startswith(
+        "error: the singular-vector search up to energy 1000000000 is too "
+        "large to count: ")
+
+
 @pytest.mark.parametrize("argv,radius,box", [
     (["twist-char", "-n", "5", "--lam", "0,0,0,0", "--alpha", "theta",
       "--window", "3", "--kcap", "20"], 3, 24 ** 4),

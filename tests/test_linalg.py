@@ -6,9 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wakimoto import linalg
-from wakimoto.linalg import (_ceil_root, _eliminate, _root_bound, charpoly,
-                            nullspace, rational_roots)
+from wakimoto import linalg, modes, relaxed
+from wakimoto.cli import main
+from wakimoto.linalg import (P, RECON_BOUND, _ceil_root, _eliminate,
+                            _root_bound, charpoly, nullspace, rational_roots)
+from wakimoto.rootdata import Weight, build_root_system
 
 
 def F(x):
@@ -115,6 +117,175 @@ def test_eliminate_leaves_its_rows_unchanged():
     copy = [dict(r) for r in rows]
     nullspace(rows, 3)
     assert rows == copy
+
+
+def _oracle_nullspace(rows, ncols):
+    """The nullspace read off `_eliminate`'s reduced row echelon form: for
+    each free column c, 1 at c and minus the pivot rows' c entries at their
+    pivots, pivots ascending."""
+    piv = _eliminate(rows)
+    return [{**{pc: -piv[pc][c] for pc in sorted(piv) if c in piv[pc]},
+             c: Fr(1)}
+            for c in range(ncols) if c not in piv]
+
+
+def _items(vectors):
+    return [[(c, type(x), x) for c, x in v.items()] for v in vectors]
+
+
+# entries that stress the certificate: zero mod P but not over Q, beyond
+# the reconstruction bound, or (rarely) with the denominator P
+_hard_entries = st.one_of(
+    st.integers(-3, 3).filter(bool).map(lambda m: m * P),
+    st.integers(-3, 3).map(lambda m: m * P + 1),
+    st.integers(1, 4).map(lambda j: RECON_BOUND + j),
+    st.integers(1, 4).map(lambda j: Fr(1, RECON_BOUND + j)),
+    st.integers(1, 4).map(lambda j: Fr(-(RECON_BOUND + j), 3)),
+    st.just(Fr(1, P)))
+
+
+@st.composite
+def certified_matrices(draw):
+    """(rows, ncols): up to 12 x 10 sparse int and Fraction rows, some of
+    them zero, multiples of an earlier row or sums of two, with small and
+    hard entries."""
+    nrows = draw(st.integers(0, 12))
+    ncols = draw(st.integers(0, 10))
+    hard = draw(st.booleans())
+    entries = st.one_of(st.integers(-6, 6),
+                        st.fractions(-6, 6, max_denominator=7),
+                        *([_hard_entries] if hard else []))
+    rows = []
+    for _ in range(nrows):
+        kind = draw(st.integers(0, 5))
+        if kind == 0 or not ncols:
+            row = {}
+        elif kind == 1 and rows:
+            m = draw(st.fractions(-4, 4, max_denominator=5))
+            row = {c: m * x for c, x in draw(st.sampled_from(rows)).items()}
+        elif kind == 2 and rows:
+            a, b = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+            row = {c: a.get(c, 0) + b.get(c, 0) for c in {**a, **b}}
+        else:
+            row = {c: draw(entries) for c in range(ncols)
+                   if draw(st.integers(0, 3)) == 0}
+        rows.append({c: x for c, x in row.items() if x})
+    return rows, ncols
+
+
+@settings(max_examples=400, deadline=None)
+@given(certified_matrices())
+def test_nullspace_equals_the_elimination_oracle(matrix):
+    # vector for vector, key for key and in the same order, all Fractions;
+    # the rows are left as they were
+    rows, ncols = matrix
+    copy = [list(r.items()) for r in rows]
+    assert _items(nullspace(rows, ncols)) == _items(
+        _oracle_nullspace(rows, ncols))
+    assert [list(r.items()) for r in rows] == copy
+
+
+@pytest.fixture
+def eliminations(monkeypatch):
+    """Counts the calls of `_eliminate`, which runs only when the modular
+    certificate does not go through."""
+    calls = []
+
+    def counted(rows):
+        calls.append(rows)
+        return _eliminate(rows)
+
+    monkeypatch.setattr(linalg, "_eliminate", counted)
+    return calls
+
+
+@pytest.mark.parametrize("rows,ncols", [
+    # rank 1 over Q, 0 mod P: the kernel mod P is too large
+    ([{0: P, 1: 2 * P}], 2),
+    # rank 1 mod P, 2 over Q
+    ([{0: 1, 1: 1}, {0: 1, 1: 1 + P}], 2),
+    # the kernel vector (1/(B + 1), 1) is beyond reconstruction
+    ([{0: RECON_BOUND + 1, 1: -1}], 2),
+    ([{0: Fr(3, RECON_BOUND + 2), 2: 1}, {1: RECON_BOUND + 5, 2: -7}], 3),
+])
+def test_hard_matrices_fall_back_to_elimination(rows, ncols, eliminations):
+    assert _items(nullspace(rows, ncols)) == _items(
+        _oracle_nullspace(rows, ncols))
+    assert len(eliminations) == 1
+
+
+def test_a_denominator_of_p_forces_the_fallback(eliminations):
+    rows = [{0: Fr(1, P), 1: 1}, {0: 2, 1: 3}]
+    assert nullspace(rows, 3) == [{2: Fr(1)}]
+    assert nullspace([{0: Fr(1, P), 1: 1}], 2) == [{0: -P, 1: 1}]
+    assert len(eliminations) == 2
+
+
+def test_small_full_rank_and_rank_deficient_matrices_are_certified(
+        eliminations):
+    assert nullspace([{0: 1}, {1: Fr(2, 3)}, {0: 5, 1: 7}], 2) == []
+    assert nullspace([{0: 2, 1: 4}, {0: 1, 1: 2}], 2) == [{0: -2, 1: 1}]
+    assert nullspace([{1: Fr(-3, 7), 2: Fr(1, 2)}], 3) == [
+        {0: 1}, {1: Fr(7, 6), 2: 1}]
+    assert eliminations == []
+
+
+def test_a_wrong_reconstruction_is_caught_by_the_exact_check(
+        monkeypatch, eliminations):
+    # a reconstruction off by one still gives the oracle's vectors: the
+    # exact check rejects them and the elimination runs
+    rs = build_root_system(2)
+    expected = relaxed.find_singular_vectors(rs, Weight((Fr(0),)),
+                                             Fr(-1, 2), 4)
+    assert eliminations == []
+    reconstruct = linalg._reconstruct
+    monkeypatch.setattr(linalg, "_reconstruct",
+                        lambda a: reconstruct(a) + 1)
+    assert nullspace([{0: 1, 1: 2}], 2) == [{0: -2, 1: 1}]
+    assert len(eliminations) == 1
+    assert relaxed.find_singular_vectors(rs, Weight((Fr(0),)), Fr(-1, 2),
+                                         4) == expected
+    assert len(eliminations) > 1
+
+
+@pytest.mark.parametrize("argv", [
+    # the singular workload of the benchmark at its seed 0
+    "-n 2 -k -1/2 --lam 0 -D 4",
+    "-n 2 -k 7/3 --lam 1/5 -D 4",
+    "-n 2 -k 5/3 --lam 2/5 -D 4",
+    "-n 3 -k -3/2 --lam 0,0 -D 1",
+    # six vectors, and many cells that drop rank
+    "-n 3 -k -3/2 --lam 0,0 -D 2",
+])
+def test_singular_searches_are_certified_without_elimination(
+        argv, eliminations, capsys):
+    assert main(["verify", "singular"] + argv.split()) == 0
+    capsys.readouterr()
+    assert eliminations == []
+
+
+def test_field_solves_are_certified_without_elimination(monkeypatch,
+                                                        eliminations):
+    monkeypatch.setattr(modes, "_FIELD_CACHE", {})
+    for n in (2, 3, 4):
+        rs = build_root_system(n)
+        for k in (Fr(1, 2), Fr(-3, 2), Fr(-4, 3), Fr(7, 5)):
+            for idx in range(len(rs.positive_roots)):
+                modes.pi_field(rs, ("e", idx), k)
+            for idx in rs.simple_indices:
+                modes.solve_c_gamma(rs, idx, k)
+    assert eliminations == []
+
+
+def test_reconstruction_inverts_reduction_within_the_bound():
+    for n, d in ((0, 1), (5, 1), (-5, 1), (RECON_BOUND, 1),
+                 (-RECON_BOUND, 1), (1, RECON_BOUND), (-7, 15),
+                 (RECON_BOUND, RECON_BOUND - 1), (-RECON_BOUND + 2, 999)):
+        if gcd(n, d) == 1:
+            assert linalg._reconstruct(n * pow(d, -1, P) % P) == Fr(n, d)
+    assert 2 * RECON_BOUND ** 2 < P < 2 * (RECON_BOUND + 1) ** 2
+    # (B + 1) / 1 has no representative within the bound but itself
+    assert linalg._reconstruct(RECON_BOUND + 1) != RECON_BOUND + 1
 
 
 def _dot(row, v):

@@ -294,6 +294,20 @@ def test_sl3_vacuum_singular_vectors():
         (2, (-1, 1), 14), (2, (1, -1), 14), (2, (1, 1), 7)]
 
 
+@pytest.mark.parametrize("n,D", [(2, 0), (2, 1), (2, 5), (2, 8), (3, 1),
+                                 (3, 2), (4, 1)])
+def test_singular_search_size_counts_the_cells(n, D):
+    # the character count is the number of basis elements the search's
+    # cells hold at energies 1..D
+    rs = build_root_system(n)
+    lam = Weight((Fr(1, 3),) * rs.rank)
+    monomials = relaxed._mode_monomials(RelaxedModule(rs, lam, K), D)
+    cells = sum(len(basis) for d in range(1, D + 1)
+                for basis in relaxed._cells(monomials[d], rs.positive_roots,
+                                            2 * D + 2).values())
+    assert relaxed._search_size(rs, lam, D) == cells
+
+
 def test_no_singular_vectors_generic():
     assert find_singular_vectors(RS2, Weight((Fr(1, 5),)), Fr(7, 3), 2) == []
 
