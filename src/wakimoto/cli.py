@@ -270,15 +270,8 @@ def cmd_verify(args):
     return 0 if not failures else 1
 
 
-def _level(args):
-    lvl = admissible.level_from_pq(args.n, args.p, args.q)
-    if isinstance(lvl, tuple):
-        raise WakimotoError("level not admissible: %s" % (lvl[1],))
-    return lvl
-
-
 def cmd_omega(args):
-    lvl = _level(args)
+    lvl = admissible.level_from_pq(args.n, args.p, args.q)
     sigma = parse_sigma(args.sigma, args.n)
     th = admissible.omega_theorem(sigma, lvl)
     dr = admissible.omega_direct(sigma, lvl)
@@ -296,7 +289,7 @@ def cmd_omega(args):
 
 
 def cmd_prk(args):
-    lvl = _level(args)
+    lvl = admissible.level_from_pq(args.n, args.p, args.q)
     weights = admissible.pr_k_bar(lvl)
     classes = admissible.pr_k_classes(lvl, weights)
     payload = {
@@ -526,9 +519,21 @@ def _merge_negative_values(argv):
     return out
 
 
+# The largest -n of any command.  Every command builds RootSystem(n) before
+# its own guard runs, n(n-1)/2 root tuples of n-1 ints: on a 2-core box
+# `richardson -n 64 --sigma 1` takes 0.19 s and 17 MB, `-n 200` 0.9 s and
+# 50 MB, and `-n 400` 3.6 s and 275 MB.  Above every n that a guarded
+# command admits: `orbits` runs up to n = 32 (admissible.MAX_PARTITIONS),
+# and `verify characters -D 0 --window 1` up to n = 19
+# (weylpoly.MAX_TOP_BOX).
+MAX_N = 64
+
+
 def _check_ranges(args):
     """Bounds that the argparse int types leave open; the window radius is
     checked by the character code itself."""
+    if getattr(args, "n", 0) > MAX_N:
+        raise WakimotoError("-n must be <= %d" % MAX_N)
     if getattr(args, "D", 0) < 0:
         raise WakimotoError("-D must be >= 0")
     if getattr(args, "kcap", 1) < 1:

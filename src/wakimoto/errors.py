@@ -1,41 +1,10 @@
-"""Shared exception types."""
+"""The two exception types: the type states the CLI's exit code, and the
+message states the reason."""
 
 
 class WakimotoError(Exception):
-    """Base class for usage and domain errors (CLI exit code 2)."""
-
-
-class InvalidRank(WakimotoError):
-    pass
-
-
-class DimensionError(WakimotoError):
-    pass
-
-
-class NotSimpleRoot(WakimotoError):
-    pass
-
-
-class ModuleMismatch(WakimotoError):
-    pass
-
-
-class EmptyWindow(WakimotoError):
-    pass
-
-
-class WindowTooLarge(WakimotoError):
-    pass
-
-
-class EmptyWeightSpace(WakimotoError):
-    pass
+    """A usage or domain error: the input is refused (CLI exit code 2)."""
 
 
 class RealizationBug(Exception):
-    """An internal inconsistency: a bug in the package, not a usage error."""
-
-
-class SizeMismatch(WakimotoError):
-    pass
+    """An internal inconsistency: a bug in the package (CLI exit code 3)."""

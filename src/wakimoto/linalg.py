@@ -20,6 +20,7 @@ from bisect import bisect_right
 from fractions import Fraction
 from math import gcd, isqrt, lcm
 
+from .errors import RealizationBug
 from .sparse import add_into, scaled
 
 ZERO = Fraction(0)
@@ -198,7 +199,7 @@ def rational_roots(coeffs):
     while c and c[-1] == 0:
         c.pop()
     if not c:
-        raise ValueError("zero polynomial")
+        raise RealizationBug("zero polynomial")
     den = 1
     for x in c:
         den = lcm(den, Fraction(x).denominator)

@@ -62,7 +62,7 @@ from fractions import Fraction
 from math import comb, lcm
 
 from . import liealg, weylpoly
-from .errors import NotSimpleRoot, RealizationBug, WakimotoError
+from .errors import RealizationBug, WakimotoError
 from .liealg import bracket_symbols, kappa0_symbols
 from .linalg import nullspace
 from .rootdata import Weight, build_root_system, rho, root_combinations
@@ -531,7 +531,7 @@ def solve_c_gamma(rs, gamma_idx, k, lam=None):
     -(c_gamma + (k + h_dual) kappa_0(e_gamma, f_gamma)) :dz a*_gamma:, with
     the coefficient solved on the V-top vacuum of weight lam."""
     if sum(rs.positive_roots[gamma_idx]) != 1:
-        raise NotSimpleRoot("gamma must be simple")
+        raise WakimotoError("gamma must be simple")
     k = Fraction(k)
     a_terms, b_terms = _lift(rs, ("e", gamma_idx))
     C = -sum(c for c, _, _ in _dz_terms(rs, gamma_idx, k, a_terms + b_terms,

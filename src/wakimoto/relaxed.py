@@ -14,7 +14,7 @@ from fractions import Fraction
 from math import prod
 
 from . import liealg, weylpoly
-from .errors import RealizationBug, WindowTooLarge
+from .errors import RealizationBug, WakimotoError
 from .liealg import bracket_symbols, kappa0_symbols
 from .linalg import nullspace
 from .rootdata import lattice_counts, offset_weight, root_combinations
@@ -177,7 +177,7 @@ MAX_CHARACTER_WORK = 1500000
 def _relaxed_character(rs, lam, alpha_idx, dmax, radius, families):
     """The top count in the window widened by dmax, times the monomials in
     the mode families, as {(Weight, energy): count-or-('ge', n)}.
-    WindowTooLarge, before anything is counted, if the work bound exceeds
+    WakimotoError, before anything is counted, if the work bound exceeds
     MAX_CHARACTER_WORK."""
     wide = radius + dmax
     kmax = weylpoly._top_kmax(rs, alpha_idx, wide, weylpoly.KCAP)
@@ -186,7 +186,7 @@ def _relaxed_character(rs, lam, alpha_idx, dmax, radius, families):
     held = prod(min(wide + 1 + kmax * a, 2 * wide + 1) for a in alpha)
     points = (dmax + 1) * (2 * dmax + 1) ** rs.rank
     if points * held > MAX_CHARACTER_WORK:
-        raise WindowTooLarge(
+        raise WakimotoError(
             "the character up to energy %d needs %d mode-table points times "
             "%d top points, %d; the limit is %d"
             % (dmax, points, held, points * held, MAX_CHARACTER_WORK))
@@ -264,9 +264,9 @@ def _search_size(rs, lam, D):
     whose entries are the cell sizes."""
     try:
         char = character_relaxed_verma(rs, lam, None, D, 2 * D + 2)
-    except WindowTooLarge as e:
-        raise WindowTooLarge("the singular-vector search up to energy %d "
-                             "is too large to count: %s" % (D, e))
+    except WakimotoError as e:
+        raise WakimotoError("the singular-vector search up to energy %d "
+                            "is too large to count: %s" % (D, e))
     return sum(m for (_, d), m in char.items() if d)
 
 
@@ -277,13 +277,13 @@ def find_singular_vectors(rs, lam, k, D):
     Returns a list of (energy, weight-delta, vector).  The search box has
     radius 2D + 2.  Each vector is checked by acting on it with every
     raising generator; RealizationBug if one does not annihilate it.
-    WindowTooLarge, before any row is built, if the cells hold more than
+    WakimotoError, before any row is built, if the cells hold more than
     MAX_SINGULAR_WORK basis elements."""
     size = _search_size(rs, lam, D)
     if size > MAX_SINGULAR_WORK:
-        raise WindowTooLarge("the singular-vector search up to energy %d "
-                             "has %d basis elements; the limit is %d"
-                             % (D, size, MAX_SINGULAR_WORK))
+        raise WakimotoError("the singular-vector search up to energy %d "
+                            "has %d basis elements; the limit is %d"
+                            % (D, size, MAX_SINGULAR_WORK))
     radius = 2 * D + 2
     mod = RelaxedModule(rs, lam, k)
     roots = rs.positive_roots

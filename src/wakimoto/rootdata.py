@@ -18,7 +18,7 @@ from fractions import Fraction
 from itertools import permutations
 from operator import add, sub
 
-from .errors import DimensionError, InvalidRank
+from .errors import WakimotoError
 
 ZERO = Fraction(0)
 
@@ -54,7 +54,7 @@ class Weight:
 
     def _check(self, other):
         if len(self.coords) != len(other.coords):
-            raise DimensionError("weights over different root systems")
+            raise WakimotoError("weights over different root systems")
 
     def __repr__(self):
         return "Weight(%s)" % (", ".join(str(c) for c in self.coords),)
@@ -65,7 +65,7 @@ class RootSystem:
 
     def __init__(self, n):
         if n < 2:
-            raise InvalidRank("need n >= 2, got %r" % (n,))
+            raise WakimotoError("need n >= 2, got %r" % (n,))
         self.n = n
         self.rank = n - 1
         self.h = n
@@ -118,7 +118,7 @@ def build_root_system(n):
 def pairing(rs, lam, alpha):
     """<lam, alpha^vee>.  In type A alpha^vee has the same simple coefficients."""
     if len(lam.coords) != rs.rank or len(alpha) != rs.rank:
-        raise DimensionError("rank mismatch in pairing")
+        raise WakimotoError("rank mismatch in pairing")
     return sum((c * m for c, m in zip(lam.coords, alpha)), ZERO)
 
 

@@ -26,8 +26,7 @@ from fractions import Fraction
 from math import comb, factorial, perm, prod
 
 from . import liealg
-from .errors import (EmptyWeightSpace, EmptyWindow, ModuleMismatch,
-                     NotSimpleRoot, WindowTooLarge)
+from .errors import RealizationBug, WakimotoError
 from .linalg import charpoly, rational_roots
 from .liealg import bracket_symbols
 from .rootdata import (build_root_system, lattice_counts, offset_weight, rho,
@@ -116,7 +115,7 @@ def bernoulli_series(name, order):
     if name == "t*e^t/(e^t-1)":
         # t e^t/(e^t-1) = t/(1 - e^{-t}) = K0(-t)
         return [c if k % 2 == 0 else -c for k, c in enumerate(k0)]
-    raise ValueError("unknown kernel %r" % (name,))
+    raise RealizationBug("unknown kernel %r" % (name,))
 
 
 # -- C[nbar] tensor g and the series machinery --------------------------------
@@ -147,7 +146,7 @@ def apply_kernel(rs, coeffs, elem):
         acc = added_nested(acc, power, coeffs[i])
     else:
         if ad_u(rs, power):
-            raise RuntimeError("kernel order too small for nilpotency index")
+            raise RealizationBug("kernel order too small for nilpotency index")
     return acc
 
 
@@ -170,6 +169,14 @@ def _nbar_part(elem):
 
 _PI_CACHE = {}
 
+# The largest n whose pi_g is computed.  pi_g alone stays cheap for a while
+# (on a 2-core box `pi-g -n 8 e:theta` takes 1.7 s and 30 MB, `-n 9` 7 s
+# and 74 MB, `-n 10` 40 s), but the commands that lift it into the affine
+# fields do not: `ff-field -n 5 -k 1/2 e:theta` takes 3.1 s and 38 MB and
+# `verify zhu-diagram -n 5` 6.9 s and 40 MB, while `ff-field -n 6` took
+# 32 s and 329 MB.
+MAX_PI_G_N = 5
+
 
 def pi_g(rs, sym):
     """pi_g of a Chevalley basis symbol as a Weyl element (cached per
@@ -186,7 +193,12 @@ def _pi_g(rs, sym):
 
     pi_g(a) = -sum_alpha [K1(ad u)(e^{-ad u}a)_nbar]_alpha d_alpha
               + (e^{-ad u}a)_h,  K1(t) = t e^t/(e^t-1).
+
+    WakimotoError, before any series is computed, if n > MAX_PI_G_N.
     """
+    if rs.n > MAX_PI_G_N:
+        raise WakimotoError("pi_g at n = %d is above the limit n = %d"
+                            % (rs.n, MAX_PI_G_N))
     npos = len(rs.positive_roots)
     v = exp_minus_ad_u(rs, {sym: ONE})
     hpart = {s: p for s, p in v.items() if s[0] == "h"}
@@ -216,10 +228,21 @@ def pi_g_elem(rs, a):
     return out
 
 
+# The largest n whose p/q polynomials are computed.  On a 2-core box
+# `pq-polys -n 12 --gamma a2` takes 1.4 s and 37 MB and prints 1.9 MB, and
+# `-n 14` 6.5 s and 127 MB; `-n 16` took 33 s and 575 MB, and `-n 24` held
+# 1.8 GB after 60 s.
+MAX_PQ_N = 12
+
+
 def pq_polynomials(rs, gamma_idx):
-    """(p^gamma, q^gamma) for a simple root gamma; maps alpha -> polynomial."""
+    """(p^gamma, q^gamma) for a simple root gamma; maps alpha -> polynomial.
+    WakimotoError, before any series is computed, if n > MAX_PQ_N."""
     if sum(rs.positive_roots[gamma_idx]) != 1:
-        raise NotSimpleRoot("gamma must be simple")
+        raise WakimotoError("gamma must be simple")
+    if rs.n > MAX_PQ_N:
+        raise WakimotoError("the p/q polynomials at n = %d are above the "
+                            "limit n = %d" % (rs.n, MAX_PQ_N))
     N = _order_bound(rs)
     k0m1 = bernoulli_series("t/(e^t-1)-1", N)
     k1 = bernoulli_series("t*e^t/(e^t-1)", N)
@@ -238,9 +261,18 @@ def verify_pi_hom(n):
     return _pi_hom(n)[0]
 
 
+# The largest n that verify_pi_hom checks, all (dim g)^2 basis pairs.  On a
+# 2-core box `verify pi-hom -n 4` takes 3.6 s and 18 MB; `-n 5` took 94 s.
+MAX_PI_HOM_N = 4
+
+
 def _pi_hom(n):
     """(failures, checks) of verify_pi_hom, checks counting the ordered
-    basis pairs compared."""
+    basis pairs compared.  WakimotoError, before any pi_g or product is
+    computed, if n > MAX_PI_HOM_N."""
+    if n > MAX_PI_HOM_N:
+        raise WakimotoError("verify pi-hom at n = %d is above the limit "
+                            "n = %d" % (n, MAX_PI_HOM_N))
     rs = build_root_system(n)
     syms = liealg.basis_symbols(rs)
     failures = []
@@ -293,7 +325,7 @@ def act_F(w, rs, alpha_idx, lam, v):
     npos = len(rs.positive_roots)
     if ((w and len(next(iter(w))[0]) != npos)
             or (v and len(next(iter(v))) != npos)):
-        raise ModuleMismatch("root system mismatch")
+        raise WakimotoError("root system mismatch")
     hvals = _lam_2rho_values(rs, lam)
     out = {}
     for (xa, db), hp in w.items():
@@ -338,7 +370,7 @@ MAX_TOP_BOX = 300000
 def _check_window(radius):
     """Refuse a window that holds no weight beyond lambda itself."""
     if radius < 1:
-        raise EmptyWindow("window radius must be positive")
+        raise WakimotoError("window radius must be positive")
 
 
 def _in_window(coords, radius):
@@ -347,7 +379,7 @@ def _in_window(coords, radius):
 
 def _top_kmax(rs, alpha_idx, radius, kcap):
     """The largest k of the starts k alpha of a top's count in the window
-    |c| <= radius (0 for the Verma top).  WindowTooLarge if the counting
+    |c| <= radius (0 for the Verma top).  WakimotoError if the counting
     box prod_t (radius + 1 + kmax * alpha_t), which bounds the points held
     between the window's floor and the highest start, exceeds
     MAX_TOP_BOX."""
@@ -364,9 +396,9 @@ def _top_kmax(rs, alpha_idx, radius, kcap):
         kmax = kcap if sum(alpha) > 1 else rs.rank * radius
     box = prod(radius + 1 + kmax * a for a in alpha)
     if box > MAX_TOP_BOX:
-        raise WindowTooLarge("the top character up to radius %d needs a "
-                             "counting box of %d lattice points; the limit "
-                             "is %d" % (radius, box, MAX_TOP_BOX))
+        raise WakimotoError("the top character up to radius %d needs a "
+                            "counting box of %d lattice points; the limit "
+                            "is %d" % (radius, box, MAX_TOP_BOX))
     return kmax
 
 
@@ -380,7 +412,7 @@ def _top_counts(rs, alpha_idx, radius, kcap):
     For a non-simple alpha a window weight can have infinite multiplicity,
     so k stops at kcap, and an entry that (kcap + 1) alpha still reaches is
     reported as ('ge', n): at least the n counted.  A simple alpha needs no
-    cap, see _top_kmax.  WindowTooLarge, before anything is counted, if the
+    cap, see _top_kmax.  WakimotoError, before anything is counted, if the
     points held on the way exceed MAX_TOP_BOX.
     """
     kmax = _top_kmax(rs, alpha_idx, radius, kcap)
@@ -425,7 +457,7 @@ def gamma_alpha_multiplicity(rs, lam, alpha_idx, mu, D):
     basis = [m for m, _ in root_combinations([(1,)] * npos, (D,), 0)
              if fock_weight(rs, alpha_idx, lam, m) == mu]
     if not basis:
-        raise EmptyWeightSpace("mu is not a weight of the truncated slice")
+        raise WakimotoError("mu is not a weight of the truncated slice")
     index = {m: i for i, m in enumerate(basis)}
     cas = liealg.casimir_s_alpha(rs, alpha_idx)
     op = {}
@@ -444,7 +476,7 @@ def gamma_alpha_multiplicity(rs, lam, alpha_idx, mu, D):
     cp = charpoly(mat)
     roots, residual = rational_roots(cp)
     if residual:
-        raise ArithmeticError("non-rational eigenvalues in c_alpha spectrum")
+        raise RealizationBug("non-rational eigenvalues in c_alpha spectrum")
     return roots
 
 

@@ -7,7 +7,7 @@ import pytest
 
 from wakimoto.admissible import (MAX_ENUMERATION, AdmissibleLevel,
                                  admissible_check, all_partitions,
-                                 dominance_leq,
+                                 check_partition, dominance_leq,
                                  dominant_coweights, enumeration_size,
                                  hasse_covers, level_from_pq, levi_blocks,
                                  omega_certificates, omega_direct,
@@ -15,7 +15,7 @@ from wakimoto.admissible import (MAX_ENUMERATION, AdmissibleLevel,
                                  orbit_q, orbit_table, pr_k_bar, pr_k_classes,
                                  pr_k_integral, richardson, sigma_roots,
                                  transpose, y_is_admissible)
-from wakimoto.errors import RealizationBug, SizeMismatch
+from wakimoto.errors import RealizationBug, WakimotoError
 from wakimoto.rootdata import (Weight, all_weyl_elements, build_root_system,
                                pairing, rho, theta)
 
@@ -34,14 +34,24 @@ def wt(*cs):
 def test_admissible_check():
     lvl = admissible_check(Fr(-1, 2), 2)
     assert lvl == AdmissibleLevel(2, 3, 2, Fr(-1, 2))
-    assert admissible_check(Fr(-2), 2) == (False, "nonpositive")
-    assert admissible_check(Fr(-3, 2), 2) == (False, "p_too_small")
+    assert repr(lvl) == "AdmissibleLevel(n=2, p=3, q=2, k=Fraction(-1, 2))"
+    with pytest.raises(WakimotoError,
+                       match="^level not admissible: nonpositive$"):
+        admissible_check(Fr(-2), 2)
+    with pytest.raises(WakimotoError,
+                       match="^level not admissible: p_too_small$"):
+        admissible_check(Fr(-3, 2), 2)
     assert admissible_check(Fr(-3, 2), 3) == AdmissibleLevel(3, 3, 2, Fr(-3, 2))
 
 
 def test_level_from_pq():
     assert level_from_pq(2, 3, 2).k == Fr(-1, 2)
-    assert level_from_pq(2, 4, 2) == (False, "not_coprime")
+    with pytest.raises(WakimotoError,
+                       match="^level not admissible: not_coprime$"):
+        level_from_pq(2, 4, 2)
+    with pytest.raises(WakimotoError,
+                       match="^level not admissible: q_not_positive$"):
+        level_from_pq(2, 3, 0)
 
 
 def test_pr_k_integral():
@@ -354,8 +364,9 @@ def test_omega_theorem_matches_direct_grid():
                   for s in combinations(range(1, n), r)]
         for p in range(n, 6):
             for q in range(1, 4):
-                lvl = level_from_pq(n, p, q)
-                if not isinstance(lvl, AdmissibleLevel):
+                try:
+                    lvl = level_from_pq(n, p, q)
+                except WakimotoError:
                     continue
                 for sigma in sigmas:
                     assert omega_theorem(sigma, lvl) == \
@@ -379,8 +390,9 @@ def test_omega_borel_empty_iff_q_small():
     for n in (2, 3):
         for p, q in ((n, 1), (n + 1, 1), (2 * n + 1, 2), (2 * n + 1, n),
                      (3 * n + 1, n + 1)):
-            lvl = level_from_pq(n, p, q)
-            if not isinstance(lvl, AdmissibleLevel):
+            try:
+                lvl = level_from_pq(n, p, q)
+            except WakimotoError:
                 continue
             got = omega_theorem(set(), lvl)
             assert bool(got) == (q >= n)
@@ -435,10 +447,34 @@ def test_dominance():
     assert dominance_leq((1, 1, 1, 1), (2, 2))
     assert dominance_leq((2, 2), (3, 1))
     assert not dominance_leq((3, 1), (2, 2))
-    with pytest.raises(SizeMismatch):
+    with pytest.raises(WakimotoError, match="partitions of different n"):
         dominance_leq((2, 1), (2, 2))
-    with pytest.raises(SizeMismatch):
+    with pytest.raises(WakimotoError, match="not a partition"):
         transpose((1, 2))
+
+
+def covers_by_triple_scan(n):
+    """The oracle for hasse_covers: a < b is a cover iff no c has
+    a < c < b."""
+    ps = all_partitions(n)
+    leq = {(a, b) for a in ps for b in ps
+           if a != b and dominance_leq(a, b)}
+    return sorted((a, b) for a, b in leq
+                  if not any((a, c) in leq and (c, b) in leq for c in ps))
+
+
+def test_hasse_covers_match_the_triple_scan():
+    for n in range(1, 13):
+        assert hasse_covers(n) == covers_by_triple_scan(n)
+
+
+def test_all_partitions_are_the_partitions():
+    # p(n) for n = 1..12, each partition once
+    counts = [1, 2, 3, 5, 7, 11, 15, 22, 30, 42, 56, 77]
+    for n, count in enumerate(counts, 1):
+        ps = all_partitions(n)
+        assert len(set(ps)) == len(ps) == count
+        assert all(sum(p) == n and check_partition(p) == p for p in ps)
 
 
 def test_hasse_n4_is_a_chain():
@@ -482,7 +518,7 @@ def test_orbit_q():
     assert orbit_q(4, 2) == (2, 2)
     assert orbit_q(4, 5) == (4,)
     assert orbit_q(5, 2) == (2, 2, 1)
-    with pytest.raises(SizeMismatch):
+    with pytest.raises(WakimotoError, match="q must be positive"):
         orbit_q(4, 0)
 
 
@@ -492,8 +528,9 @@ def test_richardson_dominated_by_orbit_q():
     for n in (2, 3, 4):
         for p in range(n, n + 4):
             for q in range(1, n + 2):
-                lvl = level_from_pq(n, p, q)
-                if not isinstance(lvl, AdmissibleLevel):
+                try:
+                    lvl = level_from_pq(n, p, q)
+                except WakimotoError:
                     continue
                 for r in range(n):
                     for s in combinations(range(1, n), r):

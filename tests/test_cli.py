@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from wakimoto import admissible, modes, relaxed, weylpoly
+from wakimoto import admissible, cli, modes, relaxed, weylpoly
 from wakimoto.cli import (main, parse_fraction, parse_root, parse_sigma,
                           parse_symbol, parse_weight)
 from wakimoto.errors import RealizationBug, WakimotoError
@@ -466,6 +466,89 @@ def test_a_large_character_is_refused(argv, D, held, monkeypatch, capsys):
         "error: the character up to energy %d needs %d mode-table points "
         "times %d top points, %d; the limit is %d\n"
         % (D, points, held, points * held, relaxed.MAX_CHARACTER_WORK))
+
+
+def test_a_large_orbit_table_is_refused(monkeypatch, capsys):
+    # p(33) = 10,143 partitions: refused, from the count alone, before any
+    # partition is listed
+    def listed(*args):
+        raise AssertionError("listed before the size check")
+
+    monkeypatch.setattr(admissible, "root_combinations", listed)
+    assert main(["orbits", "-n", "33"]) == 2
+    assert capsys.readouterr().err == (
+        "error: n = 33 has 10143 partitions; the limit is %d\n"
+        % admissible.MAX_PARTITIONS)
+
+
+@pytest.mark.parametrize("argv", [
+    ["pi-g", "-n", "6", "e:theta"],
+    ["ff-field", "-n", "6", "-k", "1/2", "e:theta"],
+    ["verify", "zhu-diagram", "-n", "6"],
+    # admitted by MAX_AFFINE_CHECKS (487,200 checks at sl6, D = 0)
+    ["verify", "affine-comm", "-n", "6", "-k", "1/2", "-D", "0"],
+])
+def test_pi_g_above_the_limit_is_refused(argv, monkeypatch, capsys):
+    # refused before any series is computed or any process forked
+    def reached(*args):
+        raise AssertionError("reached before the size check")
+
+    for name in ("bernoulli_series", "exp_minus_ad_u", "apply_kernel"):
+        monkeypatch.setattr(weylpoly, name, reached)
+    monkeypatch.setattr(os, "fork", reached)
+    n = weylpoly.MAX_PI_G_N + 1
+    assert main(list(argv)) == 2
+    assert capsys.readouterr().err == (
+        "error: pi_g at n = %d is above the limit n = %d\n" % (n, n - 1))
+
+
+def test_pi_hom_above_the_limit_is_refused(monkeypatch, capsys):
+    # n = 5 took 94 s: refused before any pi_g or product is computed
+    def reached(*args):
+        raise AssertionError("reached before the size check")
+
+    for name in ("pi_g", "_pi_g", "weyl_mul"):
+        monkeypatch.setattr(weylpoly, name, reached)
+    n = weylpoly.MAX_PI_HOM_N + 1
+    assert main(["verify", "pi-hom", "-n", str(n)]) == 2
+    assert capsys.readouterr().err == (
+        "error: verify pi-hom at n = %d is above the limit n = %d\n"
+        % (n, n - 1))
+
+
+def test_pq_polys_above_the_limit_is_refused(monkeypatch, capsys):
+    # -n 16 took 33 s and 575 MB: refused before any series is computed
+    def reached(*args):
+        raise AssertionError("reached before the size check")
+
+    for name in ("bernoulli_series", "exp_minus_ad_u", "apply_kernel"):
+        monkeypatch.setattr(weylpoly, name, reached)
+    n = weylpoly.MAX_PQ_N + 1
+    assert main(["pq-polys", "-n", str(n), "--gamma", "a1"]) == 2
+    assert capsys.readouterr().err == (
+        "error: the p/q polynomials at n = %d are above the limit n = %d\n"
+        % (n, n - 1))
+
+
+@pytest.mark.parametrize("argv", [
+    ["richardson", "-n", "N", "--sigma", "1"],
+    ["orbits", "-n", "N"],
+    ["pi-g", "-n", "N", "h:1"],
+    ["prk", "-n", "N", "-p", "70", "-q", "1"],
+    ["verify", "characters", "-n", "N"],
+])
+def test_n_above_the_ceiling_is_refused(argv, monkeypatch, capsys):
+    # refused before the root system, whose size grows as n^3, is built
+    from wakimoto import rootdata
+
+    def built(*args):
+        raise AssertionError("built before the range check")
+
+    monkeypatch.setattr(rootdata, "RootSystem", built)
+    for n in (cli.MAX_N + 1, 10 ** 9):
+        assert main([str(n) if a == "N" else a for a in argv]) == 2
+        assert capsys.readouterr().err == "error: -n must be <= %d\n" \
+            % cli.MAX_N
 
 
 def test_a_gt_character_in_a_small_window_is_not_refused(capsys):

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wakimoto import rootdata
-from wakimoto.errors import DimensionError, InvalidRank
+from wakimoto.errors import WakimotoError
 from wakimoto.rootdata import (Weight, all_weyl_elements,
                                build_root_system, pairing, rho, theta)
 
@@ -92,7 +92,7 @@ def test_theta_is_highest():
 
 
 def test_invalid_rank():
-    with pytest.raises(InvalidRank):
+    with pytest.raises(WakimotoError, match="need n >= 2, got 1"):
         build_root_system(1)
 
 
@@ -107,7 +107,7 @@ def test_pairing_fundamental():
 
 def test_pairing_rank_mismatch():
     rs = build_root_system(3)
-    with pytest.raises(DimensionError):
+    with pytest.raises(WakimotoError, match="rank mismatch in pairing"):
         pairing(rs, Weight((1,)), rs.simple_roots[0])
 
 
