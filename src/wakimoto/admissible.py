@@ -13,6 +13,7 @@ from operator import itemgetter
 from .errors import RealizationBug, WakimotoError
 from .rootdata import (Weight, all_weyl_elements, build_root_system,
                        lattice_counts, pairing, rho, root_combinations, theta)
+from .sparse import integral
 
 
 # -- admissible numbers ----------------------------------------------------------
@@ -170,13 +171,6 @@ def pr_k_bar(lvl):
     return _dot_images(lvl, lambda w, eta: y_is_admissible(w, eta, lvl.q))
 
 
-def _integral(x):
-    """x as an int; RealizationBug, never a rounding, if it is not one."""
-    if x.denominator != 1:
-        raise RealizationBug("%s is not an integer" % (x,))
-    return x.numerator
-
-
 def pr_k_classes(lvl, weights):
     """Group the weights of pr_k_bar(lvl) by finite W dot-action orbits
     ([Pr_k-bar]): the classes in order of first appearance, each sorted.
@@ -188,7 +182,7 @@ def pr_k_classes(lvl, weights):
     q = lvl.q
     classes = {}
     for lam in weights:
-        E = _scaled_eps([_integral(q * (c + 1)) for c in lam.coords])
+        E = _scaled_eps([integral(q * (c + 1)) for c in lam.coords])
         classes.setdefault(tuple(sorted(E)), set()).add(lam)
     return [sorted(cls, key=lambda x: x.coords) for cls in classes.values()]
 

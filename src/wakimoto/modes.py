@@ -66,7 +66,7 @@ from .errors import RealizationBug, WakimotoError
 from .liealg import bracket_symbols, kappa0_symbols
 from .linalg import nullspace
 from .rootdata import Weight, build_root_system, rho, root_combinations
-from .sparse import add_into, add_term, added, scaled
+from .sparse import add_into, add_term, added, integral, scaled
 
 ONE = Fraction(1)
 
@@ -84,15 +84,6 @@ def _bump(m, key, delta):
             return m[:i] + ((key, e),) + m[i + 1:]
         return m[:i] + m[i + 1:]
     return m[:i] + ((key, delta),) + m[i:]
-
-
-def _integral(x):
-    """The rational x as an int; RealizationBug if it is not integral."""
-    x = Fraction(x)
-    if x.denominator != 1:
-        raise RealizationBug("the integer mode engine met the non-integral "
-                             "coefficient %s" % (x,))
-    return x.numerator
 
 
 class WakimotoModule:
@@ -245,7 +236,7 @@ def _scaled(module, F):
     hit = module._scales.get(F)
     if hit is None:
         f = lcm(*(Fraction(c).denominator for c, _, _ in F.terms))
-        terms = [(_integral(c * f), astars, main)
+        terms = [(integral(c * f), astars, main)
                  for c, astars, main in F.terms]
         hit = module._scales[F] = (module.den * f, terms)
     return hit
@@ -259,7 +250,7 @@ def _int_resolve(module, op):
     if alts is None:
         alts = module.resolve(*op)
         if op[0] == "b":
-            alts = tuple((_integral(f * module.den), step)
+            alts = tuple((integral(f * module.den), step)
                          for f, step in alts)
         module._int_resolved[op] = alts
     return alts
@@ -790,16 +781,19 @@ def top_component_check(n, lam, k, max_degree=None):
         max_degree = 20 if n == 2 else 3
     npos = len(rs.positive_roots)
     slices = [e for e, _ in root_combinations([(1,)] * npos, (max_degree,), 0)]
+    syms = liealg.basis_symbols(rs)
+    # pi_g's terms evaluated at lambda + 2 rho, once per symbol
+    terms = {sym: weylpoly.fock_terms(weylpoly.pi_g(rs, sym), rs, lam)
+             for sym in syms}
     failures = []
     for top, alpha_idx in (("V", None), ("GT", rs.simple_indices[0])):
         mod = WakimotoModule(rs, lam, k, alpha_idx)
-        for sym in liealg.basis_symbols(rs):
+        for sym in syms:
             F = pi_field(rs, sym, k)
-            w = weylpoly.pi_g(rs, sym)
             for exps in slices:
                 got = mode_apply(mod, F, 0,
                                  {fock_to_top_monomial(mod, exps): ONE})
-                fv = weylpoly.act_F(w, rs, alpha_idx, lam, {exps: ONE})
+                fv = weylpoly.fock_apply(terms[sym], alpha_idx, {exps: ONE})
                 expect = {fock_to_top_monomial(mod, e): c
                           for e, c in fv.items()}
                 if got != expect:

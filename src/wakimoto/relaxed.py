@@ -8,27 +8,41 @@ tuple of (n, sidx) meaning a^{(sidx)}_{-n} (n >= 1, sidx indexing the
 Chevalley basis in the canonical order) sorted by (n descending, sidx
 ascending), and top is a Fock monomial exponent tuple of the top component
 (F_nbar for the Verma top, F_{nbar,alpha} for a GT top).
+
+The PBW action computes in Python ints over one scale L per module.  A mode
+a_m acts on a basis element by commuting it to the right past each factor:
+a_m b_{-n} = b_{-n} a_m + [a, b]_{m-n} + m k kappa0(a, b) delta_{m,n}, and
+a_0 reaching the top acts by pi_g(a) on the Fock top.  The sl_n brackets
+are integers, and straightening two creation modes makes no central term,
+since their modes add to a negative number.  So every term of the result
+carries at most one non-integral factor: the central m k kappa0(a, b), or
+one top scalar, an h-polynomial of pi_g(a) evaluated at lambda + 2 rho.
+L = lcm(den k, the denominators of the top scalars of every basis symbol)
+makes each coefficient times L an int.  L is fixed on the module's first
+action (_fix_scale), so a module that never acts never computes pi_g; a
+scaled coefficient that is not an int raises RealizationBug.
+relaxed_verma_act divides each output entry by L once; the singular-vector
+search builds its rows from the scaled ints (_scaled_images).
 """
 
 from fractions import Fraction
-from math import prod
+from math import lcm, prod
 
 from . import liealg, weylpoly
 from .errors import RealizationBug, WakimotoError
 from .liealg import bracket_symbols, kappa0_symbols
 from .linalg import nullspace
 from .rootdata import lattice_counts, offset_weight, root_combinations
-from .sparse import add_into, add_term
+from .sparse import add_into, add_term, integral
 
 ONE = Fraction(1)
 
 
-def _pbw_key(f):
-    return (-f[0], f[1])
-
-
 class RelaxedModule:
-    """Relaxed Verma module context over the affine algebra at level k."""
+    """Relaxed Verma module context over the affine algebra at level k.
+    scale is L, None until the first action fixes it with the int tables
+    (_fix_scale); the action cache holds L times the exact results, and
+    the straightening cache the exact ints."""
 
     def __init__(self, rs, lam, k, alpha_idx=None):
         self.rs = rs
@@ -37,75 +51,110 @@ class RelaxedModule:
         self.alpha_idx = alpha_idx
         self.syms = liealg.basis_symbols(rs)
         self.sym_index = {s: i for i, s in enumerate(self.syms)}
+        self.scale = None
         self._act_cache = {}
+        self._insert_cache = {}
 
     def vacuum(self):
         return {((), (0,) * len(self.rs.positive_roots)): ONE}
 
-    def top_act(self, sym, exps):
-        """Zero-mode action on the top component, via the Fock realization."""
-        return weylpoly.act_F(weylpoly.pi_g(self.rs, sym), self.rs,
-                              self.alpha_idx, self.lam, {exps: ONE})
+
+def _fix_scale(mod):
+    """Fix L and the module's int tables, indexed by symbol index:
+    top_terms[s] holds the Fock terms of pi_g(s) with L times their
+    scalars, br[s][t] the bracket [s, t] as (index, int) pairs, and
+    central[s][t] the int L k kappa0(s, t)."""
+    rs, syms = mod.rs, mod.syms
+    terms = [weylpoly.fock_terms(weylpoly.pi_g(rs, s), rs, mod.lam)
+             for s in syms]
+    L = lcm(mod.k.denominator,
+            *(c.denominator for ts in terms for _, _, c in ts))
+    mod.top_terms = [[(xa, db, integral(c * L)) for xa, db, c in ts]
+                     for ts in terms]
+    mod.br = [[tuple((mod.sym_index[s3], integral(c))
+                     for s3, c in bracket_symbols(rs, s1, s2).items())
+               for s2 in syms] for s1 in syms]
+    mod.central = [[integral(mod.k * L * kappa0_symbols(rs, s1, s2))
+                    for s2 in syms] for s1 in syms]
+    mod.scale = L
 
 
-def _pbw_normalize(mod, factor_list, top, coeff, out):
-    """Straighten an arbitrarily ordered factor list into PBW order,
-    accumulating into out."""
-    fl = list(factor_list)
-    for i in range(len(fl) - 1):
-        if _pbw_key(fl[i]) > _pbw_key(fl[i + 1]):
-            a, b = fl[i], fl[i + 1]
-            swapped = fl[:i] + [b, a] + fl[i + 2:]
-            _pbw_normalize(mod, swapped, top, coeff, out)
-            br = bracket_symbols(mod.rs, mod.syms[a[1]], mod.syms[b[1]])
-            for sym2, c2 in br.items():
-                merged = fl[:i] + [(a[0] + b[0], mod.sym_index[sym2])] + fl[i + 2:]
-                _pbw_normalize(mod, merged, top, coeff * c2, out)
-            return
-    add_term(out, (tuple(fl), top), coeff)
+def _insert(mod, x, factors):
+    """The factor x times the PBW-ordered factors, straightened into PBW
+    order, as {factors: int}: x b = b x + [x, b] while x sorts after the
+    first factor b.  Exact, with no scale (see the module docstring).
+    Memoized on the module; callers must not change the result."""
+    key = (x, factors)
+    hit = mod._insert_cache.get(key)
+    if hit is not None:
+        return hit
+    b = factors[0] if factors else None
+    if b is None or x[0] > b[0] or (x[0] == b[0] and x[1] <= b[1]):
+        out = {(x,) + factors: 1}
+    else:
+        rest = factors[1:]
+        out = {}
+        for f2, c in _insert(mod, x, rest).items():
+            add_into(out, _insert(mod, b, f2), c)
+        n = x[0] + b[0]
+        for s, c in mod.br[x[1]][b[1]]:
+            add_into(out, _insert(mod, (n, s), rest), c)
+    mod._insert_cache[key] = out
+    return out
 
 
-def _act_basis(mod, sym, m, factors, top):
-    """a^{(sym)}_m applied to a single PBW basis element; returns a dict,
-    cached on the module, that callers must not change."""
-    ckey = (sym, m, factors, top)
+def _act_basis(mod, s, m, factors, top):
+    """L times a^{(s)}_m (s a symbol index) on the basis element (factors,
+    top), as {basis element: int}.  Memoized on the module; callers must
+    not change the result."""
+    ckey = (s, m, factors, top)
     hit = mod._act_cache.get(ckey)
     if hit is not None:
         return hit
-    rs = mod.rs
-    out = {}
     if m < 0:
-        _pbw_normalize(mod, [(-m, mod.sym_index[sym])] + list(factors),
-                       top, ONE, out)
+        L = mod.scale
+        out = {(f, top): c * L
+               for f, c in _insert(mod, (-m, s), factors).items()}
     elif not factors:
-        if m == 0:
-            for exps, c in mod.top_act(sym, top).items():
-                out[((), exps)] = c
+        # a zero mode acts on the top by pi_g, a positive mode kills it
+        image = (weylpoly.fock_apply(mod.top_terms[s], mod.alpha_idx,
+                                     {top: 1}) if m == 0 else {})
+        out = {((), exps): c for exps, c in image.items()}
     else:
         b = factors[0]
         rest = factors[1:]
-        bsym = mod.syms[b[1]]
         # a_m b_{-n} = b_{-n} a_m + [a,b]_{m-n} + m k kappa0(a,b) delta_{m,n}
-        inner = _act_basis(mod, sym, m, rest, top)
-        for (f2, t2), c in inner.items():
-            _pbw_normalize(mod, [b] + list(f2), t2, c, out)
-        br = bracket_symbols(rs, sym, bsym)
-        for sym2, c2 in br.items():
-            add_into(out, _act_basis(mod, sym2, m - b[0], rest, top), c2)
-        if m == b[0]:
-            kap = kappa0_symbols(rs, sym, bsym)
-            if kap:
-                add_term(out, (rest, top), m * mod.k * kap)
+        out = {}
+        for (f2, t2), c in _act_basis(mod, s, m, rest, top).items():
+            for f3, c3 in _insert(mod, b, f2).items():
+                add_term(out, (f3, t2), c * c3)
+        for s2, c2 in mod.br[s][b[1]]:
+            add_into(out, _act_basis(mod, s2, m - b[0], rest, top), c2)
+        if m == b[0] and mod.central[s][b[1]]:
+            add_term(out, (rest, top), m * mod.central[s][b[1]])
     mod._act_cache[ckey] = out
     return out
 
 
+def _scaled_images(mod, sym, m, basis):
+    """L times a^{(sym)}_m on each basis element, as the memoized {basis
+    element: int} dicts, which callers must not change.  The module's first
+    action fixes L."""
+    if mod.scale is None:
+        _fix_scale(mod)
+    s = mod.sym_index[sym]
+    return [_act_basis(mod, s, m, factors, top) for factors, top in basis]
+
+
 def relaxed_verma_act(mod, sym, m, vec):
-    """Action of the mode a^{(sym)}_m on a vector {basis element: coeff}."""
+    """Action of the mode a^{(sym)}_m on a vector {basis element: coeff},
+    exact: the int images of its basis elements summed with vec's
+    coefficients, each output entry divided by L once."""
     out = {}
-    for (factors, top), c in vec.items():
-        add_into(out, _act_basis(mod, sym, m, factors, top), c)
-    return out
+    for image, c in zip(_scaled_images(mod, sym, m, vec), vec.values()):
+        add_into(out, image, c)
+    L = mod.scale
+    return {b: Fraction(c, L) for b, c in out.items()}
 
 
 # -- characters ----------------------------------------------------------------
@@ -249,12 +298,12 @@ def _cells(monomials, roots, radius):
 
 
 # The most basis elements find_singular_vectors may search, counted before
-# any row is built.  The time per element grows with energy and rank.  On a
-# 2-core box: sl2 -D 7 (14,331) took 2.8 s and 55 MB, sl4 -D 1 (13,671)
-# 5 s and 68 MB, sl2 -D 8 (31,407) 10 s at k = 7/3 and 26 s at the vacuum
-# k = -1/2 (where one cell's kernel is beyond the modular certificate),
-# with 109 MB.  Refused: sl2 -D 9 (65,772), sl3 -D 3 (71,171;
-# 18.6 s and 269 MB at k = 1/2, lam = (1/3, 1/5)), sl5 -D 1 (422,442).
+# any row is built.  The time per element grows with energy and rank.  In
+# process on a 2-core box: sl2 -D 7 (14,331) took 2.1 s and 45 MB, sl4 -D 1
+# (13,671) 1.9 s and 61 MB, sl2 -D 8 (31,407) 8.3 s at k = 7/3 and 25.5 s
+# at the vacuum k = -1/2 (where one cell's kernel is beyond the modular
+# certificate), with 83 MB.  Refused: sl2 -D 9 (65,772), sl3 -D 3 (71,171;
+# 18.9 s and 225 MB at k = 1/2, lam = (1/3, 1/5)), sl5 -D 1 (422,442).
 MAX_SINGULAR_WORK = 40000
 
 
@@ -296,12 +345,12 @@ def find_singular_vectors(rs, lam, k, D):
         cells = _cells(monomials[d], roots, radius)
         for delta in sorted(cells):
             basis = cells[delta]
-            # one sparse row per (condition, image monomial)
+            # one sparse row per (condition, image monomial), L times the
+            # action in ints; scaling a row leaves its nullspace as it is
             rows = {}
             for sym, m in conds:
-                for j, b in enumerate(basis):
-                    for mono, c in relaxed_verma_act(mod, sym, m,
-                                                     {b: ONE}).items():
+                for j, image in enumerate(_scaled_images(mod, sym, m, basis)):
+                    for mono, c in image.items():
                         rows.setdefault((sym, m, mono), {})[j] = c
             for v in nullspace(list(rows.values()), ncols=len(basis)):
                 vec = {basis[j]: c for j, c in v.items()}

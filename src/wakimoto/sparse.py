@@ -5,6 +5,18 @@ vectors are all added, scaled and pruned here.  Coefficients keep the type
 they are given (int or Fraction).
 """
 
+from .errors import RealizationBug
+
+
+def integral(x):
+    """The rational x (int or Fraction) as an int; RealizationBug, never a
+    rounding, if it is not integral.  The integer engines scale their
+    coefficients so that this never raises on correct code."""
+    if x.denominator != 1:
+        raise RealizationBug("an integer engine met the non-integral "
+                             "coefficient %s" % (x,))
+    return x.numerator
+
 
 def add_into(out, src, scale=1):
     """In-place out += scale * src, pruning zeros."""

@@ -15,7 +15,7 @@ Every element is a sparse dict (see sparse):
   normal form with all x's to the left of all d's, and the commutation rule
   is [x_a, d_b] = -delta_ab (so d.x = x.d + 1 as operators);
 - a Fock vector is {exponent tuple: Fraction}, read by its module's top
-  (see act_F).
+  (see fock_apply).
 
 A module top is named by alpha_idx, the index of its twisting root alpha in
 rs.positive_roots: None for the Verma top M(lambda), and alpha for the
@@ -305,33 +305,34 @@ def fock_weight(rs, alpha_idx, lam, mono):
         for t in range(rs.rank)))
 
 
-def _lam_2rho_values(rs, lam):
+def fock_terms(w, rs, lam):
+    """The terms of a Weyl element with each h-polynomial evaluated at
+    lambda + 2 rho, as a list of (x-exponents, d-exponents, scalar); the
+    terms whose scalar is zero are dropped.  fock_apply applies them."""
     r2 = lam + 2 * rho(rs)
-    return [r2.coords[i] for i in range(rs.rank)]
+    hvals = [r2.coords[i] for i in range(rs.rank)]
+    out = []
+    for (xa, db), hp in w.items():
+        scal = poly_eval(hp, hvals)
+        if scal:
+            out.append((xa, db, scal))
+    return out
 
 
-def act_F(w, rs, alpha_idx, lam, v):
-    """Apply a Weyl element to a vector of F_nbar (alpha_idx None) or
-    F_{nbar,alpha} (alpha = positive root alpha_idx), twisted by
-    C_{lambda+2rho}; returns a new Fock vector.
+def fock_apply(terms, alpha_idx, v):
+    """Apply evaluated terms (fock_terms) to a vector of the top alpha_idx;
+    returns a new Fock vector whose coefficients are products of v's and
+    the scalars (ints on ints).
 
     On F_nbar: d_gamma multiplies, x_gamma acts as -d/d(d_gamma).
     On F_{nbar,alpha}: x_alpha multiplies, d_alpha = d/dx_alpha, the other
-    x_gamma act as -d/d(d_gamma), the other d_gamma multiply.  h acts on the
-    twist by (lambda+2rho)(h).  The operator x^a d^b acts d's-first, on each
-    variable from the monomial's own exponent e: at alpha d_alpha^b gives
-    perm(e, b), elsewhere x_gamma^a gives (-1)^a perm(e + b, a).
+    x_gamma act as -d/d(d_gamma), the other d_gamma multiply.  The operator
+    x^a d^b acts d's-first, on each variable from the monomial's own
+    exponent e: at alpha d_alpha^b gives perm(e, b), elsewhere x_gamma^a
+    gives (-1)^a perm(e + b, a).
     """
-    npos = len(rs.positive_roots)
-    if ((w and len(next(iter(w))[0]) != npos)
-            or (v and len(next(iter(v))) != npos)):
-        raise WakimotoError("root system mismatch")
-    hvals = _lam_2rho_values(rs, lam)
     out = {}
-    for (xa, db), hp in w.items():
-        scal = poly_eval(hp, hvals)
-        if scal == 0:
-            continue
+    for xa, db, scal in terms:
         for mono, c in v.items():
             f = 1
             m = []
@@ -347,6 +348,19 @@ def act_F(w, rs, alpha_idx, lam, v):
             else:
                 add_term(out, tuple(m), c * scal * f)
     return out
+
+
+def act_F(w, rs, alpha_idx, lam, v):
+    """Apply a Weyl element to a vector of F_nbar (alpha_idx None) or
+    F_{nbar,alpha} (alpha = positive root alpha_idx), twisted by
+    C_{lambda+2rho}, where h acts by (lambda+2rho)(h); returns a new Fock
+    vector.  The terms are evaluated (fock_terms) and then applied
+    (fock_apply, which states the action)."""
+    npos = len(rs.positive_roots)
+    if ((w and len(next(iter(w))[0]) != npos)
+            or (v and len(next(iter(v))) != npos)):
+        raise WakimotoError("root system mismatch")
+    return fock_apply(fock_terms(w, rs, lam), alpha_idx, v)
 
 
 # -- characters ---------------------------------------------------------------
@@ -466,9 +480,10 @@ def gamma_alpha_multiplicity(rs, lam, alpha_idx, mu, D):
         for f in factors[1:]:
             prod = weyl_mul(prod, pi_g_elem(rs, f))
         op = added_nested(op, prod, coef)
+    terms = fock_terms(op, rs, lam)
     mat = [[ZERO] * len(basis) for _ in range(len(basis))]
     for j, m in enumerate(basis):
-        img = act_F(op, rs, alpha_idx, lam, {m: ONE})
+        img = fock_apply(terms, alpha_idx, {m: ONE})
         for m2, c in img.items():
             i = index.get(m2)
             if i is not None:  # projection P_D

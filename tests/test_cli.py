@@ -204,9 +204,9 @@ def test_pi_hom_failures_are_symbol_label_pairs(monkeypatch, capsys):
 
 def test_zhu_diagram_failures_are_json_objects(monkeypatch, capsys):
     # doubling the finite action on the top breaks every nonzero zero mode
-    act_F = weylpoly.act_F
-    monkeypatch.setattr(weylpoly, "act_F",
-                        lambda *args: scaled(act_F(*args), 2))
+    fock_apply = weylpoly.fock_apply
+    monkeypatch.setattr(weylpoly, "fock_apply",
+                        lambda *args: scaled(fock_apply(*args), 2))
     returned = []
     check = modes.top_component_check
 
@@ -406,7 +406,8 @@ def test_a_large_singular_search_is_refused(n, D, size, monkeypatch, capsys):
     def reached(*args):
         raise AssertionError("reached before the size check")
 
-    for name in ("RelaxedModule", "relaxed_verma_act", "nullspace"):
+    for name in ("RelaxedModule", "relaxed_verma_act", "_scaled_images",
+                 "nullspace"):
         monkeypatch.setattr(relaxed, name, reached)
     lam = ",".join(["0"] * (n - 1))
     assert main(["verify", "singular", "-n", str(n), "-k", "1/2", "--lam",

@@ -11,7 +11,7 @@ import wakimoto
 
 SRC = os.path.dirname(wakimoto.__file__)
 
-ENTRY_POINTS = {"dominance_leq", "solve_c_gamma", "verify_pi_hom"}
+ENTRY_POINTS = {"act_F", "dominance_leq", "solve_c_gamma", "verify_pi_hom"}
 
 
 def _read_names(node):

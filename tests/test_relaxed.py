@@ -1,16 +1,22 @@
+import json
+import math
 from fractions import Fraction as Fr
 from itertools import product
 
 import pytest
 
 from wakimoto import relaxed
+from wakimoto.cli import main
+from wakimoto.errors import RealizationBug
 from wakimoto.liealg import basis_symbols, bracket_symbols, kappa0_symbols
 from wakimoto.relaxed import (RelaxedModule, character_relaxed_verma,
                               character_relaxed_wakimoto,
                               find_singular_vectors, relaxed_verma_act)
 from wakimoto.rootdata import (Weight, build_root_system, pairing,
                                root_combinations)
+from wakimoto.sparse import add_into, add_term
 from wakimoto.sparse import added as vec_add
+from wakimoto.weylpoly import act_F, pi_g
 
 from test_weylpoly import fock_oracle
 
@@ -103,6 +109,119 @@ def test_pbw_confluence_sl3_spot():
                 rhs = vec_add(rhs, base,
                               Fr(m) * mod.k * kappa0_symbols(RS3, s1, s2))
             assert lhs == rhs
+
+
+# -- the Fraction straightening oracle ----------------------------------------
+
+def _oracle_normalize(mod, factor_list, top, coeff, out):
+    """Straighten an arbitrarily ordered factor list into PBW order in
+    Fractions, swapping the first pair out of order, accumulating into
+    out."""
+    fl = list(factor_list)
+    for i in range(len(fl) - 1):
+        a, b = fl[i], fl[i + 1]
+        if (-a[0], a[1]) > (-b[0], b[1]):
+            _oracle_normalize(mod, fl[:i] + [b, a] + fl[i + 2:], top, coeff,
+                              out)
+            br = bracket_symbols(mod.rs, mod.syms[a[1]], mod.syms[b[1]])
+            for sym2, c2 in br.items():
+                merged = (fl[:i] + [(a[0] + b[0], mod.sym_index[sym2])]
+                          + fl[i + 2:])
+                _oracle_normalize(mod, merged, top, coeff * c2, out)
+            return
+    add_term(out, (tuple(fl), top), coeff)
+
+
+def _oracle_act(mod, sym, m, factors, top, cache):
+    """a^{(sym)}_m on one PBW basis element in Fractions, the top by act_F;
+    memoized in cache."""
+    ckey = (sym, m, factors, top)
+    hit = cache.get(ckey)
+    if hit is not None:
+        return hit
+    rs = mod.rs
+    out = {}
+    if m < 0:
+        _oracle_normalize(mod, [(-m, mod.sym_index[sym])] + list(factors),
+                          top, Fr(1), out)
+    elif not factors:
+        if m == 0:
+            for exps, c in act_F(pi_g(rs, sym), rs, mod.alpha_idx, mod.lam,
+                                 {top: Fr(1)}).items():
+                out[((), exps)] = c
+    else:
+        b = factors[0]
+        rest = factors[1:]
+        bsym = mod.syms[b[1]]
+        for (f2, t2), c in _oracle_act(mod, sym, m, rest, top,
+                                       cache).items():
+            _oracle_normalize(mod, [b] + list(f2), t2, c, out)
+        for sym2, c2 in bracket_symbols(rs, sym, bsym).items():
+            add_into(out, _oracle_act(mod, sym2, m - b[0], rest, top, cache),
+                     c2)
+        if m == b[0]:
+            kap = kappa0_symbols(rs, sym, bsym)
+            if kap:
+                add_term(out, (rest, top), m * mod.k * kap)
+    cache[ckey] = out
+    return out
+
+
+@pytest.mark.parametrize("n,k,lam,D", [
+    (2, Fr(-1, 2), (0,), 4), (2, Fr(7, 3), (Fr(1, 5),), 4),
+    (2, Fr(-4, 3), (Fr(1, 3),), 4), (3, Fr(-3, 2), (0, 0), 1),
+    (3, Fr(1, 2), (Fr(1, 3), Fr(1, 5)), 1)])
+def test_int_action_equals_the_fraction_oracle(n, k, lam, D):
+    # every basis element of the singular search's cells, under every
+    # symbol at modes -2..2 (the search's e_{alpha_i,0} and f_{theta,1}
+    # among them), on the Verma top and on the GT top along theta
+    rs = build_root_system(n)
+    lam = Weight(tuple(map(Fr, lam)))
+    monomials = relaxed._mode_monomials(RelaxedModule(rs, lam, k), D)
+    basis = [b for d in range(1, D + 1)
+             for cell in relaxed._cells(monomials[d], rs.positive_roots,
+                                        2 * D + 2).values()
+             for b in cell]
+    theta = rs.root_index[(1,) * rs.rank]
+    for alpha_idx in (None, theta):
+        mod = RelaxedModule(rs, lam, k, alpha_idx)
+        cache = {}
+        for sym in basis_symbols(rs):
+            for m in range(-2, 3):
+                for b in basis:
+                    assert (relaxed_verma_act(mod, sym, m, {b: Fr(1)})
+                            == _oracle_act(mod, sym, m, *b, cache))
+
+
+def test_the_scale_is_fixed_on_the_first_action():
+    # L = lcm(den k, den of the top scalars): at k = -4/3, lam = 1/5 the
+    # top scalars lie in (1/5)Z, and every cached coefficient is an int
+    mod = RelaxedModule(RS2, Weight((Fr(1, 5),)), Fr(-4, 3))
+    assert mod.scale is None
+    v = relaxed_verma_act(mod, ("f", 0), -1, mod.vacuum())
+    v = relaxed_verma_act(mod, ("e", 0), 1, v)
+    assert mod.scale == 15
+    assert v == {((), (0,)): Fr(1, 5) - Fr(4, 3)}
+    assert all(type(c) is int for res in mod._act_cache.values()
+               for c in res.values())
+
+
+def test_a_scale_without_den_k_is_a_realization_bug(monkeypatch):
+    # never round: with L missing den k = 3, L k kappa0 is not integral (at
+    # lam = 0 every top scalar is an int)
+    monkeypatch.setattr(relaxed, "lcm",
+                        lambda den_k, *dens: math.lcm(*dens))
+    mod = RelaxedModule(RS2, Weight((Fr(0),)), Fr(7, 3))
+    with pytest.raises(RealizationBug):
+        relaxed_verma_act(mod, ("f", 0), -1, mod.vacuum())
+
+
+def test_a_search_with_no_cells_computes_no_pi_g(capsys):
+    # nothing acts at D = 0, so sl6, above pi_g's limit, is searched and
+    # has no vectors
+    assert main(["verify", "singular", "-n", "6", "-k", "1/2", "--lam",
+                 "0,0,0,0,0", "-D", "0"]) == 0
+    assert json.loads(capsys.readouterr().out)["singular_vectors"] == []
 
 
 # -- characters --------------------------------------------------------------------
