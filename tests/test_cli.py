@@ -399,6 +399,26 @@ def test_a_large_affine_comm_is_refused(n, D, checks, monkeypatch, capsys):
     assert "commutator checks; the limit is" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("n", [5, 6])
+def test_affine_comm_above_the_rank_limit_is_refused(n, monkeypatch, capsys):
+    # admitted by MAX_AFFINE_CHECKS at D = 0 (157,080 checks at sl5, 487,200
+    # at sl6), but a check costs more as n grows: refused with a usage error
+    # before any field is solved or any process forked
+    def reached(*args):
+        raise AssertionError("reached before the size check")
+
+    for name in ("_check_top", "_comm_problem", "pi_field"):
+        monkeypatch.setattr(modes, name, reached)
+    monkeypatch.setattr(os, "fork", reached)
+    assert modes._affine_comm_checks(build_root_system(n), 0) \
+        <= modes.MAX_AFFINE_CHECKS
+    assert main(["verify", "affine-comm", "-n", str(n), "-k", "1/2",
+                 "-D", "0"]) == 2
+    assert capsys.readouterr().err == (
+        "error: verify affine-comm at n = %d is above the limit n = %d\n"
+        % (n, modes.MAX_AFFINE_N))
+
+
 @pytest.mark.parametrize("n,D,size", [(2, 9, 65772), (3, 3, 71171),
                                       (4, 2, 757137), (5, 1, 422442)])
 def test_a_large_singular_search_is_refused(n, D, size, monkeypatch, capsys):
@@ -486,8 +506,6 @@ def test_a_large_orbit_table_is_refused(monkeypatch, capsys):
     ["pi-g", "-n", "6", "e:theta"],
     ["ff-field", "-n", "6", "-k", "1/2", "e:theta"],
     ["verify", "zhu-diagram", "-n", "6"],
-    # admitted by MAX_AFFINE_CHECKS (487,200 checks at sl6, D = 0)
-    ["verify", "affine-comm", "-n", "6", "-k", "1/2", "-D", "0"],
 ])
 def test_pi_g_above_the_limit_is_refused(argv, monkeypatch, capsys):
     # refused before any series is computed or any process forked

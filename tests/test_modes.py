@@ -1,3 +1,4 @@
+import gc
 import os
 import time
 from fractions import Fraction as Fr
@@ -533,7 +534,7 @@ def test_integer_engine_holds_only_ints(monkeypatch):
         for mod in made:
             assert mod._plan_cache and mod._mode_cache
             assert all(type(c) is int for plan in mod._plan_cache.values()
-                       for c, _ in plan)
+                       for c, _, _ in plan)
             assert all(type(c) is int for res in mod._mode_cache.values()
                        for c in res.values())
 
@@ -549,19 +550,35 @@ def test_a_non_integral_plan_entry_is_a_realization_bug():
 
 
 def test_scaling_does_not_split_plan_keys(monkeypatch):
-    # a cold sl3 D=0 run, the dz solves of its e fields included, compiles
-    # as many plans as the engine did before it computed in ints
+    # a cold sl3 D=0 run, the dz solves of its e fields included, holds as
+    # many plans as the engine compiled before it computed in ints
     monkeypatch.setattr(modes, "_FIELD_CACHE", {})
-    compiled = []
-    compile_ = modes._compile
+    made = []
 
-    def counting(*args):
-        compiled.append(args)
-        return compile_(*args)
+    class Recording(WakimotoModule):
+        def __init__(self, *args):
+            super().__init__(*args)
+            made.append(self)
 
-    monkeypatch.setattr(modes, "_compile", counting)
+    monkeypatch.setattr(modes, "WakimotoModule", Recording)
     _affine_comm_in_process(3, Fr(-3, 2), 0)
-    assert len(compiled) == 2903
+    assert sum(len(mod._plan_cache) for mod in made) == 2903
+
+
+def test_a_check_leaves_no_cyclic_garbage():
+    # _check_top pauses the cyclic collector, which is safe only because the
+    # module, its caches and the plans it compiles hold no reference cycle:
+    # with the collector paused, a collection after both tops finds nothing
+    for n, k, dmax in ((2, K, 1), (3, Fr(-3, 2), 0)):
+        problem = modes._comm_problem(n, k)
+        gc.collect()
+        gc.disable()
+        try:
+            for alpha_idx in (None, problem[0].simple_indices[0]):
+                assert modes._check_top(problem, alpha_idx, dmax)[0] == []
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 def test_affine_comm_checks_each_unordered_pair_once():
