@@ -54,19 +54,14 @@ def pr_k_integral(lvl):
 
 # -- the extended affine Weyl group ----------------------------------------------
 
-# The largest n for which pr_k_bar and the Omega sets run over the Weyl
-# group S_n, all n! of its elements held at once.  On a 2-core box `prk -n 8
-# -p 8 -q 1` takes 0.18 s with a 21 MB peak and `omega -n 8 -p 8 -q 1`
-# 0.26 s (`prk -n 7 -p 7 -q 1`: 0.09 s); with the limit lifted in process,
-# `prk -n 9 -p 9 -q 1` took 0.9 s and 59 MB, and n = 12 would hold
-# 479,001,600 permutations.
-MAX_WEYL_N = 8
-
-# The largest enumeration_size that the same functions run, n! x #eta x
-# #Pr_{k,Z}.  On a 2-core box `prk -n 5 -p 8 -q 3` (63,000) takes 0.27 s
-# and prints 397 KB, and `prk -n 8 -p 8 -q 1` (40,320) 0.18 s; with the
-# limit lifted in process, `prk -n 7 -p 9 -q 2` (987,840) took 0.2 s and
-# printed 339 KB.
+# The largest enumeration_size that pr_k_bar and the Omega sets run, n! x
+# #eta x #Pr_{k,Z}.  It refuses every n >= 9, as n! >= 362,880 exceeds it,
+# so S_n is never held at a size above 8! = 40,320 elements (n = 12 would
+# hold 479,001,600).  On a 2-core box `prk -n 5 -p 8 -q 3` (63,000) takes
+# 0.27 s and prints 397 KB, `prk -n 8 -p 8 -q 1` (40,320) 0.18 s with a
+# 21 MB peak, and `omega -n 8 -p 8 -q 1` 0.26 s; with the limit lifted in
+# process, `prk -n 7 -p 9 -q 2` (987,840) took 0.2 s and printed 339 KB,
+# and `prk -n 9 -p 9 -q 1` 0.9 s and 59 MB.
 MAX_ENUMERATION = 100000
 
 
@@ -79,12 +74,8 @@ def enumeration_size(lvl):
 
 
 def _check_enumeration(lvl):
-    """WakimotoError (a usage error) if S_n, or the enumeration over it, is
-    too large to run."""
-    if lvl.n > MAX_WEYL_N:
-        raise WakimotoError("this enumerates all n! Weyl group elements; "
-                            "n = %d is above the limit %d"
-                            % (lvl.n, MAX_WEYL_N))
+    """WakimotoError (a usage error) if the enumeration over S_n is too
+    large to run."""
     size = enumeration_size(lvl)
     if size > MAX_ENUMERATION:
         raise WakimotoError("n = %d, p = %d, q = %d enumerates about %d "

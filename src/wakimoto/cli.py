@@ -14,8 +14,8 @@ from fractions import Fraction
 
 from . import admissible, modes, relaxed, weylpoly
 from .errors import WakimotoError
-from .rootdata import (Weight, build_root_system, frac_str, root_label,
-                       weight_to_json)
+from .rootdata import (Weight, build_root_system, default_weight, frac_str,
+                       root_label, weight_to_json)
 
 SCHEMA_VERSION = 1
 
@@ -217,8 +217,7 @@ def cmd_verify(args):
     elif suite == "zhu-diagram":
         rs = build_root_system(args.n)
         lam = (parse_weight(rs, args.lam) if args.lam
-               else Weight(tuple(Fraction(2 * i + 1, 3)
-                                 for i in range(rs.rank))))
+               else default_weight(rs))
         k = parse_fraction(args.k) if args.k else Fraction(1, 2)
         failures = [{"top": f["top"], "sym": symbol_label(rs, f["sym"]),
                      "exps": list(f["exps"])}
@@ -230,8 +229,7 @@ def cmd_verify(args):
             report["k"] = frac_str(parse_fraction(args.k))
         rs = build_root_system(args.n)
         lam = (parse_weight(rs, args.lam) if args.lam
-               else Weight(tuple(Fraction(2 * i + 1, 3)
-                                 for i in range(rs.rank))))
+               else default_weight(rs))
         top = args.top.upper() if args.top else "V"
         if top not in ("V", "GT"):
             raise WakimotoError("--top must be V or GT")
@@ -301,14 +299,17 @@ def cmd_prk(args):
     return 0
 
 
+def orbit_rows(n):
+    """admissible.orbit_table(n) as JSON rows, with list partitions."""
+    return [{"partition": list(r["partition"]), "dim": r["dim"],
+             "labels": r["labels"], "covers": [list(c) for c in r["covers"]]}
+            for r in admissible.orbit_table(n)]
+
+
 def cmd_orbits(args):
-    rows = admissible.orbit_table(args.n)
-    payload = {"n": args.n, "orbits": [
-        {"partition": list(r["partition"]), "dim": r["dim"],
-         "labels": r["labels"], "covers": [list(c) for c in r["covers"]]}
-        for r in rows]}
-    emit(args, payload,
-         "\n".join("%-12s dim %3d  %s" % (list(r["partition"]), r["dim"],
+    rows = orbit_rows(args.n)
+    emit(args, {"n": args.n, "orbits": rows},
+         "\n".join("%-12s dim %3d  %s" % (r["partition"], r["dim"],
                                           ",".join(r["labels"]))
                    for r in rows))
     return 0
@@ -344,10 +345,7 @@ def golden_payloads():
     lvl1 = admissible.level_from_pq(2, 2, 1)
     out["omega_n2_p2_q1_empty"] = [weight_to_json(w)
                                    for w in admissible.omega_direct(set(), lvl1)]
-    out["orbits_n4"] = [
-        {"partition": list(r["partition"]), "dim": r["dim"],
-         "labels": r["labels"], "covers": [list(c) for c in r["covers"]]}
-        for r in admissible.orbit_table(4)]
+    out["orbits_n4"] = orbit_rows(4)
     out["richardson_sl4_13"] = {
         "partition": list(admissible.richardson({1, 3}, 4)),
         "dim": admissible.orbit_dim(admissible.richardson({1, 3}, 4)),

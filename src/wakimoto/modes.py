@@ -21,11 +21,17 @@ mutually commuting operators, so group-internal order is immaterial.
 
 Each generator operation (x/d/b, index, mode) resolves to one action on a
 monomial: multiply by a key, differentiate a key times a factor, scale, or
-fan out over the rows of heis_gram (WakimotoModule.resolve).
+fan out over the rows of heis_gram (WakimotoModule.resolve, with int
+factors: a b-operation's are den times the exact ones).
 
 The mode engine computes in Python ints.  A module has den, the lcm of the
 denominators of lam2rho and heis_gram, and a field F has the scale
-s(F) = den * lcm(denominators of F's coefficients).  A mode of a field is
+s(F) = den * lcm(denominators of F's coefficients).  One rule,
+_annihilates, names the energy>0 keys a field factor differentiates and the
+z-exponent at which it does; the plans and groups both read it.  A term's
+z-exponents are chosen per factor (annihilating, top or scalar, or
+creation), the creation exponents being the compositions of what is left,
+from rootdata.root_combinations.  A mode of a field is
 evaluated through four caches on the module, all kept for the module's
 lifetime and all keyed on the FieldExpr instance itself, so a dropped
 field's id never reaches a new one:
@@ -71,14 +77,15 @@ import pickle
 import signal
 from bisect import bisect_left
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 from math import comb, lcm
 
 from . import liealg, weylpoly
 from .errors import RealizationBug, WakimotoError
 from .liealg import bracket_symbols, kappa0_symbols
 from .linalg import nullspace
-from .rootdata import Weight, build_root_system, rho, root_combinations
+from .rootdata import (Weight, build_root_system, default_weight,
+                       lattice_counts, rho, root_combinations)
 from .sparse import add_into, add_term, added, integral, scaled
 
 ONE = Fraction(1)
@@ -123,7 +130,6 @@ class WakimotoModule:
         self._group_cache = {}
         self._interned = {}
         self._resolved = {}
-        self._int_resolved = {}
 
     def vacuum(self):
         return {(): ONE}
@@ -133,7 +139,9 @@ class WakimotoModule:
         """The action of x_{g,j}, d_{x_{g,j}} or b_{g,j} (kind x, d or b) as a
         tuple of alternatives (factor, step), summed: step (key, 1)
         multiplies by key, (key, -1) differentiates by key, and None leaves
-        the monomial as it is.  Memoized, so equal steps share one tuple."""
+        the monomial as it is.  The factors are ints: +-1 for x and d, and
+        den times the exact ones (lam2rho, j heis_gram, creation 1) for b.
+        Memoized, so equal steps share one tuple."""
         op = (kind, g, j)
         alts = self._resolved.get(op)
         if alts is None:
@@ -155,15 +163,17 @@ class WakimotoModule:
                 return ((1, (("X", g, j), -1)),)
             return ((1, (("X0", g), -1)),) if top else ((1, (("D0", g), 1)),)
         if j <= -1:
-            return ((1, (("Y", g, -j), 1)),)
+            return ((self.den, (("Y", g, -j), 1)),)
         if j == 0:
-            s = self.lam2rho[g]
+            s = integral(self.lam2rho[g] * self.den)
             return ((s, None),) if s else ()
         # b_{i,n}, n >= 1: n heis_gram[i][jj] d/dy_{jj,n}, summed over jj
-        return tuple((j * c, (("Y", jj, j), -1))
+        return tuple((integral(j * c * self.den), (("Y", jj, j), -1))
                      for jj, c in enumerate(self.heis_gram[g]) if c)
 
     def _apply(self, kind, g, j, vec):
+        """The exact action of one generator operation on a vector: a
+        b-result is divided by den."""
         out = {}
         for factor, step in self.resolve(kind, g, j):
             for m, c in vec.items():
@@ -176,6 +186,8 @@ class WakimotoModule:
                         c = c * m[i][1]
                     m = _bump(m, key, delta)
                 add_term(out, m, c * factor)
+        if kind == "b":
+            return {m: Fraction(c, self.den) for m, c in out.items()}
         return out
 
     def apply_x(self, g, j, vec):
@@ -249,20 +261,6 @@ def _scaled(module, F):
     return hit
 
 
-def _int_resolve(module, op):
-    """module.resolve(*op) with int factors: a b-operation's factors
-    (lam2rho, j heis_gram, creation 1) times den; the x and d factors are
-    already +-1.  Memoized on the module."""
-    alts = module._int_resolved.get(op)
-    if alts is None:
-        alts = module.resolve(*op)
-        if op[0] == "b":
-            alts = tuple((integral(f * module.den), step)
-                         for f, step in alts)
-        module._int_resolved[op] = alts
-    return alts
-
-
 def _mode_apply_mono(module, F, m, mono):
     cache = module._mode_cache
     key = (F, m, mono)
@@ -307,25 +305,39 @@ def _mode_apply_raw(module, F, m, mono):
     return out
 
 
+def _factors(astars, main):
+    """A term's field factors in order: ("as", g, d) for each a*_g (d = 1
+    for dz a*_g), then main, ("a", g) or ("b", i), if there is one."""
+    return [("as", g, d) for g, d in astars] + ([main] if main else [])
+
+
+def _annihilates(module, f):
+    """(prefixes, shift) of the field factor f: f differentiates the
+    energy>0 key (kind, g, mm) iff (kind, g) is in prefixes, at z-exponent
+    -mm - shift.  a*_g reaches D(g, .) at -mm and dz a*_g at -mm - 1 (as
+    x_{g,-mm}); a_g reaches X(g, .), and b_i the Y(j, .) with
+    heis_gram[i][j] != 0, at -mm - 1."""
+    kind, g = f[:2]
+    if kind == "as":
+        return {("D", g)}, f[2]
+    if kind == "a":
+        return {("X", g)}, 1
+    return {("Y", j) for j, c in enumerate(module.heis_gram[g]) if c}, 1
+
+
 def _plan(module, F, m, support):
     """The plan of mode m of F on monomials whose energy>0 keys are support:
-    the groups of the subsets A of support that F can annihilate.  A factor
-    a*_g annihilates only keys D(g, .), a_g only X(g, .), b_i only the
-    Y(j, .) with heis_gram[i][j] != 0, and each factor of a term at most one
-    key, so A holds keys that F's factors reach, and no more of them than
-    F's longest term has factors."""
+    the groups of the subsets A of support that F can annihilate.  Each
+    factor of a term differentiates at most one key, and only the keys that
+    _annihilates names, so A holds keys that F's factors reach, and no more
+    of them than F's longest term has factors."""
     reach = set()
     longest = 0
     for _, astars, main in F.terms:
-        longest = max(longest, len(astars) + (main is not None))
-        reach.update(("D", g) for g, _ in astars)
-        if main is None:
-            continue
-        if main[0] == "a":
-            reach.add(("X", main[1]))
-        else:
-            reach.update(("Y", j) for j, c
-                         in enumerate(module.heis_gram[main[1]]) if c)
+        factors = _factors(astars, main)
+        longest = max(longest, len(factors))
+        for f in factors:
+            reach |= _annihilates(module, f)[0]
     keys = [key for key in support if key[:2] in reach]
     groups = module._group_cache
     plan = []
@@ -346,11 +358,11 @@ def _compile(module, F, m, A):
 
     For each term the z-exponent of every field factor is enumerated; an
     exponent that makes the factor a (nonzero-energy) annihilation operator is
-    proposed only if the corresponding creation generator is in A —
-    annihilation operators act first, and nothing in a term can create an
-    energy>0 generator before they apply, so this pruning is exact.  A
-    choice needs len(A) annihilation operators at least, since each
-    differentiates one key.  Each choice of exponents is a product of
+    proposed only if the corresponding creation generator is in A (the rule
+    of _annihilates) — annihilation operators act first, and nothing in a
+    term can create an energy>0 generator before they apply, so this pruning
+    is exact.  A choice needs len(A) annihilation operators at least, since
+    each differentiates one key.  Each choice of exponents is a product of
     generator operations, annihilators first; their resolved alternatives
     multiply out into chains of steps (key, +1 multiply / -1 differentiate),
     and a chain is kept if the energy>0 keys it differentiates are those of
@@ -366,79 +378,53 @@ def _compile(module, F, m, A):
     Entries of equal (needs, delta) add their coefficients.
 
     The coefficients are ints: each term's coefficient is taken times
-    s(F)/den, and den goes on the term's b-factor, or on the term itself if
-    it has none, so every entry is s(F) times its exact coefficient."""
-    dmods = {}
-    xmods = {}
-    ymods = set()
-    for kind, g, mm in A:
-        if kind == "D":
-            dmods.setdefault(g, []).append(mm)
-        elif kind == "X":
-            xmods.setdefault(g, []).append(mm)
-        else:
-            ymods.add((g, mm))
+    s(F)/den, and den goes on the term's b-factor (resolve), or on the term
+    itself if it has none, so every entry is s(F) times its exact
+    coefficient."""
     present = set(A)
     acc = {}
     for coeff, astars, main in _scaled(module, F)[1]:
         if main is None or main[0] != "b":
             coeff *= module.den
-        factors = [("as", g, d) for g, d in astars]
-        if main is not None:
-            factors.append(("main",) + main)
+        factors = _factors(astars, main)
         if len(factors) < len(A):
             continue
         if not factors:
             if m == -1:
                 add_term(acc, ((), ()), coeff)
             continue
-        # per factor, the exponents that annihilate a key of A, and whether
-        # j = -1 is its top operator or scalar; the creation side is j >= 0
+        # per factor, the exponents that annihilate a key of A (a set: b_i
+        # reaches Y(0, mm) and Y(1, mm) at one exponent); j = -1 is the top
+        # operator of a and the scalar of b, and j >= 0 creates
         ann = []
-        tops = []
         for f in factors:
-            if f[0] == "as":
-                g = f[1]
-                if f[2] == 0:
-                    ann.append([-mm for mm in dmods.get(g, ())])
-                else:
-                    # coefficient (j+1) => x-index j+1; x-index 0 vanishes
-                    ann.append([-mm - 1 for mm in dmods.get(g, ())])
-                tops.append(False)
-            elif f[1] == "a":
-                ann.append([-n - 1 for n in xmods.get(f[2], ())])
-                tops.append(True)  # n = 0: top operator, always admissible
-            else:
-                i = f[2]
-                ann.append(sorted({-mm - 1 for (jj, mm) in ymods
-                                   if module.heis_gram[i][jj] != 0}))
-                tops.append(True)  # n = 0: scalar
+            prefixes, shift = _annihilates(module, f)
+            ann.append(sorted({-mm - shift for kind, g, mm in A
+                               if (kind, g) in prefixes}))
         if sum(1 for a in ann if a) < len(A):
             continue
+        tops = [f[0] != "as" for f in factors]
         for js in _exponent_choices(ann, tops, -m - 1, len(A)):
             cmul = coeff
             annih = []
             create = []
             for f, j in zip(factors, js):
-                if f[0] == "as":
-                    _, g, d = f
-                    if d == 1:
-                        cmul *= (j + 1)
-                        xj = j + 1
-                    else:
-                        xj = j
+                kind, g = f[:2]
+                if kind == "as":
+                    # dz a*_g: coefficient j + 1 on x_{g,j+1}, 0 at j = -1
+                    xj = j + f[2]
+                    if f[2]:
+                        cmul *= xj
                     (annih if xj <= -1 else create).append(("x", g, xj))
-                elif f[1] == "a":
-                    n = -j - 1
-                    (annih if n >= 0 else create).append(("d", f[2], n))
-                else:
-                    n = -j - 1
-                    (annih if n >= 1 else create).append(("b", f[2], n))
+                elif kind == "a":  # d_{x_{g,n}}, n = -j - 1 >= 0 annihilates
+                    (annih if j <= -1 else create).append(("d", g, -j - 1))
+                else:  # b_{g,n}, n = -j - 1 >= 1 annihilates
+                    (annih if j <= -2 else create).append(("b", g, -j - 1))
             chains = [(cmul, ())]
             for op in annih + create:
                 chains = [(c * factor, chain + (step,) if step else chain)
                           for c, chain in chains
-                          for factor, step in _int_resolve(module, op)
+                          for factor, step in module.resolve(*op)
                           if step is None or step[1] > 0
                           or len(step[0]) == 2 or step[0] in present]
                 if not chains:
@@ -459,34 +445,26 @@ def _compile(module, F, m, A):
 def _exponent_choices(ann, tops, total, need):
     """Every tuple js of one z-exponent per factor with sum total, of which
     at least need annihilate: js[i] is in ann[i] (exponents < 0 that make
-    factor i annihilate), -1 where tops[i], or >= 0.  A depth-first walk on
-    an explicit stack, which cuts a branch once the factors left cannot
-    reach total or need."""
-    nfac = len(ann)
-    tail_min = [0] * (nfac + 1)
-    for i in range(nfac - 1, -1, -1):
-        tail_min[i] = tail_min[i + 1] + min(
-            ann[i] + ([-1] if tops[i] else []), default=0)
-    stack = [((), total, need)]
-    while stack:
-        js, remaining, need = stack.pop()
-        idx = len(js)
-        if idx == nfac - 1:
-            if remaining in ann[idx]:
-                need -= 1
-            elif remaining < (-1 if tops[idx] else 0):
-                continue
-            if need <= 0:
-                yield js + (remaining,)
+    factor i annihilate), -1 where tops[i], or >= 0.
+
+    Each factor picks a value of ann[i], -1 where tops[i], or creation
+    (None); a pick with fewer than need annihilators is dropped.  The
+    creation exponents are the compositions of what is left, from
+    root_combinations: all but the last creation factor take b, and the
+    last takes end."""
+    picks = [a + [-1] * top + [None] for a, top in zip(ann, tops)]
+    for pick in product(*picks):
+        if sum(j in a for j, a in zip(pick, ann)) < need:
             continue
-        jmax = remaining - tail_min[idx + 1]
-        cands = [(j, need - 1) for j in ann[idx] if j <= jmax]
-        if need < nfac - idx:
-            if tops[idx] and jmax >= -1:
-                cands.append((-1, need))
-            cands.extend((j, need) for j in range(jmax + 1))
-        for j, left in reversed(cands):
-            stack.append((js + (j,), remaining - j, left))
+        rest = total - sum(j for j in pick if j is not None)
+        c = pick.count(None)
+        if not c:
+            if not rest:
+                yield pick
+            continue
+        for b, end in root_combinations([(1,)] * (c - 1), (rest,), 0):
+            it = iter(b + end)
+            yield tuple(next(it) if j is None else j for j in pick)
 
 
 def _form(chain):
@@ -685,21 +663,18 @@ def _affine_comm_checks(rs, dmax):
 
     A top has C(npos + d, d) monomials of degree <= d, and at each mode
     m >= 1 there are dim g creation generators, so the mode monomials of
-    energy e number the coefficient of x^e in prod_m (1 - x^m)^(-dim g).
-    Each generator of energy <= E alone is such a monomial, so the count
-    exceeds the limit once (1 + E dim g) per_vector does, and the product
-    is expanded only up to that E."""
+    energy <= E are counted by one lattice_counts call, each generator of
+    mode m a step (m,) down from (E,).  Each generator of energy <= E alone
+    is such a monomial, so the count exceeds the limit once (1 + E dim g)
+    per_vector does, and only energies up to that E are counted."""
     npos = len(rs.positive_roots)
     dim = 2 * npos + rs.rank
     top_deg = _top_degree(rs)
     per_vector = 2 * comb(5 * dim, 2) * comb(npos + top_deg, top_deg)
     energy = min(dmax, MAX_AFFINE_CHECKS // (per_vector * dim) + 1)
-    counts = [1] + [0] * energy
-    for m in range(1, energy + 1):
-        for _ in range(dim):
-            for e in range(m, energy + 1):
-                counts[e] += counts[e - m]
-    return per_vector * sum(counts)
+    gens = [(m,) for m in range(1, energy + 1) for _ in range(dim)]
+    counts = lattice_counts({(energy,): 1}, gens, lambda c: c[0] >= 0)
+    return per_vector * sum(counts.values())
 
 
 def verify_affine_comm(n, k, dmax):
@@ -832,8 +807,7 @@ def _check_top(problem, alpha_idx, dmax):
 def _check_vectors(problem, alpha_idx, dmax):
     """The body of _check_top, run with the collector paused."""
     rs, k, fields, items, brackets = problem
-    lam = Weight([Fraction(2 * i + 1, 3) for i in range(rs.rank)])
-    mod = WakimotoModule(rs, lam, k, alpha_idx)
+    mod = WakimotoModule(rs, default_weight(rs), k, alpha_idx)
     top = "V" if alpha_idx is None else "GT"
     vectors = _spanning_vectors(mod, dmax, _top_degree(rs))
     failures = []
@@ -878,14 +852,14 @@ def fock_to_top_monomial(module, exps):
                   for g, e in enumerate(exps)})
 
 
-def top_component_check(n, lam, k, max_degree=None):
+def top_component_check(n, lam, k):
     """Zero modes of the affine realization restricted to energy 0 versus the
-    finite pi_g action, for every Chevalley basis element on a degree slice,
-    on the Verma top and the GT top twisted along the first simple root.
-    Returns the list of failures (expected empty)."""
+    finite pi_g action, for every Chevalley basis element on the top
+    monomials of degree <= 20 (sl2) or <= 3, on the Verma top and the GT top
+    twisted along the first simple root.  Returns the list of failures
+    (expected empty)."""
     rs = build_root_system(n)
-    if max_degree is None:
-        max_degree = 20 if n == 2 else 3
+    max_degree = 20 if n == 2 else 3
     npos = len(rs.positive_roots)
     slices = [e for e, _ in root_combinations([(1,)] * npos, (max_degree,), 0)]
     syms = liealg.basis_symbols(rs)

@@ -130,6 +130,13 @@ def theta(rs):
     return (1,) * rs.rank
 
 
+def default_weight(rs):
+    """The weight with coordinates (2i + 1)/3, i = 0..rank-1: the default
+    lambda of `verify zhu-diagram` and `verify characters`, and the highest
+    weight of the affine commutation check."""
+    return Weight([Fraction(2 * i + 1, 3) for i in range(rs.rank)])
+
+
 # -- enumerators ------------------------------------------------------------
 
 def root_combinations(roots, start, floor):

@@ -343,26 +343,27 @@ def test_prk_payload(capsys):
 @pytest.mark.parametrize("cmd", ["prk", "omega"])
 def test_weyl_group_enumeration_is_refused_above_the_limit(
         cmd, monkeypatch, capsys):
-    # 12! = 479,001,600 Weyl group elements: refused with a usage error
-    # before anything is enumerated (an enumeration here fails the test
-    # instead of running)
+    # n >= 9 makes at least n! >= 362,880 > MAX_ENUMERATION (Weyl element,
+    # eta, weight) triples: 9! x C(9, 8) and 12! x C(12, 11) at p = n + 1,
+    # q = 1, refused with a usage error before anything is enumerated (an
+    # enumeration here fails the test instead of running)
     def enumerated(*args):
         raise AssertionError("enumerated before the size check")
 
     for name in ("all_weyl_elements", "root_combinations"):
         monkeypatch.setattr(admissible, name, enumerated)
-    n = admissible.MAX_WEYL_N + 1
-    assert main([cmd, "-n", str(n), "-p", str(n + 1), "-q", "1"]) == 2
+    assert main([cmd, "-n", "9", "-p", "10", "-q", "1"]) == 2
     assert main([cmd, "-n", "12", "-p", "13", "-q", "1"]) == 2
     err = capsys.readouterr().err.splitlines()
-    assert err == ["error: this enumerates all n! Weyl group elements; "
-                   "n = %d is above the limit %d" % (m, n - 1)
-                   for m in (n, 12)]
+    assert err == ["error: n = %d, p = %d, q = 1 enumerates about %d (Weyl "
+                   "element, eta, weight) triples; the limit is %d"
+                   % (n, n + 1, size, admissible.MAX_ENUMERATION)
+                   for n, size in ((9, 3265920), (12, 5748019200))]
 
 
 @pytest.mark.parametrize("cmd", ["prk", "omega"])
 def test_a_large_enumeration_is_refused(cmd, monkeypatch, capsys):
-    # n = 7 is below MAX_WEYL_N, but p = 9, q = 2 makes 7! x C(7, 6) x
+    # S_7 has 5,040 elements, but p = 9, q = 2 makes 7! x C(7, 6) x
     # C(8, 6) = 987,840 (Weyl element, eta, weight) triples: refused before
     # anything is enumerated
     def enumerated(*args):

@@ -1,5 +1,6 @@
 import gc
 import os
+import random
 import time
 from fractions import Fraction as Fr
 from itertools import combinations, product
@@ -123,7 +124,7 @@ def test_zhu_correspondence_sl2():
 
 
 def test_top_component_check_sl2():
-    assert top_component_check(2, LAM2, K, max_degree=6) == []
+    assert top_component_check(2, LAM2, K) == []
 
 
 # -- c_gamma -----------------------------------------------------------------------
@@ -362,6 +363,49 @@ def test_spanning_vectors_match_brute_force():
     assert len(modes._spanning_vectors(vmod(RS3), 2, 1)) == 212
     assert len(modes._spanning_vectors(
         vmod(RS3, alpha_idx=0), 2, 1)) == 212
+
+
+# -- exponent choices against brute force ----------------------------------------
+
+def _choices_oracle(ann, tops, total, need):
+    """_exponent_choices by brute force: every exponent tuple in a box that
+    holds all the valid ones, filtered."""
+    lows = [min(a + [-1 if top else 0]) for a, top in zip(ann, tops)]
+    ranges = [range(lo, total - sum(lows) + lo + 1) for lo in lows]
+    out = set()
+    for js in product(*ranges):
+        if sum(js) != total:
+            continue
+        valid = [j in a or j >= 0 or (top and j == -1)
+                 for j, a, top in zip(js, ann, tops)]
+        if all(valid) and sum(j in a for j, a in zip(js, ann)) >= need:
+            out.add(js)
+    return out
+
+
+def test_exponent_choices_match_brute_force():
+    # inputs as _compile makes them: distinct sorted exponents < 0, and
+    # where tops[i] (a or b) every annihilating exponent is <= -2
+    rng = random.Random(0)
+    cases = [([[-2]], [True], -2, 1), ([[-1, -3]], [False], 0, 1),
+             ([[-2], []], [True, False], -9, 0),
+             ([[], []], [False, True], 3, 0)]
+    for _ in range(300):
+        nfac = rng.randint(1, 3)
+        tops = [rng.random() < 0.5 for _ in range(nfac)]
+        ann = [sorted(rng.sample(range(-4, -1 if top else 0),
+                                 rng.randint(0, 2))) for top in tops]
+        cases.append((ann, tops, rng.randint(-7, 3), rng.randint(0, nfac)))
+    below = some_needed = 0
+    for ann, tops, total, need in cases:
+        got = list(modes._exponent_choices(ann, tops, total, need))
+        expect = _choices_oracle(ann, tops, total, need)
+        assert len(got) == len(set(got)) and set(got) == expect
+        lowest = sum(min(a + [-1 if top else 0]) for a, top in zip(ann, tops))
+        below += total < lowest
+        some_needed += bool(need and expect)
+    # totals below the reachable minimum, and choices that need annihilators
+    assert below >= 10 and some_needed >= 50
 
 
 # -- compiled plans against the op-by-op evaluator ------------------------------------
