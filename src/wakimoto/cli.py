@@ -107,25 +107,11 @@ def emit(args, payload, text):
 
 
 def character_to_json(table):
-    rows = []
-
-    def keyfn(kv):
-        if isinstance(kv, Weight):
-            return (0, kv.coords)
-        return (kv[1], kv[0].coords)
-
-    for key in sorted(table, key=keyfn):
-        mult = table[key]
-        if isinstance(key, Weight):
-            row = {"weight": weight_to_json(key)}
-        else:
-            row = {"weight": weight_to_json(key[0]), "degree": key[1]}
-        if isinstance(mult, tuple):
-            row["mult"] = {"ge": mult[1]}
-        else:
-            row["mult"] = mult
-        rows.append(row)
-    return rows
+    """{Weight: mult} as rows sorted by weight; a multiplicity ('ge', n),
+    at least n, becomes {"ge": n}."""
+    return [{"weight": weight_to_json(w),
+             "mult": {"ge": m[1]} if isinstance(m, tuple) else m}
+            for w, m in sorted(table.items(), key=lambda wm: wm[0].coords)]
 
 
 # -- subcommands -----------------------------------------------------------------
@@ -197,75 +183,107 @@ def cmd_ff_field(args):
     return 0
 
 
+# -- verify suites ---------------------------------------------------------------
+#
+# A suite is a function (args, rs) -> (report fields, failures as JSON), the
+# failures None for a suite with no oracle yet.  It looks its check up on the
+# check's module when called, so a wrapper set on that module runs.
+
+def _verify_pi_hom(args, rs):
+    failures, checks = weylpoly.pi_hom_check(args.n)
+    return ({"pairs_checked": checks},
+            [[symbol_label(rs, s) for s in pair] for pair in failures])
+
+
+def _verify_affine_comm(args, rs):
+    k = parse_fraction(args.k)
+    failures, _ = modes.affine_comm_check(args.n, k, args.D)
+    return ({"k": frac_str(k), "D": args.D},
+            [{"pair": [symbol_label(rs, s) for s in f["pair"]],
+              "m": f["m"], "n": f["n"], "top": f["top"],
+              "vector": [[list(key), e] for key, e in f["vector"]]}
+             for f in failures])
+
+
+def _verify_zhu_diagram(args, rs):
+    lam = parse_weight(rs, args.lam) if args.lam else default_weight(rs)
+    k = parse_fraction(args.k) if args.k else Fraction(1, 2)
+    failures = modes.top_component_check(args.n, lam, k)
+    return ({"k": frac_str(k), "lambda": weight_to_json(lam)},
+            [{"top": f["top"], "sym": symbol_label(rs, f["sym"]),
+              "exps": list(f["exps"])} for f in failures])
+
+
+def _verify_singular(args, rs):
+    k = parse_fraction(args.k)
+    lam = parse_weight(rs, args.lam)
+    found = relaxed.find_singular_vectors(rs, lam, k, args.D)
+    return ({"k": frac_str(k), "lambda": weight_to_json(lam), "D": args.D,
+             "singular_vectors": [{"energy": d, "shift": list(delta),
+                                   "terms": len(v)}
+                                  for d, delta, v in found]}, None)
+
+
+def _verify_characters(args, rs):
+    fields = {}
+    if args.k is not None:
+        fields["k"] = frac_str(parse_fraction(args.k))
+    lam = parse_weight(rs, args.lam) if args.lam else default_weight(rs)
+    top = args.top.upper() if args.top else "V"
+    if top not in ("V", "GT"):
+        raise WakimotoError("--top must be V or GT")
+    ai = None
+    if top == "GT":
+        ai = parse_root(rs, args.alpha) if args.alpha else rs.simple_indices[0]
+        fields["alpha"] = root_label(rs.positive_roots[ai])
+    elif args.alpha:
+        raise WakimotoError("--alpha needs --top GT")
+    a = relaxed.character_relaxed_verma(rs, lam, ai, args.D, args.window)
+    b = relaxed.character_relaxed_wakimoto(rs, lam, ai, args.D, args.window)
+    fields.update({"top": top, "lambda": weight_to_json(lam), "D": args.D,
+                   "entries": len(a)})
+    keys = sorted((kk for kk in set(a) | set(b) if a.get(kk) != b.get(kk)),
+                  key=lambda kk: (kk[1], kk[0].coords))
+    return fields, [{"weight": weight_to_json(kk[0]), "degree": kk[1]}
+                    for kk in keys]
+
+
+_D3 = ("-D", {"type": int, "default": 3})
+
+# The verify suites, in the order `verify -h` lists them: name, help, the
+# options after -n and --format, and the suite function.
+SUITES = (
+    ("pi-hom", "pi_g preserves brackets", (), _verify_pi_hom),
+    ("affine-comm", "mode commutators of the affine realization",
+     (_D3, ("-k", {"required": True})), _verify_affine_comm),
+    ("zhu-diagram", "zero modes on the top agree with pi_g",
+     (("-k", {}), ("--lam", {})), _verify_zhu_diagram),
+    ("singular", "singular vectors up to energy D",
+     (_D3, ("-k", {"required": True}), ("--lam", {"required": True})),
+     _verify_singular),
+    ("characters", "PBW and free-field mode families give one character "
+                   "over one top count (whose oracle is in "
+                   "tests/test_weylpoly.py)",
+     (_D3, ("--window", {"type": int, "default": 6}),
+      ("-k", {"help": "echoed in the report; the characters do not depend "
+                      "on the level"}),
+      ("--lam", {}), ("--alpha", {}), ("--top", {})), _verify_characters),
+)
+
+
 def cmd_verify(args):
-    suite = args.suite
-    report = {"suite": suite, "n": args.n}
-    failures = []
-    if suite == "pi-hom":
-        rs = build_root_system(args.n)
-        pairs, report["pairs_checked"] = weylpoly._pi_hom(args.n)
-        failures = [[symbol_label(rs, s) for s in pair] for pair in pairs]
-    elif suite == "affine-comm":
-        k = parse_fraction(args.k)
-        rs = build_root_system(args.n)
-        failures = [{"pair": [symbol_label(rs, s) for s in f["pair"]],
-                     "m": f["m"], "n": f["n"], "top": f["top"],
-                     "vector": [[list(key), e] for key, e in f["vector"]]}
-                    for f in modes.verify_affine_comm(args.n, k, args.D)]
-        report["k"] = frac_str(k)
-        report["D"] = args.D
-    elif suite == "zhu-diagram":
-        rs = build_root_system(args.n)
-        lam = (parse_weight(rs, args.lam) if args.lam
-               else default_weight(rs))
-        k = parse_fraction(args.k) if args.k else Fraction(1, 2)
-        failures = [{"top": f["top"], "sym": symbol_label(rs, f["sym"]),
-                     "exps": list(f["exps"])}
-                    for f in modes.top_component_check(args.n, lam, k)]
-        report["k"] = frac_str(k)
-        report["lambda"] = weight_to_json(lam)
-    elif suite == "characters":
-        if args.k is not None:
-            report["k"] = frac_str(parse_fraction(args.k))
-        rs = build_root_system(args.n)
-        lam = (parse_weight(rs, args.lam) if args.lam
-               else default_weight(rs))
-        top = args.top.upper() if args.top else "V"
-        if top not in ("V", "GT"):
-            raise WakimotoError("--top must be V or GT")
-        ai = None
-        if top == "GT":
-            ai = (parse_root(rs, args.alpha) if args.alpha
-                  else rs.simple_indices[0])
-            report["alpha"] = root_label(rs.positive_roots[ai])
-        elif args.alpha:
-            raise WakimotoError("--alpha needs --top GT")
-        a = relaxed.character_relaxed_verma(rs, lam, ai, args.D, args.window)
-        b = relaxed.character_relaxed_wakimoto(rs, lam, ai, args.D,
-                                               args.window)
-        report.update({"top": top, "lambda": weight_to_json(lam),
-                       "D": args.D, "entries": len(a)})
-        if a != b:
-            keys = {kk for kk in set(a) | set(b)
-                    if a.get(kk) != b.get(kk)}
-            failures = [{"weight": weight_to_json(kk[0]), "degree": kk[1]}
-                        for kk in sorted(keys, key=lambda x: (x[1], x[0].coords))]
-    else:  # singular
-        rs = build_root_system(args.n)
-        k = parse_fraction(args.k)
-        lam = parse_weight(rs, args.lam)
-        found = relaxed.find_singular_vectors(rs, lam, k, args.D)
-        report.update({"k": frac_str(k), "lambda": weight_to_json(lam),
-                       "D": args.D,
-                       "singular_vectors": [
-                           {"energy": d, "shift": list(delta),
-                            "terms": len(v)} for d, delta, v in found]})
-        emit(args, report, json.dumps(report, sort_keys=True))
-        return 0
-    report["failures"] = failures
-    report["ok"] = not failures
-    emit(args, report, "ok" if not failures else "FAIL: %r" % (failures,))
-    return 0 if not failures else 1
+    """Run one suite.  The report is {"suite", "n"}, the suite's fields, and
+    its failures and "ok", except for a suite with no oracle yet (failures
+    None); exit 1 if any check failed."""
+    fields, failures = args.run(args, build_root_system(args.n))
+    report = {"suite": args.suite, "n": args.n, **fields}
+    if failures is None:
+        text = json.dumps(report, sort_keys=True)
+    else:
+        report.update(failures=failures, ok=not failures)
+        text = "FAIL: %r" % (failures,) if failures else "ok"
+    emit(args, report, text)
+    return 1 if failures else 0
 
 
 def cmd_omega(args):
@@ -404,15 +422,9 @@ def build_parser():
                              "admissible weights for sl_n")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p, k=False, D=None, window=None):
+    def common(p):
         p.add_argument("-n", type=int, required=True)
         p.add_argument("--format", choices=("json", "text"), default="json")
-        if k:
-            p.add_argument("-k", type=str, default=None)
-        if D is not None:
-            p.add_argument("-D", type=int, default=D)
-        if window is not None:
-            p.add_argument("--window", type=int, default=window)
 
     p = sub.add_parser("pi-g", help="print pi_g of a Chevalley element")
     common(p)
@@ -425,52 +437,36 @@ def build_parser():
     p.set_defaults(func=cmd_pq_polys)
 
     p = sub.add_parser("twist-char", help="character of T_alpha M(lambda)")
-    common(p, window=6)
+    common(p)
+    p.add_argument("--window", type=int, default=6)
     p.add_argument("--lam", required=True)
     p.add_argument("--alpha", required=True)
     p.add_argument("--kcap", type=int, default=weylpoly.KCAP)
     p.set_defaults(func=cmd_twist_char)
 
     p = sub.add_parser("gamma-mult", help="Gamma_alpha multiplicities")
-    common(p, D=4)
+    common(p)
+    p.add_argument("-D", type=int, default=4)
     p.add_argument("--lam", required=True)
     p.add_argument("--alpha", required=True)
     p.add_argument("--mu", required=True)
     p.set_defaults(func=cmd_gamma_mult)
 
     p = sub.add_parser("ff-field", help="free-field current of an element")
-    common(p, k=True)
+    common(p)
+    p.add_argument("-k")
     p.add_argument("symbol")
     p.set_defaults(func=cmd_ff_field)
 
     p = sub.add_parser("verify", help="verification suites")
     p.set_defaults(func=cmd_verify)
     suites = p.add_subparsers(dest="suite", required=True)
-    s = suites.add_parser("pi-hom", help="pi_g preserves brackets")
-    common(s)
-    s = suites.add_parser("affine-comm",
-                          help="mode commutators of the affine realization")
-    common(s, D=3)
-    s.add_argument("-k", required=True)
-    s = suites.add_parser("zhu-diagram",
-                          help="zero modes on the top agree with pi_g")
-    common(s, k=True)
-    s.add_argument("--lam", default=None)
-    s = suites.add_parser("singular", help="singular vectors up to energy D")
-    common(s, D=3)
-    s.add_argument("-k", required=True)
-    s.add_argument("--lam", required=True)
-    s = suites.add_parser("characters",
-                          help="PBW and free-field mode families give one "
-                               "character over one top count (whose oracle "
-                               "is in tests/test_weylpoly.py)")
-    common(s, D=3, window=6)
-    s.add_argument("-k", default=None,
-                   help="echoed in the report; the characters do not "
-                        "depend on the level")
-    s.add_argument("--lam", default=None)
-    s.add_argument("--alpha", default=None)
-    s.add_argument("--top", default=None)
+    for name, help_text, options, run in SUITES:
+        s = suites.add_parser(name, help=help_text)
+        common(s)
+        for flag, kwargs in options:
+            s.add_argument(flag, **kwargs)
+        s.set_defaults(run=run)
 
     for name, fn in (("omega", cmd_omega), ("prk", cmd_prk)):
         p = sub.add_parser(name)

@@ -63,7 +63,7 @@ module, so an equal tuple that many entries or results hold is stored once.
 None of the caches holds a reference cycle, so the commutation check runs
 with the cyclic garbage collector paused.
 
-verify_affine_comm checks its two tops in two processes: it solves the
+affine_comm_check checks its two tops in two processes: it solves the
 fields and brackets once, then forks (POSIX fork), and the parent checks the
 V top while the child checks the GT top, each with its own module and
 caches.  The wall time is about that of the slower top.  The memory is that
@@ -643,51 +643,48 @@ def _top_degree(rs):
     return 2 if rs.n == 2 else 1
 
 
-# The most commutator checks verify_affine_comm runs (_affine_comm_checks).
+# The most commutator checks affine_comm_check runs (_affine_comm_checks).
 # On a 2-core box, with the peak RSS of the parent (V top) and of the child
 # (GT top): sl2 at -D 7 (531,720 checks) takes 11 s, 128 + 139 MB, and sl3
 # at -D 2 (330,720) 22 s, 195 + 325 MB.  With the limit lifted, sl4 at -D 1
 # (621,600) takes 150 s, 866 + 1524 MB.
 MAX_AFFINE_CHECKS = 600000
-# The largest n verify_affine_comm admits.  A check costs more as n grows:
+# The largest n affine_comm_check admits.  A check costs more as n grows:
 # with this limit lifted, sl5 at -D 0 (157,080 checks) takes 91 s, 670 +
 # 993 MB.
 MAX_AFFINE_N = 4
 
 
 def _affine_comm_checks(rs, dmax):
-    """The commutator checks of verify_affine_comm, 2 tops x C(5 dim g, 2)
+    """The commutator checks of affine_comm_check, 2 tops x C(5 dim g, 2)
     item pairs x the spanning vectors of a top, counted without listing
-    them; exact unless it exceeds MAX_AFFINE_CHECKS, and then a lower bound
-    that exceeds it too.
+    them, up to energy dmax or up to the first energy whose count exceeds
+    MAX_AFFINE_CHECKS: exact if it does not exceed the limit, and otherwise
+    a lower bound that exceeds it too.
 
     A top has C(npos + d, d) monomials of degree <= d, and at each mode
     m >= 1 there are dim g creation generators, so the mode monomials of
     energy <= E are counted by one lattice_counts call, each generator of
-    mode m a step (m,) down from (E,).  Each generator of energy <= E alone
-    is such a monomial, so the count exceeds the limit once (1 + E dim g)
-    per_vector does, and only energies up to that E are counted."""
+    mode m a step (m,) down from (E,)."""
     npos = len(rs.positive_roots)
     dim = 2 * npos + rs.rank
     top_deg = _top_degree(rs)
     per_vector = 2 * comb(5 * dim, 2) * comb(npos + top_deg, top_deg)
-    energy = min(dmax, MAX_AFFINE_CHECKS // (per_vector * dim) + 1)
-    gens = [(m,) for m in range(1, energy + 1) for _ in range(dim)]
-    counts = lattice_counts({(energy,): 1}, gens, lambda c: c[0] >= 0)
-    return per_vector * sum(counts.values())
+    energy = 0
+    while True:
+        gens = [(m,) for m in range(1, energy + 1) for _ in range(dim)]
+        counts = lattice_counts({(energy,): 1}, gens, lambda c: c[0] >= 0)
+        checks = per_vector * sum(counts.values())
+        if checks > MAX_AFFINE_CHECKS or energy == dmax:
+            return checks
+        energy += 1
 
 
-def verify_affine_comm(n, k, dmax):
+def affine_comm_check(n, k, dmax):
     """Check [pi(a)_m, pi(b)_n] = pi([a,b])_{m+n} + m k kappa_0(a,b)
     delta_{m,-n} for modes -2..2 on spanning vectors of both tops; returns
-    the list of failures."""
-    return _affine_comm(n, k, dmax)[0]
-
-
-def _affine_comm(n, k, dmax):
-    """(failures, checks) of verify_affine_comm: the V top's, then the GT
-    top's, checks counting the (pair, m, n, top, vector) commutators
-    compared.
+    (failures, checks), the V top's failures, then the GT top's (expected
+    none), and the number of (pair, m, n, top, vector) commutators compared.
 
     The fields and brackets are solved once; then the process forks, and
     the parent checks the V top while the child checks the GT top.  The two
@@ -798,35 +795,23 @@ def _check_top(problem, alpha_idx, dmax):
     enabled = gc.isenabled()
     gc.disable()
     try:
-        return _check_vectors(problem, alpha_idx, dmax)
-    finally:
-        if enabled:
-            gc.enable()
-
-
-def _check_vectors(problem, alpha_idx, dmax):
-    """The body of _check_top, run with the collector paused."""
-    rs, k, fields, items, brackets = problem
-    mod = WakimotoModule(rs, default_weight(rs), k, alpha_idx)
-    top = "V" if alpha_idx is None else "GT"
-    vectors = _spanning_vectors(mod, dmax, _top_degree(rs))
-    failures = []
-    checks = 0
-    for i, (s1, m) in enumerate(items):
-        F1 = fields[s1]
-        for s2, nn in items[i + 1:]:
-            F2 = fields[s2]
+        rs, k, fields, items, brackets = problem
+        mod = WakimotoModule(rs, default_weight(rs), k, alpha_idx)
+        top = "V" if alpha_idx is None else "GT"
+        vectors = _spanning_vectors(mod, dmax, _top_degree(rs))
+        failures = []
+        checks = 0
+        for (s1, m), (s2, nn) in combinations(items, 2):
+            F1, F2 = fields[s1], fields[s2]
             br_fields, kap = brackets[(s1, s2)]
             exact = [(Fraction(c, _scaled(mod, F)[0]), F)
                      for c, F in br_fields]
             central = Fraction(m * k * kap if m == -nn else 0)
-            R = lcm(central.denominator,
-                    *(q.denominator for q, _ in exact))
+            R = lcm(central.denominator, *(q.denominator for q, _ in exact))
             s12 = _scaled(mod, F1)[0] * _scaled(mod, F2)[0]
             br = [(-s12 * int(q * R), F) for q, F in exact]
             central = -s12 * int(central * R)
-            for v in vectors:
-                (mono,) = v
+            for (mono,) in vectors:
                 acc = {}
                 for mono2, c in _mode_apply_mono(mod, F2, nn, mono).items():
                     add_into(acc, _mode_apply_mono(mod, F1, m, mono2), R * c)
@@ -840,7 +825,10 @@ def _check_vectors(problem, alpha_idx, dmax):
                 if acc:
                     failures.append({"pair": (s1, s2), "m": m, "n": nn,
                                      "vector": mono, "top": top})
-    return failures, checks
+        return failures, checks
+    finally:
+        if enabled:
+            gc.enable()
 
 
 # -- Zhu / top-component helpers ----------------------------------------------

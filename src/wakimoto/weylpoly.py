@@ -92,30 +92,19 @@ def weyl_mul(A, B):
 
 # -- series kernels -----------------------------------------------------------
 
-def bernoulli_series(name, order):
-    """Exact Taylor coefficients of the operator kernels, orders 0..order.
-
-    Names: 't/(e^t-1)', 't*e^t/(e^t-1)', 't/(e^t-1)-1', '(e^t-1)/t'.
-    Computed by inverting the series (e^t-1)/t.
-    """
+def bernoulli_k0(order):
+    """Exact Taylor coefficients of K0(t) = t/(e^t-1), orders 0..order,
+    computed by inverting the series (e^t-1)/t."""
     base = [Fraction(1, factorial(k + 1)) for k in range(order + 1)]
-    if name == "(e^t-1)/t":
-        return base
-    # invert: K0 * base = 1
     k0 = [ONE]
     for m in range(1, order + 1):
-        s = sum((k0[j] * base[m - j] for j in range(m)), ZERO)
-        k0.append(-s)
-    if name == "t/(e^t-1)":
-        return k0
-    if name == "t/(e^t-1)-1":
-        out = list(k0)
-        out[0] -= 1
-        return out
-    if name == "t*e^t/(e^t-1)":
-        # t e^t/(e^t-1) = t/(1 - e^{-t}) = K0(-t)
-        return [c if k % 2 == 0 else -c for k, c in enumerate(k0)]
-    raise RealizationBug("unknown kernel %r" % (name,))
+        k0.append(-sum((k0[j] * base[m - j] for j in range(m)), ZERO))
+    return k0
+
+
+def _k1(order):
+    """K1(t) = t e^t/(e^t-1) = K0(-t)."""
+    return [c if k % 2 == 0 else -c for k, c in enumerate(bernoulli_k0(order))]
 
 
 # -- C[nbar] tensor g and the series machinery --------------------------------
@@ -202,8 +191,7 @@ def _pi_g(rs, sym):
     npos = len(rs.positive_roots)
     v = exp_minus_ad_u(rs, {sym: ONE})
     hpart = {s: p for s, p in v.items() if s[0] == "h"}
-    k1 = bernoulli_series("t*e^t/(e^t-1)", _order_bound(rs))
-    w = apply_kernel(rs, k1, _nbar_part(v))
+    w = apply_kernel(rs, _k1(_order_bound(rs)), _nbar_part(v))
     terms = {}
     zero_h = (0,) * rs.rank
     for (kind, alpha), p in w.items():
@@ -244,31 +232,26 @@ def pq_polynomials(rs, gamma_idx):
         raise WakimotoError("the p/q polynomials at n = %d are above the "
                             "limit n = %d" % (rs.n, MAX_PQ_N))
     N = _order_bound(rs)
-    k0m1 = bernoulli_series("t/(e^t-1)-1", N)
-    k1 = bernoulli_series("t*e^t/(e^t-1)", N)
+    k0m1 = bernoulli_k0(N)
+    k0m1[0] -= 1  # K0 - 1
     one = (0,) * len(rs.positive_roots)
     pres = apply_kernel(rs, k0m1, {("f", gamma_idx): {one: ONE}})
     p_map = {s[1]: p for s, p in _nbar_part(pres).items()}
     eel = exp_minus_ad_u(rs, {("e", gamma_idx): ONE})
-    qres = apply_kernel(rs, k1, _nbar_part(eel))
+    qres = apply_kernel(rs, _k1(N), _nbar_part(eel))
     q_map = {s[1]: p for s, p in _nbar_part(qres).items()}
     return p_map, q_map
 
 
-def verify_pi_hom(n):
-    """Check pi_g([a,b]) = [pi_g(a), pi_g(b)] for all basis pairs; returns
-    the list of failing pairs (expected empty)."""
-    return _pi_hom(n)[0]
-
-
-# The largest n that verify_pi_hom checks, all (dim g)^2 basis pairs.  On a
+# The largest n that pi_hom_check checks, all (dim g)^2 basis pairs.  On a
 # 2-core box `verify pi-hom -n 4` takes 3.6 s and 18 MB; `-n 5` took 94 s.
 MAX_PI_HOM_N = 4
 
 
-def _pi_hom(n):
-    """(failures, checks) of verify_pi_hom, checks counting the ordered
-    basis pairs compared.  WakimotoError, before any pi_g or product is
+def pi_hom_check(n):
+    """Check pi_g([a,b]) = [pi_g(a), pi_g(b)] for all ordered basis pairs;
+    returns (failures, checks), the failing pairs (expected none) and the
+    number of pairs compared.  WakimotoError, before any pi_g or product is
     computed, if n > MAX_PI_HOM_N."""
     if n > MAX_PI_HOM_N:
         raise WakimotoError("verify pi-hom at n = %d is above the limit "

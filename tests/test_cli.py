@@ -241,16 +241,16 @@ def test_affine_comm_fails_on_a_wrong_dz_term(monkeypatch, capsys, scale):
     monkeypatch.setitem(modes._FIELD_CACHE, key,
                         modes.FieldExpr([t for t in terms if t[0]]))
     returned = []
-    verify = modes.verify_affine_comm
+    check = modes.affine_comm_check
 
     def recording(*args):
-        returned.append(verify(*args))
+        returned.append(check(*args))
         return returned[-1]
 
-    monkeypatch.setattr(modes, "verify_affine_comm", recording)
+    monkeypatch.setattr(modes, "affine_comm_check", recording)
     assert main(["verify", "affine-comm", "-n", "3", "-k", "-3/2",
                  "-D", "0"]) == 1
-    (failures,) = returned
+    ((failures, _),) = returned
     assert failures
     out = json.loads(capsys.readouterr().out)
     assert out["ok"] is False and len(out["failures"]) == len(failures)
@@ -274,16 +274,16 @@ def test_affine_comm_fails_on_a_new_denominator(monkeypatch, capsys):
     assert modes._scaled(mod, G)[0] == 7 * modes._scaled(mod, F)[0]
     modes._FIELD_CACHE[(3, ("h", 0), k)] = G
     returned = []
-    verify = modes.verify_affine_comm
+    check = modes.affine_comm_check
 
     def recording(*args):
-        returned.append(verify(*args))
+        returned.append(check(*args))
         return returned[-1]
 
-    monkeypatch.setattr(modes, "verify_affine_comm", recording)
+    monkeypatch.setattr(modes, "affine_comm_check", recording)
     assert main(["verify", "affine-comm", "-n", "3", "-k", "-3/2",
                  "-D", "0"]) == 1
-    (failures,) = returned
+    ((failures, _),) = returned
     assert len(failures) == 1115
     # the V top's failures, from the parent, before the GT top's, from the
     # child
@@ -315,6 +315,54 @@ def test_an_exception_in_the_gt_half_exits_3(monkeypatch, capsys):
         "internal error: GTHalfFailed: raised in the GT half\n"
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+
+
+# -- the suite table ----------------------------------------------------------------
+
+@pytest.mark.parametrize("suite", [name for name, *_ in cli.SUITES])
+def test_every_suite_has_help(suite, capsys):
+    assert main(["verify", suite, "-h"]) == 0
+    assert capsys.readouterr().out.startswith(
+        "usage: wakimoto verify %s [-h] -n N" % suite)
+
+
+def _one_entry_dropped(rs, lam, alpha_idx, dmax, radius):
+    """relaxed.character_relaxed_verma without its first entry."""
+    table = relaxed.character_relaxed_verma(rs, lam, alpha_idx, dmax, radius)
+    return dict(list(table.items())[1:])
+
+
+E1, F1 = ("e", 0), ("f", 0)
+
+# Every suite but singular (no oracle yet): the options after -n 2, and the
+# module and name of its check, patched to report one failure.
+ONE_FAILURE = {
+    "pi-hom": ([], weylpoly, "pi_hom_check", lambda n: ([(E1, F1)], 9)),
+    "affine-comm": (
+        ["-k", "1/2", "-D", "0"], modes, "affine_comm_check",
+        lambda n, k, dmax: ([{"pair": (E1, F1), "m": 0, "n": 1, "top": "V",
+                              "vector": ((("D0", 0), 1),)}], 1)),
+    "zhu-diagram": ([], modes, "top_component_check",
+                    lambda n, lam, k: [{"top": "V", "sym": E1,
+                                        "exps": (1,)}]),
+    "characters": (["-D", "1"], relaxed, "character_relaxed_wakimoto",
+                   _one_entry_dropped),
+}
+
+
+def test_every_suite_with_an_oracle_is_in_the_contract():
+    assert set(ONE_FAILURE) == {name for name, *_ in cli.SUITES} - {
+        "singular"}
+
+
+@pytest.mark.parametrize("suite", sorted(ONE_FAILURE))
+def test_a_failing_suite_reports_it_and_exits_1(suite, monkeypatch, capsys):
+    argv, mod, name, check = ONE_FAILURE[suite]
+    monkeypatch.setattr(mod, name, check)
+    assert main(["verify", suite, "-n", "2", *argv]) == 1
+    out = json.loads(capsys.readouterr().out)
+    assert out["suite"] == suite and out["n"] == 2
+    assert out["ok"] is False and len(out["failures"]) == 1
 
 
 def test_negative_rational_flag(capsys):
@@ -398,6 +446,29 @@ def test_a_large_affine_comm_is_refused(n, D, checks, monkeypatch, capsys):
     assert main(["verify", "affine-comm", "-n", str(n), "-k", "1/2",
                  "-D", "1000000000"]) == 2
     assert "commutator checks; the limit is" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("n,D", [(2, 8), (3, 3)])
+def test_a_huge_affine_comm_is_refused_at_once(n, D, monkeypatch, capsys):
+    # the count goes energy by energy and stops at the first energy past the
+    # limit, D here: -D 1000000000 counts as much as -D D, one lattice_counts
+    # call per energy 0..D, and prints the same bound
+    calls = []
+    count = modes.lattice_counts
+
+    def counted(*args):
+        calls.append(args)
+        return count(*args)
+
+    monkeypatch.setattr(modes, "lattice_counts", counted)
+    errs = []
+    for d in (D, 1000000000):
+        calls.clear()
+        assert main(["verify", "affine-comm", "-n", str(n), "-k", "1/2",
+                     "-D", str(d)]) == 2
+        assert len(calls) == D + 1
+        errs.append(capsys.readouterr().err)
+    assert errs[1] == errs[0].replace("D = %d " % D, "D = 1000000000 ")
 
 
 @pytest.mark.parametrize("n", [5, 6])
@@ -513,7 +584,7 @@ def test_pi_g_above_the_limit_is_refused(argv, monkeypatch, capsys):
     def reached(*args):
         raise AssertionError("reached before the size check")
 
-    for name in ("bernoulli_series", "exp_minus_ad_u", "apply_kernel"):
+    for name in ("bernoulli_k0", "exp_minus_ad_u", "apply_kernel"):
         monkeypatch.setattr(weylpoly, name, reached)
     monkeypatch.setattr(os, "fork", reached)
     n = weylpoly.MAX_PI_G_N + 1
@@ -541,7 +612,7 @@ def test_pq_polys_above_the_limit_is_refused(monkeypatch, capsys):
     def reached(*args):
         raise AssertionError("reached before the size check")
 
-    for name in ("bernoulli_series", "exp_minus_ad_u", "apply_kernel"):
+    for name in ("bernoulli_k0", "exp_minus_ad_u", "apply_kernel"):
         monkeypatch.setattr(weylpoly, name, reached)
     n = weylpoly.MAX_PQ_N + 1
     assert main(["pq-polys", "-n", str(n), "--gamma", "a1"]) == 2

@@ -11,9 +11,9 @@ import pytest
 from wakimoto import modes
 from wakimoto.errors import RealizationBug
 from wakimoto.liealg import basis_symbols, bracket_symbols, kappa0_symbols
-from wakimoto.modes import (FieldExpr, WakimotoModule, canon, mode_apply,
-                            pi_affine, pi_field, render_field, solve_c_gamma,
-                            top_component_check, verify_affine_comm)
+from wakimoto.modes import (FieldExpr, WakimotoModule, affine_comm_check,
+                            canon, mode_apply, pi_affine, pi_field,
+                            render_field, solve_c_gamma, top_component_check)
 from wakimoto.rootdata import Weight, build_root_system
 from wakimoto.sparse import added as vec_add
 from wakimoto.sparse import scaled
@@ -539,18 +539,18 @@ def test_compiled_plans_match_op_by_op_evaluator(rs, dmax, top_deg):
 # -- the full commutation suite (small instance; acceptance runs the big one) ------
 
 def test_verify_affine_comm_sl2_small():
-    assert verify_affine_comm(2, Fr(1, 2), 2) == []
+    assert affine_comm_check(2, Fr(1, 2), 2)[0] == []
 
 
 @pytest.mark.parametrize("n,dmax", [(2, 1), (3, 0)])
 def test_verify_affine_comm_at_sevenths_and_the_critical_level(n, dmax):
     for k in (Fr(-5, 7), Fr(-n)):
-        assert verify_affine_comm(n, k, dmax) == []
+        assert affine_comm_check(n, k, dmax)[0] == []
 
 
 def _affine_comm_in_process(n, k, dmax):
-    """_affine_comm with both tops checked in this process, so that a test
-    sees the modules and caches of the GT top too."""
+    """affine_comm_check with both tops checked in this process, so that a
+    test sees the modules and caches of the GT top too."""
     problem = modes._comm_problem(n, k)
     failures, checks = [], 0
     for alpha_idx in (None, problem[0].simple_indices[0]):
@@ -628,7 +628,7 @@ def test_a_check_leaves_no_cyclic_garbage():
 def test_affine_comm_checks_each_unordered_pair_once():
     # sl2 at D=1: 3 symbols x 5 modes give 15 items, so C(15, 2) = 105
     # checks per vector, on the spanning vectors of both tops
-    failures, checks = modes._affine_comm(2, Fr(1, 2), 1)
+    failures, checks = modes.affine_comm_check(2, Fr(1, 2), 1)
     assert failures == []
     items = list(product(basis_symbols(RS2), range(-2, 3)))
     pairs = len(list(combinations(items, 2)))
@@ -641,10 +641,10 @@ def test_affine_comm_checks_each_unordered_pair_once():
 
 def test_affine_comm_check_count_is_exact():
     # the count made before any work is C(5 dim g, 2) x the spanning vectors
-    # of both tops, listed, which is what _affine_comm checks
+    # of both tops, listed, which is what affine_comm_check checks
     # (test_affine_comm_checks_each_unordered_pair_once)
     assert modes._affine_comm_checks(RS2, 1) == \
-        modes._affine_comm(2, K, 1)[1]
+        modes.affine_comm_check(2, K, 1)[1]
     for n, dmaxes in ((2, range(8)), (3, range(4)), (4, range(2))):
         rs = build_root_system(n)
         pairs = comb(5 * len(basis_symbols(rs)), 2)
@@ -683,7 +683,7 @@ def _assert_no_child_left():
 
 def test_two_processes_give_the_in_process_result():
     for n, k, dmax in ((2, K, 1), (3, Fr(-3, 2), 0)):
-        assert modes._affine_comm(n, k, dmax) == \
+        assert modes.affine_comm_check(n, k, dmax) == \
             _affine_comm_in_process(n, k, dmax)
     _assert_no_child_left()
 
@@ -694,14 +694,14 @@ def test_an_exception_in_the_gt_half_reaches_the_caller(monkeypatch):
 
     _patch_top(monkeypatch, "GT", fail)
     with pytest.raises(TopFailed, match="raised in the GT half"):
-        verify_affine_comm(2, K, 0)
+        affine_comm_check(2, K, 0)
     _assert_no_child_left()
 
 
 def test_a_child_that_dies_is_a_realization_bug(monkeypatch):
     _patch_top(monkeypatch, "GT", lambda: os._exit(9))
     with pytest.raises(RealizationBug, match="without a result"):
-        verify_affine_comm(2, K, 0)
+        affine_comm_check(2, K, 0)
     _assert_no_child_left()
 
 
@@ -714,7 +714,7 @@ def test_an_unpicklable_exception_is_sent_as_a_realization_bug(monkeypatch):
 
     _patch_top(monkeypatch, "GT", fail)
     with pytest.raises(RealizationBug, match=r"Local\('in the GT half'\)"):
-        verify_affine_comm(2, K, 0)
+        affine_comm_check(2, K, 0)
     _assert_no_child_left()
 
 
@@ -729,7 +729,7 @@ def test_an_exception_in_the_v_half_kills_the_child(monkeypatch, exc):
     _patch_top(monkeypatch, "V", fail)
     start = time.monotonic()
     with pytest.raises(exc, match="raised in the V half"):
-        verify_affine_comm(2, K, 0)
+        affine_comm_check(2, K, 0)
     assert time.monotonic() - start < 30
     _assert_no_child_left()
 

@@ -2,7 +2,7 @@
 type is the CLI's exit code: `WakimotoError(...)` (exit 2, a refused input)
 or `RealizationBug(...)` (exit 3, a bug in the package).  A bare `raise`,
 and a raise of a bound name that re-raises a caught exception (as
-`modes._affine_comm` re-raises the GT half's), are allowed."""
+`modes.affine_comm_check` re-raises the GT half's), are allowed."""
 
 import ast
 import builtins

@@ -1,5 +1,6 @@
 from copy import deepcopy
 from fractions import Fraction as Fr
+from math import factorial
 
 import pytest
 
@@ -9,11 +10,11 @@ from wakimoto.liealg import basis_symbols, bracket_symbols
 from wakimoto.rootdata import (Weight, build_root_system, offset_weight,
                                root_combinations)
 from wakimoto.sparse import added_nested
-from wakimoto.weylpoly import (KCAP, _top_counts, act_F, apply_kernel,
-                               bernoulli_series, fock_weight,
+from wakimoto.weylpoly import (KCAP, _k1, _top_counts, act_F, apply_kernel,
+                               bernoulli_k0, fock_weight,
                                gamma_alpha_multiplicity, pi_g, pi_g_elem,
-                               pq_polynomials, render_weyl, twist_character,
-                               verify_pi_hom, weyl_mul)
+                               pi_hom_check, pq_polynomials, render_weyl,
+                               twist_character, weyl_mul)
 
 RS2 = build_root_system(2)
 RS3 = build_root_system(3)
@@ -74,30 +75,30 @@ def test_sums_leave_operands_unchanged():
     keep = deepcopy((p, q))
     assert added_nested(p, q, Fr(-1)) == {("f", 1): {one: Fr(1)}}
     added_nested(q, p, 3)
-    apply_kernel(RS3, bernoulli_series("t/(e^t-1)", 8), p)
+    apply_kernel(RS3, bernoulli_k0(8), p)
     assert (p, q) == keep
 
 
 def test_bernoulli_k0():
-    assert bernoulli_series("t/(e^t-1)", 4) == [
+    assert bernoulli_k0(4) == [
         Fr(1), Fr(-1, 2), Fr(1, 12), Fr(0), Fr(-1, 720)]
 
 
 def test_bernoulli_k1_order1():
-    k1 = bernoulli_series("t*e^t/(e^t-1)", 4)
+    k1 = _k1(4)
     assert k1[0] == 1 and k1[1] == Fr(1, 2)
+    # t e^t/(e^t-1) - t/(e^t-1) = t
+    assert [a - b for a, b in zip(k1, bernoulli_k0(4))] == [0, 1, 0, 0, 0]
 
 
 def test_all_kernels_start_at_one():
-    for name in ("t/(e^t-1)", "t*e^t/(e^t-1)", "(e^t-1)/t"):
-        assert bernoulli_series(name, 2)[0] == 1
-    assert bernoulli_series("t/(e^t-1)-1", 2)[0] == 0
+    assert bernoulli_k0(2)[0] == 1 and _k1(2)[0] == 1
 
 
 def test_kernel_product_identity():
     # K0 * (e^t-1)/t = 1
-    k0 = bernoulli_series("t/(e^t-1)", 6)
-    base = bernoulli_series("(e^t-1)/t", 6)
+    k0 = bernoulli_k0(6)
+    base = [Fr(1, factorial(k + 1)) for k in range(7)]
     for m in range(7):
         s = sum(k0[j] * base[m - j] for j in range(m + 1))
         assert s == (1 if m == 0 else 0)
@@ -144,8 +145,8 @@ def test_pi_g_sl2_anchors():
 
 
 def test_pi_hom_sl2_sl3():
-    assert verify_pi_hom(2) == []
-    assert verify_pi_hom(3) == []
+    assert pi_hom_check(2)[0] == []
+    assert pi_hom_check(3)[0] == []
 
 
 def test_pq_sl2():
