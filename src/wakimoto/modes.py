@@ -29,37 +29,48 @@ denominators of lam2rho and heis_gram, and a field F has the scale
 s(F) = den * lcm(denominators of F's coefficients).  One rule,
 _annihilates, names the energy>0 keys a field factor differentiates and the
 z-exponent at which it does; the plans and groups both read it.  A term's
-z-exponents are chosen per factor (annihilating, top or scalar, or
-creation), the creation exponents being the compositions of what is left,
-from rootdata.root_combinations.  A mode of a field is
-evaluated through four caches on the module, all kept for the module's
-lifetime and all keyed on the FieldExpr instance itself, so a dropped
-field's id never reaches a new one:
+z-exponents are chosen annihilators first (a combination of factors), then
+top or scalar, or creation, the creation exponents being the compositions
+of what is left, from rootdata.root_combinations.
 
-- the scale cache, keyed by field: s(F) and F's terms with integer
-  coefficients;
+Inside the engine a monomial is one int, its code: each key has a WIDTH-bit
+field, assigned the first time the module meets the key (module.shift), and
+holds the key's exponent there.  encode refuses an exponent at or above half a
+field's range, the guard, and a result with a field's top bit set is a
+RealizationBug.  A chain moves one key's exponent by at most its term's
+number of factors, so a result of an in-range code never carries into the
+next field.  mode_apply encodes its input and decodes its output, and a
+failure reports its vector as a sorted tuple.
+
+A mode of a field is evaluated through four caches on the module, all kept
+for the module's lifetime and all keyed on the FieldExpr instance itself,
+so a dropped field's id never reaches a new one:
+
+- the scale cache, keyed by field: s(F), F's terms with integer
+  coefficients, and the keys F reaches and F's longest term, read by _plan;
 - the group cache, keyed by (field, mode, A), A being a sorted tuple of
   energy>0 keys: the entries of the field's mode whose chains of generator
   steps differentiate exactly the energy>0 keys of A.  An entry is
   (c, needs, delta): c is the int s(F) times the exact coefficient, needs
-  the sorted (key, offset) factors the chain multiplies by (exps[key] +
-  offset on a monomial of exponents exps), and delta the chain's net
-  exponent change.  The entry vanishes exactly where a factor is 0, and
-  entries of equal (needs, delta) are merged;
+  the (shift, offset) factors the chain multiplies by ((code >> shift &
+  MASK) + offset, the key's exponent plus offset), and delta the chain's
+  net change of the code, one int.  The entry vanishes exactly where a
+  factor is 0, and entries of equal (needs, delta) are merged;
 - the plan cache, keyed by (field, mode, support), where the support is the
-  tuple of the monomial's energy>0 keys: the entries of the groups of the
-  subsets of the support, shared with the group cache.  The creation-only
-  group (A empty) is compiled once per (field, mode), not once per support;
-- the mode cache, keyed by (field, mode, monomial), holding s(F) times the
-  result vector of one monomial, in ints.  An entry that vanishes on the
-  monomial is skipped before the monomial is copied.
+  tuple of the monomial's energy>0 keys, computed once per code: the
+  entries of the groups of the subsets of the support, shared with the
+  group cache.  The creation-only group (A empty) is compiled once per
+  (field, mode), not once per support;
+- the mode cache, one table per (field, mode), from a code to s(F) times
+  the result vector of that monomial, keyed by codes, in ints.  A surviving
+  entry's result is code + delta, one addition.
 
 mode_apply divides by s(F) once per output entry; the commutation verifier
 never divides: it sums its two sides, each cross-multiplied by the other's
 denominator, into one dict, which is empty iff the check holds.
 
-The needs and delta tuples and the result monomials are interned per
-module, so an equal tuple that many entries or results hold is stored once.
+The needs tuples, deltas, supports and result codes are interned per
+module, so an equal one that many entries or results hold is stored once.
 None of the caches holds a reference cycle, so the commutation check runs
 with the cyclic garbage collector paused.
 
@@ -89,6 +100,9 @@ from .rootdata import (Weight, build_root_system, default_weight,
 from .sparse import add_into, add_term, added, integral, scaled
 
 ONE = Fraction(1)
+# The bits of a key's field in a code, and their mask.
+WIDTH = 8
+MASK = (1 << WIDTH) - 1
 
 
 def canon(d):
@@ -130,9 +144,21 @@ class WakimotoModule:
         self._group_cache = {}
         self._interned = {}
         self._resolved = {}
+        self._shifts = {}
+        self._guard = 0
+        self._supports = {}
 
     def vacuum(self):
         return {(): ONE}
+
+    def shift(self, key):
+        """The bit shift of key's field in a code, assigned the first time
+        the module meets key; the field's top bit joins the guard."""
+        s = self._shifts.get(key)
+        if s is None:
+            s = self._shifts[key] = WIDTH * len(self._shifts)
+            self._guard |= 1 << (s + WIDTH - 1)
+        return s
 
     # -- generator operations -----------------------------------------------
     def resolve(self, kind, g, j):
@@ -239,68 +265,101 @@ def render_field(F):
 def mode_apply(module, F, m, vec):
     """Apply mode m of the field F to a vector (dict monomial -> coeff).
 
-    Results are memoized per (field, mode, monomial) on the module as s(F)
+    Results are memoized per (field, mode) and code on the module as s(F)
     times the exact ones; each output entry is divided by s(F) once."""
+    table = _table(module, F, m)
     out = {}
     for mono, c in vec.items():
-        add_into(out, _mode_apply_mono(module, F, m, mono), c)
+        add_into(out, _result(module, F, m, table, encode(module, mono)), c)
     s = _scaled(module, F)[0]
-    return {mono: Fraction(c, s) for mono, c in out.items()}
+    return {decode(module, code): Fraction(c, s) for code, c in out.items()}
+
+
+def encode(module, mono):
+    """The code of a sorted-tuple monomial: RealizationBug if an exponent is
+    at or above the guard, half of a field's range."""
+    code = 0
+    for key, e in mono:
+        if e >> (WIDTH - 1):
+            raise RealizationBug("the exponent %d of %r is at or above the "
+                                 "mode engine's limit" % (e, key))
+        code += e << module.shift(key)
+    return code
+
+
+def decode(module, code):
+    """The sorted-tuple monomial of a code, whose fields are in the order of
+    module._shifts."""
+    mono = []
+    for key in module._shifts:
+        if code & MASK:
+            mono.append((key, code & MASK))
+        code >>= WIDTH
+    return tuple(sorted(mono))
 
 
 def _scaled(module, F):
-    """(s(F), F's terms with each coefficient times s(F)/den, as ints), s(F)
-    being den times the lcm of the denominators of F's coefficients.
-    Memoized on the module, keyed on F."""
+    """(s(F), F's terms with each coefficient times s(F)/den, as ints, the
+    (kind, g) prefixes of the energy>0 keys F's factors reach, F's longest
+    term's number of factors), s(F) being den times the lcm of the
+    denominators of F's coefficients.  Memoized on the module, keyed on F."""
     hit = module._scales.get(F)
     if hit is None:
         f = lcm(*(Fraction(c).denominator for c, _, _ in F.terms))
         terms = [(integral(c * f), astars, main)
                  for c, astars, main in F.terms]
-        hit = module._scales[F] = (module.den * f, terms)
+        factors = [_factors(astars, main) for _, astars, main in F.terms]
+        reach = {p for fs in factors for fac in fs
+                 for p in _annihilates(module, fac)[0]}
+        hit = module._scales[F] = (module.den * f, terms, reach,
+                                   max(map(len, factors), default=0))
     return hit
 
 
-def _mode_apply_mono(module, F, m, mono):
-    cache = module._mode_cache
-    key = (F, m, mono)
-    hit = cache.get(key)
-    if hit is not None:
-        return hit
-    res = _mode_apply_raw(module, F, m, mono)
-    cache[key] = res
+def _table(module, F, m):
+    """The mode table of (F, m): code -> s(F) times mode m of F on it."""
+    return module._mode_cache.setdefault((F, m), {})
+
+
+def _result(module, F, m, table, code):
+    """table[code], computed on a miss; table is _table(module, F, m)."""
+    res = table.get(code)
+    if res is None:
+        res = table[code] = _mode_apply_raw(module, F, m, code)
     return res
 
 
-def _mode_apply_raw(module, F, m, mono):
-    """s(F) times mode m of F on a single monomial, through the plan for the
-    monomial's support.  An entry (c, needs, delta) adds c times the product
-    of exps[key] + offset over its needs, on the monomial shifted by delta;
-    it is skipped, before the monomial is copied, where a factor is 0."""
-    support = tuple(key for key, _ in mono if len(key) == 3)
+def _mode_apply_raw(module, F, m, code):
+    """s(F) times mode m of F on a single code, through the plan for the
+    code's support, the tuple of its energy>0 keys.  An entry (c, needs,
+    delta) adds c times the product of (code >> shift & MASK) + offset over
+    its needs at code + delta; it is skipped where a factor is 0.
+    RealizationBug if a result reaches the guard."""
+    support = module._supports.get(code)
+    if support is None:
+        support = tuple(key for key, _ in decode(module, code)
+                        if len(key) == 3)
+        support = module._supports[code] = module._interned.setdefault(
+            support, support)
     pkey = (F, m, support)
     plan = module._plan_cache.get(pkey)
     if plan is None:
         plan = module._plan_cache[pkey] = _plan(module, F, m, support)
-    exps = dict(mono)
-    get = exps.get
+    guard = module._guard
     interned = module._interned
     out = {}
     for c, needs, delta in plan:
-        for key, offset in needs:
-            e = get(key, 0) + offset
+        for shift, offset in needs:
+            e = (code >> shift & MASK) + offset
             if not e:
                 break
             c *= e
         else:
-            d = exps.copy()
-            for key, shift in delta:
-                e = get(key, 0) + shift
-                if e:
-                    d[key] = e
-                else:
-                    del d[key]
-            res = tuple(sorted(d.items()))
+            res = code + delta
+            if res & guard:
+                raise RealizationBug("mode %d of %r takes an exponent of %r "
+                                     "to the mode engine's limit"
+                                     % (m, F, decode(module, code)))
             add_term(out, interned.setdefault(res, res), c)
     return out
 
@@ -330,14 +389,8 @@ def _plan(module, F, m, support):
     the groups of the subsets A of support that F can annihilate.  Each
     factor of a term differentiates at most one key, and only the keys that
     _annihilates names, so A holds keys that F's factors reach, and no more
-    of them than F's longest term has factors."""
-    reach = set()
-    longest = 0
-    for _, astars, main in F.terms:
-        factors = _factors(astars, main)
-        longest = max(longest, len(factors))
-        for f in factors:
-            reach |= _annihilates(module, f)[0]
+    of them than F's longest term has factors (both read from _scaled)."""
+    reach, longest = _scaled(module, F)[2:]
     keys = [key for key in support if key[:2] in reach]
     groups = module._group_cache
     plan = []
@@ -375,7 +428,8 @@ def _compile(module, F, m, A):
     holds the chain's net exponent change per key.  A chain stops at the
     first factor that is 0, and a negative factor only follows a 0 one on
     the same key, so the entry vanishes exactly where a factor is 0.
-    Entries of equal (needs, delta) add their coefficients.
+    Entries of equal (needs, delta) add their coefficients, and then each
+    key becomes its field's shift, and delta the change of the code.
 
     The coefficients are ints: each term's coefficient is taken times
     s(F)/den, and den goes on the term's b-factor (resolve), or on the term
@@ -437,9 +491,13 @@ def _compile(module, F, m, A):
                                  if len(key) == 3}) == len(A):
                     add_term(acc, (needs, delta), c)
     interned = module._interned
-    return [(c, interned.setdefault(needs, needs),
-             interned.setdefault(delta, delta))
-            for (needs, delta), c in acc.items()]
+    plan = []
+    for (needs, delta), c in acc.items():
+        needs = tuple((module.shift(key), off) for key, off in needs)
+        delta = sum(e << module.shift(key) for key, e in delta)
+        plan.append((c, interned.setdefault(needs, needs),
+                     interned.setdefault(delta, delta)))
+    return plan
 
 
 def _exponent_choices(ann, tops, total, need):
@@ -447,24 +505,28 @@ def _exponent_choices(ann, tops, total, need):
     at least need annihilate: js[i] is in ann[i] (exponents < 0 that make
     factor i annihilate), -1 where tops[i], or >= 0.
 
-    Each factor picks a value of ann[i], -1 where tops[i], or creation
-    (None); a pick with fewer than need annihilators is dropped.  The
-    creation exponents are the compositions of what is left, from
-    root_combinations: all but the last creation factor take b, and the
-    last takes end."""
-    picks = [a + [-1] * top + [None] for a, top in zip(ann, tops)]
-    for pick in product(*picks):
-        if sum(j in a for j, a in zip(pick, ann)) < need:
-            continue
-        rest = total - sum(j for j in pick if j is not None)
-        c = pick.count(None)
-        if not c:
-            if not rest:
-                yield pick
-            continue
-        for b, end in root_combinations([(1,)] * (c - 1), (rest,), 0):
-            it = iter(b + end)
-            yield tuple(next(it) if j is None else j for j in pick)
+    The annihilating factors are chosen first, as a combination of at
+    least need of the factors with a nonempty ann[i]; each of them picks a
+    value of ann[i], and every other factor -1 where tops[i], or creation
+    (None).  The creation exponents are the compositions of what is left,
+    from root_combinations: all but the last creation factor take b, and
+    the last takes end."""
+    can = [i for i, a in enumerate(ann) if a]
+    for size in range(need, len(can) + 1):
+        for chosen in combinations(can, size):
+            picks = [ann[i] if i in chosen else [-1] * top + [None]
+                     for i, top in enumerate(tops)]
+            for pick in product(*picks):
+                rest = total - sum(j for j in pick if j is not None)
+                c = pick.count(None)
+                if not c:
+                    if not rest:
+                        yield pick
+                    continue
+                for b, end in root_combinations([(1,)] * (c - 1), (rest,),
+                                                0):
+                    it = iter(b + end)
+                    yield tuple(next(it) if j is None else j for j in pick)
 
 
 def _form(chain):
@@ -645,13 +707,13 @@ def _top_degree(rs):
 
 # The most commutator checks affine_comm_check runs (_affine_comm_checks).
 # On a 2-core box, with the peak RSS of the parent (V top) and of the child
-# (GT top): sl2 at -D 7 (531,720 checks) takes 11 s, 128 + 139 MB, and sl3
-# at -D 2 (330,720) 22 s, 195 + 325 MB.  With the limit lifted, sl4 at -D 1
-# (621,600) takes 150 s, 866 + 1524 MB.
+# (GT top): sl2 at -D 7 (531,720 checks) takes 4.9 s, 102 + 106 MB, and
+# sl3 at -D 2 (330,720) 9.1 s, 149 + 231 MB.  With the limit lifted, sl4 at
+# -D 1 (621,600) takes 56 s, 598 + 1034 MB.
 MAX_AFFINE_CHECKS = 600000
 # The largest n affine_comm_check admits.  A check costs more as n grows:
-# with this limit lifted, sl5 at -D 0 (157,080 checks) takes 91 s, 670 +
-# 993 MB.
+# with this limit lifted, sl5 at -D 0 (157,080 checks) takes 48 s, 403 +
+# 589 MB.
 MAX_AFFINE_N = 4
 
 
@@ -782,7 +844,8 @@ def _check_top(problem, alpha_idx, dmax):
     kappa_0 are antisymmetric and symmetric, and ((a, m), (a, m)) reads
     0 = 0.
 
-    Both sides stay in ints.  On a spanning vector {mono: 1} the scaled
+    Both sides stay in ints, on codes.  The tables of the pair's modes are
+    fetched once per pair.  On a spanning vector {mono: 1} the scaled
     modes give lhs = s(F1) s(F2) times the commutator, and rhs = R times
     pi([a,b])_{m+n} + m k kappa_0, R being the lcm of the denominators of
     c / s(F) over the bracket's terms c F and of m k kappa_0.  The check
@@ -798,7 +861,8 @@ def _check_top(problem, alpha_idx, dmax):
         rs, k, fields, items, brackets = problem
         mod = WakimotoModule(rs, default_weight(rs), k, alpha_idx)
         top = "V" if alpha_idx is None else "GT"
-        vectors = _spanning_vectors(mod, dmax, _top_degree(rs))
+        vectors = [(mono, encode(mod, mono)) for (mono,)
+                   in _spanning_vectors(mod, dmax, _top_degree(rs))]
         failures = []
         checks = 0
         for (s1, m), (s2, nn) in combinations(items, 2):
@@ -809,18 +873,20 @@ def _check_top(problem, alpha_idx, dmax):
             central = Fraction(m * k * kap if m == -nn else 0)
             R = lcm(central.denominator, *(q.denominator for q, _ in exact))
             s12 = _scaled(mod, F1)[0] * _scaled(mod, F2)[0]
-            br = [(-s12 * int(q * R), F) for q, F in exact]
+            br = [(-s12 * int(q * R), F, _table(mod, F, m + nn))
+                  for q, F in exact]
             central = -s12 * int(central * R)
-            for (mono,) in vectors:
+            t1, t2 = _table(mod, F1, m), _table(mod, F2, nn)
+            for mono, code in vectors:
                 acc = {}
-                for mono2, c in _mode_apply_mono(mod, F2, nn, mono).items():
-                    add_into(acc, _mode_apply_mono(mod, F1, m, mono2), R * c)
-                for mono1, c in _mode_apply_mono(mod, F1, m, mono).items():
-                    add_into(acc, _mode_apply_mono(mod, F2, nn, mono1), -R * c)
-                for c, F in br:
-                    add_into(acc, _mode_apply_mono(mod, F, m + nn, mono), c)
+                for code2, c in _result(mod, F2, nn, t2, code).items():
+                    add_into(acc, _result(mod, F1, m, t1, code2), R * c)
+                for code1, c in _result(mod, F1, m, t1, code).items():
+                    add_into(acc, _result(mod, F2, nn, t2, code1), -R * c)
+                for c, F, t in br:
+                    add_into(acc, _result(mod, F, m + nn, t, code), c)
                 if central:
-                    add_term(acc, mono, central)
+                    add_term(acc, code, central)
                 checks += 1
                 if acc:
                     failures.append({"pair": (s1, s2), "m": m, "n": nn,

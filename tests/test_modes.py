@@ -7,6 +7,8 @@ from itertools import combinations, product
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wakimoto import modes
 from wakimoto.errors import RealizationBug
@@ -562,7 +564,9 @@ def _affine_comm_in_process(n, k, dmax):
 
 def test_integer_engine_holds_only_ints(monkeypatch):
     # every plan coefficient and every cached result is s(F) times the exact
-    # one, an int: no Fraction reaches the hot path
+    # one, an int: no Fraction reaches the hot path; and every monomial in
+    # the per-(field, mode) tables, a key of a table or of a result, is an
+    # int code
     made = []
 
     class Recording(WakimotoModule):
@@ -579,8 +583,50 @@ def test_integer_engine_holds_only_ints(monkeypatch):
             assert mod._plan_cache and mod._mode_cache
             assert all(type(c) is int for plan in mod._plan_cache.values()
                        for c, _, _ in plan)
-            assert all(type(c) is int for res in mod._mode_cache.values()
-                       for c in res.values())
+            tables = mod._mode_cache.values()
+            assert all(type(c) is int for table in tables
+                       for res in table.values() for c in res.values())
+            assert all(type(code) is int for table in tables
+                       for code in table)
+            assert all(type(code) is int for table in tables
+                       for res in table.values() for code in res)
+
+
+_KEYS = st.one_of(
+    st.tuples(st.sampled_from("DXY"), st.integers(0, 5), st.integers(1, 9)),
+    st.tuples(st.sampled_from(["D0", "X0"]), st.integers(0, 5)))
+
+
+@given(st.lists(st.dictionaries(_KEYS, st.integers(1, modes.MASK >> 1)),
+                min_size=1, max_size=4))
+@settings(max_examples=200, deadline=None)
+def test_codes_round_trip(monos):
+    # one module meets the monomials in turn, so later ones find some of
+    # their keys' fields assigned and others not
+    mod = vmod(RS3)
+    codes = [modes.encode(mod, canon(d)) for d in monos]
+    for d, code in zip(monos, codes):
+        assert type(code) is int and modes.decode(mod, code) == canon(d)
+    assert len(set(codes)) == len({canon(d) for d in monos})
+
+
+def test_an_exponent_at_the_guard_is_a_realization_bug():
+    # the guard is half a field's range: a monomial at it is refused, and
+    # so is one just below it that a creation takes to it; past a field's
+    # range a carry into the next key's field would go unseen
+    limit = (modes.MASK >> 1) + 1
+    mod = vmod()
+    F = FieldExpr([(Fr(1), ((0, 0),), None)])  # a*_0: mode -2 is x_{0,1}
+    x01 = ("X", 0, 1)
+    below = {((x01, limit - 1),): Fr(1)}
+    assert mode_apply(mod, F, -3, below) == {
+        ((x01, limit - 1), (("X", 0, 2), 1)): Fr(1)}
+    for vec in ({((x01, limit),): Fr(1)}, below):
+        with pytest.raises(RealizationBug):
+            mode_apply(mod, F, -2, vec)
+    for e in (limit, 2 * limit):
+        with pytest.raises(RealizationBug):
+            modes.encode(mod, ((x01, e),))
 
 
 def test_a_non_integral_plan_entry_is_a_realization_bug():
