@@ -444,7 +444,14 @@ def build_parser():
     p.add_argument("--kcap", type=int, default=weylpoly.KCAP)
     p.set_defaults(func=cmd_twist_char)
 
-    p = sub.add_parser("gamma-mult", help="Gamma_alpha multiplicities")
+    p = sub.add_parser(
+        "gamma-mult", help="Gamma_alpha multiplicities",
+        description="Eigenvalue multiplicities of c_alpha on a space of "
+                    "mu-weight Fock monomials that c_alpha maps into "
+                    "itself: the whole weight space for a simple alpha "
+                    "(-D is not used), total degree <= D for theta, and "
+                    "degree without the x_alpha exponent <= D for any "
+                    "other alpha.")
     common(p)
     p.add_argument("-D", type=int, default=4)
     p.add_argument("--lam", required=True)

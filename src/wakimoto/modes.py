@@ -551,17 +551,16 @@ def _lift(rs, sym):
     """The normal-ordered lift of pi_g(sym) (x -> a*, d -> a, h_i -> b_i), as
     its a-terms and its b-terms, each in pi_g's term order."""
     a_terms, b_terms = [], []
-    for (xa, db), hp in weylpoly.pi_g(rs, sym).items():
+    for (xa, db, he), c in weylpoly.pi_g(rs, sym).items():
+        if sum(db) + sum(he) > 1:
+            raise RealizationBug("pi_g%r has a term with more than one "
+                                 "d or h factor" % (sym,))
         astars = tuple((g, 0) for g, ex in enumerate(xa) for _ in range(ex))
-        for he, c in hp.items():
-            if sum(db) + sum(he) > 1:
-                raise RealizationBug("pi_g%r has a term with more than one "
-                                     "d or h factor" % (sym,))
-            if any(he):
-                b_terms.append((c, astars, ("b", he.index(1))))
-            else:
-                a_terms.append((c, astars, ("a", db.index(1)) if any(db)
-                                else None))
+        if any(he):
+            b_terms.append((c, astars, ("b", he.index(1))))
+        else:
+            a_terms.append((c, astars, ("a", db.index(1)) if any(db)
+                            else None))
     return a_terms, b_terms
 
 

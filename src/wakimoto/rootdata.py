@@ -205,6 +205,18 @@ def offset_weight(rs, lam, coords):
     return lam + rs.root_to_weight(coords)
 
 
+def root_offset(rs, lam, mu):
+    """The integer root coordinates c with mu = offset_weight(rs, lam, c), or
+    None if mu - lam is not in the root lattice.  In type A_{n-1} the inverse
+    Cartan matrix has entries min(i, j) (n - max(i, j)) / n, 1-based."""
+    n = rs.n
+    c = [sum(Fraction(min(i, j) * (n - max(i, j)), n) * w
+             for j, w in enumerate((mu - lam).coords, 1)) for i in range(1, n)]
+    if any(x.denominator != 1 for x in c):
+        return None
+    return tuple(x.numerator for x in c)
+
+
 # -- Weyl group --------------------------------------------------------------
 
 def all_weyl_elements(rs):

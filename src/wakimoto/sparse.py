@@ -56,28 +56,6 @@ def added(a, b, scale=1):
     return out
 
 
-def added_nested(a, b, scale=1):
-    """a + scale * b as a new dict, for dicts whose values are sparse
-    vectors (Weyl elements, C[nbar] tensor g elements); neither operand
-    changes."""
-    out = dict(a)
-    for key, p in b.items():
-        add_nested(out, key, p, scale)
-    return out
-
-
 def scaled(a, c):
     """c * a as a new dict."""
     return {m: c * x for m, x in a.items()} if c else {}
-
-
-def add_nested(out, key, p, scale=1):
-    """In-place out[key] += scale * p for a dict whose values are sparse
-    vectors.  The inner dict is copied before adding, so a vector that two
-    dicts share is never changed through either."""
-    inner = dict(out.get(key, ()))
-    add_into(inner, p, scale)
-    if inner:
-        out[key] = inner
-    elif key in out:
-        del out[key]

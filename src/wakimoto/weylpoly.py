@@ -6,14 +6,16 @@ _top_counts is the one table of a top's character, the Verma top or the
 twisted top T_alpha M(lambda) = W(lambda, alpha), counted by
 rootdata.lattice_counts; twist_character and the relaxed characters read it.
 
-Every element is a sparse dict (see sparse):
+Every element is a flat sparse dict (see sparse), one level deep, summed
+by sparse.add_into/add_term/added/scaled:
 
-- a polynomial is {exponent tuple: Fraction};
 - a g element is {symbol: Fraction}, as liealg returns it;
-- a C[nbar] tensor g element is {symbol: polynomial in the x_alpha};
-- a Weyl element is {(x-exponents, d-exponents): h-polynomial}, in the
-  normal form with all x's to the left of all d's, and the commutation rule
-  is [x_a, d_b] = -delta_ab (so d.x = x.d + 1 as operators);
+- a C[nbar] tensor g element is {(symbol, x-exponents): Fraction}, the
+  symbol times the monomial prod_gamma x_gamma^e_gamma;
+- a Weyl element is {(x-exponents, d-exponents, h-exponents): Fraction},
+  in the normal form with all x's to the left of all d's (h is central),
+  and the commutation rule is [x_a, d_b] = -delta_ab (so d.x = x.d + 1 as
+  operators);
 - a Fock vector is {exponent tuple: Fraction}, read by its module's top
   (see fock_apply).
 
@@ -30,63 +32,40 @@ from .errors import RealizationBug, WakimotoError
 from .linalg import charpoly, rational_roots
 from .liealg import bracket_symbols
 from .rootdata import (build_root_system, lattice_counts, offset_weight, rho,
-                       root_combinations, root_label)
-from .sparse import add_nested, add_term, added_nested
+                       root_combinations, root_label, root_offset)
+from .sparse import add_into, add_term, added, scaled
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
-# -- sparse polynomial helpers ------------------------------------------------
-
-def poly_mul(p, q):
-    out = {}
-    for e1, c1 in p.items():
-        for e2, c2 in q.items():
-            add_term(out, tuple(a + b for a, b in zip(e1, e2)), c1 * c2)
-    return out
-
-
-def poly_var(nvars, i):
-    return {tuple(1 if j == i else 0 for j in range(nvars)): ONE}
-
-
-def poly_eval(p, values):
-    acc = ZERO
-    for e, c in p.items():
-        term = c
-        for x, k in zip(values, e):
-            if k:
-                term *= x ** k
-        acc += term
-    return acc
-
-
 # -- Weyl algebra -------------------------------------------------------------
 
 def weyl_mul(A, B):
-    """Product in normal form; CCR [x_a, d_b] = -delta_ab, i.e. d x = x d + 1."""
+    """Product in normal form; CCR [x_a, d_b] = -delta_ab, i.e. d x = x d + 1.
+
+    x^a1 d^b1 h^h1 . x^a2 d^b2 h^h2 reorders d^b x^a, per variable where
+    both b = b1 and a = a2 are nonzero, by
+    d^b x^a = sum_k C(b,k) C(a,k) k! x^{a-k} d^{b-k}; every other variable
+    passes through."""
     out = {}
-    for (a1, b1), h1 in A.items():
-        npos = len(a1)
-        for (a2, b2), h2 in B.items():
-            hp = poly_mul(h1, h2)
-            # reorder d^{b1} x^{a2} per variable:
-            # d^b x^a = sum_k C(b,k) C(a,k) k! x^{a-k} d^{b-k}
-            combos = [((), ONE)]
-            for v in range(npos):
-                b, a = b1[v], a2[v]
-                kmax = min(a, b)
-                new = []
-                for ks, coef in combos:
-                    for k in range(kmax + 1):
-                        new.append((ks + (k,),
-                                    coef * comb(b, k) * comb(a, k) * factorial(k)))
-                combos = new
-            for ks, coef in combos:
-                xa = tuple(a1[v] + a2[v] - ks[v] for v in range(npos))
-                db = tuple(b1[v] + b2[v] - ks[v] for v in range(npos))
-                add_nested(out, (xa, db), hp, coef)
+    for (a1, b1, h1), c1 in A.items():
+        for (a2, b2, h2), c2 in B.items():
+            h = tuple(p + q for p, q in zip(h1, h2))
+            xa = tuple(p + q for p, q in zip(a1, a2))
+            db = tuple(p + q for p, q in zip(b1, b2))
+            terms = [(c1 * c2, ())]
+            for v, (b, a) in enumerate(zip(b1, a2)):
+                if a and b:
+                    terms = [(c * comb(b, k) * comb(a, k) * factorial(k),
+                              ks + ((v, k),))
+                             for c, ks in terms for k in range(min(a, b) + 1)]
+            for c, ks in terms:
+                x, d = list(xa), list(db)
+                for v, k in ks:
+                    x[v] -= k
+                    d[v] -= k
+                add_term(out, (tuple(x), tuple(d), h), c)
     return out
 
 
@@ -111,28 +90,26 @@ def _k1(order):
 
 def ad_u(rs, elem):
     """ad(u) with u = sum_gamma x_gamma f_gamma, acting on C[nbar] tensor g."""
-    npos = len(rs.positive_roots)
     out = {}
-    for sym, p in elem.items():
-        for g in range(npos):
+    for (sym, e), c in elem.items():
+        for g in range(len(e)):
             br = bracket_symbols(rs, ("f", g), sym)
-            if not br:
-                continue
-            xp = poly_mul(poly_var(npos, g), p)
-            for s2, c2 in br.items():
-                add_nested(out, s2, xp, c2)
+            if br:
+                xe = e[:g] + (e[g] + 1,) + e[g + 1:]
+                for s2, c2 in br.items():
+                    add_term(out, (s2, xe), c * c2)
     return out
 
 
 def apply_kernel(rs, coeffs, elem):
     """sum_i coeffs[i] ad(u)^i elem, truncated when the power vanishes."""
-    acc = added_nested({}, elem, coeffs[0])
+    acc = scaled(elem, coeffs[0])
     power = elem
     for i in range(1, len(coeffs)):
         power = ad_u(rs, power)
         if not power:
             break
-        acc = added_nested(acc, power, coeffs[i])
+        add_into(acc, power, coeffs[i])
     else:
         if ad_u(rs, power):
             raise RealizationBug("kernel order too small for nilpotency index")
@@ -149,11 +126,11 @@ def exp_minus_ad_u(rs, a):
     N = _order_bound(rs)
     coeffs = [Fraction((-1) ** i, factorial(i)) for i in range(N)]
     one = (0,) * len(rs.positive_roots)
-    return apply_kernel(rs, coeffs, {s: {one: c} for s, c in a.items()})
+    return apply_kernel(rs, coeffs, {(s, one): c for s, c in a.items()})
 
 
 def _nbar_part(elem):
-    return {s: p for s, p in elem.items() if s[0] == "f"}
+    return {k: c for k, c in elem.items() if k[0][0] == "f"}
 
 
 _PI_CACHE = {}
@@ -190,20 +167,17 @@ def _pi_g(rs, sym):
                             % (rs.n, MAX_PI_G_N))
     npos = len(rs.positive_roots)
     v = exp_minus_ad_u(rs, {sym: ONE})
-    hpart = {s: p for s, p in v.items() if s[0] == "h"}
     w = apply_kernel(rs, _k1(_order_bound(rs)), _nbar_part(v))
+    zero_h, zero_d = (0,) * rs.rank, (0,) * npos
     terms = {}
-    zero_h = (0,) * rs.rank
-    for (kind, alpha), p in w.items():
+    for ((kind, alpha), e), c in w.items():
         assert kind == "f"
         dexp = tuple(1 if t == alpha else 0 for t in range(npos))
-        for e, c in p.items():
-            add_nested(terms, (e, dexp), {zero_h: -c})
-    zero_d = (0,) * npos
-    for (kind, i), p in hpart.items():
-        hvar = tuple(1 if t == i else 0 for t in range(rs.rank))
-        for e, c in p.items():
-            add_nested(terms, (e, zero_d), {hvar: c})
+        add_term(terms, (e, dexp, zero_h), -c)
+    for ((kind, i), e), c in v.items():
+        if kind == "h":
+            hvar = tuple(1 if t == i else 0 for t in range(rs.rank))
+            add_term(terms, (e, zero_d, hvar), c)
     return terms
 
 
@@ -212,7 +186,7 @@ def pi_g_elem(rs, a):
     Weyl element."""
     out = {}
     for s, c in a.items():
-        out = added_nested(out, pi_g(rs, s), c)
+        add_into(out, pi_g(rs, s), c)
     return out
 
 
@@ -224,8 +198,9 @@ MAX_PQ_N = 12
 
 
 def pq_polynomials(rs, gamma_idx):
-    """(p^gamma, q^gamma) for a simple root gamma; maps alpha -> polynomial.
-    WakimotoError, before any series is computed, if n > MAX_PQ_N."""
+    """(p^gamma, q^gamma) for a simple root gamma; maps alpha -> polynomial
+    {x-exponents: Fraction}.  WakimotoError, before any series is computed,
+    if n > MAX_PQ_N."""
     if sum(rs.positive_roots[gamma_idx]) != 1:
         raise WakimotoError("gamma must be simple")
     if rs.n > MAX_PQ_N:
@@ -235,11 +210,13 @@ def pq_polynomials(rs, gamma_idx):
     k0m1 = bernoulli_k0(N)
     k0m1[0] -= 1  # K0 - 1
     one = (0,) * len(rs.positive_roots)
-    pres = apply_kernel(rs, k0m1, {("f", gamma_idx): {one: ONE}})
-    p_map = {s[1]: p for s, p in _nbar_part(pres).items()}
+    pres = apply_kernel(rs, k0m1, {(("f", gamma_idx), one): ONE})
     eel = exp_minus_ad_u(rs, {("e", gamma_idx): ONE})
     qres = apply_kernel(rs, _k1(N), _nbar_part(eel))
-    q_map = {s[1]: p for s, p in _nbar_part(qres).items()}
+    p_map, q_map = {}, {}
+    for out, elem in ((p_map, _nbar_part(pres)), (q_map, _nbar_part(qres))):
+        for ((_, alpha), e), c in elem.items():
+            out.setdefault(alpha, {})[e] = c
     return p_map, q_map
 
 
@@ -264,7 +241,7 @@ def pi_hom_check(n):
         for s2 in syms:
             a, b = pi_g(rs, s1), pi_g(rs, s2)
             lhs = pi_g_elem(rs, bracket_symbols(rs, s1, s2))
-            rhs = added_nested(weyl_mul(a, b), weyl_mul(b, a), -1)
+            rhs = added(weyl_mul(a, b), weyl_mul(b, a), -1)
             checks += 1
             if lhs != rhs:
                 failures.append((s1, s2))
@@ -289,17 +266,16 @@ def fock_weight(rs, alpha_idx, lam, mono):
 
 
 def fock_terms(w, rs, lam):
-    """The terms of a Weyl element with each h-polynomial evaluated at
-    lambda + 2 rho, as a list of (x-exponents, d-exponents, scalar); the
-    terms whose scalar is zero are dropped.  fock_apply applies them."""
-    r2 = lam + 2 * rho(rs)
-    hvals = [r2.coords[i] for i in range(rs.rank)]
-    out = []
-    for (xa, db), hp in w.items():
-        scal = poly_eval(hp, hvals)
-        if scal:
-            out.append((xa, db, scal))
-    return out
+    """The terms of a Weyl element with h evaluated at lambda + 2 rho and
+    summed per (x-exponents, d-exponents), as a list of (x-exponents,
+    d-exponents, scalar); the terms whose scalar is zero are dropped.
+    fock_apply applies them."""
+    hvals = (lam + 2 * rho(rs)).coords
+    out = {}
+    for (xa, db, he), c in w.items():
+        add_term(out, (xa, db),
+                 c * prod(x ** k for x, k in zip(hvals, he) if k))
+    return [(xa, db, c) for (xa, db), c in out.items()]
 
 
 def fock_apply(terms, alpha_idx, v):
@@ -331,19 +307,6 @@ def fock_apply(terms, alpha_idx, v):
             else:
                 add_term(out, tuple(m), c * scal * f)
     return out
-
-
-def act_F(w, rs, alpha_idx, lam, v):
-    """Apply a Weyl element to a vector of F_nbar (alpha_idx None) or
-    F_{nbar,alpha} (alpha = positive root alpha_idx), twisted by
-    C_{lambda+2rho}, where h acts by (lambda+2rho)(h); returns a new Fock
-    vector.  The terms are evaluated (fock_terms) and then applied
-    (fock_apply, which states the action)."""
-    npos = len(rs.positive_roots)
-    if ((w and len(next(iter(w))[0]) != npos)
-            or (v and len(next(iter(v))) != npos)):
-        raise WakimotoError("root system mismatch")
-    return fock_apply(fock_terms(w, rs, lam), alpha_idx, v)
 
 
 # -- characters ---------------------------------------------------------------
@@ -447,35 +410,121 @@ def twist_character(rs, lam, alpha_idx, radius, kcap=KCAP):
 
 # -- Gamma_alpha multiplicities ------------------------------------------------
 
-def gamma_alpha_multiplicity(rs, lam, alpha_idx, mu, D):
-    """Eigenvalue multiplicities of c_alpha on the degree-<=D slice of the
-    mu-weight space of F_{nbar,alpha} tensor C_{lambda+2rho}."""
-    npos = len(rs.positive_roots)
-    basis = [m for m, _ in root_combinations([(1,)] * npos, (D,), 0)
-             if fock_weight(rs, alpha_idx, lam, m) == mu]
-    if not basis:
+# The most monomials gamma_alpha_multiplicity takes a spectrum on, counted
+# before any matrix is built.  A simple alpha's space is one charpoly block,
+# whose cost grows as the fourth power of its size: on a 2-core box
+# `gamma-mult -n 3 --lam 0,0 --alpha a1 --mu 24,-48` (24 monomials) takes
+# 1.2 s and 35 MB, `--mu 30,-60` (30) 5.7 s and 294 MB, and `-n 4
+# --lam 0,0,0 --alpha a2 --mu -8,8,-8` (54) took 30 s.
+MAX_GAMMA_DIM = 24
+
+
+def _gamma_space(rs, lam, alpha_idx, mu, D):
+    """The space that gamma_alpha_multiplicity reads, as {monomial: level}:
+    mu-weight monomials of F_{nbar,alpha} that c_alpha maps into their own
+    span, each with a degree that c_alpha never raises.
+
+    - A simple alpha = alpha_s: the whole weight space, all at level 0.  It
+      is finite: with c the root offset of mu, every root gamma != alpha
+      holds a simple root t != s, so the weight fixes
+      sum_gamma e_gamma gamma_t = -c_t and bounds the non-alpha degree (the
+      degree without the x_alpha exponent) by -sum_{t != s} c_t.
+    - alpha = theta: total degree <= D, at the total degree.
+    - Any other alpha: non-alpha degree <= D, at that degree.
+
+    The walk takes one x_alpha exponent a at a time.  The other roots sum
+    to (a + 1) alpha - c, whose coordinates lie between 0 and the non-alpha
+    degree, as a root's coordinates are 0 or 1; this bounds a.  They go to
+    root_combinations, with the degree as one more coordinate, in groups by
+    their first simple root t: no later group holds alpha_t, so a branch
+    whose coordinate t is not zero is cut there.  WakimotoError if mu is
+    not a weight of the space or, as soon as the walk finds more, if the
+    space holds more than MAX_GAMMA_DIM monomials.
+    """
+    roots = rs.positive_roots
+    alpha = roots[alpha_idx]
+    c = root_offset(rs, lam, mu)
+    if c is None or any(y > 0 for x, y in zip(alpha, c) if not x):
         raise WakimotoError("mu is not a weight of the truncated slice")
-    index = {m: i for i, m in enumerate(basis)}
-    cas = liealg.casimir_s_alpha(rs, alpha_idx)
+    inside = [y for x, y in zip(alpha, c) if x]
+    simple = sum(alpha) == 1
+    total = not simple and sum(alpha) == rs.rank
+    bound = -sum(c) + sum(inside) if simple else D
+    others = sorted((i for i in range(len(roots)) if i != alpha_idx),
+                    key=lambda i: roots[i].index(1))
+    groups = [[roots[i] + (1,) for i in others if roots[i].index(1) == t]
+              for t in range(rs.rank)]
+
+    def walk(t, b, rest):
+        if t == rs.rank:
+            yield b
+            return
+        for b2, end in root_combinations(groups[t], rest, 0):
+            if not end[t]:
+                yield from walk(t + 1, b + b2, end)
+
+    level = {}
+    for a in range(max(0, max(inside) - 1), min(inside) + bound):
+        start = tuple((a + 1) * x - y for x, y in zip(alpha, c))
+        for b in walk(0, (), start + (bound - a if total else bound,)):
+            m = tuple(e for _, e in sorted([*zip(others, b), (alpha_idx, a)]))
+            if fock_weight(rs, alpha_idx, lam, m) != mu:
+                raise RealizationBug("the weight space walk met %r" % (m,))
+            level[m] = 0 if simple else sum(b) + total * a
+            if len(level) > MAX_GAMMA_DIM:
+                raise WakimotoError(
+                    "the c_alpha-invariant space holds more than %d "
+                    "monomials" % MAX_GAMMA_DIM)
+    if not level:
+        raise WakimotoError("mu is not a weight of the truncated slice")
+    return level
+
+
+def gamma_alpha_multiplicity(rs, lam, alpha_idx, mu, D):
+    """Eigenvalue multiplicities of c_alpha on the c_alpha-invariant space
+    of mu-weight vectors of F_{nbar,alpha} tensor C_{lambda+2rho} that
+    _gamma_space names.
+
+    c_alpha never raises a monomial's level, so its matrix is block
+    triangular and its spectrum is that of the blocks of one level: a
+    diagonal block (every block for theta) reads its diagonal, any other
+    runs charpoly and rational_roots.  RealizationBug if c_alpha maps a
+    monomial out of the space or to a higher level, or if a block has a
+    non-rational eigenvalue.
+    """
     op = {}
-    for coef, factors in cas:
+    for coef, factors in liealg.casimir_s_alpha(rs, alpha_idx):
         prod = pi_g_elem(rs, factors[0])
         for f in factors[1:]:
             prod = weyl_mul(prod, pi_g_elem(rs, f))
-        op = added_nested(op, prod, coef)
+        add_into(op, prod, coef)
+    level = _gamma_space(rs, lam, alpha_idx, mu, D)
     terms = fock_terms(op, rs, lam)
-    mat = [[ZERO] * len(basis) for _ in range(len(basis))]
-    for j, m in enumerate(basis):
-        img = fock_apply(terms, alpha_idx, {m: ONE})
-        for m2, c in img.items():
-            i = index.get(m2)
-            if i is not None:  # projection P_D
-                mat[i][j] = c
-    cp = charpoly(mat)
-    roots, residual = rational_roots(cp)
-    if residual:
-        raise RealizationBug("non-rational eigenvalues in c_alpha spectrum")
-    return roots
+    blocks = {}
+    for m, g in level.items():
+        blocks.setdefault(g, []).append(m)
+    mult = {}
+    for block in blocks.values():
+        index = {m: i for i, m in enumerate(block)}
+        mat = [[ZERO] * len(block) for _ in block]
+        for j, m in enumerate(block):
+            for m2, c in fock_apply(terms, alpha_idx, {m: ONE}).items():
+                if m2 not in level or level[m2] > level[m]:
+                    raise RealizationBug("c_alpha maps %r out of its "
+                                         "invariant space" % (m,))
+                if m2 in index:
+                    mat[index[m2]][j] = c
+        if not any(x for i, row in enumerate(mat)
+                   for j, x in enumerate(row) if i != j):
+            for i, row in enumerate(mat):
+                add_term(mult, row[i], 1)
+        else:
+            roots, residual = rational_roots(charpoly(mat))
+            if residual:
+                raise RealizationBug("non-rational eigenvalues of c_alpha "
+                                     "on an invariant block")
+            add_into(mult, roots)
+    return mult
 
 
 # -- rendering ----------------------------------------------------------------
@@ -484,28 +533,26 @@ def render_weyl(rs, w):
     if not w:
         return "0"
     pieces = []
-    for (xa, db) in sorted(w, key=lambda k: (sum(k[0]) + sum(k[1]), k)):
-        hp = w[(xa, db)]
-        mono = []
+    for key in sorted(w, key=lambda k: (sum(k[0]) + sum(k[1]), k)):
+        xa, db, he = key
+        c = w[key]
+        hm = []
         for g, a in enumerate(xa):
             if a:
                 lab = root_label(rs.positive_roots[g])
-                mono.append("x_{%s}" % lab if a == 1 else "x_{%s}^%d" % (lab, a))
+                hm.append("x_{%s}" % lab if a == 1 else "x_{%s}^%d" % (lab, a))
         for g, b in enumerate(db):
             if b:
                 lab = root_label(rs.positive_roots[g])
-                mono.append("d_{%s}" % lab if b == 1 else "d_{%s}^%d" % (lab, b))
-        for he in sorted(hp):
-            c = hp[he]
-            hm = list(mono)
-            for i, e in enumerate(he):
-                if e:
-                    hm.append("h%d" % (i + 1) if e == 1 else "h%d^%d" % (i + 1, e))
-            body = " ".join(hm) if hm else "1"
-            if c == 1 and hm:
-                pieces.append(body)
-            elif c == -1 and hm:
-                pieces.append("-" + body)
-            else:
-                pieces.append("%s %s" % (c, body) if hm else str(c))
+                hm.append("d_{%s}" % lab if b == 1 else "d_{%s}^%d" % (lab, b))
+        for i, e in enumerate(he):
+            if e:
+                hm.append("h%d" % (i + 1) if e == 1 else "h%d^%d" % (i + 1, e))
+        body = " ".join(hm) if hm else "1"
+        if c == 1 and hm:
+            pieces.append(body)
+        elif c == -1 and hm:
+            pieces.append("-" + body)
+        else:
+            pieces.append("%s %s" % (c, body) if hm else str(c))
     return " + ".join(pieces).replace("+ -", "- ")

@@ -14,10 +14,10 @@ from wakimoto.admissible import (level_from_pq, omega_direct, omega_theorem,
 from wakimoto.errors import WakimotoError
 from wakimoto.liealg import casimir_s_alpha
 from wakimoto.rootdata import Weight, build_root_system
-from wakimoto.sparse import added_nested
-from wakimoto.weylpoly import (act_F, gamma_alpha_multiplicity, pi_g,
-                               pi_g_elem, pi_hom_check, twist_character,
-                               weyl_mul)
+from wakimoto.sparse import added
+from wakimoto.weylpoly import (fock_apply, fock_terms,
+                               gamma_alpha_multiplicity, pi_g, pi_g_elem,
+                               pi_hom_check, twist_character, weyl_mul)
 
 from test_weylpoly import fock_oracle
 
@@ -34,14 +34,15 @@ def test_01_pi_g_homomorphism_sl2_sl3_sl4():
 
 def test_02_sl2_anchors_and_highest_weight():
     e, h, f = (pi_g(RS2, (kind, 0)) for kind in "ehf")
-    assert e == {((2,), (1,)): {(0,): 1}, ((1,), (0,)): {(1,): 1}}
-    assert h == {((1,), (1,)): {(0,): 2}, ((0,), (0,)): {(1,): 1}}
-    assert f == {((0,), (1,)): {(0,): -1}}
+    assert e == {((2,), (1,), (0,)): 1, ((1,), (0,), (1,)): 1}
+    assert h == {((1,), (1,), (0,)): 2, ((0,), (0,), (1,)): 1}
+    assert f == {((0,), (1,), (0,)): -1}
     for lam_c in FIVE_LAMBDAS:
         lam = Weight((lam_c,))
         vac = {(0,): Fr(1)}
-        assert act_F(h, RS2, None, lam, vac) == ({(0,): lam_c} if lam_c else {})
-        assert act_F(e, RS2, None, lam, vac) == {}
+        assert fock_apply(fock_terms(h, RS2, lam), None, vac) == \
+            ({(0,): lam_c} if lam_c else {})
+        assert fock_apply(fock_terms(e, RS2, lam), None, vac) == {}
 
 
 def test_03_affine_commutation():
@@ -126,13 +127,12 @@ def test_08_gamma_alpha_multiplicities_stabilize():
 def test_09_central_character_invariance():
     cas = {}
     for c, (a, b) in casimir_s_alpha(RS2, 0):
-        cas = added_nested(
-            cas, weyl_mul(pi_g_elem(RS2, a), pi_g_elem(RS2, b)), c)
+        cas = added(cas, weyl_mul(pi_g_elem(RS2, a), pi_g_elem(RS2, b)), c)
     for lam_c in FIVE_LAMBDAS:
         lam = Weight((lam_c,))
         scalar = lam_c + lam_c * lam_c / 2
         for j in range(20):
-            got = act_F(cas, RS2, 0, lam, {(j,): Fr(1)})
+            got = fock_apply(fock_terms(cas, RS2, lam), 0, {(j,): Fr(1)})
             assert got == ({(j,): scalar} if scalar else {})
 
 

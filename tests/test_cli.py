@@ -12,7 +12,7 @@ from wakimoto.cli import (main, parse_fraction, parse_root, parse_sigma,
 from wakimoto.errors import RealizationBug, WakimotoError
 from wakimoto.liealg import basis_symbols, bracket_symbols
 from wakimoto.rootdata import Weight, build_root_system
-from wakimoto.sparse import added_nested, scaled
+from wakimoto.sparse import scaled
 
 RS3 = build_root_system(3)
 
@@ -189,7 +189,7 @@ def test_pi_hom_failures_are_symbol_label_pairs(monkeypatch, capsys):
     pi_g_elem = weylpoly.pi_g_elem
 
     def doubled(rs, a):
-        return added_nested({}, pi_g_elem(rs, a), 2)
+        return scaled(pi_g_elem(rs, a), 2)
 
     monkeypatch.setattr(weylpoly, "pi_g_elem", doubled)
     assert main(["verify", "pi-hom", "-n", "2"]) == 1

@@ -119,7 +119,8 @@ def test_zhu_correspondence_sl2():
                 exps = (j,)
                 mono = modes.fock_to_top_monomial(mod, exps)
                 got = mode_apply(mod, F, 0, {mono: Fr(1)})
-                fv = weylpoly.act_F(w, RS2, ai, lam, {exps: Fr(1)})
+                fv = weylpoly.fock_apply(weylpoly.fock_terms(w, RS2, lam), ai,
+                                         {exps: Fr(1)})
                 expect = {modes.fock_to_top_monomial(mod, e): c
                           for e, c in fv.items()}
                 assert got == expect

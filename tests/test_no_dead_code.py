@@ -13,7 +13,7 @@ import wakimoto
 
 SRC = os.path.dirname(wakimoto.__file__)
 
-ENTRY_POINTS = {"act_F", "dominance_leq", "solve_c_gamma"}
+ENTRY_POINTS = {"dominance_leq", "solve_c_gamma"}
 
 # Methods, as Class.method, that only callers outside the package use.
 EXEMPT_METHODS = {

@@ -16,7 +16,7 @@ from wakimoto.rootdata import (Weight, build_root_system, pairing,
                                root_combinations)
 from wakimoto.sparse import add_into, add_term
 from wakimoto.sparse import added as vec_add
-from wakimoto.weylpoly import act_F, pi_g
+from wakimoto.weylpoly import fock_apply, fock_terms, pi_g
 
 from test_weylpoly import fock_oracle
 
@@ -133,7 +133,7 @@ def _oracle_normalize(mod, factor_list, top, coeff, out):
 
 
 def _oracle_act(mod, sym, m, factors, top, cache):
-    """a^{(sym)}_m on one PBW basis element in Fractions, the top by act_F;
+    """a^{(sym)}_m on one PBW basis element in Fractions, the top by pi_g;
     memoized in cache."""
     ckey = (sym, m, factors, top)
     hit = cache.get(ckey)
@@ -146,8 +146,9 @@ def _oracle_act(mod, sym, m, factors, top, cache):
                           top, Fr(1), out)
     elif not factors:
         if m == 0:
-            for exps, c in act_F(pi_g(rs, sym), rs, mod.alpha_idx, mod.lam,
-                                 {top: Fr(1)}).items():
+            terms = fock_terms(pi_g(rs, sym), rs, mod.lam)
+            for exps, c in fock_apply(terms, mod.alpha_idx,
+                                      {top: Fr(1)}).items():
                 out[((), exps)] = c
     else:
         b = factors[0]

@@ -326,3 +326,19 @@ def test_offset_weight():
     assert rootdata.offset_weight(rs, lam, (1, 0)) == lam + Weight((2, -1))
     assert rootdata.offset_weight(rs, lam, (-1, 2)) == \
         lam + Weight((-4, 5))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(2, 6).flatmap(lambda n: st.tuples(
+    st.just(n), st.lists(st.integers(-5, 5), min_size=n - 1, max_size=n - 1),
+    st.lists(st.fractions(-2, 2, max_denominator=4), min_size=n - 1,
+             max_size=n - 1))))
+def test_root_offset_inverts_offset_weight(case):
+    n, c, lam = case
+    rs = build_root_system(n)
+    lam = Weight(tuple(lam))
+    mu = rootdata.offset_weight(rs, lam, tuple(c))
+    assert rootdata.root_offset(rs, lam, mu) == tuple(c)
+    # omega_1 is not in the root lattice
+    omega1 = Weight((1,) + (0,) * (n - 2))
+    assert rootdata.root_offset(rs, lam, mu + omega1) is None

@@ -1,6 +1,6 @@
 from fractions import Fraction as Fr
 
-from wakimoto.sparse import add_into, add_nested, add_term, added, scaled
+from wakimoto.sparse import add_into, add_term, added, scaled
 
 
 def test_results_cancel_to_empty():
@@ -42,13 +42,3 @@ def test_coefficient_types_are_kept():
     assert ints == {"x": 5, "y": 6}
     assert all(type(c) is int for c in ints.values())
 
-
-def test_add_nested_copies_the_inner_dict():
-    shared = {(1,): Fr(1)}
-    a = {"k": shared}
-    b = {"k": shared}
-    add_nested(a, "k", {(1,): Fr(1), (2,): Fr(3)}, 2)
-    assert a == {"k": {(1,): Fr(3), (2,): Fr(6)}}
-    assert shared == {(1,): Fr(1)} and b["k"] is shared
-    add_nested(b, "k", shared, -1)
-    assert b == {} and shared == {(1,): Fr(1)}
