@@ -525,8 +525,8 @@ def _merge_negative_values(argv):
 # `richardson -n 64 --sigma 1` takes 0.19 s and 17 MB, `-n 200` 0.9 s and
 # 50 MB, and `-n 400` 3.6 s and 275 MB.  Above every n that a guarded
 # command admits: `orbits` runs up to n = 32 (admissible.MAX_PARTITIONS),
-# and `verify characters -D 0 --window 1` up to n = 19
-# (weylpoly.MAX_TOP_BOX).
+# and `verify characters -D 0 --window 1` up to n = 14
+# (weylpoly.MAX_TOP_WORK).
 MAX_N = 64
 
 

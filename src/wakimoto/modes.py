@@ -31,7 +31,8 @@ _annihilates, names the energy>0 keys a field factor differentiates and the
 z-exponent at which it does; the plans and groups both read it.  A term's
 z-exponents are chosen annihilators first (a combination of factors), then
 top or scalar, or creation, the creation exponents being the compositions
-of what is left, from rootdata.root_combinations.
+of what is left, from rootdata.root_combinations, memoized by (count,
+rest).
 
 Inside the engine a monomial is one int, its code: each key has a WIDTH-bit
 field, assigned the first time the module meets the key (module.shift), and
@@ -46,16 +47,21 @@ A mode of a field is evaluated through four caches on the module, all kept
 for the module's lifetime and all keyed on the FieldExpr instance itself,
 so a dropped field's id never reaches a new one:
 
-- the scale cache, keyed by field: s(F), F's terms with integer
-  coefficients, and the keys F reaches and F's longest term, read by _plan;
+- the scale cache, keyed by field: s(F), F's term table, and the keys F
+  reaches and F's longest term, read by _plan.  A row of the term table
+  holds a term's int coefficient with den folded in, its factors, the keys
+  each factor differentiates (_annihilates), which factors are a or b, and
+  a memo of each factor's resolved ops by z-exponent, with the dz factor
+  and the keys' field shifts already applied;
 - the group cache, keyed by (field, mode, A), A being a sorted tuple of
   energy>0 keys: the entries of the field's mode whose chains of generator
   steps differentiate exactly the energy>0 keys of A.  An entry is
   (c, needs, delta): c is the int s(F) times the exact coefficient, needs
   the (shift, offset) factors the chain multiplies by ((code >> shift &
   MASK) + offset, the key's exponent plus offset), and delta the chain's
-  net change of the code, one int.  The entry vanishes exactly where a
-  factor is 0, and entries of equal (needs, delta) are merged;
+  net change of the code, one int.  A chain is built straight into these
+  codes from the term table, step by step.  The entry vanishes exactly
+  where a factor is 0, and entries of equal (needs, delta) are merged;
 - the plan cache, keyed by (field, mode, support), where the support is the
   tuple of the monomial's energy>0 keys, computed once per code: the
   entries of the groups of the subsets of the support, shared with the
@@ -103,6 +109,9 @@ ONE = Fraction(1)
 # The bits of a key's field in a code, and their mask.
 WIDTH = 8
 MASK = (1 << WIDTH) - 1
+# Half a field's range: the guard bit, and the bias of a field that holds
+# a signed change.
+HALF = 1 << (WIDTH - 1)
 
 
 def canon(d):
@@ -147,6 +156,7 @@ class WakimotoModule:
         self._shifts = {}
         self._guard = 0
         self._supports = {}
+        self.chains = 0
 
     def vacuum(self):
         return {(): ONE}
@@ -299,20 +309,39 @@ def decode(module, code):
 
 
 def _scaled(module, F):
-    """(s(F), F's terms with each coefficient times s(F)/den, as ints, the
-    (kind, g) prefixes of the energy>0 keys F's factors reach, F's longest
-    term's number of factors), s(F) being den times the lcm of the
-    denominators of F's coefficients.  Memoized on the module, keyed on F."""
+    """(s(F), F's term table, the (kind, g) prefixes of the energy>0 keys
+    F's factors reach, F's longest term's number of factors), s(F) being den
+    times the lcm of the denominators of F's coefficients.  Memoized on the
+    module, keyed on F.
+
+    The term table has one row (c, factors, reach, tops, ops) per term of
+    F: c is s(F) times the term's exact coefficient, an int, with den
+    folded in where the term has no b-factor (a b-factor carries den
+    itself, see resolve); factors are the term's field factors
+    (_factors); reach maps each prefix a factor differentiates to the
+    (factor index, shift) pairs of _annihilates; tops[i] says whether
+    factor i is a or b, whose z-exponent -1 is a top or scalar operator;
+    and ops[i] memoizes factor i's resolved op by z-exponent (_op)."""
     hit = module._scales.get(F)
     if hit is None:
         f = lcm(*(Fraction(c).denominator for c, _, _ in F.terms))
-        terms = [(integral(c * f), astars, main)
-                 for c, astars, main in F.terms]
-        factors = [_factors(astars, main) for _, astars, main in F.terms]
-        reach = {p for fs in factors for fac in fs
-                 for p in _annihilates(module, fac)[0]}
-        hit = module._scales[F] = (module.den * f, terms, reach,
-                                   max(map(len, factors), default=0))
+        rows = []
+        for c, astars, main in F.terms:
+            c = integral(c * f)
+            if main is None or main[0] != "b":
+                c *= module.den
+            factors = _factors(astars, main)
+            reach = {}
+            for i, fac in enumerate(factors):
+                prefixes, shift = _annihilates(module, fac)
+                for p in prefixes:
+                    reach.setdefault(p, []).append((i, shift))
+            rows.append((c, factors, reach,
+                         [fac[0] != "as" for fac in factors],
+                         [{} for _ in factors]))
+        hit = module._scales[F] = (
+            module.den * f, rows, {p for row in rows for p in row[2]},
+            max((len(row[1]) for row in rows), default=0))
     return hit
 
 
@@ -409,137 +438,189 @@ def _compile(module, F, m, A):
     entries of the chains that differentiate exactly the energy>0 keys of A,
     on any monomial whose support holds A.
 
-    For each term the z-exponent of every field factor is enumerated; an
-    exponent that makes the factor a (nonzero-energy) annihilation operator is
-    proposed only if the corresponding creation generator is in A (the rule
-    of _annihilates) — annihilation operators act first, and nothing in a
-    term can create an energy>0 generator before they apply, so this pruning
-    is exact.  A choice needs len(A) annihilation operators at least, since
-    each differentiates one key.  Each choice of exponents is a product of
-    generator operations, annihilators first; their resolved alternatives
-    multiply out into chains of steps (key, +1 multiply / -1 differentiate),
-    and a chain is kept if the energy>0 keys it differentiates are those of
-    A.
+    For each row of F's term table (_scaled) the z-exponent of every field
+    factor is chosen (_exponent_choices): an exponent that makes a factor an
+    annihilation operator is proposed only if the key it differentiates is
+    in A (the rule of _annihilates), so a row none of whose factors reaches
+    some key of A is skipped.  Annihilation operators act first, and nothing
+    in a term creates an energy>0 generator before they apply, so this
+    pruning is exact.
 
-    A chain becomes an entry (c, needs, delta).  needs holds, sorted, a
-    (key, offset) factor for each differentiation, offset being the net
-    exponent change of key by the steps before it: on a monomial of
-    exponents exps the chain multiplies by exps[key] + offset there.  delta
-    holds the chain's net exponent change per key.  A chain stops at the
-    first factor that is 0, and a negative factor only follows a 0 one on
-    the same key, so the entry vanishes exactly where a factor is 0.
-    Entries of equal (needs, delta) add their coefficients, and then each
-    key becomes its field's shift, and delta the change of the code.
+    A choice fixes the annihilators and the top or scalar ops (z-exponent
+    -1 of a or b); their resolved alternatives (_op, memoized per row,
+    factor and exponent) multiply out into chains.  Then each composition
+    of the creation exponents extends every chain by the creation ops,
+    which have one alternative each.  Moving the scalar ops among the
+    annihilators changes no entry, nor does the order within each class:
+    there every key moves by steps of one sign.
 
-    The coefficients are ints: each term's coefficient is taken times
-    s(F)/den, and den goes on the term's b-factor (resolve), or on the term
-    itself if it has none, so every entry is s(F) times its exact
-    coefficient."""
-    present = set(A)
+    A chain is built straight into (c, needs, delta) in code space: delta
+    adds step << shift for each step, and a differentiation of the key at
+    shift adds the need (shift, offset), offset being that key's net change
+    by the chain so far.  The offset is read off delta: with the guard
+    added, every field holds its net change plus HALF, and no field
+    borrows from the next.  A chain is dropped at the step that
+    differentiates an energy>0 key outside A, and after the fixed ops if it
+    left a key of A undifferentiated; it may differentiate a key of A more
+    than once, each time at a lower offset.  needs is sorted, and entries
+    of equal (needs, delta) add their coefficients.  An entry vanishes
+    exactly where a factor is 0: the chain stops at its first factor 0, and
+    a negative factor only follows a 0 one on the same key.
+
+    The coefficients are ints, s(F) times the exact ones (see _scaled and
+    resolve).  module.chains counts the chains kept, before merging."""
+    total = -m - 1
+    need = len(A)
+    full = (1 << need) - 1
+    bits = {module.shift(key): 1 << i for i, key in enumerate(A)}
     acc = {}
-    for coeff, astars, main in _scaled(module, F)[1]:
-        if main is None or main[0] != "b":
-            coeff *= module.den
-        factors = _factors(astars, main)
-        if len(factors) < len(A):
+    kept = 0
+    for c0, factors, reach, tops, ops in _scaled(module, F)[1]:
+        if len(factors) < need:
             continue
         if not factors:
-            if m == -1:
-                add_term(acc, ((), ()), coeff)
+            if not total:
+                add_term(acc, ((), 0), c0)
             continue
-        # per factor, the exponents that annihilate a key of A (a set: b_i
-        # reaches Y(0, mm) and Y(1, mm) at one exponent); j = -1 is the top
-        # operator of a and the scalar of b, and j >= 0 creates
-        ann = []
-        for f in factors:
-            prefixes, shift = _annihilates(module, f)
-            ann.append(sorted({-mm - shift for kind, g, mm in A
-                               if (kind, g) in prefixes}))
-        if sum(1 for a in ann if a) < len(A):
-            continue
-        tops = [f[0] != "as" for f in factors]
-        for js in _exponent_choices(ann, tops, -m - 1, len(A)):
-            cmul = coeff
-            annih = []
-            create = []
-            for f, j in zip(factors, js):
-                kind, g = f[:2]
-                if kind == "as":
-                    # dz a*_g: coefficient j + 1 on x_{g,j+1}, 0 at j = -1
-                    xj = j + f[2]
-                    if f[2]:
-                        cmul *= xj
-                    (annih if xj <= -1 else create).append(("x", g, xj))
-                elif kind == "a":  # d_{x_{g,n}}, n = -j - 1 >= 0 annihilates
-                    (annih if j <= -1 else create).append(("d", g, -j - 1))
-                else:  # b_{g,n}, n = -j - 1 >= 1 annihilates
-                    (annih if j <= -2 else create).append(("b", g, -j - 1))
-            chains = [(cmul, ())]
-            for op in annih + create:
-                chains = [(c * factor, chain + (step,) if step else chain)
-                          for c, chain in chains
-                          for factor, step in module.resolve(*op)
-                          if step is None or step[1] > 0
-                          or len(step[0]) == 2 or step[0] in present]
+        # per factor, the exponents that annihilate a key of A (b_i reaches
+        # Y(0, mm) and Y(1, mm) at one exponent)
+        ann = [[] for _ in factors]
+        for kind, g, mm in A:
+            hits = reach.get((kind, g))
+            if hits is None:  # no factor of the row reaches this key
+                break
+            for i, shift in hits:
+                ann[i].append(-mm - shift)
+        else:
+            ann = [sorted(set(a)) for a in ann]
+            for pick, comps in _exponent_choices(ann, tops, total, need):
+                chains = [(c0, (), 0, 0)]
+                free = []
+                for i, j in enumerate(pick):
+                    if j is None:
+                        free.append(i)
+                        continue
+                    alts = ops[i].get(j)
+                    if alts is None:
+                        alts = ops[i][j] = _op(module, factors[i], j)
+                    guard = module._guard
+                    grown = []
+                    for c, needs, delta, mask in chains:
+                        for a, shift, step, energetic in alts:
+                            if step >= 0:
+                                grown.append((c * a, needs,
+                                              delta + (step << shift), mask))
+                                continue
+                            bit = bits.get(shift) if energetic else 0
+                            if bit is None:  # an energy>0 key outside A
+                                continue
+                            off = ((delta + guard) >> shift & MASK) - HALF
+                            grown.append((c * a, needs + ((shift, off),),
+                                          delta - (1 << shift), mask | bit))
+                    chains = grown
+                chains = [(c, tuple(sorted(needs)), delta)
+                          for c, needs, delta, mask in chains if mask == full]
                 if not chains:
-                    break
-            for c, chain in chains:
-                needs, delta = _form(chain)
-                # chain differentiates no energy>0 key outside A, so it
-                # covers A iff it differentiates len(A) distinct ones
-                if not A or len({key for key, _ in needs
-                                 if len(key) == 3}) == len(A):
-                    add_term(acc, (needs, delta), c)
+                    continue
+                for comp in comps:
+                    c1 = 1
+                    d1 = 0
+                    diffs = []  # x_{g,0} differentiating a top key
+                    for i, j in zip(free, comp):
+                        alts = ops[i].get(j)
+                        if alts is None:
+                            alts = ops[i][j] = _op(module, factors[i], j)
+                        if not alts:
+                            break
+                        a, shift, step, _ = alts[0]
+                        c1 *= a
+                        d1 += step << shift
+                        if step < 0:
+                            diffs.append(shift)
+                    else:
+                        kept += len(chains)
+                        guard = module._guard
+                        for c, needs, delta in chains:
+                            if diffs:
+                                d = delta
+                                for shift in diffs:
+                                    off = ((d + guard) >> shift & MASK) - HALF
+                                    needs += ((shift, off),)
+                                    d -= 1 << shift
+                                needs = tuple(sorted(needs))
+                            add_term(acc, (needs, delta + d1), c * c1)
+    module.chains += kept
     interned = module._interned
-    plan = []
-    for (needs, delta), c in acc.items():
-        needs = tuple((module.shift(key), off) for key, off in needs)
-        delta = sum(e << module.shift(key) for key, e in delta)
-        plan.append((c, interned.setdefault(needs, needs),
-                     interned.setdefault(delta, delta)))
-    return plan
+    return [(c, interned.setdefault(needs, needs),
+             interned.setdefault(delta, delta))
+            for (needs, delta), c in acc.items()]
+
+
+def _op(module, f, j):
+    """The op of the field factor f at z-exponent j as its alternatives
+    (c, shift, step, energetic), summed: c the int factor of resolve, times
+    j + 1 for dz a*_g (which is x_{g,j+1}), step +1 to multiply by the key
+    at shift, -1 to differentiate it and 0 for neither (shift 0), and
+    energetic whether that key has energy > 0.  Empty if the op is 0."""
+    kind, g = f[:2]
+    mul = 1
+    if kind == "as":
+        op = ("x", g, j + f[2])
+        if f[2]:
+            mul = j + 1
+    elif kind == "a":
+        op = ("d", g, -j - 1)
+    else:
+        op = ("b", g, -j - 1)
+    if not mul:
+        return ()
+    return tuple((c * mul, 0, 0, False) if step is None
+                 else (c * mul, module.shift(step[0]), step[1],
+                       len(step[0]) == 3)
+                 for c, step in module.resolve(*op))
 
 
 def _exponent_choices(ann, tops, total, need):
-    """Every tuple js of one z-exponent per factor with sum total, of which
-    at least need annihilate: js[i] is in ann[i] (exponents < 0 that make
-    factor i annihilate), -1 where tops[i], or >= 0.
+    """Every choice of one z-exponent per factor with sum total, of which at
+    least need annihilate, as (pick, comps): js[i] is in ann[i] (exponents
+    < 0 that make factor i annihilate), -1 where tops[i], or >= 0.
 
     The annihilating factors are chosen first, as a combination of at
     least need of the factors with a nonempty ann[i]; each of them picks a
     value of ann[i], and every other factor -1 where tops[i], or creation
-    (None).  The creation exponents are the compositions of what is left,
-    from root_combinations: all but the last creation factor take b, and
-    the last takes end."""
+    (None in pick).  comps are the compositions of what is left over the
+    creation factors, in order (_compositions); a pick with none is not
+    yielded."""
     can = [i for i, a in enumerate(ann) if a]
     for size in range(need, len(can) + 1):
         for chosen in combinations(can, size):
             picks = [ann[i] if i in chosen else [-1] * top + [None]
                      for i, top in enumerate(tops)]
             for pick in product(*picks):
-                rest = total - sum(j for j in pick if j is not None)
-                c = pick.count(None)
-                if not c:
-                    if not rest:
-                        yield pick
-                    continue
-                for b, end in root_combinations([(1,)] * (c - 1), (rest,),
-                                                0):
-                    it = iter(b + end)
-                    yield tuple(next(it) if j is None else j for j in pick)
+                comps = _compositions(
+                    pick.count(None),
+                    total - sum(j for j in pick if j is not None))
+                if comps:
+                    yield pick, comps
 
 
-def _form(chain):
-    """(needs, delta) of a chain of steps: see _compile."""
-    shift = {}
-    needs = []
-    for key, step in chain:
-        offset = shift.get(key, 0)
-        if step < 0:
-            needs.append((key, offset))
-        shift[key] = offset + step
-    return (tuple(sorted(needs)),
-            tuple(sorted((key, e) for key, e in shift.items() if e)))
+_COMPOSITIONS = {}
+
+
+def _compositions(count, rest):
+    """The tuples of count ints >= 0 with sum rest, from root_combinations
+    (all but the last take b, and the last takes end), in its order.
+    Memoized by (count, rest)."""
+    key = (count, rest)
+    hit = _COMPOSITIONS.get(key)
+    if hit is None:
+        if not count:
+            hit = ((),) if not rest else ()
+        else:
+            hit = tuple(b + end for b, end in root_combinations(
+                [(1,)] * (count - 1), (rest,), 0))
+        _COMPOSITIONS[key] = hit
+    return hit
 
 
 # -- the free-field homomorphism at mode level --------------------------------
@@ -706,13 +787,13 @@ def _top_degree(rs):
 
 # The most commutator checks affine_comm_check runs (_affine_comm_checks).
 # On a 2-core box, with the peak RSS of the parent (V top) and of the child
-# (GT top): sl2 at -D 7 (531,720 checks) takes 4.9 s, 102 + 106 MB, and
-# sl3 at -D 2 (330,720) 9.1 s, 149 + 231 MB.  With the limit lifted, sl4 at
-# -D 1 (621,600) takes 56 s, 598 + 1034 MB.
+# (GT top): sl2 at -D 7 (531,720 checks) takes 4.7 s, 102 + 107 MB, and
+# sl3 at -D 2 (330,720) 7.3 s, 149 + 231 MB.  With the limit lifted, sl4 at
+# -D 1 (621,600) takes 45 s, 599 + 1033 MB.
 MAX_AFFINE_CHECKS = 600000
 # The largest n affine_comm_check admits.  A check costs more as n grows:
-# with this limit lifted, sl5 at -D 0 (157,080 checks) takes 48 s, 403 +
-# 589 MB.
+# with this limit lifted, sl5 at -D 0 (157,080 checks) takes 27 s, 406 +
+# 592 MB.
 MAX_AFFINE_N = 4
 
 

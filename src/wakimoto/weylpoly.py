@@ -138,9 +138,9 @@ _PI_CACHE = {}
 # The largest n whose pi_g is computed.  pi_g alone stays cheap for a while
 # (on a 2-core box `pi-g -n 8 e:theta` takes 1.7 s and 30 MB, `-n 9` 7 s
 # and 74 MB, `-n 10` 40 s), but the commands that lift it into the affine
-# fields do not: `ff-field -n 5 -k 1/2 e:theta` takes 3.1 s and 38 MB and
-# `verify zhu-diagram -n 5` 6.9 s and 40 MB, while `ff-field -n 6` took
-# 32 s and 329 MB.
+# fields do not: `ff-field -n 5 -k 1/2 e:theta` takes 1.1 s and 39 MB and
+# `verify zhu-diagram -n 5` 2.1 s and 41 MB, while `ff-field -n 6` took
+# 12 s and 349 MB.
 MAX_PI_G_N = 5
 
 
@@ -321,10 +321,16 @@ KCAP = 60
 # The most lattice points _top_counts may hold: prod_t (radius + 1 +
 # kmax * alpha_t) bounds the points between the window's floor and the
 # highest start.  On a 2-core box `twist-char -n 4 --alpha theta --window 4`
-# (274,625) takes 4 s and 51 MB, `-n 7 --alpha theta --window 1 --kcap 6`
-# (262,144) 15 s and 56 MB; `-n 4 --alpha theta --window 4 --kcap 100`
-# (1,157,625) took 20 s and 183 MB.
+# (274,625) takes 1.9 s and 52 MB; `-n 4 --alpha theta --window 4 --kcap
+# 100` (1,157,625) took 20 s and 183 MB.
 MAX_TOP_BOX = 300000
+# The most work _top_counts may do: lattice_counts walks each point once per
+# generator, the positive roots (all but alpha on a GT top), so the work is
+# the counting box times the generators.  `twist-char -n 4 --alpha theta
+# --window 4` (274,625 x 5) takes 1.9 s, and `verify characters -n 14 -D 0
+# --window 1` (8,192 x 91) 6.4 s; `-n 15` (16,384 x 105) took 17 s, and
+# `twist-char -n 7 --alpha theta --window 1 --kcap 6` (262,144 x 20) 12 s.
+MAX_TOP_WORK = 1500000
 
 
 def _check_window(radius):
@@ -341,8 +347,8 @@ def _top_kmax(rs, alpha_idx, radius, kcap):
     """The largest k of the starts k alpha of a top's count in the window
     |c| <= radius (0 for the Verma top).  WakimotoError if the counting
     box prod_t (radius + 1 + kmax * alpha_t), which bounds the points held
-    between the window's floor and the highest start, exceeds
-    MAX_TOP_BOX."""
+    between the window's floor and the highest start, exceeds MAX_TOP_BOX,
+    or that box times the number of generators exceeds MAX_TOP_WORK."""
     if alpha_idx is None:
         alpha, kmax = (0,) * rs.rank, 0
     else:
@@ -359,6 +365,12 @@ def _top_kmax(rs, alpha_idx, radius, kcap):
         raise WakimotoError("the top character up to radius %d needs a "
                             "counting box of %d lattice points; the limit "
                             "is %d" % (radius, box, MAX_TOP_BOX))
+    gens = len(rs.positive_roots) - (alpha_idx is not None)
+    if box * gens > MAX_TOP_WORK:
+        raise WakimotoError("the top character up to radius %d walks a "
+                            "counting box of %d lattice points with %d "
+                            "generators, %d steps; the limit is %d"
+                            % (radius, box, gens, box * gens, MAX_TOP_WORK))
     return kmax
 
 
@@ -373,7 +385,8 @@ def _top_counts(rs, alpha_idx, radius, kcap):
     so k stops at kcap, and an entry that (kcap + 1) alpha still reaches is
     reported as ('ge', n): at least the n counted.  A simple alpha needs no
     cap, see _top_kmax.  WakimotoError, before anything is counted, if the
-    points held on the way exceed MAX_TOP_BOX.
+    points held on the way exceed MAX_TOP_BOX, or the points times the
+    generators MAX_TOP_WORK.
     """
     kmax = _top_kmax(rs, alpha_idx, radius, kcap)
     roots = rs.positive_roots

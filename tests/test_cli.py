@@ -538,6 +538,32 @@ def test_a_large_counting_box_is_refused(argv, radius, box, monkeypatch,
         % (radius, box, weylpoly.MAX_TOP_BOX))
 
 
+@pytest.mark.parametrize("argv,box,gens", [
+    # 65,536 points, inside MAX_TOP_BOX, but 136 generators walk them: it
+    # ran for over 15 s in lattice_counts
+    (["verify", "characters", "-n", "17", "-D", "0", "--window", "1"],
+     2 ** 16, 136),
+    (["verify", "characters", "-n", "15", "--top", "GT", "-D", "0",
+      "--window", "1"], 16 * 2 ** 13, 104),
+    (["twist-char", "-n", "7", "--lam", "0,0,0,0,0,0", "--alpha", "theta",
+      "--window", "1", "--kcap", "6"], 8 ** 6, 20),
+])
+def test_a_long_top_count_is_refused(argv, box, gens, monkeypatch, capsys):
+    # refused before any lattice point is counted, by the counting box
+    # times the generators that walk it
+    def counted(*args):
+        raise AssertionError("counted before the size check")
+
+    for mod in (weylpoly, relaxed):
+        monkeypatch.setattr(mod, "lattice_counts", counted)
+    assert box <= weylpoly.MAX_TOP_BOX < box * gens
+    assert main(argv) == 2
+    assert capsys.readouterr().err == (
+        "error: the top character up to radius 1 walks a counting box of %d "
+        "lattice points with %d generators, %d steps; the limit is %d\n"
+        % (box, gens, box * gens, weylpoly.MAX_TOP_WORK))
+
+
 @pytest.mark.parametrize("argv,D,held", [
     # -n 3 -D 20 --window 6 took 32 s
     (["-D", "20", "--window", "6"], 20, 27 ** 2),

@@ -401,7 +401,12 @@ def test_exponent_choices_match_brute_force():
         cases.append((ann, tops, rng.randint(-7, 3), rng.randint(0, nfac)))
     below = some_needed = 0
     for ann, tops, total, need in cases:
-        got = list(modes._exponent_choices(ann, tops, total, need))
+        # each pick's None places take the compositions, in order
+        got = []
+        for pick, comps in modes._exponent_choices(ann, tops, total, need):
+            for comp in comps:
+                it = iter(comp)
+                got.append(tuple(next(it) if j is None else j for j in pick))
         expect = _choices_oracle(ann, tops, total, need)
         assert len(got) == len(set(got)) and set(got) == expect
         lowest = sum(min(a + [-1 if top else 0]) for a, top in zip(ann, tops))
@@ -537,6 +542,39 @@ def test_compiled_plans_match_op_by_op_evaluator(rs, dmax, top_deg):
                     for v in vectors:
                         assert (mode_apply(mod, F, m, v)
                                 == _op_by_op(mod, F, m, next(iter(v))))
+
+
+@st.composite
+def _random_monomials(draw):
+    """(module, field, mode, monomial): sl2 or sl3, the V top or the GT top
+    along the first simple root, k = 1/2 or -h_dual, a basis field, a mode
+    in -4..4, and a monomial of up to four keys with exponents up to 3,
+    drawn from the top's keys (D0, and X0 on a GT top) and the D, X and Y
+    keys of modes 1-3."""
+    rs = draw(st.sampled_from([RS2, RS3]))
+    alpha_idx = draw(st.sampled_from([None, rs.simple_indices[0]]))
+    k = draw(st.sampled_from([K, Fr(-rs.h_dual)]))
+    npos = len(rs.positive_roots)
+    keys = ([("X0" if g == alpha_idx else "D0", g) for g in range(npos)]
+            + [(kind, g, mm) for mm in range(1, 4)
+               for kind, count in (("D", npos), ("X", npos), ("Y", rs.rank))
+               for g in range(count)])
+    mono = draw(st.dictionaries(st.sampled_from(keys), st.integers(1, 3),
+                                max_size=4))
+    lam = Weight([Fr(2 * i + 1, 3) for i in range(rs.rank)])
+    return (vmod(rs, lam, k, alpha_idx),
+            pi_field(rs, draw(st.sampled_from(basis_symbols(rs))), k),
+            draw(st.integers(-4, 4)), canon(mono))
+
+
+@given(_random_monomials())
+@settings(max_examples=400, deadline=None)
+def test_compiled_plans_match_op_by_op_on_random_monomials(case):
+    # random monomials reach what spanning vectors at D <= 2 barely do:
+    # groups of two or more keys, a key differentiated twice, and a top key
+    # moved before it is differentiated (d_{x_{g,0}} then x_{g,0})
+    mod, F, m, mono = case
+    assert mode_apply(mod, F, m, {mono: 1}) == _op_by_op(mod, F, m, mono)
 
 
 # -- the full commutation suite (small instance; acceptance runs the big one) ------
