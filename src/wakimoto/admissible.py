@@ -12,7 +12,8 @@ from operator import itemgetter
 
 from .errors import RealizationBug, WakimotoError
 from .rootdata import (Weight, all_weyl_elements, build_root_system,
-                       lattice_counts, pairing, rho, root_combinations, theta)
+                       lattice_counts, pack, pairing, rho, root_combinations,
+                       theta)
 from .sparse import integral
 
 
@@ -304,7 +305,7 @@ def all_partitions(n):
     if n < 1:
         raise WakimotoError("need n >= 1, got %r" % (n,))
     parts = [(k,) for k in range(n, 0, -1)]
-    count = lattice_counts({(n,): 1}, parts, lambda c: c[0] >= 0)[(0,)]
+    count = lattice_counts({(n,): 1}, parts, (0,))[pack((0,))]
     if count > MAX_PARTITIONS:
         raise WakimotoError("n = %d has %d partitions; the limit is %d"
                             % (n, count, MAX_PARTITIONS))

@@ -238,8 +238,9 @@ def _verify_characters(args, rs):
         fields["alpha"] = root_label(rs.positive_roots[ai])
     elif args.alpha:
         raise WakimotoError("--alpha needs --top GT")
-    a = relaxed.character_relaxed_verma(rs, lam, ai, args.D, args.window)
-    b = relaxed.character_relaxed_wakimoto(rs, lam, ai, args.D, args.window)
+    count = relaxed.character_top(rs, ai, args.D, args.window)
+    a = relaxed.character_relaxed_verma(rs, lam, count)
+    b = relaxed.character_relaxed_wakimoto(rs, lam, count)
     fields.update({"top": top, "lambda": weight_to_json(lam), "D": args.D,
                    "entries": len(a)})
     keys = sorted((kk for kk in set(a) | set(b) if a.get(kk) != b.get(kk)),
@@ -547,11 +548,22 @@ def main(argv=None):
         argv = sys.argv[1:]
     argv = _merge_negative_values(list(argv))
     try:
-        args = ap.parse_args(argv)
-        _check_ranges(args)
-        return args.func(args)
+        try:
+            args = ap.parse_args(argv)
+            _check_ranges(args)
+            return args.func(args)
+        finally:
+            sys.stdout.flush()
     except SystemExit as e:  # -h printed the help
         return e.code or 0
+    except BrokenPipeError:
+        # the reader of stdout has gone (`| head`): exit as a process that
+        # SIGPIPE killed would, 128 + 13, silently; stdout now points at
+        # devnull, so the flush at exit writes what is left nowhere
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
     except WakimotoError as e:
         print("error: %s" % (e,), file=sys.stderr)
         return 2

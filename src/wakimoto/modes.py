@@ -815,7 +815,7 @@ def _affine_comm_checks(rs, dmax):
     energy = 0
     while True:
         gens = [(m,) for m in range(1, energy + 1) for _ in range(dim)]
-        counts = lattice_counts({(energy,): 1}, gens, lambda c: c[0] >= 0)
+        counts = lattice_counts({(energy,): 1}, gens, (0,))
         checks = per_vector * sum(counts.values())
         if checks > MAX_AFFINE_CHECKS or energy == dmax:
             return checks

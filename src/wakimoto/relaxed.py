@@ -32,7 +32,8 @@ from . import liealg, weylpoly
 from .errors import RealizationBug, WakimotoError
 from .liealg import bracket_symbols, kappa0_symbols
 from .linalg import nullspace
-from .rootdata import lattice_counts, offset_weight, root_combinations
+from .rootdata import (WIDTH, guard_bits, lattice_counts, offset_weight,
+                       pack, root_combinations, unpack)
 from .sparse import add_into, add_term, integral
 
 ONE = Fraction(1)
@@ -169,45 +170,72 @@ def _root_shift(rs, sym):
 
 
 def _mode_monomial_table(rs, families, dmax):
-    """{energy d: {root-coordinate weight: count}} of the monomials of
-    energy d <= dmax in negative-mode families; families is a list of
-    root-coordinate weights, one per generator family, each family holding
-    a generator for every mode m >= 1.  One lattice count on the points
-    (energy left, weight), from (dmax, 0) by the generators (m, -w)."""
-    gens = [(m,) + tuple(-c for c in wt)
+    """{energy d: {code of a root-coordinate weight: count}} of the
+    monomials of energy d <= dmax in negative-mode families; families is a
+    list of root-coordinate weights, one per generator family, each family
+    holding a generator for every mode m >= 1.  One lattice count on the
+    points (weight, energy left), from (0, dmax) by the generators (-w, m):
+    the weight fills a point's low fields, so its code is the point's code
+    without the energy field."""
+    r = rs.rank
+    gens = [tuple(-c for c in wt) + (m,)
             for wt in families for m in range(1, dmax + 1)]
-    counts = lattice_counts({(dmax,) + (0,) * rs.rank: 1}, gens,
-                            lambda p: p[0] >= 0)
+    counts = lattice_counts({(0,) * r + (dmax,): 1}, gens,
+                            (None,) * r + (0,))
+    low = (1 << WIDTH * r) - 1
     table = {}
     for p, cnt in counts.items():
-        table.setdefault(dmax - p[0], {})[p[1:]] = cnt
+        (left,) = unpack(p >> WIDTH * r, 1)
+        table.setdefault(dmax - left, {})[p & low] = cnt
     return table
 
 
-def _convolve_character(rs, lam, top_table, mode_table, radius):
-    """Combine a top-component character {root-coordinate offset:
-    count-or-('ge',n)} with the mode-monomial table into
-    {(Weight, d): count-or-('ge',n)} in the window."""
-    weylpoly._check_window(radius)
+def _convolve_counts(top, mode_table, r, radius):
+    """{point: count} of the pairs of a top entry (code, int count) and a
+    mode-table entry whose offsets sum into the window |c| <= radius.  A
+    point is one int: the top code plus the mode weight's code less 0's,
+    with the energy d in the field above the weight's.  The window is the
+    two mask tests of rootdata, at or above -radius and at or below radius;
+    they read the weight's fields only, as the energy field neither borrows
+    nor reaches a guard bit."""
+    G = guard_bits(r)
+    low = pack((-radius,) * r)
+    high = pack((radius,) * r) | G
+    zero = pack((0,) * r)
     out = {}
     for d, row in mode_table.items():
-        for wshift, cnt in row.items():
-            for offset, mult in top_table.items():
-                total = tuple(a + b for a, b in zip(offset, wshift))
-                if not weylpoly._in_window(total, radius):
-                    continue
-                key = (total, d)
-                flagged = isinstance(mult, tuple)
-                base = mult[1] if flagged else mult
-                prev = out.get(key, 0)
-                pflag = isinstance(prev, tuple)
-                pbase = prev[1] if pflag else prev
-                nbase = pbase + base * cnt
-                out[key] = ("ge", nbase) if (flagged or pflag) else nbase
-    return {(offset_weight(rs, lam, c), d): m for (c, d), m in out.items()}
+        for w, cnt in row.items():
+            delta = w - zero + (d << WIDTH * r)
+            for c, m in top:
+                p = c + delta
+                if ((p | G) - low) & G == G and (high - p) & G == G:
+                    out[p] = out.get(p, 0) + m * cnt
+    return out
 
 
-# The most work _relaxed_character may do, bounded before anything is
+def _convolve_character(rs, lam, top_table, mode_table, radius):
+    """Combine a top-component character {offset code: count-or-('ge',n)}
+    with the mode-monomial table into {(Weight, d): count-or-('ge',n)} in
+    the window: an entry is ('ge', n) if a ('ge', m) top entry reaches it,
+    n summing every entry's count."""
+    weylpoly._check_window(radius)
+    r = rs.rank
+    out = _convolve_counts(
+        [(c, m) for c, m in top_table.items() if not isinstance(m, tuple)],
+        mode_table, r, radius)
+    flagged = _convolve_counts(
+        [(c, m[1]) for c, m in top_table.items() if isinstance(m, tuple)],
+        mode_table, r, radius)
+    for p, m in flagged.items():
+        out[p] = ("ge", out.get(p, 0) + m)
+    # one Weight per weight, shared by its energies
+    low = (1 << WIDTH * r) - 1
+    weights = {c: offset_weight(rs, lam, unpack(c, r))
+               for c in {p & low for p in out}}
+    return {(weights[p & low], p >> WIDTH * r): m for p, m in out.items()}
+
+
+# The most work a relaxed character may do, bounded before anything is
 # counted as the mode table's points times the top table's points.  A
 # generator of energy m >= 1 moves each root coordinate by at most 1, so
 # the table holds at most (dmax + 1) (2 dmax + 1)^rank points (energy left,
@@ -215,17 +243,19 @@ def _convolve_character(rs, lam, top_table, mode_table, radius):
 # top table holds window points c (|c_t| <= R, R = radius + dmax) at or
 # below the highest start kmax alpha, at most prod_t min(R + 1 + kmax
 # alpha_t, 2 R + 1); the counting that fills it is bounded by MAX_TOP_BOX.
-# On a 2-core box both characters of `verify characters -n 3 --window 6`
-# (V top) take 2.0 s at -D 10 (1,401,939) and 3.8 s at -D 12 (2,933,125);
-# `-n 2 -D 80 --window 10` (1,186,731) takes 6.3 s; with the GT top of
-# sl3, along theta at -D 5 --window 17 (1,470,150) they take 2.9 s, along
-# a1 at -D 10 --window 1 (1,338,876) 1.9 s.
+# On a 2-core box `verify characters -n 3 --window 6` (V top) takes 0.37 s
+# at -D 10 (1,401,939) and 0.60 s at -D 12 (2,933,125), and 3.7 s at -D 20
+# (25,734,429); `-n 2 -D 80 --window 10` (1,186,731) takes 1.5 s; with the
+# GT top of sl3, along theta at -D 5 --window 17 (1,470,150) it takes
+# 0.62 s, along a1 at -D 10 --window 1 (1,338,876) 0.26 s.
 MAX_CHARACTER_WORK = 1500000
 
 
-def _relaxed_character(rs, lam, alpha_idx, dmax, radius, families):
-    """The top count in the window widened by dmax, times the monomials in
-    the mode families, as {(Weight, energy): count-or-('ge', n)}.
+def character_top(rs, alpha_idx, dmax, radius):
+    """The top count that the relaxed characters up to energy dmax in the
+    window |c| <= radius read, as (table, dmax, radius): the top's
+    weylpoly._top_counts in the window widened by dmax.  One table serves
+    both realizations, which differ only in their mode families.
     WakimotoError, before anything is counted, if the work bound exceeds
     MAX_CHARACTER_WORK."""
     wide = radius + dmax
@@ -239,30 +269,40 @@ def _relaxed_character(rs, lam, alpha_idx, dmax, radius, families):
             "the character up to energy %d needs %d mode-table points times "
             "%d top points, %d; the limit is %d"
             % (dmax, points, held, points * held, MAX_CHARACTER_WORK))
-    top_table = weylpoly._top_counts(rs, alpha_idx, wide, weylpoly.KCAP)
-    mode_table = _mode_monomial_table(rs, families, dmax)
-    return _convolve_character(rs, lam, top_table, mode_table, radius)
+    return (weylpoly._top_counts(rs, alpha_idx, wide, weylpoly.KCAP), dmax,
+            radius)
 
 
-def character_relaxed_verma(rs, lam, alpha_idx, dmax, radius):
-    """Bigraded character of the relaxed Verma module, counted on the PBW
-    side: the top character times monomials in the dim g families a_{-m},
-    one for each Chevalley basis element a."""
+def _relaxed_character(rs, lam, top, families):
+    """The top count (character_top) times the monomials in the mode
+    families, as {(Weight, energy): count-or-('ge', n)}."""
+    table, dmax, radius = top
+    return _convolve_character(rs, lam, table,
+                               _mode_monomial_table(rs, families, dmax),
+                               radius)
+
+
+def character_relaxed_verma(rs, lam, top):
+    """Bigraded character of the relaxed Verma module over the top count
+    top (character_top), counted on the PBW side: the top character times
+    monomials in the dim g families a_{-m}, one for each Chevalley basis
+    element a."""
     families = [_root_shift(rs, sym) for sym in liealg.basis_symbols(rs)]
-    return _relaxed_character(rs, lam, alpha_idx, dmax, radius, families)
+    return _relaxed_character(rs, lam, top, families)
 
 
-def character_relaxed_wakimoto(rs, lam, alpha_idx, dmax, radius):
-    """Bigraded character of the relaxed Wakimoto module, counted on the
-    free-field side: the top character times monomials in the generators
-    {d_{x,-m}: -gamma, x_m: +gamma, y_m: 0}."""
+def character_relaxed_wakimoto(rs, lam, top):
+    """Bigraded character of the relaxed Wakimoto module over the top count
+    top (character_top), counted on the free-field side: the top character
+    times monomials in the generators {d_{x,-m}: -gamma, x_m: +gamma,
+    y_m: 0}."""
     families = []
     for gamma in rs.positive_roots:
         families.append(tuple(-c for c in gamma))
         families.append(gamma)
     for _ in range(rs.rank):
         families.append((0,) * rs.rank)
-    return _relaxed_character(rs, lam, alpha_idx, dmax, radius, families)
+    return _relaxed_character(rs, lam, top, families)
 
 
 def _mode_monomials(mod, D):
@@ -312,7 +352,8 @@ def _search_size(rs, lam, D):
     relaxed Verma character at energies 1..D in the box of radius 2D + 2,
     whose entries are the cell sizes."""
     try:
-        char = character_relaxed_verma(rs, lam, None, D, 2 * D + 2)
+        char = character_relaxed_verma(
+            rs, lam, character_top(rs, None, D, 2 * D + 2))
     except WakimotoError as e:
         raise WakimotoError("the singular-vector search up to energy %d "
                             "is too large to count: %s" % (D, e))

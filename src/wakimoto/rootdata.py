@@ -16,9 +16,8 @@ epsilon vectors scaled to clear denominators.
 
 from fractions import Fraction
 from itertools import permutations
-from operator import add, sub
 
-from .errors import WakimotoError
+from .errors import RealizationBug, WakimotoError
 
 ZERO = Fraction(0)
 
@@ -98,14 +97,11 @@ class RootSystem:
         return i, j
 
     def root_to_weight(self, alpha):
-        """Coordinates of the root alpha in the fundamental-weight basis."""
-        r = self.rank
-        return Weight(
-            tuple(
-                sum(self.cartan_matrix[i][j] * alpha[j] for j in range(r))
-                for i in range(r)
-            )
-        )
+        """Coordinates of the root alpha in the fundamental-weight basis: the
+        Cartan matrix times alpha, 2 a_i - a_{i-1} - a_{i+1} in type A."""
+        a = (0, *alpha, 0)
+        return Weight(tuple(2 * a[i] - a[i - 1] - a[i + 1]
+                            for i in range(1, self.rank + 1)))
 
     def is_positive_root(self, alpha):
         return alpha in self.root_index
@@ -168,35 +164,124 @@ def root_combinations(roots, start, floor):
             stack.append((b + (k,), tuple(c - k * x for c, x in zip(cur, g))))
 
 
-def lattice_counts(starts, gens, keep):
-    """{point: count} of the points s - sum_g b[g] * g with b >= 0, where
-    starts is {s: count}: a point counts starts[s] once for every start s
-    and every b that reach it.
+# -- packed lattice points ----------------------------------------------------
+#
+# lattice_counts and the character tables hold a lattice point as one int,
+# its code: coordinate i sits in bits [32 i, 32 i + 32) as c_i + 2^30.  A
+# coordinate must lie in [-2^30, 2^30), so that its field stays below bit
+# 31, the field's guard bit: then codes add and subtract as points, with no
+# carry from one field into the next, and a point c lies at or above a
+# floor f in every coordinate iff ((c | G) - f) & G == G, G the guard bits
+# and f packed: no field of c | G borrows, and a field keeps its guard bit
+# iff it is at least f's.  Likewise c lies at or below u iff
+# ((u | G) - c) & G == G.  pack refuses a coordinate outside the range, and
+# lattice_counts, before it walks, a walk that could leave it.
 
-    Only the points that keep accepts are counted.  keep(c) must imply
-    keep(c + g) for every generator g, so that every point on the way
-    down to a kept point is kept too.  The generators are taken one at a
-    time: each point's ray c, c - g, c - 2g, ... is walked down until it
-    meets a point already held or one that keep rejects, and then each ray
-    is walked again from its top, setting count(c) = before(c) +
-    count(c + g).  Equal points merge, so the work grows with the number
-    of distinct points, not with the number of exponent vectors b.
-    """
-    table = {s: c for s, c in starts.items() if keep(s)}
+WIDTH = 32
+_BIAS = 1 << 30
+_FIELD = (1 << WIDTH) - 1
+
+
+def pack(coords):
+    """The code of a lattice point; RealizationBug if a coordinate lies
+    outside [-2^30, 2^30)."""
+    code = 0
+    for c in reversed(coords):
+        if not -_BIAS <= c < _BIAS:
+            raise RealizationBug("lattice coordinate %d is outside the "
+                                 "packed range [-2^30, 2^30)" % (c,))
+        code = code << WIDTH | (c + _BIAS)
+    return code
+
+
+def unpack(code, dim):
+    """The first dim coordinates of a code."""
+    return tuple(((code >> WIDTH * i) & _FIELD) - _BIAS for i in range(dim))
+
+
+def guard_bits(dim):
+    """G: the guard bit of each of dim fields."""
+    return sum(1 << (WIDTH * i + WIDTH - 1) for i in range(dim))
+
+
+def floor_code(floors):
+    """The packed floors, a floor None packed as -2^30, the least
+    coordinate a code holds."""
+    return pack(tuple(-_BIAS if f is None else f for f in floors))
+
+
+def _steps(starts, gens, floors):
+    """The generators as code differences, after checking the walk of
+    lattice_counts from the point tuples starts: RealizationBug if a
+    generator raises a coordinate that has a floor or lowers none, or if a
+    point the walk computes could leave the packed range.  A generator g is
+    taken at most B_g = min_t (max start_t - floor_t) // g_t times, over
+    the coordinates t with a floor and g_t > 0, since no generator raises
+    them; the walk also computes each held point's next point down and up
+    along a generator, so every coordinate stays within sum_g (B_g + 1) |g_t|
+    of the starts."""
+    dim = len(floors)
+    lo = [min(s[t] for s in starts) for t in range(dim)]
+    hi = [max(s[t] for s in starts) for t in range(dim)]
+    reach = [0] * dim
     for g in gens:
+        if any(f is not None and x < 0 for f, x in zip(floors, g)):
+            raise RealizationBug("generator %r raises a coordinate that has "
+                                 "a floor" % (g,))
+        times = [(hi[t] - f) // x for t, (f, x) in enumerate(zip(floors, g))
+                 if f is not None and x > 0]
+        if not times:
+            raise RealizationBug("generator %r lowers no coordinate that has "
+                                 "a floor" % (g,))
+        for t, x in enumerate(g):
+            reach[t] += (min(times) + 1) * abs(x)
+    if any(l - r < -_BIAS or h + r >= _BIAS
+           for l, h, r in zip(lo, hi, reach)):
+        raise RealizationBug("a lattice walk could leave the packed range "
+                             "[-2^30, 2^30)")
+    return [sum(x << WIDTH * t for t, x in enumerate(g)) for g in gens]
+
+
+def lattice_counts(starts, gens, floors):
+    """{code: count} of the points s - sum_g b[g] * g with b >= 0 at or
+    above floors, where starts is {s: count}: a point counts starts[s] once
+    for every start s and every b that reach it.  Points are tuples on the
+    way in and codes (pack) on the way out; floors holds a floor per
+    coordinate, None for none.
+
+    No generator may raise a coordinate that has a floor, and each must
+    lower one, so that the walk ends and every point on the way down to a
+    counted point is counted too; see _steps, which checks this and the
+    packed range before anything is walked.  The generators are taken one
+    at a time: each point's ray c, c - g, c - 2g, ... is walked down until
+    it meets a point already held or one below the floors, and then each
+    ray is walked again from its top, setting count(c) = before(c) +
+    count(c + g).  Equal points merge, so the work grows with the number
+    of distinct points, not with the number of exponent vectors b; a step
+    is one subtraction and one mask test.
+    """
+    kept = {s: c for s, c in starts.items()
+            if all(f is None or x >= f for x, f in zip(s, floors))}
+    if not kept:
+        return {}
+    steps = _steps(kept, gens, floors)
+    G = guard_bits(len(floors))
+    L = floor_code(floors)
+    table = {pack(s): c for s, c in kept.items()}
+    for g in steps:
         for c in list(table):
-            c = tuple(map(sub, c, g))
-            while c not in table and keep(c):
+            c -= g
+            while c not in table and ((c | G) - L) & G == G:
                 table[c] = 0
-                c = tuple(map(sub, c, g))
+                c -= g
         for c in list(table):
-            if tuple(map(add, c, g)) in table:
+            if c + g in table:
                 continue
             run = 0
             while c in table:
                 run += table[c]
                 table[c] = run
-                c = tuple(map(sub, c, g))
+                c -= g
     return table
 
 

@@ -31,8 +31,9 @@ from . import liealg
 from .errors import RealizationBug, WakimotoError
 from .linalg import charpoly, rational_roots
 from .liealg import bracket_symbols
-from .rootdata import (build_root_system, lattice_counts, offset_weight, rho,
-                       root_combinations, root_label, root_offset)
+from .rootdata import (build_root_system, guard_bits, lattice_counts,
+                       offset_weight, pack, rho, root_combinations,
+                       root_label, root_offset, unpack)
 from .sparse import add_into, add_term, added, scaled
 
 ZERO = Fraction(0)
@@ -311,8 +312,9 @@ def fock_apply(terms, alpha_idx, v):
 
 # -- characters ---------------------------------------------------------------
 #
-# A character is counted as {root-coordinate offset from lambda: mult}; the
-# offsets are integer tuples, and each becomes a Weight once, on output.
+# A character is counted as {root-coordinate offset from lambda: mult}; each
+# offset is one int, its code (rootdata.pack), and becomes a Weight once, on
+# output.
 
 # The default cap on the alpha exponent k of a twisted top with a non-simple
 # alpha.
@@ -321,15 +323,18 @@ KCAP = 60
 # The most lattice points _top_counts may hold: prod_t (radius + 1 +
 # kmax * alpha_t) bounds the points between the window's floor and the
 # highest start.  On a 2-core box `twist-char -n 4 --alpha theta --window 4`
-# (274,625) takes 1.9 s and 52 MB; `-n 4 --alpha theta --window 4 --kcap
-# 100` (1,157,625) took 20 s and 183 MB.
+# (274,625) takes 1.4-1.6 s and 48 MB; `-n 4 --alpha theta --window 4
+# --kcap 100` (1,157,625) took 14 s and 149 MB.
 MAX_TOP_BOX = 300000
 # The most work _top_counts may do: lattice_counts walks each point once per
 # generator, the positive roots (all but alpha on a GT top), so the work is
-# the counting box times the generators.  `twist-char -n 4 --alpha theta
-# --window 4` (274,625 x 5) takes 1.9 s, and `verify characters -n 14 -D 0
-# --window 1` (8,192 x 91) 6.4 s; `-n 15` (16,384 x 105) took 17 s, and
-# `twist-char -n 7 --alpha theta --window 1 --kcap 6` (262,144 x 20) 12 s.
+# the counting box times the generators.  A step costs about as much at any
+# rank, 0.5-0.8 us in process from sl4 to sl14, but each window point then
+# becomes a Weight of rank Fractions.  `twist-char -n 4 --alpha theta
+# --window 4` (274,625 x 5) takes 1.4-1.6 s, and `verify characters -n 14
+# -D 0 --window 1` (8,192 x 91) 2.2 s; `-n 15` (16,384 x 105) took 5.5 s,
+# and `twist-char -n 7 --alpha theta --window 1 --kcap 6` (262,144 x 20)
+# 3.9 s.
 MAX_TOP_WORK = 1500000
 
 
@@ -337,10 +342,6 @@ def _check_window(radius):
     """Refuse a window that holds no weight beyond lambda itself."""
     if radius < 1:
         raise WakimotoError("window radius must be positive")
-
-
-def _in_window(coords, radius):
-    return all(-radius <= c <= radius for c in coords)
 
 
 def _top_kmax(rs, alpha_idx, radius, kcap):
@@ -375,15 +376,17 @@ def _top_kmax(rs, alpha_idx, radius, kcap):
 
 
 def _top_counts(rs, alpha_idx, radius, kcap):
-    """The character of a module top as {root-coordinate offset from lambda:
-    mult} in the window |c| <= radius: the Verma character
+    """The character of a module top as {code of the root-coordinate offset
+    from lambda (rootdata.pack): mult} in the window |c| <= radius: the
+    Verma character
     prod_gamma (1 - e^{-gamma})^{-1} when alpha_idx is None, otherwise the
     twisted one sum_{k >= 1} e^{k alpha} prod_{gamma != alpha}
     (1 - e^{-gamma})^{-1}.
 
-    For a non-simple alpha a window weight can have infinite multiplicity,
-    so k stops at kcap, and an entry that (kcap + 1) alpha still reaches is
-    reported as ('ge', n): at least the n counted.  A simple alpha needs no
+    For a non-simple alpha k stops at kcap, and every entry is reported as
+    ('ge', n), at least the n counted: the other roots hold every simple
+    root, so (kcap + 1) alpha reaches every point c <= (kcap + 1) alpha,
+    and every point counted lies below kcap alpha.  A simple alpha needs no
     cap, see _top_kmax.  WakimotoError, before anything is counted, if the
     points held on the way exceed MAX_TOP_BOX, or the points times the
     generators MAX_TOP_WORK.
@@ -397,15 +400,13 @@ def _top_counts(rs, alpha_idx, radius, kcap):
         alpha = roots[alpha_idx]
         gens = roots[:alpha_idx] + roots[alpha_idx + 1:]
         starts = {tuple(k * a for a in alpha): 1 for k in range(1, kmax + 1)}
-    counts = lattice_counts(starts, gens, lambda c: min(c) >= -radius)
-    table = {c: m for c, m in counts.items() if max(c) <= radius}
+    counts = lattice_counts(starts, gens, (-radius,) * rs.rank)
+    # c <= u in every coordinate iff ((u | G) - c) & G == G, see rootdata
+    G = guard_bits(rs.rank)
+    top = pack((radius,) * rs.rank) | G
+    table = {c: m for c, m in counts.items() if (top - c) & G == G}
     if sum(alpha) > 1:
-        # the other roots hold every simple root, so (kmax + 1) alpha still
-        # reaches exactly the points c <= (kmax + 1) alpha
-        past = tuple((kmax + 1) * a for a in alpha)
-        for c, m in table.items():
-            if all(x <= y for x, y in zip(c, past)):
-                table[c] = ("ge", m)
+        return {c: ("ge", m) for c, m in table.items()}
     return table
 
 
@@ -417,7 +418,7 @@ def twist_character(rs, lam, alpha_idx, radius, kcap=KCAP):
     char = e^lam (sum_{k>=1} e^{k alpha}) prod_{gamma != alpha}(1-e^{-gamma})^{-1}.
     """
     _check_window(radius)
-    return {offset_weight(rs, lam, c): m
+    return {offset_weight(rs, lam, unpack(c, rs.rank)): m
             for c, m in _top_counts(rs, alpha_idx, radius, kcap).items()}
 
 

@@ -67,14 +67,16 @@ def test_05_character_identity():
     for lam_c in FIVE_LAMBDAS:
         lam = Weight((lam_c,))
         for ai in (0, None):
-            a = relaxed.character_relaxed_verma(RS2, lam, ai, 6, 10)
-            b = relaxed.character_relaxed_wakimoto(RS2, lam, ai, 6, 10)
+            count = relaxed.character_top(RS2, ai, 6, 10)
+            a = relaxed.character_relaxed_verma(RS2, lam, count)
+            b = relaxed.character_relaxed_wakimoto(RS2, lam, count)
             assert a == b
     lam3 = Weight((Fr(1, 3), Fr(2)))
     th = RS3.root_index[(1, 1)]
     for ai in (th, None):
-        a = relaxed.character_relaxed_verma(RS3, lam3, ai, 3, 5)
-        b = relaxed.character_relaxed_wakimoto(RS3, lam3, ai, 3, 5)
+        count = relaxed.character_top(RS3, ai, 3, 5)
+        a = relaxed.character_relaxed_verma(RS3, lam3, count)
+        b = relaxed.character_relaxed_wakimoto(RS3, lam3, count)
         assert a == b
 
 
@@ -97,7 +99,8 @@ def test_07_twisting_functor_characters():
     # GT-top relaxed character restricted to energy 0 is the twisted character
     for rs, lam, ai, r in ((RS2, Weight((Fr(2, 3),)), 0, 8),
                            (RS3, lam3, th, 4)):
-        ch = relaxed.character_relaxed_verma(rs, lam, ai, 2, r)
+        ch = relaxed.character_relaxed_verma(
+            rs, lam, relaxed.character_top(rs, ai, 2, r))
         d0 = {wt: m for (wt, d), m in ch.items() if d == 0}
         assert d0 == twist_character(rs, lam, ai, r)
 

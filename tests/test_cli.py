@@ -326,9 +326,9 @@ def test_every_suite_has_help(suite, capsys):
         "usage: wakimoto verify %s [-h] -n N" % suite)
 
 
-def _one_entry_dropped(rs, lam, alpha_idx, dmax, radius):
+def _one_entry_dropped(rs, lam, count):
     """relaxed.character_relaxed_verma without its first entry."""
-    table = relaxed.character_relaxed_verma(rs, lam, alpha_idx, dmax, radius)
+    table = relaxed.character_relaxed_verma(rs, lam, count)
     return dict(list(table.items())[1:])
 
 
@@ -539,8 +539,8 @@ def test_a_large_counting_box_is_refused(argv, radius, box, monkeypatch,
 
 
 @pytest.mark.parametrize("argv,box,gens", [
-    # 65,536 points, inside MAX_TOP_BOX, but 136 generators walk them: it
-    # ran for over 15 s in lattice_counts
+    # 65,536 points, inside MAX_TOP_BOX, but 136 generators walk them: with
+    # the limit lifted it takes 24 s, 7.4 s of it in lattice_counts
     (["verify", "characters", "-n", "17", "-D", "0", "--window", "1"],
      2 ** 16, 136),
     (["verify", "characters", "-n", "15", "--top", "GT", "-D", "0",
@@ -565,7 +565,7 @@ def test_a_long_top_count_is_refused(argv, box, gens, monkeypatch, capsys):
 
 
 @pytest.mark.parametrize("argv,D,held", [
-    # -n 3 -D 20 --window 6 took 32 s
+    # -n 3 -D 20 --window 6 takes 3.7 s with the limit lifted
     (["-D", "20", "--window", "6"], 20, 27 ** 2),
     # a GT top's table holds only window points, |c_t| <= window + D
     (["--top", "GT", "--alpha", "theta", "-D", "5", "--window", "18"], 5,
@@ -685,6 +685,25 @@ def test_the_cli_does_not_import_dataclasses():
     out = subprocess.run([sys.executable, "-c", code], env=env,
                          capture_output=True, text=True, check=True).stdout
     assert out == "False\n"
+
+
+def test_a_closed_stdout_exits_141_silently():
+    # orbits -n 20 prints 279 KB, more than a pipe holds, so the command is
+    # still writing when the reader closes its end
+    src = os.path.dirname(os.path.dirname(admissible.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.Popen([sys.executable, "-m", "wakimoto.cli", "orbits",
+                             "-n", "20"], env=env, stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE)
+    try:
+        assert proc.stdout.read(10) == b'{\n  "n": 2'
+        proc.stdout.close()
+        assert proc.wait(timeout=60) == 141
+        assert proc.stderr.read() == b""
+    finally:
+        proc.kill()
+        proc.wait()
+        proc.stderr.close()
 
 
 def test_richardson_text_format(capsys):

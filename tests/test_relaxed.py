@@ -10,13 +10,14 @@ from wakimoto.cli import main
 from wakimoto.errors import RealizationBug
 from wakimoto.liealg import basis_symbols, bracket_symbols, kappa0_symbols
 from wakimoto.relaxed import (RelaxedModule, character_relaxed_verma,
-                              character_relaxed_wakimoto,
+                              character_relaxed_wakimoto, character_top,
                               find_singular_vectors, relaxed_verma_act)
-from wakimoto.rootdata import (Weight, build_root_system, pairing,
-                               root_combinations)
+from wakimoto.rootdata import (Weight, build_root_system, offset_weight,
+                               pairing, root_combinations, unpack)
 from wakimoto.sparse import add_into, add_term
 from wakimoto.sparse import added as vec_add
-from wakimoto.weylpoly import fock_apply, fock_terms, pi_g
+from wakimoto.weylpoly import (KCAP, _top_counts, fock_apply, fock_terms,
+                               pi_g)
 
 from test_weylpoly import fock_oracle
 
@@ -228,21 +229,22 @@ def test_a_search_with_no_cells_computes_no_pi_g(capsys):
 # -- characters --------------------------------------------------------------------
 
 def test_degree_zero_is_top_character():
-    ch = character_relaxed_verma(RS2, LAM2, 0, 2, 6)
+    ch = character_relaxed_verma(RS2, LAM2, character_top(RS2, 0, 2, 6))
     d0 = {wt: m for (wt, d), m in ch.items() if d == 0}
     from wakimoto.weylpoly import twist_character
     assert d0 == twist_character(RS2, LAM2, 0, 6)
 
 
 def test_gt_degree_zero_spectrum_sl2():
-    ch = character_relaxed_verma(RS2, LAM2, 0, 1, 8)
+    ch = character_relaxed_verma(RS2, LAM2, character_top(RS2, 0, 1, 8))
     d0 = sorted(wt.coords[0] for (wt, d), m in ch.items() if d == 0)
     assert d0 == [LAM2.coords[0] + 2 + 2 * j for j in range(8)]
 
 
 def test_degree_one_generator_count_is_dim_g():
     # at degree 1 over the vacuum line: one monomial per basis element of g
-    ch = character_relaxed_verma(RS2, LAM2, None, 1, 6)
+    ch = character_relaxed_verma(RS2, LAM2,
+                                 character_top(RS2, None, 1, 6))
     top_wt = LAM2
     a = RS2.root_to_weight(RS2.positive_roots[0])
     assert ch[(top_wt + a, 1)] == 1      # e_{-1}
@@ -256,16 +258,18 @@ def test_character_identity_sl2():
     for lam_c in (Fr(0), Fr(2, 3), Fr(-1, 2)):
         lam = Weight((lam_c,))
         for ai in (None, 0):
-            a = character_relaxed_verma(RS2, lam, ai, 3, 6)
-            b = character_relaxed_wakimoto(RS2, lam, ai, 3, 6)
+            count = character_top(RS2, ai, 3, 6)
+            a = character_relaxed_verma(RS2, lam, count)
+            b = character_relaxed_wakimoto(RS2, lam, count)
             assert a == b
 
 
 def test_character_identity_sl3_theta():
     lam = Weight((Fr(1, 3), Fr(2)))
     th = RS3.root_index[(1, 1)]
-    a = character_relaxed_verma(RS3, lam, th, 2, 4)
-    b = character_relaxed_wakimoto(RS3, lam, th, 2, 4)
+    count = character_top(RS3, th, 2, 4)
+    a = character_relaxed_verma(RS3, lam, count)
+    b = character_relaxed_wakimoto(RS3, lam, count)
     assert a == b
     assert any(isinstance(m, tuple) for m in a.values())
 
@@ -281,15 +285,66 @@ def test_energy_zero_is_the_fock_oracle(n, radius):
                      if n < 4 or sum(g) < rs.rank]
     for ai in tops:
         expect = fock_oracle(rs, lam, ai, radius)
+        count = character_top(rs, ai, 1, radius)
         for character in (character_relaxed_verma,
                           character_relaxed_wakimoto):
-            ch = character(rs, lam, ai, 1, radius)
+            ch = character(rs, lam, count)
             assert {wt: m for (wt, d), m in ch.items() if d == 0} == expect
+
+
+def _tuple_convolve(rs, lam, top_table, mode_table, radius):
+    """The convolution on tuple offsets that relaxed._convolve_character
+    replaced, kept as its oracle: top_table {offset tuple: count-or-('ge',
+    n)}, mode_table {d: {weight tuple: count}}."""
+    out = {}
+    for d, row in mode_table.items():
+        for wshift, cnt in row.items():
+            for offset, mult in top_table.items():
+                total = tuple(a + b for a, b in zip(offset, wshift))
+                if not all(-radius <= c <= radius for c in total):
+                    continue
+                key = (total, d)
+                flagged = isinstance(mult, tuple)
+                base = mult[1] if flagged else mult
+                prev = out.get(key, 0)
+                pflag = isinstance(prev, tuple)
+                pbase = prev[1] if pflag else prev
+                nbase = pbase + base * cnt
+                out[key] = ("ge", nbase) if (flagged or pflag) else nbase
+    return {(offset_weight(rs, lam, c), d): m for (c, d), m in out.items()}
+
+
+@pytest.mark.parametrize("n,dmax,radius", [(2, 3, 4), (3, 2, 3), (4, 1, 2)])
+def test_packed_convolution_matches_the_tuple_one(n, dmax, radius):
+    # the V top, every simple alpha, and theta with a small cap, so that
+    # its table holds ('ge', n) entries from sl3 on; both mode families
+    rs = build_root_system(n)
+    r = rs.rank
+    lam = Weight(tuple(Fr(i + 1, 3) for i in range(r)))
+    theta = rs.root_index[(1,) * r]
+    tops = [(None, KCAP), (theta, 3)] + [(ai, KCAP) for ai in
+                                         rs.simple_indices if ai != theta]
+    pbw = [relaxed._root_shift(rs, sym) for sym in basis_symbols(rs)]
+    free = [tuple(s * x for x in g) for g in rs.positive_roots
+            for s in (-1, 1)] + [(0,) * r] * r
+    flagged = 0
+    for ai, kcap in tops:
+        top = _top_counts(rs, ai, radius + dmax, kcap)
+        old_top = {unpack(c, r): m for c, m in top.items()}
+        for families in (pbw, free):
+            table = relaxed._mode_monomial_table(rs, families, dmax)
+            old_table = {d: {unpack(w, r): cnt for w, cnt in row.items()}
+                         for d, row in table.items()}
+            got = relaxed._convolve_character(rs, lam, top, table, radius)
+            assert got == _tuple_convolve(rs, lam, old_top, old_table,
+                                          radius)
+            flagged += sum(isinstance(m, tuple) for m in got.values())
+    assert (flagged > 0) == (n > 2)
 
 
 @pytest.mark.parametrize("n,dmax", [(2, 6), (3, 3), (4, 2)])
 def test_mode_table_points_are_bounded(n, dmax):
-    # _relaxed_character's work bound counts (dmax + 1)(2 dmax + 1)^rank
+    # character_top's work bound counts (dmax + 1)(2 dmax + 1)^rank
     # points (energy left, weight); a generator of energy m moves each root
     # coordinate by at most 1 <= m
     rs = build_root_system(n)

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wakimoto import rootdata
-from wakimoto.errors import WakimotoError
+from wakimoto.errors import RealizationBug, WakimotoError
 from wakimoto.rootdata import (Weight, all_weyl_elements,
                                build_root_system, pairing, rho, theta)
 
@@ -259,16 +259,22 @@ def test_exact_root_decompositions_match_brute_force(n):
         roots, (1,) * rs.rank, 0) if not any(end)]) == 2 ** (rs.rank - 1)
 
 
-def _brute_lattice_counts(starts, gens, keep, bound):
+def _brute_lattice_counts(starts, gens, floors, bound):
     # every b_g below bound; the callers check that bound + 1 adds nothing
     out = {}
     for s, cnt in starts.items():
         for b in product(range(bound), repeat=len(gens)):
             end = tuple(x - sum(k * g[t] for k, g in zip(b, gens))
                         for t, x in enumerate(s))
-            if keep(end):
+            if all(f is None or x >= f for x, f in zip(end, floors)):
                 out[end] = out.get(end, 0) + cnt
     return out
+
+
+def _unpacked_counts(starts, gens, floors):
+    """rootdata.lattice_counts with its codes unpacked into tuples."""
+    return {rootdata.unpack(c, len(floors)): m for c, m in
+            rootdata.lattice_counts(starts, gens, floors).items()}
 
 
 _point = st.lists(st.integers(-2, 3), min_size=2, max_size=2).map(tuple)
@@ -282,29 +288,106 @@ _point = st.lists(st.integers(-2, 3), min_size=2, max_size=2).map(tuple)
 def test_lattice_counts_with_a_floor_match_brute_force(starts, gens, floor):
     # nonnegative generators and every coordinate >= floor, as the top
     # characters use them
-    def keep(c):
-        return min(c) >= floor
-
+    floors = (floor, floor)
     bound = 3 - floor + 1
-    expect = _brute_lattice_counts(starts, gens, keep, bound)
-    assert expect == _brute_lattice_counts(starts, gens, keep, bound + 1)
-    assert rootdata.lattice_counts(starts, gens, keep) == expect
+    expect = _brute_lattice_counts(starts, gens, floors, bound)
+    assert expect == _brute_lattice_counts(starts, gens, floors, bound + 1)
+    assert _unpacked_counts(starts, gens, floors) == expect
 
 
 @settings(max_examples=60, deadline=None)
 @given(dmax=st.integers(0, 4),
-       gens=st.lists(st.tuples(st.integers(1, 3), st.integers(-2, 2),
-                               st.integers(-2, 2)), max_size=3))
+       gens=st.lists(st.tuples(st.integers(-2, 2), st.integers(-2, 2),
+                               st.integers(1, 3)), max_size=3))
 def test_lattice_counts_on_one_coordinate_match_brute_force(dmax, gens):
-    # positive first coordinate (an energy) and any weight, kept while the
+    # any weight and a positive last coordinate (an energy), kept while the
     # energy left is >= 0, as the mode-monomial tables use them
-    def keep(c):
-        return c[0] >= 0
+    floors = (None, None, 0)
+    starts = {(0, 0, dmax): 1}
+    expect = _brute_lattice_counts(starts, gens, floors, dmax + 1)
+    assert expect == _brute_lattice_counts(starts, gens, floors, dmax + 2)
+    assert _unpacked_counts(starts, gens, floors) == expect
 
-    starts = {(dmax, 0, 0): 1}
-    expect = _brute_lattice_counts(starts, gens, keep, dmax + 1)
-    assert expect == _brute_lattice_counts(starts, gens, keep, dmax + 2)
-    assert rootdata.lattice_counts(starts, gens, keep) == expect
+
+@st.composite
+def _open_walks(draw):
+    """(starts, gens, floors) in 2 or 3 coordinates: at least one floor and
+    some None; a generator is 0..2 on each floored coordinate, positive on
+    one of them, and -2..2 on the others."""
+    dim = draw(st.integers(2, 3))
+    floors = draw(st.lists(st.one_of(st.none(), st.integers(-2, 1)),
+                           min_size=dim, max_size=dim)
+                  .filter(lambda fs: any(f is not None for f in fs)))
+    floored = [t for t, f in enumerate(floors) if f is not None]
+
+    def gen(draw_t):
+        t0 = draw_t(st.sampled_from(floored))
+        return tuple(
+            draw_t(st.integers(1, 2)) if t == t0 else
+            draw_t(st.integers(0, 2)) if floors[t] is not None else
+            draw_t(st.integers(-2, 2)) for t in range(dim))
+
+    gens = [gen(draw) for _ in range(draw(st.integers(0, 3)))]
+    point = st.lists(st.integers(-2, 3), min_size=dim, max_size=dim)
+    starts = draw(st.dictionaries(point.map(tuple), st.integers(1, 3),
+                                  max_size=3))
+    return starts, gens, tuple(floors)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_open_walks())
+def test_lattice_counts_with_open_coordinates_match_brute_force(walk):
+    # floors with None, negative entries on the open coordinates, and
+    # several starts: a generator is taken at most 3 - (-2) = 5 times
+    starts, gens, floors = walk
+    expect = _brute_lattice_counts(starts, gens, floors, 6)
+    assert expect == _brute_lattice_counts(starts, gens, floors, 7)
+    assert _unpacked_counts(starts, gens, floors) == expect
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(-2 ** 30, 2 ** 30 - 1), min_size=1, max_size=4))
+def test_codes_round_trip(coords):
+    code = rootdata.pack(coords)
+    assert rootdata.unpack(code, len(coords)) == tuple(coords)
+    # codes add and subtract as points, with no carry between fields
+    half = [c // 2 for c in coords]
+    assert rootdata.pack(coords) - rootdata.pack(half) + \
+        rootdata.pack([0] * len(coords)) == \
+        rootdata.pack([c - h for c, h in zip(coords, half)])
+
+
+def test_a_coordinate_past_the_packed_range_is_a_realization_bug():
+    # a field holds c + 2^30 below its guard bit 31: c in [-2^30, 2^30)
+    for c in (2 ** 30, -2 ** 30 - 1, 2 ** 31):
+        with pytest.raises(RealizationBug):
+            rootdata.pack((0, c))
+    with pytest.raises(RealizationBug):
+        rootdata.lattice_counts({(0,): 1}, [(1,)], (-2 ** 30 - 1,))
+    # a start at the edge and a walk that would cross it: (-2^30 + 1, 3)
+    # down by (1, 1) reaches (-2^30 - 1, 1), whose field 0 would borrow
+    # from field 1, which the floor of field 1 would then pass
+    start = {(-2 ** 30 + 1, 3): 1}
+    with pytest.raises(RealizationBug):
+        rootdata.lattice_counts(start, [(1, 1)], (None, 0))
+    # one step down from the start, below the floor, would carry field 0
+    # into field 1 and so pass field 1's floor
+    with pytest.raises(RealizationBug):
+        rootdata.lattice_counts({(0, 0): 1}, [(-3 * 2 ** 30, 1)], (None, 0))
+    # a ray that would run up past 2^30 on an open coordinate
+    with pytest.raises(RealizationBug):
+        rootdata.lattice_counts({(5, 2 ** 30 - 3): 1}, [(1, -1)], (0, None))
+    # inside the range the same walks count
+    assert _unpacked_counts({(-2 ** 30 + 5, 3): 1}, [(1, 1)], (None, 0)) == \
+        {(-2 ** 30 + 5 - k, 3 - k): 1 for k in range(4)}
+
+
+def test_a_walk_that_would_not_end_is_a_realization_bug():
+    # a generator must lower a floored coordinate and raise none
+    for gens, floors in (([(0, 1)], (0, None)), ([(1, -1)], (0, 0)),
+                         ([(0, 0)], (0, 0))):
+        with pytest.raises(RealizationBug):
+            rootdata.lattice_counts({(1, 1): 1}, gens, floors)
 
 
 def test_bounded_degree_exponents_match_brute_force():

@@ -73,3 +73,12 @@ def test_command_list(same_outputs, monkeypatch):
     assert ["gamma-mult", "-n", "3", "--lam", "1/3,2", "--alpha", "theta",
             "--mu", "1/3,2", "-D", "16"] in cmds
     assert ["verify", "pi-hom", "-n", "4"] in cmds
+    # the lattice sweep: 1 + 3 + 6 roots at 4 windows, the --kcap case and
+    # the pool's; 3 tops at 4 energies on 3 ranks; orbits n = 1-10 and the
+    # richardson sigmas (2 at n = 2, 3 at n = 3, 4 above; the pool's is one)
+    assert kinds["twist-char"] == 40 + 1 + 1
+    assert len([c for c in cmds if c[:2] == ["verify", "characters"]
+                and "-k" not in c]) == 36
+    assert kinds["orbits"] == 10 and kinds["richardson"] == 2 + 3 + 7 * 4
+    assert ["verify", "characters", "-n", "4", "--top", "GT", "--alpha",
+            "theta", "-D", "3"] in cmds

@@ -20,7 +20,12 @@ The commands (COMMANDS):
 - `verify pi-hom` at n = 2-4;
 - the gamma-mult sweep: sl2 at D = 8, sl3 at D = 6 and sl4 at D = 4, with
   lambda 0, (1/3, 2/3, ...) and (-1/2, ...), every positive alpha, and mu =
-  lambda + sum_i c_i alpha_i for every c in [-2, 2]^rank.
+  lambda + sum_i c_i alpha_i for every c in [-2, 2]^rank;
+- the lattice sweep: `twist-char` on sl2-sl4 at lambda (1/3, 2/3, ...) for
+  every positive alpha at windows 1-4, and once with --kcap; `verify
+  characters` on sl2-sl4 on the V top and the GT tops along a1 and theta at
+  D = 0-3; `orbits` at n = 1-10, and `richardson` at n = 2-10 for sigma
+  empty, {1}, the odd indices and every index.
 """
 
 import argparse
@@ -82,6 +87,29 @@ def _gamma_sweep():
     return out
 
 
+def _lattice_sweep():
+    out = []
+    for n in range(2, 5):
+        lam = _weight([Fraction(i, 3) for i in range(1, n)])
+        for alpha in _roots(n):
+            for window in range(1, 5):
+                out.append(["twist-char", "-n", str(n), "--lam", lam,
+                            "--alpha", alpha, "--window", str(window)])
+        for D in range(4):
+            for top in ([], ["--top", "GT", "--alpha", "a1"],
+                        ["--top", "GT", "--alpha", "theta"]):
+                out.append(["verify", "characters", "-n", str(n), *top, "-D",
+                            str(D)])
+    out.append(["twist-char", "-n", "3", "--lam", "1/3,2/3", "--alpha",
+                "theta", "--window", "4", "--kcap", "5"])
+    out += [["orbits", "-n", str(n)] for n in range(1, 11)]
+    for n in range(2, 11):
+        for sigma in ("", "1", ",".join(map(str, range(1, n, 2))),
+                      ",".join(map(str, range(1, n)))):
+            out.append(["richardson", "-n", str(n), "--sigma", sigma])
+    return out
+
+
 def commands():
     """COMMANDS, each an argv list, in order, without repeats."""
     cmds = _pool_commands() + [["golden", "tests/golden"]]
@@ -95,6 +123,7 @@ def commands():
                  for i in range(1, n)]
     cmds += [["verify", "pi-hom", "-n", str(n)] for n in range(2, 5)]
     cmds += _gamma_sweep()
+    cmds += _lattice_sweep()
     return [list(c) for c in dict.fromkeys(map(tuple, cmds))]
 
 
