@@ -239,14 +239,15 @@ def _verify_characters(args, rs):
     elif args.alpha:
         raise WakimotoError("--alpha needs --top GT")
     count = relaxed.character_top(rs, ai, args.D, args.window)
-    a = relaxed.character_relaxed_verma(rs, lam, count)
-    b = relaxed.character_relaxed_wakimoto(rs, lam, count)
+    a = relaxed.character_relaxed_verma(rs, count)
+    b = relaxed.character_relaxed_wakimoto(rs, count)
     fields.update({"top": top, "lambda": weight_to_json(lam), "D": args.D,
                    "entries": len(a)})
-    keys = sorted((kk for kk in set(a) | set(b) if a.get(kk) != b.get(kk)),
-                  key=lambda kk: (kk[1], kk[0].coords))
-    return fields, [{"weight": weight_to_json(kk[0]), "degree": kk[1]}
-                    for kk in keys]
+    bad = sorted((relaxed.weight_energy(rs, lam, p)
+                  for p in a.keys() | b.keys() if a.get(p) != b.get(p)),
+                 key=lambda we: (we[1], we[0].coords))
+    return fields, [{"weight": weight_to_json(w), "degree": d}
+                    for w, d in bad]
 
 
 _D3 = ("-D", {"type": int, "default": 3})
@@ -380,13 +381,17 @@ def golden_payloads():
 def cmd_golden(args):
     payloads = golden_payloads()
     if args.write:
-        os.makedirs(args.dir, exist_ok=True)
-        for name, payload in payloads.items():
-            path = os.path.join(args.dir, name + ".json")
-            with open(path, "w") as fh:
-                json.dump({"schema_version": SCHEMA_VERSION, "data": payload},
-                          fh, indent=2, sort_keys=True)
-                fh.write("\n")
+        try:
+            os.makedirs(args.dir, exist_ok=True)
+            for name, payload in payloads.items():
+                path = os.path.join(args.dir, name + ".json")
+                with open(path, "w") as fh:
+                    json.dump({"schema_version": SCHEMA_VERSION,
+                               "data": payload}, fh, indent=2, sort_keys=True)
+                    fh.write("\n")
+        except OSError as e:
+            raise WakimotoError("cannot write %s: %s" % (e.filename,
+                                                        e.strerror))
         print("wrote %d golden files to %s" % (len(payloads), args.dir))
         return 0
     bad = []
@@ -398,7 +403,11 @@ def cmd_golden(args):
         except FileNotFoundError:
             bad.append(name + " (missing)")
             continue
-        if stored.get("data") != json.loads(json.dumps(payload)):
+        except (OSError, ValueError):
+            stored = None
+        if not isinstance(stored, dict):
+            bad.append(name + " (unreadable)")
+        elif stored.get("data") != json.loads(json.dumps(payload)):
             bad.append(name)
     if bad:
         print("golden mismatches: %s" % ", ".join(bad))

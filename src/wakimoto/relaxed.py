@@ -169,70 +169,50 @@ def _root_shift(rs, sym):
     return co if kind == "e" else tuple(-c for c in co)
 
 
-def _mode_monomial_table(rs, families, dmax):
-    """{energy d: {code of a root-coordinate weight: count}} of the
-    monomials of energy d <= dmax in negative-mode families; families is a
-    list of root-coordinate weights, one per generator family, each family
-    holding a generator for every mode m >= 1.  One lattice count on the
-    points (weight, energy left), from (0, dmax) by the generators (-w, m):
-    the weight fills a point's low fields, so its code is the point's code
-    without the energy field."""
+def _mode_shifts(rs, families, dmax):
+    """{shift: count} of the monomials of energy d <= dmax in negative-mode
+    families; families is a list of root-coordinate weights, one per
+    generator family, each family holding a generator for every mode
+    m >= 1.  A shift is the weight's code less 0's plus d in the field
+    above, so a top code plus a shift is a point (weight_energy).  One
+    lattice count on (weight, energy left), from (0, dmax) by (-w, m)."""
     r = rs.rank
     gens = [tuple(-c for c in wt) + (m,)
             for wt in families for m in range(1, dmax + 1)]
     counts = lattice_counts({(0,) * r + (dmax,): 1}, gens,
                             (None,) * r + (0,))
     low = (1 << WIDTH * r) - 1
-    table = {}
+    zero = pack((0,) * r)
+    shifts = {}
     for p, cnt in counts.items():
         (left,) = unpack(p >> WIDTH * r, 1)
-        table.setdefault(dmax - left, {})[p & low] = cnt
-    return table
+        shifts[(p & low) - zero + ((dmax - left) << WIDTH * r)] = cnt
+    return shifts
 
 
-def _convolve_counts(top, mode_table, r, radius):
-    """{point: count} of the pairs of a top entry (code, int count) and a
-    mode-table entry whose offsets sum into the window |c| <= radius.  A
-    point is one int: the top code plus the mode weight's code less 0's,
-    with the energy d in the field above the weight's.  The window is the
-    two mask tests of rootdata, at or above -radius and at or below radius;
-    they read the weight's fields only, as the energy field neither borrows
-    nor reaches a guard bit."""
+def _convolve(top, shifts, r, radius):
+    """{point: count} of the pairs of a top entry {code: count} and a shift
+    {shift: count} (_mode_shifts) whose weights sum into the window |c| <=
+    radius.  The window is the two mask tests of rootdata, at or above
+    -radius and at or below radius; they read the weight's fields only, as
+    the energy field neither borrows nor reaches a guard bit."""
     G = guard_bits(r)
     low = pack((-radius,) * r)
     high = pack((radius,) * r) | G
-    zero = pack((0,) * r)
     out = {}
-    for d, row in mode_table.items():
-        for w, cnt in row.items():
-            delta = w - zero + (d << WIDTH * r)
-            for c, m in top:
-                p = c + delta
-                if ((p | G) - low) & G == G and (high - p) & G == G:
-                    out[p] = out.get(p, 0) + m * cnt
+    for delta, cnt in shifts.items():
+        for c, m in top.items():
+            p = c + delta
+            if ((p | G) - low) & G == G and (high - p) & G == G:
+                out[p] = out.get(p, 0) + m * cnt
     return out
 
 
-def _convolve_character(rs, lam, top_table, mode_table, radius):
-    """Combine a top-component character {offset code: count-or-('ge',n)}
-    with the mode-monomial table into {(Weight, d): count-or-('ge',n)} in
-    the window: an entry is ('ge', n) if a ('ge', m) top entry reaches it,
-    n summing every entry's count."""
-    weylpoly._check_window(radius)
-    r = rs.rank
-    out = _convolve_counts(
-        [(c, m) for c, m in top_table.items() if not isinstance(m, tuple)],
-        mode_table, r, radius)
-    flagged = _convolve_counts(
-        [(c, m[1]) for c, m in top_table.items() if isinstance(m, tuple)],
-        mode_table, r, radius)
-    for p, m in flagged.items():
-        out[p] = ("ge", out.get(p, 0) + m)
-    # one Weight per weight, shared by its energies
-    low = (1 << WIDTH * r) - 1
-    weights = {c: offset_weight(rs, lam, unpack(c, r))
-               for c in {p & low for p in out}}
-    return {(weights[p & low], p >> WIDTH * r): m for p, m in out.items()}
+def weight_energy(rs, lam, point):
+    """The (Weight, energy) of a character point: lam plus the point's
+    root-coordinate offset, and the energy in the field above it."""
+    return (offset_weight(rs, lam, unpack(point, rs.rank)),
+            point >> WIDTH * rs.rank)
 
 
 # The most work a relaxed character may do, bounded before anything is
@@ -243,11 +223,11 @@ def _convolve_character(rs, lam, top_table, mode_table, radius):
 # top table holds window points c (|c_t| <= R, R = radius + dmax) at or
 # below the highest start kmax alpha, at most prod_t min(R + 1 + kmax
 # alpha_t, 2 R + 1); the counting that fills it is bounded by MAX_TOP_BOX.
-# On a 2-core box `verify characters -n 3 --window 6` (V top) takes 0.37 s
-# at -D 10 (1,401,939) and 0.60 s at -D 12 (2,933,125), and 3.7 s at -D 20
-# (25,734,429); `-n 2 -D 80 --window 10` (1,186,731) takes 1.5 s; with the
-# GT top of sl3, along theta at -D 5 --window 17 (1,470,150) it takes
-# 0.62 s, along a1 at -D 10 --window 1 (1,338,876) 0.26 s.
+# In process on a 2-core box `verify characters -n 3 --window 6` (V top)
+# takes 0.31-0.42 s at -D 10 (1,401,939), 0.64-0.85 s at -D 12 (2,933,125)
+# and 3.9-4.2 s at -D 20 (25,734,429); `-n 2 -D 80 --window 10` (1,186,731)
+# 1.3-1.8 s; the sl3 GT top along theta at -D 5 --window 17 (1,470,150)
+# 0.38-0.58 s, along a1 at -D 10 --window 1 (1,338,876) 0.20-0.33 s.
 MAX_CHARACTER_WORK = 1500000
 
 
@@ -255,7 +235,8 @@ def character_top(rs, alpha_idx, dmax, radius):
     """The top count that the relaxed characters up to energy dmax in the
     window |c| <= radius read, as (table, dmax, radius): the top's
     weylpoly._top_counts in the window widened by dmax.  One table serves
-    both realizations, which differ only in their mode families.
+    both realizations, which differ only in their mode families; a
+    non-simple alpha's counts are lower bounds, as twist_character's are.
     WakimotoError, before anything is counted, if the work bound exceeds
     MAX_CHARACTER_WORK."""
     wide = radius + dmax
@@ -269,29 +250,29 @@ def character_top(rs, alpha_idx, dmax, radius):
             "the character up to energy %d needs %d mode-table points times "
             "%d top points, %d; the limit is %d"
             % (dmax, points, held, points * held, MAX_CHARACTER_WORK))
-    return (weylpoly._top_counts(rs, alpha_idx, wide, weylpoly.KCAP), dmax,
-            radius)
+    return weylpoly._top_counts(rs, alpha_idx, wide, kmax), dmax, radius
 
 
-def _relaxed_character(rs, lam, top, families):
+def _relaxed_character(rs, top, families):
     """The top count (character_top) times the monomials in the mode
-    families, as {(Weight, energy): count-or-('ge', n)}."""
+    families, as {point: count}, a point holding the weight's offset from
+    lambda and the energy (weight_energy)."""
     table, dmax, radius = top
-    return _convolve_character(rs, lam, table,
-                               _mode_monomial_table(rs, families, dmax),
-                               radius)
+    weylpoly._check_window(radius)
+    return _convolve(table, _mode_shifts(rs, families, dmax), rs.rank,
+                     radius)
 
 
-def character_relaxed_verma(rs, lam, top):
+def character_relaxed_verma(rs, top):
     """Bigraded character of the relaxed Verma module over the top count
     top (character_top), counted on the PBW side: the top character times
     monomials in the dim g families a_{-m}, one for each Chevalley basis
     element a."""
     families = [_root_shift(rs, sym) for sym in liealg.basis_symbols(rs)]
-    return _relaxed_character(rs, lam, top, families)
+    return _relaxed_character(rs, top, families)
 
 
-def character_relaxed_wakimoto(rs, lam, top):
+def character_relaxed_wakimoto(rs, top):
     """Bigraded character of the relaxed Wakimoto module over the top count
     top (character_top), counted on the free-field side: the top character
     times monomials in the generators {d_{x,-m}: -gamma, x_m: +gamma,
@@ -302,7 +283,7 @@ def character_relaxed_wakimoto(rs, lam, top):
         families.append(gamma)
     for _ in range(rs.rank):
         families.append((0,) * rs.rank)
-    return _relaxed_character(rs, lam, top, families)
+    return _relaxed_character(rs, top, families)
 
 
 def _mode_monomials(mod, D):
@@ -347,17 +328,17 @@ def _cells(monomials, roots, radius):
 MAX_SINGULAR_WORK = 40000
 
 
-def _search_size(rs, lam, D):
+def _search_size(rs, D):
     """The number of basis elements in find_singular_vectors' cells: the
     relaxed Verma character at energies 1..D in the box of radius 2D + 2,
     whose entries are the cell sizes."""
     try:
         char = character_relaxed_verma(
-            rs, lam, character_top(rs, None, D, 2 * D + 2))
+            rs, character_top(rs, None, D, 2 * D + 2))
     except WakimotoError as e:
         raise WakimotoError("the singular-vector search up to energy %d "
                             "is too large to count: %s" % (D, e))
-    return sum(m for (_, d), m in char.items() if d)
+    return sum(m for p, m in char.items() if p >> WIDTH * rs.rank)
 
 
 def find_singular_vectors(rs, lam, k, D):
@@ -369,7 +350,7 @@ def find_singular_vectors(rs, lam, k, D):
     raising generator; RealizationBug if one does not annihilate it.
     WakimotoError, before any row is built, if the cells hold more than
     MAX_SINGULAR_WORK basis elements."""
-    size = _search_size(rs, lam, D)
+    size = _search_size(rs, D)
     if size > MAX_SINGULAR_WORK:
         raise WakimotoError("the singular-vector search up to energy %d "
                             "has %d basis elements; the limit is %d"

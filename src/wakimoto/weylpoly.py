@@ -312,9 +312,9 @@ def fock_apply(terms, alpha_idx, v):
 
 # -- characters ---------------------------------------------------------------
 #
-# A character is counted as {root-coordinate offset from lambda: mult}; each
-# offset is one int, its code (rootdata.pack), and becomes a Weight once, on
-# output.
+# A character is counted as {root-coordinate offset from lambda: count};
+# each offset is one int, its code (rootdata.pack), which only
+# twist_character makes a Weight.
 
 # The default cap on the alpha exponent k of a twisted top with a non-simple
 # alpha.
@@ -329,12 +329,11 @@ MAX_TOP_BOX = 300000
 # The most work _top_counts may do: lattice_counts walks each point once per
 # generator, the positive roots (all but alpha on a GT top), so the work is
 # the counting box times the generators.  A step costs about as much at any
-# rank, 0.5-0.8 us in process from sl4 to sl14, but each window point then
-# becomes a Weight of rank Fractions.  `twist-char -n 4 --alpha theta
-# --window 4` (274,625 x 5) takes 1.4-1.6 s, and `verify characters -n 14
-# -D 0 --window 1` (8,192 x 91) 2.2 s; `-n 15` (16,384 x 105) took 5.5 s,
-# and `twist-char -n 7 --alpha theta --window 1 --kcap 6` (262,144 x 20)
-# 3.9 s.
+# rank, 0.5-0.8 us from sl4 to sl14.  In process on a 2-core box
+# `twist-char -n 4 --alpha theta --window 4` (274,625 x 5) takes 1.4-1.8 s,
+# `verify characters -n 14 -D 0 --window 1` (8,192 x 91) 0.4-0.6 s and
+# `-n 15` (16,384 x 105) 1.0-1.8 s, `twist-char -n 7 --alpha theta --window
+# 1 --kcap 6` (262,144 x 20) 4.1-6.0 s.
 MAX_TOP_WORK = 1500000
 
 
@@ -375,27 +374,22 @@ def _top_kmax(rs, alpha_idx, radius, kcap):
     return kmax
 
 
-def _top_counts(rs, alpha_idx, radius, kcap):
+def _top_counts(rs, alpha_idx, radius, kmax):
     """The character of a module top as {code of the root-coordinate offset
-    from lambda (rootdata.pack): mult} in the window |c| <= radius: the
-    Verma character
-    prod_gamma (1 - e^{-gamma})^{-1} when alpha_idx is None, otherwise the
-    twisted one sum_{k >= 1} e^{k alpha} prod_{gamma != alpha}
-    (1 - e^{-gamma})^{-1}.
+    from lambda (rootdata.pack): count} in the window |c| <= radius: the
+    Verma character prod_gamma (1 - e^{-gamma})^{-1} when alpha_idx is None,
+    otherwise the twisted one sum_{k >= 1} e^{k alpha} prod_{gamma != alpha}
+    (1 - e^{-gamma})^{-1} with k stopped at kmax (_top_kmax, run first).
 
-    For a non-simple alpha k stops at kcap, and every entry is reported as
-    ('ge', n), at least the n counted: the other roots hold every simple
-    root, so (kcap + 1) alpha reaches every point c <= (kcap + 1) alpha,
-    and every point counted lies below kcap alpha.  A simple alpha needs no
-    cap, see _top_kmax.  WakimotoError, before anything is counted, if the
-    points held on the way exceed MAX_TOP_BOX, or the points times the
-    generators MAX_TOP_WORK.
+    For a non-simple alpha every count is a lower bound: the other roots
+    hold every simple root, so (kmax + 1) alpha reaches every point
+    c <= (kmax + 1) alpha, and every point counted lies below kmax alpha.
+    A simple alpha's kmax reaches every window point, see _top_kmax.
     """
-    kmax = _top_kmax(rs, alpha_idx, radius, kcap)
     roots = rs.positive_roots
     if alpha_idx is None:
-        alpha, gens = (0,) * rs.rank, roots
-        starts = {alpha: 1}
+        gens = roots
+        starts = {(0,) * rs.rank: 1}
     else:
         alpha = roots[alpha_idx]
         gens = roots[:alpha_idx] + roots[alpha_idx + 1:]
@@ -404,10 +398,7 @@ def _top_counts(rs, alpha_idx, radius, kcap):
     # c <= u in every coordinate iff ((u | G) - c) & G == G, see rootdata
     G = guard_bits(rs.rank)
     top = pack((radius,) * rs.rank) | G
-    table = {c: m for c, m in counts.items() if (top - c) & G == G}
-    if sum(alpha) > 1:
-        return {c: ("ge", m) for c, m in table.items()}
-    return table
+    return {c: m for c, m in counts.items() if (top - c) & G == G}
 
 
 def twist_character(rs, lam, alpha_idx, radius, kcap=KCAP):
@@ -418,8 +409,11 @@ def twist_character(rs, lam, alpha_idx, radius, kcap=KCAP):
     char = e^lam (sum_{k>=1} e^{k alpha}) prod_{gamma != alpha}(1-e^{-gamma})^{-1}.
     """
     _check_window(radius)
-    return {offset_weight(rs, lam, unpack(c, rs.rank)): m
-            for c, m in _top_counts(rs, alpha_idx, radius, kcap).items()}
+    kmax = _top_kmax(rs, alpha_idx, radius, kcap)
+    flagged = alpha_idx is not None and sum(rs.positive_roots[alpha_idx]) > 1
+    return {offset_weight(rs, lam, unpack(c, rs.rank)):
+            ("ge", m) if flagged else m
+            for c, m in _top_counts(rs, alpha_idx, radius, kmax).items()}
 
 
 # -- Gamma_alpha multiplicities ------------------------------------------------

@@ -52,6 +52,17 @@ def test_summary_of_fixed_numbers(bench_pairs):
                      "change_better_pairs": 1}}}
 
 
+def test_summary_of_one_pair(bench_pairs):
+    # `--pairs 1` is admitted: each quartile of one run is that run
+    runs = _runs({"parent": [(2, 0)], "change": [(1.5, 0)]})
+    got = bench_pairs.summarize("w-seed0", "w", 0, runs,
+                                [{"name": "wall_s", "better": "lower"}])
+    assert got["metrics"]["wall_s"] == {
+        "parent_median": 2, "parent_q1": 2, "parent_q3": 2,
+        "change_median": 1.5, "change_q1": 1.5, "change_q3": 1.5,
+        "change_better_pairs": 1}
+
+
 def test_summary_reproduces_a_recorded_file(bench_pairs):
     # BENCH_18.json's summaries were computed from its runs before the tool
     # existed; the tool computes the same numbers from the same runs

@@ -11,7 +11,8 @@ from wakimoto.cli import (main, parse_fraction, parse_root, parse_sigma,
                           parse_symbol, parse_weight)
 from wakimoto.errors import RealizationBug, WakimotoError
 from wakimoto.liealg import basis_symbols, bracket_symbols
-from wakimoto.rootdata import Weight, build_root_system
+from wakimoto.rootdata import (WIDTH, Weight, build_root_system,
+                               offset_weight, pack, weight_to_json)
 from wakimoto.sparse import scaled
 
 RS3 = build_root_system(3)
@@ -326,9 +327,9 @@ def test_every_suite_has_help(suite, capsys):
         "usage: wakimoto verify %s [-h] -n N" % suite)
 
 
-def _one_entry_dropped(rs, lam, count):
+def _one_entry_dropped(rs, count):
     """relaxed.character_relaxed_verma without its first entry."""
-    table = relaxed.character_relaxed_verma(rs, lam, count)
+    table = relaxed.character_relaxed_verma(rs, count)
     return dict(list(table.items())[1:])
 
 
@@ -363,6 +364,27 @@ def test_a_failing_suite_reports_it_and_exits_1(suite, monkeypatch, capsys):
     out = json.loads(capsys.readouterr().out)
     assert out["suite"] == suite and out["n"] == 2
     assert out["ok"] is False and len(out["failures"]) == 1
+
+
+def test_a_character_failure_names_the_decoded_point(monkeypatch, capsys):
+    # the failure row of a point that one side lacks is that point's
+    # (weight, energy), decoded for the report only
+    rs = build_root_system(3)
+    lam = Weight((Fraction(1, 3), Fraction(1)))
+    count = relaxed.character_top(rs, None, 1, 2)
+    table = relaxed.character_relaxed_verma(rs, count)
+    # root coordinates (-2, 1) at energy 1
+    point = pack((-2, 1)) + (1 << 2 * WIDTH)
+    assert point in table
+    wt, d = relaxed.weight_energy(rs, lam, point)
+    assert wt == offset_weight(rs, lam, (-2, 1)) and d == 1
+    monkeypatch.setattr(relaxed, "character_relaxed_wakimoto",
+                        lambda rs, count: {p: m for p, m in table.items()
+                                           if p != point})
+    assert main(["verify", "characters", "-n", "3", "--lam", "1/3,1",
+                 "-D", "1", "--window", "2"]) == 1
+    out = json.loads(capsys.readouterr().out)
+    assert out["failures"] == [{"weight": weight_to_json(wt), "degree": 1}]
 
 
 def test_negative_rational_flag(capsys):
@@ -766,3 +788,31 @@ def test_golden_check(capsys):
 def test_golden_missing_dir(tmp_path, capsys):
     assert main(["golden", str(tmp_path / "nope")]) == 1
     assert "missing" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("text", ["{not json", "[1, 2]", "\xff"])
+def test_golden_reports_a_malformed_file(text, tmp_path, capsys):
+    # a file that is not JSON, JSON that is not an object, or bytes that
+    # are not text is a mismatch of the data, not an internal error
+    here = os.path.join(os.path.dirname(__file__), "golden")
+    for name in os.listdir(here):
+        with open(os.path.join(here, name)) as src:
+            (tmp_path / name).write_text(src.read())
+    (tmp_path / "orbits_n4.json").write_bytes(text.encode("latin-1"))
+    assert main(["golden", str(tmp_path)]) == 1
+    assert capsys.readouterr().out == \
+        "golden mismatches: orbits_n4 (unreadable)\n"
+
+
+def test_golden_write_to_a_file_is_a_usage_error(tmp_path, capsys):
+    target = tmp_path / "file"
+    target.write_text("kept\n")
+    assert main(["golden", str(target), "--write"]) == 2
+    assert capsys.readouterr().err == \
+        "error: cannot write %s: File exists\n" % target
+    assert target.read_text() == "kept\n"
+    # and so is a directory where a golden file goes
+    (tmp_path / "dir" / "orbits_n4.json").mkdir(parents=True)
+    assert main(["golden", str(tmp_path / "dir"), "--write"]) == 2
+    assert capsys.readouterr().err == "error: cannot write %s: Is a " \
+        "directory\n" % (tmp_path / "dir" / "orbits_n4.json")

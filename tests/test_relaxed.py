@@ -11,13 +11,15 @@ from wakimoto.errors import RealizationBug
 from wakimoto.liealg import basis_symbols, bracket_symbols, kappa0_symbols
 from wakimoto.relaxed import (RelaxedModule, character_relaxed_verma,
                               character_relaxed_wakimoto, character_top,
-                              find_singular_vectors, relaxed_verma_act)
-from wakimoto.rootdata import (Weight, build_root_system, offset_weight,
-                               pairing, root_combinations, unpack)
+                              find_singular_vectors, relaxed_verma_act,
+                              weight_energy)
+from wakimoto.rootdata import (WIDTH, Weight, build_root_system,
+                               offset_weight, pack, pairing,
+                               root_combinations, root_offset, unpack)
 from wakimoto.sparse import add_into, add_term
 from wakimoto.sparse import added as vec_add
-from wakimoto.weylpoly import (KCAP, _top_counts, fock_apply, fock_terms,
-                               pi_g)
+from wakimoto.weylpoly import (KCAP, _top_counts, _top_kmax, fock_apply,
+                               fock_terms, pi_g, twist_character)
 
 from test_weylpoly import fock_oracle
 
@@ -228,23 +230,36 @@ def test_a_search_with_no_cells_computes_no_pi_g(capsys):
 
 # -- characters --------------------------------------------------------------------
 
+def decoded(rs, lam, ch):
+    """A relaxed character {point: count} as {(Weight, energy): count}."""
+    return {weight_energy(rs, lam, p): m for p, m in ch.items()}
+
+
+def top_slice(rs, lam, alpha_idx, ch):
+    """The energy-0 slice of a relaxed character as {Weight: mult}, a
+    non-simple alpha's counts flagged ('ge', n) as twist_character flags
+    them."""
+    flagged = (alpha_idx is not None
+               and sum(rs.positive_roots[alpha_idx]) > 1)
+    return {wt: ("ge", m) if flagged else m
+            for (wt, d), m in decoded(rs, lam, ch).items() if d == 0}
+
+
 def test_degree_zero_is_top_character():
-    ch = character_relaxed_verma(RS2, LAM2, character_top(RS2, 0, 2, 6))
-    d0 = {wt: m for (wt, d), m in ch.items() if d == 0}
-    from wakimoto.weylpoly import twist_character
-    assert d0 == twist_character(RS2, LAM2, 0, 6)
+    ch = character_relaxed_verma(RS2, character_top(RS2, 0, 2, 6))
+    assert top_slice(RS2, LAM2, 0, ch) == twist_character(RS2, LAM2, 0, 6)
 
 
 def test_gt_degree_zero_spectrum_sl2():
-    ch = character_relaxed_verma(RS2, LAM2, character_top(RS2, 0, 1, 8))
-    d0 = sorted(wt.coords[0] for (wt, d), m in ch.items() if d == 0)
+    ch = character_relaxed_verma(RS2, character_top(RS2, 0, 1, 8))
+    d0 = sorted(wt.coords[0] for wt in top_slice(RS2, LAM2, 0, ch))
     assert d0 == [LAM2.coords[0] + 2 + 2 * j for j in range(8)]
 
 
 def test_degree_one_generator_count_is_dim_g():
     # at degree 1 over the vacuum line: one monomial per basis element of g
-    ch = character_relaxed_verma(RS2, LAM2,
-                                 character_top(RS2, None, 1, 6))
+    ch = decoded(RS2, LAM2, character_relaxed_verma(
+        RS2, character_top(RS2, None, 1, 6)))
     top_wt = LAM2
     a = RS2.root_to_weight(RS2.positive_roots[0])
     assert ch[(top_wt + a, 1)] == 1      # e_{-1}
@@ -255,23 +270,20 @@ def test_degree_one_generator_count_is_dim_g():
 
 
 def test_character_identity_sl2():
-    for lam_c in (Fr(0), Fr(2, 3), Fr(-1, 2)):
-        lam = Weight((lam_c,))
-        for ai in (None, 0):
-            count = character_top(RS2, ai, 3, 6)
-            a = character_relaxed_verma(RS2, lam, count)
-            b = character_relaxed_wakimoto(RS2, lam, count)
-            assert a == b
+    for ai in (None, 0):
+        count = character_top(RS2, ai, 3, 6)
+        assert character_relaxed_verma(RS2, count) == \
+            character_relaxed_wakimoto(RS2, count)
 
 
 def test_character_identity_sl3_theta():
     lam = Weight((Fr(1, 3), Fr(2)))
     th = RS3.root_index[(1, 1)]
     count = character_top(RS3, th, 2, 4)
-    a = character_relaxed_verma(RS3, lam, count)
-    b = character_relaxed_wakimoto(RS3, lam, count)
+    a = character_relaxed_verma(RS3, count)
+    b = character_relaxed_wakimoto(RS3, count)
     assert a == b
-    assert any(isinstance(m, tuple) for m in a.values())
+    assert top_slice(RS3, lam, th, a) == twist_character(RS3, lam, th, 4)
 
 
 @pytest.mark.parametrize("n,radius", [(2, 6), (3, 4), (4, 1)])
@@ -288,36 +300,44 @@ def test_energy_zero_is_the_fock_oracle(n, radius):
         count = character_top(rs, ai, 1, radius)
         for character in (character_relaxed_verma,
                           character_relaxed_wakimoto):
-            ch = character(rs, lam, count)
-            assert {wt: m for (wt, d), m in ch.items() if d == 0} == expect
+            assert top_slice(rs, lam, ai, character(rs, count)) == expect
 
 
-def _tuple_convolve(rs, lam, top_table, mode_table, radius):
-    """The convolution on tuple offsets that relaxed._convolve_character
-    replaced, kept as its oracle: top_table {offset tuple: count-or-('ge',
-    n)}, mode_table {d: {weight tuple: count}}."""
+@pytest.mark.parametrize("n,radius,D", [(2, 5, 6), (3, 3, 4), (4, 2, 2)])
+def test_weight_energy_inverts_the_point(n, radius, D):
+    # a point is the packed offset with the energy in the field above it;
+    # every offset in the window, negative coordinates included, and every
+    # energy 0..D, and the ends of the packed range
+    rs = build_root_system(n)
+    r = rs.rank
+    lam = Weight(tuple(Fr(i + 1, 3) for i in range(r)))
+    offsets = list(product(range(-radius, radius + 1), repeat=r))
+    offsets += [(-2 ** 30,) * r, (2 ** 30 - 1,) * r]
+    for c in offsets:
+        for d in range(D + 1):
+            wt, energy = weight_energy(rs, lam, pack(c) + (d << WIDTH * r))
+            assert energy == d and wt == offset_weight(rs, lam, c)
+            assert root_offset(rs, lam, wt) == c
+
+
+def _tuple_convolve(top_table, mode_table, radius):
+    """The convolution on tuple offsets that relaxed._convolve replaced,
+    kept as its oracle: top_table {offset tuple: count}, mode_table {d:
+    {weight tuple: count}}; returns {(offset tuple, d): count}."""
     out = {}
     for d, row in mode_table.items():
         for wshift, cnt in row.items():
             for offset, mult in top_table.items():
                 total = tuple(a + b for a, b in zip(offset, wshift))
-                if not all(-radius <= c <= radius for c in total):
-                    continue
-                key = (total, d)
-                flagged = isinstance(mult, tuple)
-                base = mult[1] if flagged else mult
-                prev = out.get(key, 0)
-                pflag = isinstance(prev, tuple)
-                pbase = prev[1] if pflag else prev
-                nbase = pbase + base * cnt
-                out[key] = ("ge", nbase) if (flagged or pflag) else nbase
-    return {(offset_weight(rs, lam, c), d): m for (c, d), m in out.items()}
+                if all(-radius <= c <= radius for c in total):
+                    out[(total, d)] = out.get((total, d), 0) + mult * cnt
+    return out
 
 
 @pytest.mark.parametrize("n,dmax,radius", [(2, 3, 4), (3, 2, 3), (4, 1, 2)])
 def test_packed_convolution_matches_the_tuple_one(n, dmax, radius):
-    # the V top, every simple alpha, and theta with a small cap, so that
-    # its table holds ('ge', n) entries from sl3 on; both mode families
+    # the V top, every simple alpha, and theta with a small cap; both mode
+    # families; the points decoded, so that the decoder is checked too
     rs = build_root_system(n)
     r = rs.rank
     lam = Weight(tuple(Fr(i + 1, 3) for i in range(r)))
@@ -327,19 +347,21 @@ def test_packed_convolution_matches_the_tuple_one(n, dmax, radius):
     pbw = [relaxed._root_shift(rs, sym) for sym in basis_symbols(rs)]
     free = [tuple(s * x for x in g) for g in rs.positive_roots
             for s in (-1, 1)] + [(0,) * r] * r
-    flagged = 0
+    zero = pack((0,) * r)
     for ai, kcap in tops:
-        top = _top_counts(rs, ai, radius + dmax, kcap)
+        wide = radius + dmax
+        top = _top_counts(rs, ai, wide, _top_kmax(rs, ai, wide, kcap))
         old_top = {unpack(c, r): m for c, m in top.items()}
         for families in (pbw, free):
-            table = relaxed._mode_monomial_table(rs, families, dmax)
-            old_table = {d: {unpack(w, r): cnt for w, cnt in row.items()}
-                         for d, row in table.items()}
-            got = relaxed._convolve_character(rs, lam, top, table, radius)
-            assert got == _tuple_convolve(rs, lam, old_top, old_table,
-                                          radius)
-            flagged += sum(isinstance(m, tuple) for m in got.values())
-    assert (flagged > 0) == (n > 2)
+            shifts = relaxed._mode_shifts(rs, families, dmax)
+            old_table = {}
+            for s, cnt in shifts.items():
+                row = old_table.setdefault((s + zero) >> WIDTH * r, {})
+                row[unpack(s + zero, r)] = cnt
+            got = relaxed._convolve(top, shifts, r, radius)
+            assert decoded(rs, lam, got) == {
+                (offset_weight(rs, lam, c), d): m for (c, d), m in
+                _tuple_convolve(old_top, old_table, radius).items()}
 
 
 @pytest.mark.parametrize("n,dmax", [(2, 6), (3, 3), (4, 2)])
@@ -350,9 +372,8 @@ def test_mode_table_points_are_bounded(n, dmax):
     rs = build_root_system(n)
     pbw = [relaxed._root_shift(rs, sym) for sym in basis_symbols(rs)]
     for families in (pbw, pbw + [(0,) * rs.rank]):
-        table = relaxed._mode_monomial_table(rs, families, dmax)
-        assert sum(map(len, table.values())) <= \
-            (dmax + 1) * (2 * dmax + 1) ** rs.rank
+        shifts = relaxed._mode_shifts(rs, families, dmax)
+        assert len(shifts) <= (dmax + 1) * (2 * dmax + 1) ** rs.rank
 
 
 def _exact_oracle(mod, d):
@@ -480,7 +501,7 @@ def test_singular_search_size_counts_the_cells(n, D):
     cells = sum(len(basis) for d in range(1, D + 1)
                 for basis in relaxed._cells(monomials[d], rs.positive_roots,
                                             2 * D + 2).values())
-    assert relaxed._search_size(rs, lam, D) == cells
+    assert relaxed._search_size(rs, D) == cells
 
 
 def test_no_singular_vectors_generic():

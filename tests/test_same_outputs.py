@@ -74,11 +74,17 @@ def test_command_list(same_outputs, monkeypatch):
             "--mu", "1/3,2", "-D", "16"] in cmds
     assert ["verify", "pi-hom", "-n", "4"] in cmds
     # the lattice sweep: 1 + 3 + 6 roots at 4 windows, the --kcap case and
-    # the pool's; 3 tops at 4 energies on 3 ranks; orbits n = 1-10 and the
-    # richardson sigmas (2 at n = 2, 3 at n = 3, 4 above; the pool's is one)
-    assert kinds["twist-char"] == 40 + 1 + 1
+    # the pool's; 3 tops at 4 energies on 3 ranks, and the window-1 tops at
+    # n = 5-14 (V) and 5-10 (GT); orbits n = 1-10 and the richardson sigmas
+    # (2 at n = 2, 3 at n = 3, 4 above; the pool's is one); the refused
+    # inputs add 3 twist-char, 5 verify characters and 8 verify singular
+    assert kinds["twist-char"] == 40 + 1 + 1 + 3
     assert len([c for c in cmds if c[:2] == ["verify", "characters"]
-                and "-k" not in c]) == 36
+                and "-k" not in c]) == 36 + 10 + 6 + 5
+    assert len([c for c in cmds if c[:2] == ["verify", "singular"]
+                and "1000000000" in c]) == 4
+    assert ["verify", "characters", "-n", "14", "-D", "0", "--window",
+            "1"] in cmds
     assert kinds["orbits"] == 10 and kinds["richardson"] == 2 + 3 + 7 * 4
     assert ["verify", "characters", "-n", "4", "--top", "GT", "--alpha",
             "theta", "-D", "3"] in cmds

@@ -430,7 +430,7 @@ def test_verma_fock_character_is_verma_character():
     lam = Weight((Fr(1, 3), Fr(2)))
     ch = fock_oracle(RS3, lam, None, 3)
     assert ch == {offset_weight(RS3, lam, unpack(c, 2)): m
-                  for c, m in _top_counts(RS3, None, 3, KCAP).items()}
+                  for c, m in _top_counts(RS3, None, 3, 0).items()}
 
 
 # -- Gamma_alpha ------------------------------------------------------------------

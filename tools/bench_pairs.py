@@ -8,7 +8,12 @@ a temporary directory; the change is the working tree.  Each pair runs
 `python3 perfbench/run.py --workload W --seed S --seconds T --trace 0` once
 in each tree, T being BENCHMARK.json's run_seconds; odd pairs run the parent
 first, even pairs the change first.  Each tree runs its own perfbench, so a
-change that alters perfbench/ is not measured with identical code.
+change that alters perfbench/ is not measured with identical code.  Both
+sides load bytecode: perfbench/run.py byte-compiles its tree's
+src/wakimoto with compileall before its first command, and compileall
+writes the .pyc files even under PYTHONDONTWRITEBYTECODE=1, so the fresh
+parent tree and the working tree both hold src/wakimoto/__pycache__ from
+the first run on.
 
 The result line of every run (the last stdout line) is kept.  The set, named
 W-seedS, is appended to --out, or to a new file of the same schema:
@@ -54,6 +59,8 @@ def run_once(tree, workload, seed, seconds):
 
 
 def quartiles(values):
+    if len(values) == 1:    # statistics.quantiles needs two
+        return values[0], values[0]
     q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return q1, q3
 

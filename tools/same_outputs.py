@@ -24,8 +24,12 @@ The commands (COMMANDS):
 - the lattice sweep: `twist-char` on sl2-sl4 at lambda (1/3, 2/3, ...) for
   every positive alpha at windows 1-4, and once with --kcap; `verify
   characters` on sl2-sl4 on the V top and the GT tops along a1 and theta at
-  D = 0-3; `orbits` at n = 1-10, and `richardson` at n = 2-10 for sigma
-  empty, {1}, the odd indices and every index.
+  D = 0-3, and at D = 0 in the window 1 on the V top at n = 5-14 and the GT
+  top along a1 at n = 5-10; `orbits` at n = 1-10, and `richardson` at
+  n = 2-10 for sigma empty, {1}, the odd indices and every index;
+- the refused inputs: the singular searches, counting boxes, top counts
+  and characters that tests/test_cli.py expects the guards to refuse, so
+  that their messages are compared too.
 """
 
 import argparse
@@ -102,11 +106,41 @@ def _lattice_sweep():
                             str(D)])
     out.append(["twist-char", "-n", "3", "--lam", "1/3,2/3", "--alpha",
                 "theta", "--window", "4", "--kcap", "5"])
+    for n, top in [(n, []) for n in range(5, 15)] + [
+            (n, ["--top", "GT"]) for n in range(5, 11)]:
+        out.append(["verify", "characters", "-n", str(n), *top, "-D", "0",
+                    "--window", "1"])
     out += [["orbits", "-n", str(n)] for n in range(1, 11)]
     for n in range(2, 11):
         for sigma in ("", "1", ",".join(map(str, range(1, n, 2))),
                       ",".join(map(str, range(1, n)))):
             out.append(["richardson", "-n", str(n), "--sigma", sigma])
+    return out
+
+
+def _refused():
+    """The inputs that tests/test_cli.py expects the guards to refuse."""
+    out = []
+    for n, D in ((2, 9), (3, 3), (4, 2), (5, 1)):
+        lam = _weight([0] * (n - 1))
+        for d in (D, 1000000000):
+            out.append(["verify", "singular", "-n", str(n), "-k", "1/2",
+                        "--lam", lam, "-D", str(d)])
+    out += [
+        ["twist-char", "-n", "5", "--lam", "0,0,0,0", "--alpha", "theta",
+         "--window", "3", "--kcap", "20"],
+        ["twist-char", "-n", "4", "--lam", "0,0,0", "--alpha", "a2",
+         "--window", "100"],
+        ["verify", "characters", "-n", "3", "--window", "600", "-D", "1"],
+        ["verify", "characters", "-n", "17", "-D", "0", "--window", "1"],
+        ["verify", "characters", "-n", "15", "--top", "GT", "-D", "0",
+         "--window", "1"],
+        ["twist-char", "-n", "7", "--lam", "0,0,0,0,0,0", "--alpha", "theta",
+         "--window", "1", "--kcap", "6"],
+        ["verify", "characters", "-n", "3", "-D", "20", "--window", "6"],
+        ["verify", "characters", "-n", "3", "--top", "GT", "--alpha",
+         "theta", "-D", "5", "--window", "18"],
+    ]
     return out
 
 
@@ -124,6 +158,7 @@ def commands():
     cmds += [["verify", "pi-hom", "-n", str(n)] for n in range(2, 5)]
     cmds += _gamma_sweep()
     cmds += _lattice_sweep()
+    cmds += _refused()
     return [list(c) for c in dict.fromkeys(map(tuple, cmds))]
 
 
